@@ -4,7 +4,7 @@
 the replica set is sharded across worker processes
 (:class:`~repro.cluster.ShardAssignment`), an asyncio front door
 (:class:`ShardServer`) coalesces concurrent range queries into batched
-``execute_workload`` calls per shard (:class:`Batcher`), admission
+``execute_each`` calls per shard (:class:`Batcher`), admission
 control and per-tenant quotas shed load with structured errors
 (:class:`AdmissionController`, :class:`TenantQuotas`), and a simulated
 fleet (:func:`run_fleet`) provides the mixed read traffic.
@@ -42,7 +42,6 @@ from repro.serve.protocol import (
 from repro.serve.server import WORKER_MODES, ShardServer
 from repro.serve.worker import (
     open_shard_store,
-    pinned_plan,
     serve_request,
     shard_worker_main,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "fleet_queries",
     "open_shard_store",
     "payload_to_dataset",
-    "pinned_plan",
     "run_fleet",
     "serve_request",
     "shard_worker_main",

@@ -1,6 +1,6 @@
 """Coalescing concurrent range queries into batched shard dispatches.
 
-The engine's ``execute_workload`` decodes each involved partition once
+The engine's ``execute_each`` decodes each involved partition once
 per *batch* instead of once per query — but only if concurrent requests
 actually arrive as one workload.  The :class:`Batcher` is that funnel:
 admitted queries wait up to ``window_seconds`` (or until ``max_batch``

@@ -73,6 +73,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.worker import shard_worker_main
 from repro.storage.config import StoreConfig, hydrate_store
+from repro.storage.failover import RankingWalk
 from repro.storage.options import ExecOptions
 from repro.workload.query import Query, Workload
 
@@ -367,10 +368,11 @@ class ShardServer:
         if links:
             batch_span.annotate(links=links)
 
+        # One walk per query down its Eq. 6-7 ranking — the same
+        # failover policy object the engine drives in-process, here
+        # advanced by what the shards report each round.
         plan = self._router.route_workload(Workload.unweighted(order))
-        rankings = [plan.ranking_for(i) for i in range(len(order))]
-        rank_pos = [0] * len(order)
-        attempts: list[list] = [[] for _ in order]
+        walks = [RankingWalk(plan.ranking_for(i)) for i in range(len(order))]
         outcome: dict[int, object] = {}
         pending = set(range(len(order)))
         rounds = 0
@@ -380,7 +382,7 @@ class ShardServer:
                 rounds += 1
                 groups: dict[str, list[int]] = {}
                 for i in sorted(pending):
-                    groups.setdefault(rankings[i][rank_pos[i]], []).append(i)
+                    groups.setdefault(walks[i].current, []).append(i)
                 dispatches = [
                     self._dispatch(
                         replica,
@@ -398,22 +400,20 @@ class ShardServer:
                         errors = [r.failures[i] for r in responses
                                   if i in r.failures]
                         if not errors:
-                            if rank_pos[i] > 0:
+                            if walks[i].hops:
                                 self.failovers += 1
                             outcome[i] = concat_payloads(
                                 r.results[i] for r in responses)
                             pending.discard(i)
                             continue
-                        attempts[i].append((replica, RuntimeError(errors[0])))
                         tracer.event("failover", parent=batch_span,
                                      query=i, replica=replica,
                                      error=errors[0])
-                        rank_pos[i] += 1
-                        if rank_pos[i] >= len(rankings[i]):
+                        if walks[i].fail(RuntimeError(errors[0])) is None:
                             self.degraded += 1
-                            outcome[i] = DegradedReadError(
+                            outcome[i] = walks[i].degraded(
                                 f"query {order[i]} could not be served by "
-                                "any replica", tuple(attempts[i]))
+                                "any replica")
                             pending.discard(i)
         finally:
             batch_span.annotate(rounds=rounds,

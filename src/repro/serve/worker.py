@@ -11,9 +11,12 @@ the full answer its shard is responsible for.
 Workers never fail over or repair on their own: ownership masks are
 per-replica, so a worker switching replicas unilaterally would return a
 slice of a *different* partitioning than its peers — duplicated and
-missing records.  Failover is the front door's job: a worker reports
-per-query structured failures and the server re-dispatches those
-queries, pinned to the next-ranked replica, to every shard at once.
+missing records.  A worker is therefore a pipeline run whose every
+ranking has length one (``failover=False``): it executes each request
+exactly once through :meth:`~repro.storage.BlotStore.execute_each`,
+which reports per-query structured failures, and the front door walks
+the ranking — re-dispatching those queries, pinned to the next-ranked
+replica, to every shard at once.
 
 Tracing: when a request frame carries a
 :class:`~repro.obs.distributed.TraceContext`, the worker opens a
@@ -33,8 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.costmodel.model import RoutingPlan
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, DegradedReadError
 from repro.obs.distributed import TraceContext
 from repro.obs.trace import NULL_RECORDER
 from repro.serve.protocol import (
@@ -60,17 +62,6 @@ def open_shard_store(config: StoreConfig, assignment, shard_id: int):
     )
 
 
-def pinned_plan(replica_name: str, n_queries: int) -> RoutingPlan:
-    """A degenerate routing plan pinning every query to one replica —
-    how the front door's routing decision is carried into
-    ``execute_workload`` on each shard."""
-    return RoutingPlan(
-        replica_names=(replica_name,),
-        assignments=np.zeros(n_queries, dtype=np.intp),
-        costs=np.zeros((n_queries, 1), dtype=np.float64),
-    )
-
-
 def _worker_options(options: ExecOptions | None) -> ExecOptions:
     base = options if options is not None else ExecOptions()
     # Coordinated failover: the server owns replica switching.
@@ -86,11 +77,13 @@ def serve_request(store, request: ShardRequest, shard_id: int,
                   options: ExecOptions) -> ShardResponse:
     """Answer one batched request against this shard's masked store.
 
-    The batch path decodes each owned partition once across all queries;
-    if any partition read fails the whole ``execute_workload`` call
-    aborts (it never returns partial result sets), so the worker falls
-    back to per-query execution to isolate exactly which queries the
-    pinned replica cannot serve here.
+    The request runs through the pipeline exactly once: each owned
+    partition is read once across all queries, and a query that needed
+    an unreadable one comes back as its own structured failure while
+    the others keep their answers.  An exception that is *not* a read
+    error (a bug, a malformed frame) is reported once as the failure of
+    every task — never re-executed, and never allowed to kill the
+    worker loop, since the front door has no supervision to notice.
     """
     ctx = request.trace
     if ctx is not None and ctx.deadline is not None:
@@ -118,22 +111,18 @@ def serve_request(store, request: ShardRequest, shard_id: int,
     results: dict[int, dict[str, np.ndarray]] = {}
     failures: dict[int, str] = {}
     try:
-        try:
-            outcome = store.execute_workload(
-                Workload.unweighted(queries),
-                plan=pinned_plan(request.replica, len(queries)),
-                options=options,
-            )
-            for task, qr in zip(request.tasks, outcome.results):
-                results[task.index] = dataset_to_payload(qr.records)
-        except Exception:
-            for task in request.tasks:
-                try:
-                    qr = store.query(task.query, replica=request.replica,
+        outcome = store.execute_each(Workload.unweighted(queries),
+                                     replica=request.replica,
                                      options=options)
-                    results[task.index] = dataset_to_payload(qr.records)
-                except Exception as exc:
-                    failures[task.index] = f"{type(exc).__name__}: {exc}"
+        for task, result in zip(request.tasks, outcome.results):
+            if isinstance(result, DegradedReadError):
+                failures[task.index] = f"{type(result).__name__}: {result}"
+            else:
+                results[task.index] = dataset_to_payload(result.records)
+    except Exception as exc:  # the report-once guard, see the docstring
+        results.clear()
+        failures = {task.index: f"{type(exc).__name__}: {exc}"
+                    for task in request.tasks}
     finally:
         if shard_span is not None:
             shard_span.annotate(results=len(results),

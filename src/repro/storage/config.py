@@ -225,7 +225,6 @@ def materialize_store(
     from repro.storage.replica import build_replica
     from repro.storage.unit import DirectoryStore
 
-    os.makedirs(root, exist_ok=True)
     manifest_dir = os.path.join(root, "manifests")
     os.makedirs(manifest_dir, exist_ok=True)
     dataset_path = os.path.join(root, "dataset.npz")
@@ -242,6 +241,8 @@ def materialize_store(
         replica = build_replica(dataset, scheme, encoding, store,
                                 name=name, universe=universe)
         manifest_path = os.path.join(manifest_dir, f"{replica.name}.json")
+        # A default replica name is "<scheme>/<encoding>": a subdirectory.
+        os.makedirs(os.path.dirname(manifest_path), exist_ok=True)
         manifest = save_manifest(replica, manifest_path)
         for unit in manifest["units"]:
             if unit is not None:

@@ -8,23 +8,25 @@ records by the query range.  When several replicas exist and a
 to the replica with the lowest estimated cost (Figure 2's "replica
 selection at query time").
 
-Two execution paths exist:
+There is **one read pipeline** — plan → fetch → decode → filter → fold
+(``docs/query_engine.md``) — and the public reads
+(:class:`~repro.storage.reads.ReadSurface`) are folds over it:
+``query`` is a batch of one with the *records* fold, ``count`` a batch
+of one with the *counting* fold (its contained-partition metadata
+answer is a plan-stage short-circuit), and ``execute_each`` /
+``execute_workload`` hand it a whole workload, so a partition shared by
+overlapping queries is fetched and decoded once.
 
-- the per-query path (:meth:`BlotStore.query` / :meth:`BlotStore.count`),
-  and
-- the workload path (:meth:`BlotStore.execute_workload`), which routes a
-  whole workload in one vectorized pass
-  (:meth:`~repro.costmodel.CostModel.route_batch`), groups the plan by
-  replica and decodes each replica's involved-partition *union* once.
-
-Both share a persistent scan thread pool, an optional byte-budgeted
-:class:`~repro.storage.cache.PartitionCache` of decoded partitions, and
-one **failure path**: a partition read that stays failed after the
-configured retries (an injected fault, a missing unit, corrupt bytes)
-makes the query *fail over* to the next-cheapest replica per the
-Eq. 6–7 cost ranking.  When every replica is exhausted the engine
-attempts :func:`~repro.storage.recovery.repair_partition` from a
-surviving diverse replica, and only then raises a structured
+The pipeline shares a persistent scan thread pool, an optional
+byte-budgeted :class:`~repro.storage.cache.PartitionCache` of decoded
+partitions, and one **failure path**: a partition read that stays
+failed after the configured retries (an injected fault, a missing unit,
+corrupt bytes) sends every request that needed it one step down its
+Eq. 6–7 cost ranking (:class:`~repro.storage.failover.RankingWalk` —
+the same walk the serving front door drives across shards).  When a
+ranking is exhausted the engine attempts
+:func:`~repro.storage.recovery.repair_partition` from a surviving
+diverse replica, and only then answers that request with a structured
 :class:`~repro.storage.faults.DegradedReadError` — degraded
 configurations are a first-class state, not an exception trace.
 Execution behavior (parallelism, cache policy, retry/failover policy)
@@ -44,28 +46,37 @@ un-instrumented path costs one ``None`` check per call
 
 from __future__ import annotations
 
-import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.costmodel.model import CostModel, RoutingPlan
 from repro.data.dataset import Dataset
 from repro.data.record import FIELDS
-from repro.encoding.base import EncodingScheme
+from repro.encoding.base import EagerPartitionReader, EncodingScheme
 from repro.geometry import Box3
 from repro.obs import Observability
 from repro.obs.trace import NULL_RECORDER
 from repro.partition.base import PartitioningScheme
 from repro.storage.cache import CacheStats, PartitionCache
 from repro.errors import ReplicaExists
+from repro.storage.failover import RankingWalk
 from repro.storage.faults import (
     DegradedReadError,
     FaultInjector,
     InjectedFault,
     PartitionReadError,
 )
-from repro.storage.options import DEFAULT_EXEC_OPTIONS, ExecOptions
+from repro.storage.options import ExecOptions
+from repro.storage.reads import (  # noqa: F401  (the types' historical home)
+    QueryResult,
+    QueryStats,
+    ReadRequest,
+    ReadSurface,
+    WorkloadResult,
+    WorkloadStats,
+)
 from repro.storage.recovery import RecoveryError, repair_partition_any
 from repro.storage.replica import StoredReplica, build_replica
 from repro.storage.unit import UnitStore
@@ -78,140 +89,20 @@ import numpy as np
 _N_OTHER_COLUMNS = len(FIELDS) - 3
 
 
-@dataclass(frozen=True, slots=True)
-class QueryStats:
-    """Execution accounting for one range query.
+@dataclass(slots=True)
+class _Accounting:
+    """One execution call's running totals.  All of it is kept on the
+    calling thread: pool threads hand their numbers back in the unit
+    outcomes instead of incrementing shared state."""
 
-    ``scanned_fraction`` is the paper's ``S`` (Figure 2): the share of the
-    dataset's records that had to be scanned.  ``bytes_read`` counts bytes
-    actually fetched from the unit store — partitions served from the
-    decoded-partition cache contribute zero.  ``retries`` and
-    ``failovers`` are 0 on a healthy read; a positive ``failovers`` means
-    ``replica_name`` is not the replica routing originally chose.
-    """
-
-    replica_name: str
-    partitions_involved: int
-    records_scanned: int
-    records_returned: int
-    bytes_read: int
-    seconds: float
-    total_records: int
-    retries: int = 0
-    failovers: int = 0
-    #: Ingest-path delta-buffer accounting, kept OUT of ``seconds`` /
-    #: ``bytes_read`` so Eq. 7 calibration over measured replica scans
-    #: never sees the brute-force buffer filter.  Zero on plain
-    #: :class:`BlotStore` reads; only
-    #: :class:`~repro.storage.ingest.IngestingBlotStore` sets them.
-    buffer_seconds: float = 0.0
-    buffer_bytes_scanned: int = 0
-
-    @property
-    def scanned_fraction(self) -> float:
-        if self.total_records == 0:
-            return 0.0
-        return self.records_scanned / self.total_records
-
-
-@dataclass(frozen=True, slots=True)
-class QueryResult:
-    """Records matching the query plus execution statistics."""
-
-    records: Dataset
-    stats: QueryStats
-
-
-@dataclass(frozen=True, slots=True)
-class WorkloadStats:
-    """Aggregate accounting for one :meth:`BlotStore.execute_workload` run.
-
-    ``bytes_read`` counts unique store fetches — a partition shared by
-    several queries (or served from the cache) is charged once or not at
-    all, which is the whole point of the batch path.  ``cache_hits`` /
-    ``cache_misses`` are deltas over this run only; ``cache_hit_rate`` is
-    0.0 when no cache is configured.
-
-    The degradation fields report failure handling: ``retries`` (partition
-    reads retried), ``failovers`` (query re-routes to a fallback replica),
-    ``repairs`` (units restored from a diverse replica mid-run),
-    ``failed_replicas`` (replicas observed down), and
-    ``degraded_cost_delta`` — the estimated extra cost (Eq. 7 seconds) of
-    the replicas that actually served versus the healthy routing plan.
-    All are zero/empty on a healthy run.
-    """
-
-    n_queries: int
-    seconds: float
-    bytes_read: int
-    records_scanned: int
-    records_returned: int
-    #: Partitions fetched from the unit store and decoded (cache hits and
-    #: partitions shared across queries are not re-counted).
-    partitions_decoded: int
-    cache_hits: int
-    cache_misses: int
-    per_replica_queries: dict[str, int]
     retries: int = 0
     failovers: int = 0
     repairs: int = 0
-    degraded_cost_delta: float = 0.0
-    failed_replicas: tuple[str, ...] = ()
-    #: Ingest delta-buffer accounting (see :class:`QueryStats`); zero
-    #: outside the ingest path.
-    buffer_seconds: float = 0.0
-    buffer_bytes_scanned: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        if lookups == 0:
-            return 0.0
-        return self.hits_over(lookups)
-
-    def hits_over(self, lookups: int) -> float:
-        return self.cache_hits / lookups
-
-    @property
-    def degraded(self) -> bool:
-        """True when any failure handling happened during the run."""
-        return bool(self.retries or self.failovers or self.repairs
-                    or self.failed_replicas)
-
-
-@dataclass(frozen=True, slots=True)
-class WorkloadResult:
-    """Per-query results (workload order), the routing plan that produced
-    them, and the aggregate execution statistics."""
-
-    results: tuple[QueryResult, ...]
-    plan: RoutingPlan
-    stats: WorkloadStats
-
-
-class _Accounting:
-    """Thread-safe degradation counters shared by one execution call
-    (partition scans run on the pool, so increments race)."""
-
-    __slots__ = ("retries", "failovers", "repairs", "_lock")
-
-    def __init__(self) -> None:
-        self.retries = 0
-        self.failovers = 0
-        self.repairs = 0
-        self._lock = threading.Lock()
-
-    def add_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def add_failover(self) -> None:
-        with self._lock:
-            self.failovers += 1
-
-    def add_repair(self) -> None:
-        with self._lock:
-            self.repairs += 1
+    #: Unique store fetches — including ones whose requests later failed
+    #: over — and how many of them decoded a unit.
+    bytes_read: int = 0
+    units_decoded: int = 0
+    failed_replicas: set[str] = field(default_factory=set)
 
 
 class _DecodeTelemetry:
@@ -244,11 +135,21 @@ class _DecodeTelemetry:
         pair[1].observe(seconds)
 
 
-class BlotStore:
+@dataclass(slots=True)
+class _Read:
+    """A request in flight: its slot in the call and its failover walk."""
+
+    index: int
+    request: ReadRequest
+    walk: RankingWalk
+
+
+class BlotStore(ReadSurface):
     """A single-node BLOT system instance over one logical dataset.
 
     ``cache_bytes`` enables the decoded-partition LRU cache shared by
-    ``query()``, ``count()`` and ``execute_workload()``; ``None`` keeps
+    every read (see :class:`ReadSurface` for ``query`` / ``count`` /
+    ``execute_workload`` / ``execute_each``); ``None`` keeps
     the seed behavior of decoding on every access.  ``fault_injector``
     routes every storage unit read through a
     :class:`~repro.storage.faults.FaultInjector` (used by failure drills
@@ -437,151 +338,6 @@ class BlotStore:
         """``Storage(R)`` over all registered replicas (Definition 5)."""
         return sum(r.storage_bytes() for r in self._replicas.values())
 
-    # -- shared scan machinery ------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the persistent scan pool (idempotent).  The store
-        remains usable; the pool is recreated on the next parallel scan."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_workers = 0
-
-    def _executor(self, parallelism: int) -> ThreadPoolExecutor:
-        """The lazily-created persistent scan pool, grown (never shrunk)
-        to ``parallelism`` workers.  Reusing one pool avoids paying thread
-        startup on every query, the seed behavior."""
-        if self._pool is None or self._pool_workers < parallelism:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(
-                max_workers=parallelism, thread_name_prefix="blot-scan"
-            )
-            self._pool_workers = parallelism
-        return self._pool
-
-    @staticmethod
-    def _get_blob(store: UnitStore, key: str):
-        """Fetch one unit's bytes, zero-copy when the backend supports
-        views (all built-in stores do; third-party stores fall back to
-        ``get``)."""
-        get_view = getattr(store, "get_view", None)
-        return get_view(key) if get_view is not None else store.get(key)
-
-    def _check_replica_up(self, stored: StoredReplica, pid: int | None) -> None:
-        """Fail fast on a whole-replica outage — before the cache is
-        consulted (the node's memory is as gone as its disks) and without
-        retries."""
-        faults = self._faults
-        if faults is not None and faults.replica_failed(stored.name):
-            fault = InjectedFault(stored.name, pid, scope="replica")
-            raise PartitionReadError(stored.name, pid, fault) from fault
-
-    def _read_unit(
-        self,
-        stored: StoredReplica,
-        pid: int,
-        options: ExecOptions,
-        acct: _Accounting | None,
-        rec,
-        parent,
-        work,
-    ):
-        """Run ``work(decode_span)`` — one unit's fetch+decode — under the
-        engine's fault contract: injected faults fire first, transient
-        failures are retried per ``options`` (sleeping through
-        ``options.sleep``), and a read that stays failed raises
-        :class:`~repro.storage.faults.PartitionReadError`.  Replica-scope
-        faults are never retried.
-        """
-        faults = self._faults
-        failures = 0
-        while True:
-            try:
-                with rec.start("decode", parent=parent) as decode_span:
-                    if faults is not None:
-                        faults.on_read(stored.name, pid)
-                    return work(decode_span)
-            except Exception as exc:
-                if isinstance(exc, InjectedFault) and exc.scope == "replica":
-                    raise PartitionReadError(
-                        stored.name, pid, exc, failures + 1) from exc
-                failures += 1
-                if failures > options.retries:
-                    raise PartitionReadError(
-                        stored.name, pid, exc, failures) from exc
-                if acct is not None:
-                    acct.add_retry()
-                with rec.start("retry", parent=parent, attempt=failures,
-                               cause=type(exc).__name__):
-                    if options.backoff_seconds > 0:
-                        sleep = options.sleep or time.sleep
-                        sleep(options.backoff_seconds * 2 ** (failures - 1))
-
-    def _fetch_decoded(
-        self,
-        stored: StoredReplica,
-        pid: int,
-        options: ExecOptions = DEFAULT_EXEC_OPTIONS,
-        acct: _Accounting | None = None,
-        rec=NULL_RECORDER,
-        parent=None,
-    ) -> tuple[Dataset, int] | None:
-        """Decode one partition fully, through the cache when configured.
-
-        Returns ``(records, bytes_read)`` where ``bytes_read`` is 0 on a
-        cache hit, or None for empty partitions (no storage unit).
-        Transiently failed reads are retried per ``options``
-        (:meth:`_read_unit`); a whole-replica outage fails before the
-        cache is consulted.  ``rec``/``parent`` attach
-        ``cache``/``decode``/``retry`` spans under the caller's scan span
-        when tracing.
-        """
-        key = stored.unit_keys[pid]
-        if key is None:
-            return None
-        self._check_replica_up(stored, pid)
-        use_cache = self._cache is not None and options.use_cache
-        if use_cache:
-            hit = self._cache.get((stored.name, pid))
-            rec.event("cache", parent=parent,
-                      outcome="hit" if hit is not None else "miss")
-            if hit is not None:
-                return hit, 0
-
-        def work(decode_span):
-            blob = self._get_blob(stored.store, key)
-            reader = stored.encoding_for(pid).open(blob, self._decode_tel)
-            self._remember_zones(stored, pid, reader)
-            records = reader.dataset()
-            decode_span.annotate(bytes=len(blob), records=len(records))
-            return records, len(blob)
-
-        records, nbytes = self._read_unit(stored, pid, options, acct,
-                                          rec, parent, work)
-        if use_cache:
-            self._cache.put((stored.name, pid), records)
-        return records, nbytes
-
-    def _map_partitions(self, fn, pids, parallelism: int) -> list:
-        """Apply ``fn`` over partition ids, on the persistent pool when
-        ``parallelism`` > 1 and there is more than one partition."""
-        pids = [int(p) for p in pids]
-        if parallelism == 1 or len(pids) <= 1:
-            return [fn(pid) for pid in pids]
-        return list(self._executor(parallelism).map(fn, pids))
-
-    def _note_read_failure(self, err: PartitionReadError) -> None:
-        """Invalidate the cache entries a failed read makes suspect: the
-        whole replica on a replica-level outage, the single unit
-        otherwise."""
-        if self._cache is None:
-            return
-        if err.replica_failed:
-            self._cache.invalidate_replica(err.replica_name)
-        elif err.partition_id is not None:
-            self._cache.invalidate((err.replica_name, err.partition_id))
-
     # -- routing ---------------------------------------------------------------
 
     def route(self, query: Query) -> str:
@@ -661,12 +417,7 @@ class BlotStore:
             raise ValueError("no replicas registered")
         names = list(self._replicas)
         if len(names) == 1:
-            m = len(workload)
-            return RoutingPlan(
-                replica_names=(names[0],),
-                assignments=np.zeros(m, dtype=np.intp),
-                costs=np.zeros((m, 1), dtype=np.float64),
-            )
+            return _pinned_plan(names[0], len(workload))
         if self._cost_model is None:
             raise ValueError(
                 "multiple replicas but no cost model configured; "
@@ -676,73 +427,68 @@ class BlotStore:
         profiles = [self._replicas[name].profile(n_records=n) for name in names]
         return self._cost_model.route_batch(workload, profiles)
 
-    # -- query processing ------------------------------------------------------
-
-    def query(
-        self,
-        query: Query | Box3,
-        replica: str | None = None,
-        options: ExecOptions | None = None,
-    ) -> QueryResult:
-        """Process a range query (Section II-D).
-
-        ``query`` may be a positioned :class:`Query` or a raw box.  When
-        ``replica`` is None the engine routes by estimated cost.
-        Execution behavior — scan parallelism, cache policy, retries,
-        failover, repair — comes from ``options``
-        (:class:`~repro.storage.options.ExecOptions`).  When the serving
-        replica fails mid-read the query transparently fails over down
-        the cost ranking; on exhaustion the engine tries a diverse-
-        replica repair, then raises
-        :class:`~repro.storage.faults.DegradedReadError`.
-
-        When given a raw :class:`Box3` the scan uses those exact bounds;
-        the positioned :class:`Query` derived from it is used only for
-        routing.  (Re-deriving the box from the centered form can move
-        a face by one ulp, dropping or admitting records that lie
-        exactly on the query boundary.)
-        """
-        q = Query.from_box(query) if isinstance(query, Box3) else query
-        box = query if isinstance(query, Box3) else query.box()
-        opts = options if options is not None else DEFAULT_EXEC_OPTIONS
-        acct = _Accounting()
-        rec = self._recorder(opts)
-        with rec.start("query", context=opts.trace_context,
-                       kind="query", q_width=q.width,
-                       q_height=q.height, q_duration=q.duration,
-                       q_x=q.x, q_y=q.y, q_t=q.t) as root:
+    def _rank(self, requests: list[ReadRequest], opts: ExecOptions, rec, root,
+              batch: bool, replica: str | None, plan: RoutingPlan | None,
+              ) -> tuple[list[list[str]], RoutingPlan | None]:
+        """The plan stage's routing half: each request's replica ranking
+        (what its :class:`RankingWalk` walks), plus the batch's routing
+        plan.  A ranking has length one when failover is off — that is
+        all a shard worker is."""
+        if not batch:
             with rec.start("route", parent=root) as route_span:
-                candidates = self._candidates(q, replica, opts)
+                candidates = self._candidates(requests[0].query, replica, opts)
                 route_span.annotate(candidates=list(candidates))
-            attempts: list[tuple[str, Exception]] = []
-            for name in candidates:
-                stored = self._replicas.get(name)
-                if stored is None:
-                    # Retired between routing and serving: fail over.
-                    attempts.append((name, KeyError(name)))
-                    acct.add_failover()
-                    rec.event("failover", parent=root, failed_replica=name,
-                              cause="retired")
-                    continue
-                try:
-                    result = self._scan_query(stored, q, opts, acct,
-                                              rec=rec, root=root, box=box)
-                except PartitionReadError as err:
-                    self._note_read_failure(err)
-                    attempts.append((name, err))
-                    acct.add_failover()
-                    rec.event("failover", parent=root, failed_replica=name)
-                    continue
-                root.annotate(replica=name)
-                return self._finish_query(q, result, acct, "query")
-            result = self._repair_and_rescan(q, opts, acct, attempts,
-                                             rec=rec, root=root, box=box)
-            if result is not None:
-                root.annotate(replica=result.stats.replica_name)
-                return self._finish_query(q, result, acct, "query")
-            raise DegradedReadError(
-                "range query could not be served by any replica",
-                tuple(attempts))
+            return [candidates], None
+        if replica is not None:
+            # Every query pinned, like query(replica=): the cost matrix
+            # (hence the failover order) is only computed when a walk
+            # could use it.
+            self.replica(replica)  # raise KeyError early on unknown names
+            if opts.failover and len(self._replicas) > 1:
+                routed = self.route_workload(
+                    Workload.unweighted([r.query for r in requests]))
+                plan = replace(routed, assignments=np.full(
+                    len(requests), routed.replica_names.index(replica),
+                    dtype=np.intp))
+            else:
+                plan = _pinned_plan(replica, len(requests))
+        elif plan is None:
+            with rec.start("route", parent=root, batch=True):
+                plan = self.route_workload(
+                    Workload.unweighted([r.query for r in requests]))
+        elif plan.n_queries != len(requests):
+            raise ValueError(
+                f"plan covers {plan.n_queries} queries, "
+                f"workload has {len(requests)}"
+            )
+        assigned = plan.assigned_names()
+        if not opts.failover or len(plan.replica_names) == 1:
+            return [[name] for name in assigned], plan
+        return [[name] + [n for n in plan.ranking_for(i) if n != name]
+                for i, name in enumerate(assigned)], plan
+
+    # -- the read pipeline: plan -> fetch -> decode -> filter -> fold ----------
+
+    def close(self) -> None:
+        """Shut down the persistent scan pool (idempotent).  The store
+        remains usable; the pool is recreated on the next parallel scan."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            self._pool_workers = 0
+
+    def _executor(self, parallelism: int) -> ThreadPoolExecutor:
+        """The lazily-created persistent scan pool, grown (never shrunk)
+        to ``parallelism`` workers.  Reusing one pool avoids paying thread
+        startup on every query, the seed behavior."""
+        if self._pool is None or self._pool_workers < parallelism:
+            if self._pool is not None:
+                self._pool.shutdown(wait=False)
+            self._pool = ThreadPoolExecutor(
+                max_workers=parallelism, thread_name_prefix="blot-scan"
+            )
+            self._pool_workers = parallelism
+        return self._pool
 
     def _recorder(self, opts: ExecOptions):
         """The trace recorder for one call: the store's real recorder
@@ -752,105 +498,120 @@ class BlotStore:
             return self._obs.tracer
         return NULL_RECORDER
 
-    def _finish_query(self, q: Query, result: QueryResult,
-                      acct: _Accounting, path: str) -> QueryResult:
-        """Seal one served query: stamp degradation counters into the
-        stats, publish metrics and the drift pair."""
-        result = self._with_degradation(result, acct)
-        obs = self._obs
-        if obs is not None:
-            self._publish_query(obs, result.stats, path, acct)
-            self._record_drift(obs, q, result.stats.replica_name,
-                               result.stats.seconds)
-            obs.observe_query(q)
-            self._after_telemetry(obs, result.stats.replica_name)
-        return result
+    def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
+                 batch: bool, replica: str | None = None,
+                 plan: RoutingPlan | None = None,
+                 ) -> tuple[list, RoutingPlan | None, WorkloadStats | None]:
+        """The single read entry behind ``query`` / ``count`` /
+        ``execute_each``: route, run the pipeline, publish telemetry.
 
-    def _after_telemetry(self, obs: Observability,
-                         replica_name: str) -> None:
-        """Closed-loop tail of every served call: offer the attached
-        recalibrator a shot at the serving replica's drift flag (both
-        no-ops on a bundle without the optional layers), then let the
-        checkpointer persist a snapshot if its schedule says so."""
-        stored = self._replicas.get(replica_name)
-        if stored is not None:
-            obs.maybe_recalibrate(replica_name, stored.encoding.name)
-        obs.maybe_reselect()
-        obs.maybe_checkpoint()
+        Returns one outcome per request — a :class:`QueryResult` or the
+        :class:`DegradedReadError` that request ended in — plus, for a
+        batch, the routing plan and the aggregate stats.  ``batch``
+        only picks the call's *shape*: a ``workload`` root span with a
+        ``query[kind=workload]`` child per request and per-request
+        ``seconds`` that exclude the shared unit reads, versus one
+        ``query`` root span whose ``seconds`` cover the whole scan (what
+        Eq. 7 calibration fits).  The work is the same loop either way.
+        """
+        rec = self._recorder(opts)
+        acct = _Accounting()
+        cache_before = (self._cache.stats()
+                        if batch and self._cache is not None else None)
+        start = time.perf_counter()
+        if batch:
+            root = rec.start("workload", context=opts.trace_context,
+                             n_queries=len(requests))
+        else:
+            q = requests[0].query
+            root = rec.start("query", context=opts.trace_context,
+                             kind="count" if requests[0].count else "query",
+                             q_width=q.width, q_height=q.height,
+                             q_duration=q.duration, q_x=q.x, q_y=q.y, q_t=q.t)
+        with root:
+            rankings, plan = self._rank(requests, opts, rec, root, batch,
+                                        replica, plan)
+            reads = [_Read(i, request, RankingWalk(ranking))
+                     for i, (request, ranking)
+                     in enumerate(zip(requests, rankings))]
+            outcomes = self._run(reads, opts, acct, rec, root, batch)
+            served = [(i, o.stats) for i, o in enumerate(outcomes)
+                      if isinstance(o, QueryResult)]
+            if len(served) < len(outcomes):
+                error = next(o for o in outcomes
+                             if isinstance(o, DegradedReadError))
+                root.annotate(error=f"{type(error).__name__}: {error}")
+            stats = None
+            if batch:
+                stats = self._workload_stats(
+                    served, len(outcomes), plan, acct, cache_before,
+                    time.perf_counter() - start)
+            elif served:
+                root.annotate(replica=served[0][1].replica_name)
+            if self._obs is not None:
+                self._publish(self._obs, requests, served, acct, plan,
+                              stats.seconds if batch else None)
+            return outcomes, plan, stats
 
-    def _publish_query(self, obs: Observability, stats: QueryStats,
-                       path: str, acct: _Accounting | None) -> None:
-        m = obs.metrics
-        m.counter("repro_queries_total", labels={"path": path}).inc()
-        m.counter("repro_queries_by_replica_total",
-                  labels={"replica": stats.replica_name}).inc()
-        m.counter("repro_bytes_read_total").inc(stats.bytes_read)
-        m.counter("repro_records_scanned_total").inc(stats.records_scanned)
-        m.counter("repro_partitions_involved_total").inc(
-            stats.partitions_involved)
-        m.histogram("repro_query_seconds").observe(stats.seconds)
-        if acct is not None:
-            self._publish_degradation(obs, acct)
+    def _run(self, reads: list[_Read], opts: ExecOptions, acct: _Accounting,
+             rec, root, batch: bool) -> list:
+        """The pipeline loop: group pending requests by the replica
+        their walk currently points at, serve each group in one round
+        (:meth:`_scan_replica`), and step every failed request down its
+        ranking until it is served, repaired or exhausted."""
+        outcomes: list = [None] * len(reads)
+        pending = reads
+        while pending:
+            groups: dict[str, list[_Read]] = {}
+            for read in pending:
+                groups.setdefault(read.walk.current, []).append(read)
+            pending = []
+            for name in sorted(groups):
+                group = groups[name]
+                stored = self._replicas.get(name)
+                if stored is None:
+                    # Retired between routing and serving (a plan that
+                    # predates a hot retire): fail over like a
+                    # replica-scope read failure.
+                    served = [KeyError(name)] * len(group)
+                else:
+                    served = self._scan_replica(stored, group, opts, acct,
+                                                rec, root, batch)
+                for read, result in zip(group, served):
+                    if isinstance(result, QueryResult):
+                        outcomes[read.index] = result
+                        continue
+                    fallback = read.walk.fail(result)
+                    if fallback is None:
+                        repaired = self._repair_and_rescan(
+                            read, opts, acct, rec, root, batch)
+                        what = (f"workload query {read.index}" if batch else
+                                "count query" if read.request.count
+                                else "range query")
+                        outcomes[read.index] = repaired or read.walk.degraded(
+                            f"{what} could not be served by any replica")
+                        continue
+                    acct.failovers += 1
+                    rec.event("failover", parent=root, query=read.index,
+                              failed_replica=name, fallback=fallback,
+                              cause=("retired" if isinstance(result, KeyError)
+                                     else "read"))
+                    pending.append(read)
+        return outcomes
 
-    @staticmethod
-    def _publish_degradation(obs: Observability, acct: _Accounting) -> None:
-        m = obs.metrics
-        if acct.retries:
-            m.counter("repro_retries_total").inc(acct.retries)
-        if acct.failovers:
-            m.counter("repro_failovers_total").inc(acct.failovers)
-        if acct.repairs:
-            m.counter("repro_repairs_total").inc(acct.repairs)
-
-    def _record_drift(self, obs: Observability, q: Query,
-                      replica_name: str, measured_seconds: float) -> None:
-        """Record the (predicted Eq. 7, measured) pair for the replica
-        that actually served — the raw material of Section IV-B
-        recalibration decisions."""
-        if self._cost_model is None:
-            return
-        stored = self._replicas.get(replica_name)
-        if stored is None:
-            return
-        try:
-            predicted = self._cost_model.query_cost(
-                q, stored.profile(n_records=len(self._dataset)))
-        except KeyError:
-            return  # no calibrated params for this encoding
-        obs.drift.record(replica_name, predicted, measured_seconds)
-
-    def _with_degradation(self, result: QueryResult, acct: _Accounting) -> QueryResult:
-        """Stamp the call's retry/failover counters into the stats.
-        Failovers that never led to a served result (the last candidate)
-        are not counted — the loop only increments on a miss before
-        moving on."""
-        if acct.retries == 0 and acct.failovers == 0:
-            return result
-        return QueryResult(
-            records=result.records,
-            stats=replace(result.stats, retries=acct.retries,
-                          failovers=acct.failovers),
-        )
-
-    def _repair_and_rescan(
-        self,
-        q: Query,
-        opts: ExecOptions,
-        acct: _Accounting,
-        attempts: list[tuple[str, Exception]],
-        rec=NULL_RECORDER,
-        root=None,
-        box: Box3 | None = None,
-    ) -> QueryResult | None:
+    def _repair_and_rescan(self, read: _Read, opts: ExecOptions,
+                           acct: _Accounting, rec, root,
+                           batch: bool) -> QueryResult | None:
         """Exhaustion path: repair the cheapest partition-level-failed
         replica unit by unit from the surviving replicas, then rescan.
 
         Whole-replica outages are skipped (there is no unit to rewrite on
-        a dead node).  Returns None — leaving ``attempts`` grown with the
-        repair failures — when nothing could be restored.
+        a dead node).  Returns None — leaving the walk's attempt trail
+        grown with the repair failures — when nothing could be restored.
         """
         if not opts.repair:
             return None
+        attempts = read.walk.attempts
         target: StoredReplica | None = None
         for name, err in attempts:
             if isinstance(err, PartitionReadError) and not err.replica_failed:
@@ -863,29 +624,396 @@ class BlotStore:
         # Each pass repairs the first failed unit the scan trips on; a
         # query involves finitely many partitions, so bound the loop.
         for _ in range(target.n_partitions + 1):
-            try:
-                return self._scan_query(target, q, opts, acct,
-                                        rec=rec, root=root, box=box)
-            except PartitionReadError as err:
-                if err.replica_failed or err.partition_id is None:
-                    attempts.append((target.name, err))
+            (result,) = self._scan_replica(target, [read], opts, acct,
+                                           rec, root, batch)
+            if isinstance(result, QueryResult):
+                return result
+            if result.replica_failed or result.partition_id is None:
+                attempts.append((target.name, result))
+                return None
+            with rec.start("repair", parent=root, replica=target.name,
+                           partition=result.partition_id) as repair_span:
+                try:
+                    repair_partition_any(target, result.partition_id, sources)
+                except (RecoveryError, ValueError) as recovery_err:
+                    repair_span.annotate(outcome="failed")
+                    attempts.append((target.name, recovery_err))
                     return None
-                with rec.start("repair", parent=root,
-                               replica=target.name,
-                               partition=err.partition_id) as repair_span:
-                    try:
-                        repair_partition_any(target, err.partition_id, sources)
-                    except (RecoveryError, ValueError) as recovery_err:
-                        repair_span.annotate(outcome="failed")
-                        attempts.append((target.name, recovery_err))
-                        return None
-                    repair_span.annotate(outcome="repaired")
-                acct.add_repair()
-                if self._faults is not None:
-                    self._faults.heal_partition(target.name, err.partition_id)
-                if self._cache is not None:
-                    self._cache.invalidate((target.name, err.partition_id))
+                repair_span.annotate(outcome="repaired")
+            acct.repairs += 1
+            if self._faults is not None:
+                self._faults.heal_partition(target.name, result.partition_id)
+            if self._cache is not None:
+                self._cache.invalidate((target.name, result.partition_id))
         return None
+
+    def _plan(self, stored: StoredReplica, request: ReadRequest,
+              ) -> tuple[list[int], list[bool], int, int]:
+        """Plan stage for one request on one replica: the partitions to
+        read, whether the query box *contains* each (canonical placement
+        then guarantees every record of it matches, so the filter can be
+        skipped), the ``partitions_involved`` figure, and the records
+        answered without reading anything.
+
+        The records fold reads every involved partition.  The counting
+        fold short-circuits here: a contained partition contributes its
+        metadata record count, so only boundary partitions — intersected
+        but not contained — go on to be read.
+        """
+        box = request.box
+        involved = stored.involved_partitions(box).tolist()
+        keys, boxes = stored.unit_keys, stored.partitioning.box_array
+        inside = [keys[pid] is not None
+                  and box.contains_box(Box3(*boxes[pid])) for pid in involved]
+        if not request.count:
+            return involved, inside, len(involved), 0
+        # Fail fast even when the count needs no boundary decodes:
+        # metadata-only answers must not be served from a dead node.
+        self._check_replica_up(stored, None)
+        counts = stored.partitioning.counts
+        boundary: list[int] = []
+        from_metadata = answered = 0
+        for pid, whole in zip(involved, inside):
+            if whole:
+                from_metadata += int(counts[pid])
+                answered += 1
+            elif keys[pid] is not None:
+                boundary.append(pid)
+        self._bump("repro_count_metadata_partitions_total", answered)
+        return boundary, [False] * len(boundary), len(boundary), from_metadata
+
+    def _scan_replica(self, stored: StoredReplica, reads: list[_Read],
+                      opts: ExecOptions, acct: _Accounting, rec, root,
+                      batch: bool) -> list:
+        """One round of the paper's three-step mechanism on one replica,
+        for every request currently pointed at it: plan each request,
+        read every involved unit **once** (:meth:`_scan_unit`, on the
+        persistent pool when ``opts.parallelism`` > 1), fold per request.
+
+        Returns, per request, a :class:`QueryResult` or the
+        :class:`PartitionReadError` of a unit it needed.  Records match
+        a sequential scan exactly, order included: units are read in
+        partition-id order, which is the order the index reports them.
+        Each store fetch is charged (``bytes_read``) to the first served
+        request that needed the unit.
+        """
+        start = time.perf_counter()
+        name = stored.name
+        n = len(reads)
+        failed: dict[int, PartitionReadError] = {}  # position -> cause
+        plans: list[tuple[int, int]] = []   # (partitions_involved, from_metadata)
+        #: pid -> (position in ``reads``, box contains the partition)
+        wanted: dict[int, list[tuple[int, bool]]] = {}
+        for k, read in enumerate(reads):
+            try:
+                pids, inside, n_involved, from_metadata = self._plan(
+                    stored, read.request)
+            except PartitionReadError as err:
+                failed[k] = err
+                self._note_read_failure(err, acct)
+                pids, inside, n_involved, from_metadata = (), (), 0, 0
+            plans.append((n_involved, from_metadata))
+            for pid, whole in zip(pids, inside):
+                wanted.setdefault(pid, []).append((k, whole))
+
+        def scan_one(pid: int):
+            takers = wanted[pid]
+            if failed and all(k in failed for k, _ in takers):
+                return None  # nobody left to answer: skip the read
+            with rec.start("scan", parent=root, replica=name,
+                           partition=pid) as scan_span:
+                try:
+                    outcome = self._scan_unit(
+                        stored, pid, [reads[k].request for k, _ in takers],
+                        [whole for _, whole in takers], opts, rec, scan_span)
+                except PartitionReadError as err:
+                    scan_span.annotate(error=f"{type(err).__name__}: {err}")
+                    # First failing unit wins (under parallelism:
+                    # whichever finished first — any one of them sends
+                    # the request down its ranking just the same).
+                    for k, _ in takers:
+                        failed.setdefault(k, err)
+                    return err
+                if outcome is not None and rec.enabled:
+                    scan_span.annotate(bytes=outcome[0], records=max(
+                        scanned for scanned, _, _ in outcome[2]))
+                return outcome
+
+        order = sorted(wanted)
+        if opts.parallelism == 1 or len(order) <= 1:
+            scanned_units = [scan_one(pid) for pid in order]
+        else:
+            scanned_units = list(
+                self._executor(opts.parallelism).map(scan_one, order))
+
+        # Per request: bytes charged, records scanned, own filter seconds
+        # and the matched parts, accumulated in partition-id order.
+        charged, scanned_of, own = [0] * n, [0] * n, [0.0] * n
+        matches: list[list] = [[] for _ in reads]
+        for pid, outcome in zip(order, scanned_units):
+            if outcome is None:
+                continue
+            if isinstance(outcome, PartitionReadError):
+                acct.retries += outcome.attempts - 1
+                self._note_read_failure(outcome, acct)
+                continue
+            nbytes, retries, answers = outcome
+            acct.bytes_read += nbytes
+            acct.units_decoded += nbytes > 0
+            acct.retries += retries
+            for (k, _), (scanned, matched, seconds) in zip(wanted[pid],
+                                                           answers):
+                if k in failed:
+                    continue
+                charged[k] += nbytes
+                nbytes = 0  # charged once, to the first served request
+                scanned_of[k] += scanned
+                own[k] += seconds
+                if matched is not None:  # None: no match, nothing to fold
+                    matches[k].append(matched)
+
+        results: list = []
+        total_records = len(self._dataset)
+        for k, read in enumerate(reads):
+            if k in failed:
+                results.append(failed[k])
+                continue
+            fold_start = time.perf_counter()
+            span = (rec.start("query", parent=root, kind="workload",
+                              query=read.index, replica=name)
+                    if batch else None)
+            n_involved, from_metadata = plans[k]
+            if read.request.count:
+                answer = returned = from_metadata + sum(matches[k])
+            else:
+                # One matching partition needs no concatenation (datasets
+                # are immutable by convention, so sharing it is safe).
+                answer = (matches[k][0] if len(matches[k]) == 1
+                          else Dataset.concat(matches[k]))
+                returned = len(answer)
+            now = time.perf_counter()
+            if batch:
+                # Shared unit reads belong to no one query: a batched
+                # query's time is its own filter + fold work.
+                seconds = now - fold_start + own[k]
+                span.annotate(records_returned=returned)
+                span.finish()
+            else:
+                seconds = now - start
+            results.append(QueryResult(records=answer, stats=QueryStats(
+                replica_name=name,
+                partitions_involved=n_involved,
+                records_scanned=scanned_of[k],
+                records_returned=returned,
+                bytes_read=charged[k],
+                seconds=seconds,
+                total_records=total_records,
+                # A scalar call's retries are its one request's retries.
+                retries=0 if batch else acct.retries,
+                failovers=read.walk.hops,
+            )))
+        return results
+
+    def _check_replica_up(self, stored: StoredReplica, pid: int | None) -> None:
+        """Fail fast on a whole-replica outage — before the cache is
+        consulted (the node's memory is as gone as its disks) and without
+        retries."""
+        faults = self._faults
+        if faults is not None and faults.replica_failed(stored.name):
+            fault = InjectedFault(stored.name, pid, scope="replica")
+            raise PartitionReadError(stored.name, pid, fault) from fault
+
+    def _note_read_failure(self, err: PartitionReadError,
+                           acct: _Accounting) -> None:
+        """Invalidate the cache entries a failed read makes suspect — the
+        whole replica on a replica-level outage, the single unit
+        otherwise — and remember replicas observed down."""
+        if err.replica_failed:
+            acct.failed_replicas.add(err.replica_name)
+        if self._cache is None:
+            return
+        if err.replica_failed:
+            self._cache.invalidate_replica(err.replica_name)
+        elif err.partition_id is not None:
+            self._cache.invalidate((err.replica_name, err.partition_id))
+
+    def _scan_unit(self, stored: StoredReplica, pid: int,
+                   asks: list[ReadRequest], contained: list[bool],
+                   opts: ExecOptions, rec, scan_span):
+        """Read one storage unit once and answer every request that
+        touches it (``contained[j]``: ``asks[j]``'s box contains the whole
+        partition); returns ``(bytes_read, retries, answers)`` —
+        ``answers[j]`` is ``(records_scanned, matched, seconds)`` for
+        ``asks[j]`` — or None for an empty partition (no storage unit, or
+        one another shard owns).  Raises :class:`PartitionReadError` when
+        the read stays failed after retries.
+
+        With a cache, memoized zone bounds that rule out every request
+        answer without a lookup — the memo extends the cache's "repeat
+        reads are free" contract to partitions the cache never stores
+        because the zone map pruned them (without a cache every query
+        pays its reads, so the memo only short-circuits then) — and a
+        cached partition is filtered in memory at zero bytes read.
+        Otherwise the unit is fetched, opened and evaluated under the
+        retry contract of :meth:`_read_unit`.  The cache stores full
+        partitions only, so with a cache a fetched unit is always decoded
+        fully, whatever :meth:`_evaluate` needed.
+        """
+        key = stored.unit_keys[pid]
+        if key is None:
+            return None
+        self._check_replica_up(stored, pid)
+        slot = (stored.name, pid)
+        use_cache = self._cache is not None and opts.use_cache
+        if use_cache:
+            pruned = self._pruned(self._zone_info.get(slot), asks, contained)
+            if all(pruned):
+                self._bump("repro_partitions_pruned_total", len(asks))
+                rec.event("prune", parent=scan_span, source="zone-memo")
+                return 0, 0, [(0, 0 if ask.count else None, 0.0)
+                              for ask in asks]
+            hit = self._cache.get(slot)
+            rec.event("cache", parent=scan_span,
+                      outcome="hit" if hit is not None else "miss")
+            if hit is not None:
+                reader = EagerPartitionReader(lambda: hit)
+                return 0, 0, self._evaluate(reader, asks, contained, pruned)[0]
+
+        def work(decode_span):
+            blob = self._get_blob(stored.store, key)
+            reader = stored.encoding_for(pid).open(blob, self._decode_tel)
+            zones = ((reader.zone("x"), reader.zone("y"), reader.zone("t"))
+                     if reader.lazy else None)
+            self._zone_info[slot] = zones
+            answers, consulted = self._evaluate(
+                reader, asks, contained, self._pruned(zones, asks, contained))
+            full = None
+            if consulted != "nothing" and use_cache:
+                full = reader.dataset()
+            elif consulted == "xyt" and reader.lazy:
+                self._bump("repro_columns_skipped_total", _N_OTHER_COLUMNS)
+            decode_span.annotate(
+                bytes=len(blob), consulted=consulted,
+                records=reader.n_records if consulted != "nothing" else 0)
+            return full, len(blob), answers
+
+        retries, (full, nbytes, answers) = self._read_unit(
+            stored, pid, opts, rec, scan_span, work)
+        if full is not None:
+            self._cache.put(slot, full)
+        return nbytes, retries, answers
+
+    @staticmethod
+    def _pruned(zones, asks: list[ReadRequest],
+                contained: list[bool]) -> list[bool]:
+        """Per request: do the partition's (x, y, t) zone bounds —
+        ``None`` for formats without zone maps — prove that no record can
+        fall inside the closed query box?"""
+        if zones is None:
+            return [False] * len(asks)
+        zx, zy, zt = zones
+        flags = []
+        for ask, inside in zip(asks, contained):
+            box = ask.box
+            flags.append(not inside and (
+                (zx is not None and (zx[1] < box.x_min or zx[0] > box.x_max))
+                or (zy is not None and (zy[1] < box.y_min or zy[0] > box.y_max))
+                or (zt is not None and (zt[1] < box.t_min or zt[0] > box.t_max))))
+        return flags
+
+    def _evaluate(self, reader, asks: list[ReadRequest], contained: list[bool],
+                  pruned: list[bool]) -> tuple[list[tuple], str]:
+        """The filter stage: evaluate every request against one opened
+        partition, decoding as little as possible.  Returns the answers
+        and what had to be consulted: ``"nothing"``, ``"xyt"`` (the
+        filter columns only) or ``"rows"`` (the full partition).
+
+        - **contained** — canonical placement guarantees every record
+          matches: all rows, no mask.
+        - **zone-pruned** — nothing decoded, nothing scanned.
+        - **masked** — decode ``x``/``y``/``t`` (on a columnar v2 blob
+          only those; row and v1 blobs decode whole) and evaluate the
+          range mask; the counting fold stops there, the records fold
+          decodes the remaining columns only when some row survives.
+
+        The mask is the exact :meth:`Dataset.mask_box` expression and row
+        order is preserved, so results are bit-identical on every branch.
+        """
+        answers = []
+        xyt = None
+        consulted = "nothing"
+        lazy = reader.lazy
+        for ask, inside, gone in zip(asks, contained, pruned):
+            t0 = time.perf_counter()
+            if inside:
+                rows = reader.dataset()
+                consulted = "rows"
+                scanned, matched = len(rows), (len(rows) if ask.count
+                                               else rows)
+            elif gone:
+                self._bump("repro_partitions_pruned_total")
+                scanned, matched = 0, (0 if ask.count else None)
+            else:
+                if xyt is None:
+                    xyt = [reader.decode_column(c) for c in ("x", "y", "t")]
+                    if consulted == "nothing":
+                        consulted = "xyt"
+                x, y, t = xyt
+                box = ask.box
+                mask = (
+                    (x >= box.x_min) & (x <= box.x_max)
+                    & (y >= box.y_min) & (y <= box.y_max)
+                    & (t >= box.t_min) & (t <= box.t_max)
+                )
+                scanned = len(x)
+                if ask.count:
+                    matched = int(mask.sum())
+                elif lazy and not mask.any():
+                    matched = None  # the other columns stay undecoded
+                else:
+                    matched = reader.dataset().take(mask)
+                    consulted = "rows"
+            answers.append((scanned, matched, time.perf_counter() - t0))
+        return answers, consulted
+
+    @staticmethod
+    def _get_blob(store: UnitStore, key: str):
+        """Fetch one unit's bytes, zero-copy when the backend supports
+        views (all built-in stores do; third-party stores fall back to
+        ``get``)."""
+        get_view = getattr(store, "get_view", None)
+        return get_view(key) if get_view is not None else store.get(key)
+
+    def _read_unit(self, stored: StoredReplica, pid: int,
+                   options: ExecOptions, rec, parent, work):
+        """Run ``work(decode_span)`` — one unit's fetch+decode — under the
+        engine's fault contract: injected faults fire first, transient
+        failures are retried per ``options`` (sleeping through
+        ``options.sleep``), and a read that stays failed raises
+        :class:`~repro.storage.faults.PartitionReadError`.  Replica-scope
+        faults are never retried.  Returns ``(retries, work's result)``.
+        """
+        faults = self._faults
+        failures = 0
+        while True:
+            try:
+                with rec.start("decode", parent=parent) as decode_span:
+                    if faults is not None:
+                        faults.on_read(stored.name, pid)
+                    return failures, work(decode_span)
+            except Exception as exc:
+                if isinstance(exc, InjectedFault) and exc.scope == "replica":
+                    raise PartitionReadError(
+                        stored.name, pid, exc, failures + 1) from exc
+                failures += 1
+                if failures > options.retries:
+                    raise PartitionReadError(
+                        stored.name, pid, exc, failures) from exc
+                with rec.start("retry", parent=parent, attempt=failures,
+                               cause=type(exc).__name__):
+                    if options.backoff_seconds > 0:
+                        sleep = options.sleep or time.sleep
+                        sleep(options.backoff_seconds * 2 ** (failures - 1))
 
     def _bump(self, name: str, amount: int = 1) -> None:
         """Increment a fast-path counter (no-op without telemetry;
@@ -901,637 +1029,103 @@ class BlotStore:
                 self._counter_memo[name] = counter
             counter.inc(amount)
 
-    def _remember_zones(self, stored: StoredReplica, pid: int, reader):
-        """Memoize a freshly opened reader's (x, y, t) zone bounds so
-        later queries can prune this partition without re-fetching it."""
-        zones = ((reader.zone("x"), reader.zone("y"), reader.zone("t"))
-                 if reader.lazy else None)
-        self._zone_info[(stored.name, pid)] = zones
-        return zones
+    # -- telemetry and accounting -----------------------------------------------
 
-    @staticmethod
-    def _zones_disjoint(zones, box: Box3) -> bool:
-        """True when memoized zone bounds prove no record of the
-        partition can fall inside the closed query box."""
-        zx, zy, zt = zones
-        return (
-            (zx is not None and (zx[1] < box.x_min or zx[0] > box.x_max))
-            or (zy is not None and (zy[1] < box.y_min or zy[0] > box.y_max))
-            or (zt is not None and (zt[1] < box.t_min or zt[0] > box.t_max))
-        )
-
-    def _scan_partition(
-        self,
-        stored: StoredReplica,
-        pid: int,
-        box: Box3,
-        opts: ExecOptions,
-        acct: _Accounting,
-        rec=NULL_RECORDER,
-        parent=None,
-    ) -> tuple[int, int, Dataset] | None:
-        """Scan one partition for a range query, decoding as little as
-        possible; returns ``(bytes_read, records_scanned, matched)`` or
-        None for empty partitions.
-
-        Fast paths, in order:
-
-        - **zone-pruned** — the partition's zone map (read from the blob,
-          or memoized from an earlier open) proves no record can fall in
-          the box: zero column decodes, zero records scanned.
-        - **contained** — the query box contains the partition box, so
-          canonical placement guarantees every record matches: decode all
-          columns, skip the mask entirely.
-        - **lazy filter** (columnar v2, uncached) — decode only
-          ``x``/``y``/``t``, evaluate the mask; when nothing survives the
-          remaining columns are never decoded.  With a partition cache
-          configured the full decode happens instead — the cache stores
-          full partitions only, and its contract is that repeat queries
-          read zero bytes.
-
-        Row and columnar-v1 blobs take the eager decode+filter path.  The
-        mask is the exact :meth:`Dataset.mask_box` expression and row
-        order is preserved, so results are bit-identical to the eager
-        path on every branch.
-        """
-        key = stored.unit_keys[pid]
-        if key is None:
-            return None
-        self._check_replica_up(stored, pid)
-        part_box = Box3(*stored.partitioning.box_array[pid])
-        contained = box.contains_box(part_box)
-        use_cache = self._cache is not None and opts.use_cache
-        # The zone memo extends the cache's contract (repeat reads are
-        # free) to partitions the cache never stores because the zone map
-        # pruned them.  Without a cache every query pays its reads, so the
-        # memo only short-circuits when caching is on.
-        if use_cache and not contained:
-            known = self._zone_info.get((stored.name, pid))
-            if known is not None and self._zones_disjoint(known, box):
-                self._bump("repro_partitions_pruned_total")
-                rec.event("prune", parent=parent, source="zone-memo")
-                return 0, 0, Dataset.empty()
-        if use_cache:
-            hit = self._cache.get((stored.name, pid))
-            rec.event("cache", parent=parent,
-                      outcome="hit" if hit is not None else "miss")
-            if hit is not None:
-                if contained:
-                    return 0, len(hit), hit
-                return 0, len(hit), hit.filter_box(box)
-
-        def work(decode_span):
-            blob = self._get_blob(stored.store, key)
-            nbytes = len(blob)
-            reader = stored.encoding_for(pid).open(blob, self._decode_tel)
-            zones = self._remember_zones(stored, pid, reader)
-            if contained:
-                records = reader.dataset()
-                decode_span.annotate(bytes=nbytes, records=len(records),
-                                     mask_skipped=True)
-                return records, (nbytes, len(records), records)
-            if zones is not None and self._zones_disjoint(zones, box):
-                self._bump("repro_partitions_pruned_total")
-                decode_span.annotate(bytes=nbytes, records=0, pruned=True)
-                return None, (nbytes, 0, Dataset.empty())
-            if reader.lazy and not use_cache:
-                x = reader.decode_column("x")
-                y = reader.decode_column("y")
-                t = reader.decode_column("t")
-                mask = (
-                    (x >= box.x_min) & (x <= box.x_max)
-                    & (y >= box.y_min) & (y <= box.y_max)
-                    & (t >= box.t_min) & (t <= box.t_max)
-                )
-                n = reader.n_records
-                if not mask.any():
-                    self._bump("repro_columns_skipped_total", _N_OTHER_COLUMNS)
-                    decode_span.annotate(bytes=nbytes, records=n,
-                                         columns_skipped=_N_OTHER_COLUMNS)
-                    return None, (nbytes, n, Dataset.empty())
-                records = reader.dataset()
-                decode_span.annotate(bytes=nbytes, records=n)
-                return records, (nbytes, n, records.take(mask))
-            records = reader.dataset()
-            decode_span.annotate(bytes=nbytes, records=len(records))
-            return records, (nbytes, len(records), records.filter_box(box))
-
-        full, outcome = self._read_unit(stored, pid, opts, acct,
-                                        rec, parent, work)
-        if use_cache and full is not None:
-            self._cache.put((stored.name, pid), full)
-        return outcome
-
-    def _scan_query(
-        self,
-        stored: StoredReplica,
-        q: Query,
-        opts: ExecOptions,
-        acct: _Accounting,
-        rec=NULL_RECORDER,
-        root=None,
-        box: Box3 | None = None,
-    ) -> QueryResult:
-        """One attempt of the three-step mechanism on one replica.
-        ``box`` carries the caller's exact bounds when the query came in
-        as a raw :class:`Box3` (``q.box()`` may differ by one ulp).
-        Raises :class:`PartitionReadError` when any involved partition
-        stays unreadable after retries."""
-        if box is None:
-            box = q.box()
-        start = time.perf_counter()
-        involved = stored.involved_partitions(box)
-
-        def scan_one(pid: int) -> tuple[int, int, Dataset] | None:
-            with rec.start("scan", parent=root, replica=stored.name,
-                           partition=pid) as scan_span:
-                outcome = self._scan_partition(stored, pid, box, opts, acct,
-                                               rec=rec, parent=scan_span)
-                if outcome is not None:
-                    scan_span.annotate(records=outcome[1], bytes=outcome[0])
-                return outcome
-
-        outcomes = self._map_partitions(scan_one, involved, opts.parallelism)
-
-        parts: list[Dataset] = []
-        scanned = 0
-        bytes_read = 0
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            nbytes, nrecords, matched = outcome
-            bytes_read += nbytes
-            scanned += nrecords
-            parts.append(matched)
-        result = Dataset.concat(parts) if parts else Dataset.empty()
-        elapsed = time.perf_counter() - start
-        stats = QueryStats(
-            replica_name=stored.name,
-            partitions_involved=int(len(involved)),
-            records_scanned=scanned,
-            records_returned=len(result),
-            bytes_read=bytes_read,
-            seconds=elapsed,
-            total_records=len(self._dataset),
-        )
-        return QueryResult(records=result, stats=stats)
-
-    def count(
-        self,
-        query: Query | Box3,
-        replica: str | None = None,
-        options: ExecOptions | None = None,
-    ) -> tuple[int, QueryStats]:
-        """Count records in a range without materializing them.
-
-        Partitions wholly *contained* by the query range contribute their
-        metadata record count with no decoding at all (their canonical
-        contents are inside the box by construction); only boundary
-        partitions — intersected but not contained — are decoded and
-        filtered.  For large ranges this touches a tiny fraction of the
-        data: the count-query analogue of the paper's sequential-scan
-        argument.  Accepts the same
-        :class:`~repro.storage.options.ExecOptions` as :meth:`query`,
-        with the same retry/failover/repair semantics on boundary-
-        partition reads.  As with :meth:`query`, a raw :class:`Box3` is
-        counted against its exact bounds.
-        """
-        q = Query.from_box(query) if isinstance(query, Box3) else query
-        box = query if isinstance(query, Box3) else query.box()
-        opts = options if options is not None else DEFAULT_EXEC_OPTIONS
-        acct = _Accounting()
-        rec = self._recorder(opts)
-        with rec.start("query", context=opts.trace_context,
-                       kind="count", q_width=q.width,
-                       q_height=q.height, q_duration=q.duration,
-                       q_x=q.x, q_y=q.y, q_t=q.t) as root:
-            with rec.start("route", parent=root) as route_span:
-                candidates = self._candidates(q, replica, opts)
-                route_span.annotate(candidates=list(candidates))
-            attempts: list[tuple[str, Exception]] = []
-            for name in candidates:
+    def _publish(self, obs: Observability, requests: list[ReadRequest],
+                 served: list[tuple[int, QueryStats]], acct: _Accounting,
+                 plan: RoutingPlan | None, batch_seconds: float | None,
+                 ) -> None:
+        """Publish one call into the telemetry bundle: the counters, the
+        latency histogram of its shape, and one (predicted Eq. 7,
+        measured seconds) drift pair per served request, for the replica
+        that actually served it — the raw material of Section IV-B
+        recalibration decisions."""
+        m = obs.metrics
+        batch = batch_seconds is not None
+        path = ("workload" if batch
+                else "count" if requests[0].count else "query")
+        m.counter("repro_queries_total", labels={"path": path}).inc(
+            len(served))
+        by_replica: dict[str, list[int]] = {}
+        for i, s in served:
+            by_replica.setdefault(s.replica_name, []).append(i)
+        for name, idxs in by_replica.items():
+            m.counter("repro_queries_by_replica_total",
+                      labels={"replica": name}).inc(len(idxs))
+        m.counter("repro_bytes_read_total").inc(acct.bytes_read)
+        m.counter("repro_records_scanned_total").inc(
+            sum(s.records_scanned for _, s in served))
+        m.counter("repro_partitions_involved_total").inc(
+            sum(s.partitions_involved for _, s in served))
+        if batch:
+            m.counter("repro_workloads_total").inc()
+            m.histogram("repro_workload_seconds").observe(batch_seconds)
+        else:
+            for _, s in served:
+                m.histogram("repro_query_seconds").observe(s.seconds)
+        for what in ("retries", "failovers", "repairs"):
+            if getattr(acct, what):
+                m.counter(f"repro_{what}_total").inc(getattr(acct, what))
+        stats_of = dict(served)
+        for i, _ in served:
+            obs.observe_query(requests[i].query)
+        for name, idxs in by_replica.items():
+            if self._cost_model is None:
+                break
+            if plan is not None and len(plan.replica_names) > 1:
+                costs = [plan.cost_for(i, name) for i in idxs]
+            else:
+                # No usable cost matrix (a scalar call, or a single-
+                # replica plan whose matrix is all zeros): evaluate
+                # Eq. 7 directly, one vectorized pass per replica — one
+                # scalar evaluation per query dominates the whole
+                # telemetry path on large batches.
                 stored = self._replicas.get(name)
                 if stored is None:
-                    attempts.append((name, KeyError(name)))
-                    acct.add_failover()
-                    rec.event("failover", parent=root, failed_replica=name,
-                              cause="retired")
                     continue
                 try:
-                    total, stats = self._scan_count(stored, q, opts, acct,
-                                                    rec=rec, root=root,
-                                                    box=box)
-                except PartitionReadError as err:
-                    self._note_read_failure(err)
-                    attempts.append((name, err))
-                    acct.add_failover()
-                    rec.event("failover", parent=root, failed_replica=name)
-                    continue
-                if acct.retries or acct.failovers:
-                    stats = replace(stats, retries=acct.retries,
-                                    failovers=acct.failovers)
-                root.annotate(replica=name)
-                obs = self._obs
-                if obs is not None:
-                    self._publish_query(obs, stats, "count", acct)
-                    self._record_drift(obs, q, name, stats.seconds)
-                    obs.observe_query(q)
-                    self._after_telemetry(obs, name)
-                return total, stats
-            raise DegradedReadError(
-                "count query could not be served by any replica",
-                tuple(attempts))
+                    costs = self._cost_model.query_costs(
+                        [requests[i].query for i in idxs],
+                        stored.profile(n_records=len(self._dataset)))
+                except KeyError:
+                    continue  # no calibrated params for this encoding
+            for i, cost in zip(idxs, costs):
+                obs.drift.record(name, float(cost), stats_of[i].seconds)
+        # Closed-loop tail of every served call: offer the attached
+        # recalibrator a shot at each serving replica's drift flag (no-ops
+        # on a bundle without the optional layers), then let reselection
+        # and the checkpointer act if their schedules say so.
+        for name in sorted(by_replica):
+            stored = self._replicas.get(name)
+            if stored is not None:
+                obs.maybe_recalibrate(name, stored.encoding.name)
+            obs.maybe_reselect()
+            obs.maybe_checkpoint()
 
-    def _count_partition(
-        self,
-        stored: StoredReplica,
-        pid: int,
-        box: Box3,
-        opts: ExecOptions,
-        acct: _Accounting,
-        rec=NULL_RECORDER,
-        parent=None,
-    ) -> tuple[int, int, int] | None:
-        """Count one boundary partition's records inside ``box``; returns
-        ``(bytes_read, records_scanned, count)`` or None.
-
-        Columnar v2 blobs never decode beyond ``x``/``y``/``t`` here — a
-        count needs no payload columns — and zone-disjoint partitions
-        decode nothing at all.  Partial decodes are not cached (the cache
-        stores full partitions only); cached full partitions are counted
-        in memory.
-        """
-        key = stored.unit_keys[pid]
-        if key is None:
-            return None
-        self._check_replica_up(stored, pid)
-        use_cache = self._cache is not None and opts.use_cache
-        # Same cache-gated zone-memo short cut as _scan_partition.
-        if use_cache:
-            known = self._zone_info.get((stored.name, pid))
-            if known is not None and self._zones_disjoint(known, box):
-                self._bump("repro_partitions_pruned_total")
-                rec.event("prune", parent=parent, source="zone-memo")
-                return 0, 0, 0
-        if use_cache:
-            hit = self._cache.get((stored.name, pid))
-            rec.event("cache", parent=parent,
-                      outcome="hit" if hit is not None else "miss")
-            if hit is not None:
-                return 0, len(hit), hit.count_in_box(box)
-
-        def work(decode_span):
-            blob = self._get_blob(stored.store, key)
-            nbytes = len(blob)
-            reader = stored.encoding_for(pid).open(blob, self._decode_tel)
-            zones = self._remember_zones(stored, pid, reader)
-            if zones is not None and self._zones_disjoint(zones, box):
-                self._bump("repro_partitions_pruned_total")
-                decode_span.annotate(bytes=nbytes, records=0, pruned=True)
-                return None, (nbytes, 0, 0)
-            if reader.lazy and not use_cache:
-                x = reader.decode_column("x")
-                y = reader.decode_column("y")
-                t = reader.decode_column("t")
-                mask = (
-                    (x >= box.x_min) & (x <= box.x_max)
-                    & (y >= box.y_min) & (y <= box.y_max)
-                    & (t >= box.t_min) & (t <= box.t_max)
-                )
-                n = reader.n_records
-                self._bump("repro_columns_skipped_total", _N_OTHER_COLUMNS)
-                decode_span.annotate(bytes=nbytes, records=n,
-                                     columns_skipped=_N_OTHER_COLUMNS)
-                return None, (nbytes, n, int(mask.sum()))
-            records = reader.dataset()
-            decode_span.annotate(bytes=nbytes, records=len(records))
-            return records, (nbytes, len(records), records.count_in_box(box))
-
-        full, outcome = self._read_unit(stored, pid, opts, acct,
-                                        rec, parent, work)
-        if use_cache and full is not None:
-            self._cache.put((stored.name, pid), full)
-        return outcome
-
-    def _scan_count(
-        self,
-        stored: StoredReplica,
-        q: Query,
-        opts: ExecOptions,
-        acct: _Accounting,
-        rec=NULL_RECORDER,
-        root=None,
-        box: Box3 | None = None,
-    ) -> tuple[int, QueryStats]:
-        if box is None:
-            box = q.box()
-        faults = self._faults
-        if faults is not None and faults.replica_failed(stored.name):
-            # Fail fast even when the count needs no boundary decodes:
-            # metadata-only answers must not be served from a dead node.
-            fault = InjectedFault(stored.name, scope="replica")
-            raise PartitionReadError(stored.name, None, fault) from fault
-        start = time.perf_counter()
-        involved = stored.involved_partitions(box)
-
-        contained_total = 0
-        metadata_partitions = 0
-        boundary: list[int] = []
-        for pid in involved:
-            pid = int(pid)
-            if stored.unit_keys[pid] is None:
-                continue
-            part_box = Box3(*stored.partitioning.box_array[pid])
-            if box.contains_box(part_box):
-                contained_total += int(stored.partitioning.counts[pid])
-                metadata_partitions += 1
-            else:
-                boundary.append(pid)
-        self._bump("repro_count_metadata_partitions_total",
-                   metadata_partitions)
-
-        def count_one(pid: int) -> tuple[int, int, int] | None:
-            with rec.start("scan", parent=root, replica=stored.name,
-                           partition=pid) as scan_span:
-                outcome = self._count_partition(stored, pid, box, opts, acct,
-                                                rec=rec, parent=scan_span)
-                if outcome is not None:
-                    scan_span.annotate(records=outcome[1], bytes=outcome[0])
-                return outcome
-
-        outcomes = self._map_partitions(count_one, boundary, opts.parallelism)
-
-        total = contained_total
-        scanned = 0
-        bytes_read = 0
-        decoded_partitions = 0
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            nbytes, nrecords, matched = outcome
-            bytes_read += nbytes
-            scanned += nrecords
-            decoded_partitions += 1
-            total += matched
-        elapsed = time.perf_counter() - start
-        stats = QueryStats(
-            replica_name=stored.name,
-            partitions_involved=decoded_partitions,
-            records_scanned=scanned,
-            records_returned=total,
-            bytes_read=bytes_read,
-            seconds=elapsed,
-            total_records=len(self._dataset),
-        )
-        return total, stats
-
-    # -- workload execution ----------------------------------------------------
-
-    def execute_workload(
-        self,
-        workload: Workload,
-        plan: RoutingPlan | None = None,
-        options: ExecOptions | None = None,
-    ) -> WorkloadResult:
-        """Execute a whole workload of positioned queries in one batch.
-
-        The workload is routed with :meth:`route_workload` (unless a
-        ``plan`` is supplied), grouped by chosen replica, and each
-        replica's involved-partition *union* is decoded exactly once —
-        on the persistent thread pool when ``options.parallelism`` > 1 —
-        before the per-query filters run against the decoded partitions.
-        A query's records therefore match sequential
-        ``query(q, replica=...)`` exactly, record order included, while
-        partitions shared by overlapping queries are fetched and decoded
-        once instead of once per query.
-
-        Failure handling mirrors the per-query path, at batch
-        granularity: queries touching a failed partition move as a group
-        to each one's next-cheapest replica
-        (:meth:`~repro.costmodel.RoutingPlan.ranking_for`) and join that
-        replica's union scan in the next round.  A query that exhausts
-        every replica goes through the repair path; if that also fails
-        the whole call raises
-        :class:`~repro.storage.faults.DegradedReadError` — never a
-        partial result set.  The degradation is accounted in
-        :class:`WorkloadStats` (retries, failovers, repairs, failed
-        replicas, and the estimated cost delta vs. the healthy plan).
-
-        Per-query ``bytes_read`` charges each store fetch to the first
-        query that needed the partition; ``WorkloadStats.bytes_read``
-        totals the unique fetches (including fetches whose queries later
-        failed over, so the two can differ on a degraded run).
-        """
-        opts = options if options is not None else DEFAULT_EXEC_OPTIONS
-        queries: list[Query] = []
-        for i, (q, _) in enumerate(workload):
-            if not isinstance(q, Query):
-                raise ValueError(
-                    f"execute_workload needs positioned queries; entry {i} is a "
-                    f"grouped query {q!r} (position it with .at())"
-                )
-            queries.append(q)
-        rec = self._recorder(opts)
-        wl_root = rec.start("workload", context=opts.trace_context,
-                            n_queries=len(queries))
-        try:
-            if plan is None:
-                with rec.start("route", parent=wl_root, batch=True):
-                    plan = self.route_workload(workload)
-            elif plan.n_queries != len(workload):
-                raise ValueError(
-                    f"plan covers {plan.n_queries} queries, "
-                    f"workload has {len(workload)}"
-                )
-            return self._execute_planned(queries, plan, opts, rec, wl_root)
-        except BaseException as exc:
-            wl_root.annotate(error=f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            rec.finish(wl_root)
-
-    def _execute_planned(
-        self,
-        queries: list[Query],
-        plan: RoutingPlan,
-        opts: ExecOptions,
-        rec,
-        wl_root,
-    ) -> WorkloadResult:
-        """The batch execution loop behind :meth:`execute_workload`,
-        with the workload-level trace span already open."""
-        assigned = plan.assigned_names()
-        cache_before = self._cache.stats() if self._cache is not None else None
-
-        start = time.perf_counter()
-        total_records = len(self._dataset)
-        m = len(queries)
-        acct = _Accounting()
-        results: list[QueryResult | None] = [None] * m
-        serving: list[str] = list(assigned)
-        tried: list[set[str]] = [{assigned[i]} for i in range(m)]
-        errors: list[list[tuple[str, Exception]]] = [[] for _ in range(m)]
-        failed_replicas: set[str] = set()
-        total_bytes = 0
-        total_decoded = 0
-
-        current: dict[str, list[int]] = {}
-        for i, name in enumerate(assigned):
-            current.setdefault(name, []).append(i)
-
-        while current:
-            next_round: dict[str, list[int]] = {}
-            for name in sorted(current):
-                idxs = current[name]
-                stored = self._replicas.get(name)
-                if stored is None:
-                    # The plan predates a hot retire: move the whole
-                    # group down each query's Eq. 6-7 ranking, exactly
-                    # like a replica-scope read failure.
-                    err = KeyError(name)
-                    for i in idxs:
-                        errors[i].append((name, err))
-                        fallback = self._next_fallback(plan, i, tried[i],
-                                                       opts)
-                        if fallback is not None:
-                            tried[i].add(fallback)
-                            serving[i] = fallback
-                            acct.add_failover()
-                            rec.event("failover", parent=wl_root, query=i,
-                                      failed_replica=name, fallback=fallback,
-                                      cause="retired")
-                            next_round.setdefault(fallback, []).append(i)
-                            continue
-                        results[i] = self._finish_exhausted(
-                            plan, i, queries[i], opts, acct, errors[i],
-                            rec=rec, root=wl_root)
-                        serving[i] = results[i].stats.replica_name
-                    continue
-                boxes = {i: queries[i].box() for i in idxs}
-                involved = {i: stored.involved_partitions(boxes[i]) for i in idxs}
-                union: list[int] = sorted(
-                    {int(pid) for pids in involved.values() for pid in pids}
-                )
-
-                def fetch_one(pid: int):
-                    with rec.start("scan", parent=wl_root,
-                                   replica=stored.name,
-                                   partition=pid) as scan_span:
-                        try:
-                            fetched = self._fetch_decoded(
-                                stored, pid, opts, acct,
-                                rec=rec, parent=scan_span)
-                        except PartitionReadError as err:
-                            scan_span.annotate(
-                                error=f"{type(err).__name__}: {err}")
-                            return err
-                        if fetched is not None:
-                            scan_span.annotate(records=len(fetched[0]),
-                                               bytes=fetched[1])
-                        return fetched
-
-                fetched = self._map_partitions(fetch_one, union, opts.parallelism)
-                decoded: dict[int, Dataset] = {}
-                read_bytes: dict[int, int] = {}
-                failed_pids: dict[int, PartitionReadError] = {}
-                for pid, outcome in zip(union, fetched):
-                    if outcome is None:
-                        continue
-                    if isinstance(outcome, PartitionReadError):
-                        failed_pids[pid] = outcome
-                        self._note_read_failure(outcome)
-                        if outcome.replica_failed:
-                            failed_replicas.add(name)
-                        continue
-                    records, nbytes = outcome
-                    decoded[pid] = records
-                    read_bytes[pid] = nbytes
-                    total_bytes += nbytes
-                    if nbytes > 0:
-                        total_decoded += 1
-
-                charged: set[int] = set()
-                for i in idxs:
-                    bad = [int(pid) for pid in involved[i]
-                           if int(pid) in failed_pids]
-                    if bad:
-                        errors[i].append((name, failed_pids[bad[0]]))
-                        fallback = self._next_fallback(plan, i, tried[i], opts)
-                        if fallback is not None:
-                            tried[i].add(fallback)
-                            serving[i] = fallback
-                            acct.add_failover()
-                            rec.event("failover", parent=wl_root, query=i,
-                                      failed_replica=name, fallback=fallback)
-                            next_round.setdefault(fallback, []).append(i)
-                            continue
-                        results[i] = self._finish_exhausted(
-                            plan, i, queries[i], opts, acct, errors[i],
-                            rec=rec, root=wl_root)
-                        serving[i] = results[i].stats.replica_name
-                        continue
-                    q_start = time.perf_counter()
-                    q_span = rec.start("query", parent=wl_root,
-                                       kind="workload", query=i, replica=name)
-                    box = boxes[i]
-                    parts: list[Dataset] = []
-                    scanned = 0
-                    q_bytes = 0
-                    for pid in involved[i]:
-                        pid = int(pid)
-                        records = decoded.get(pid)
-                        if records is None:
-                            continue
-                        if pid not in charged:
-                            charged.add(pid)
-                            q_bytes += read_bytes[pid]
-                        zones = self._zone_info.get((name, pid))
-                        if zones is not None and self._zones_disjoint(zones, box):
-                            # Scan parity with the sequential path, which
-                            # zone-prunes this partition without scanning
-                            # it.  The union read still happened, so the
-                            # bytes stay charged.
-                            self._bump("repro_partitions_pruned_total")
-                            continue
-                        scanned += len(records)
-                        parts.append(records.filter_box(box))
-                    result = Dataset.concat(parts) if parts else Dataset.empty()
-                    stats = QueryStats(
-                        replica_name=name,
-                        partitions_involved=int(len(involved[i])),
-                        records_scanned=scanned,
-                        records_returned=len(result),
-                        bytes_read=q_bytes,
-                        seconds=time.perf_counter() - q_start,
-                        total_records=total_records,
-                        failovers=len(tried[i]) - 1,
-                    )
-                    q_span.annotate(records_returned=len(result))
-                    rec.finish(q_span)
-                    results[i] = QueryResult(records=result, stats=stats)
-            current = next_round
-
-        elapsed = time.perf_counter() - start
-        final = [r for r in results if r is not None]
-        assert len(final) == len(queries)
-        if self._cache is not None and cache_before is not None:
+    def _workload_stats(self, served: list[tuple[int, QueryStats]],
+                        n_queries: int, plan: RoutingPlan, acct: _Accounting,
+                        cache_before: CacheStats | None,
+                        elapsed: float) -> WorkloadStats:
+        """Aggregate one batch run.  ``bytes_read`` totals the unique
+        fetches, including fetches whose queries later failed over — so
+        it can exceed the per-query sum on a degraded run."""
+        if cache_before is not None:
             after = self._cache.stats()
             hits = after.hits - cache_before.hits
             misses = after.misses - cache_before.misses
         else:
             hits = misses = 0
-        served_counts: dict[str, int] = {}
-        for name in serving:
-            served_counts[name] = served_counts.get(name, 0) + 1
-        delta = sum(plan.degraded_delta(i, serving[i]) for i in range(m)
-                    if serving[i] != assigned[i])
-        stats = WorkloadStats(
-            n_queries=len(queries),
+        served_counts = dict(Counter(s.replica_name for _, s in served))
+        assigned = plan.assigned_names()
+        delta = sum(plan.degraded_delta(i, s.replica_name)
+                    for i, s in served if s.replica_name != assigned[i])
+        return WorkloadStats(
+            n_queries=n_queries,
             seconds=elapsed,
-            bytes_read=total_bytes,
-            records_scanned=sum(r.stats.records_scanned for r in final),
-            records_returned=sum(r.stats.records_returned for r in final),
-            partitions_decoded=total_decoded,
+            bytes_read=acct.bytes_read,
+            records_scanned=sum(s.records_scanned for _, s in served),
+            records_returned=sum(s.records_returned for _, s in served),
+            partitions_decoded=acct.units_decoded,
             cache_hits=hits,
             cache_misses=misses,
             per_replica_queries=served_counts,
@@ -1539,115 +1133,18 @@ class BlotStore:
             failovers=acct.failovers,
             repairs=acct.repairs,
             degraded_cost_delta=float(delta),
-            failed_replicas=tuple(sorted(failed_replicas)),
+            failed_replicas=tuple(sorted(acct.failed_replicas)),
         )
-        obs = self._obs
-        if obs is not None:
-            self._publish_workload(obs, stats, plan, queries, serving,
-                                   final, acct)
-        return WorkloadResult(results=tuple(final), plan=plan, stats=stats)
 
-    def _publish_workload(
-        self,
-        obs: Observability,
-        stats: WorkloadStats,
-        plan: RoutingPlan,
-        queries: list[Query],
-        serving: list[str],
-        results: list[QueryResult],
-        acct: _Accounting,
-    ) -> None:
-        """Publish one batch run into the telemetry bundle: aggregate
-        counters, the run histogram, and one drift pair per query (the
-        plan's Eq. 7 prediction for the replica that actually served,
-        against that query's measured filter/decode seconds)."""
-        m = obs.metrics
-        m.counter("repro_workloads_total").inc()
-        m.counter("repro_queries_total", labels={"path": "workload"}).inc(
-            stats.n_queries)
-        for name, count in stats.per_replica_queries.items():
-            m.counter("repro_queries_by_replica_total",
-                      labels={"replica": name}).inc(count)
-        m.counter("repro_bytes_read_total").inc(stats.bytes_read)
-        m.counter("repro_records_scanned_total").inc(stats.records_scanned)
-        m.counter("repro_partitions_involved_total").inc(
-            sum(r.stats.partitions_involved for r in results))
-        m.histogram("repro_workload_seconds").observe(stats.seconds)
-        self._publish_degradation(obs, acct)
-        for q in queries:
-            obs.observe_query(q)
-        if self._cost_model is None:
-            return
-        # Single-replica plans carry an all-zeros cost matrix (routing is
-        # trivial), so fall back to a direct Eq. 7 evaluation there —
-        # vectorized per serving replica, since one scalar evaluation
-        # per query dominates the whole telemetry path on large batches.
-        if len(plan.replica_names) > 1:
-            for i in range(len(queries)):
-                obs.drift.record(serving[i], plan.cost_for(i, serving[i]),
-                                 results[i].stats.seconds)
-        else:
-            self._record_drift_batch(
-                obs, queries, serving,
-                [r.stats.seconds for r in results])
-        for name in sorted(stats.per_replica_queries):
-            self._after_telemetry(obs, name)
 
-    def _record_drift_batch(
-        self, obs: Observability, queries: list[Query],
-        serving: list[str], measured: list[float],
-    ) -> None:
-        """The batch form of :meth:`_record_drift`: group queries by
-        serving replica and predict each group's Eq. 7 costs in one
-        vectorized pass."""
-        by_name: dict[str, list[int]] = {}
-        for i, name in enumerate(serving):
-            by_name.setdefault(name, []).append(i)
-        for name, idxs in by_name.items():
-            stored = self._replicas.get(name)
-            if stored is None:
-                continue
-            try:
-                costs = self._cost_model.query_costs(
-                    [queries[i] for i in idxs],
-                    stored.profile(n_records=len(self._dataset)))
-            except KeyError:
-                continue  # no calibrated params for this encoding
-            for j, i in enumerate(idxs):
-                obs.drift.record(name, float(costs[j]), measured[i])
-
-    def _next_fallback(
-        self, plan: RoutingPlan, i: int, tried: set[str], opts: ExecOptions
-    ) -> str | None:
-        """The next untried replica in query ``i``'s cost ranking, or
-        None when failover is disabled or the ranking is exhausted."""
-        if not opts.failover:
-            return None
-        for name in plan.ranking_for(i):
-            if name not in tried:
-                return name
-        return None
-
-    def _finish_exhausted(
-        self,
-        plan: RoutingPlan,
-        i: int,
-        q: Query,
-        opts: ExecOptions,
-        acct: _Accounting,
-        attempts: list[tuple[str, Exception]],
-        rec=NULL_RECORDER,
-        root=None,
-    ) -> QueryResult:
-        """Last resort for a query that failed on every replica: the
-        repair path, else a structured :class:`DegradedReadError`."""
-        result = self._repair_and_rescan(q, opts, acct, attempts,
-                                         rec=rec, root=root)
-        if result is not None:
-            return result
-        raise DegradedReadError(
-            f"workload query {i} could not be served by any replica",
-            tuple(attempts))
+def _pinned_plan(replica_name: str, n_queries: int) -> RoutingPlan:
+    """The degenerate plan assigning every query to one replica (all-zero
+    costs: nothing to choose between)."""
+    return RoutingPlan(
+        replica_names=(replica_name,),
+        assignments=np.zeros(n_queries, dtype=np.intp),
+        costs=np.zeros((n_queries, 1), dtype=np.float64),
+    )
 
 
 def open_store(

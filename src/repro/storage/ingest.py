@@ -50,19 +50,20 @@ import numpy as np
 from repro.costmodel.model import CostModel
 from repro.data.dataset import Dataset
 from repro.encoding.base import EncodingScheme
+from repro.errors import DegradedReadError
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
 from repro.storage.engine import (
     BlotStore,
     QueryResult,
     QueryStats,
-    WorkloadResult,
+    ReadRequest,
+    ReadSurface,
     WorkloadStats,
 )
 from repro.storage.options import ExecOptions
 from repro.storage.unit import InMemoryStore
 from repro.storage.wal import WriteAheadLog, wal_state_exists
-from repro.workload.query import Query
 
 try:
     from repro.obs import NULL_RECORDER
@@ -149,7 +150,7 @@ class ReadWriteLock:
                 self._cond.notify_all()
 
 
-class IngestingBlotStore:
+class IngestingBlotStore(ReadSurface):
     """A BLOT store that accepts appends between compactions.
 
     The default configuration matches the original synchronous store:
@@ -666,201 +667,139 @@ class IngestingBlotStore:
             return (self._base, list(self._windows),
                     self._compacting + self._buffer)
 
-    @staticmethod
-    def _merge_query_stats(parts: list[QueryStats], *, records_returned: int,
-                           total_records: int, buffer_seconds: float,
-                           buffer_bytes: int,
-                           buffer_records: int) -> QueryStats:
-        head = parts[0]
-        return QueryStats(
-            replica_name=head.replica_name,
-            partitions_involved=sum(p.partitions_involved for p in parts),
-            records_scanned=sum(p.records_scanned for p in parts)
-            + buffer_records,
-            records_returned=records_returned,
-            bytes_read=sum(p.bytes_read for p in parts),
-            seconds=sum(p.seconds for p in parts),
-            total_records=total_records,
-            retries=sum(p.retries for p in parts),
-            failovers=sum(p.failovers for p in parts),
-            buffer_seconds=buffer_seconds,
-            buffer_bytes_scanned=buffer_bytes,
-        )
+    def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
+                 batch: bool, replica: str | None = None, plan=None):
+        """The single read entry (see
+        :class:`~repro.storage.engine.ReadSurface`), fanned over the
+        layers: each sealed window answers the requests whose range
+        reaches its time span, the base replicas answer all of them
+        (and take the caller's ``plan``), and the delta buffer — a layer
+        whose decode is the identity — is filtered brute force.
 
-    def query(self, query: Query | Box3, replica: str | None = None,
-              options: ExecOptions | None = None) -> QueryResult:
-        """Range query over sealed windows, base replicas and the delta
-        buffer.
-
-        A raw :class:`Box3` is matched against its exact bounds in every
-        layer (no centered round-trip).  Result order is sealed windows
-        (oldest first), then base, then buffer; stats sum the replica
-        scans, with the buffer filter accounted separately in
-        ``buffer_seconds`` / ``buffer_bytes_scanned``.
-        """
-        box = query if isinstance(query, Box3) else query.box()
-        base, windows, delta = self._read_state()
-        base_result = base.query(query, replica=replica, options=options)
-        stats_parts = []
-        record_parts = []
-        for w in windows:
-            if not w.intersects(box):
-                continue
-            w_result = w.store.query(query, replica=replica, options=options)
-            record_parts.append(w_result.records)
-            stats_parts.append(w_result.stats)
-        record_parts.append(base_result.records)
-        stats_parts.append(base_result.stats)
-        buffer_seconds = 0.0
-        buffer_bytes = 0
-        buffer_records = 0
-        if delta:
-            # The buffer filter is engine work too: give it a span that
-            # joins the caller's trace (remote context included), so a
-            # stitched request tree shows time spent in the unindexed
-            # delta alongside the replica scans.
-            tracer = self._tracer if (options is not None
-                                      and options.trace) else NULL_RECORDER
-            ctx = options.trace_context if options is not None else None
-            with tracer.start("buffer_scan", context=ctx,
-                              batches=len(delta)) as bspan:
-                t0 = time.perf_counter()
-                record_parts.extend(d.filter_box(box) for d in delta)
-                buffer_seconds = time.perf_counter() - t0
-                buffer_bytes = sum(d.binary_size_bytes() for d in delta)
-                buffer_records = sum(len(d) for d in delta)
-                bspan.annotate(records=buffer_records, bytes=buffer_bytes)
-        if len(record_parts) == 1 and not delta:
-            merged = base_result.records
-        else:
-            merged = Dataset.concat(record_parts)
-        # Keep the base stats object (replica_name = base's serving
-        # replica) and fold the other layers in.
-        stats_parts = [base_result.stats] + \
-            [s for s in stats_parts if s is not base_result.stats]
-        stats = self._merge_query_stats(
-            stats_parts, records_returned=len(merged),
-            total_records=len(self), buffer_seconds=buffer_seconds,
-            buffer_bytes=buffer_bytes, buffer_records=buffer_records)
-        return QueryResult(records=merged, stats=stats)
-
-    def count(self, query: Query | Box3, replica: str | None = None,
-              options: ExecOptions | None = None) -> tuple[int, QueryStats]:
-        """Count records in a range across every layer — the buffer-aware
-        twin of :meth:`BlotStore.count`, so callers never silently miss
-        buffered (or sealed) records by falling through to ``base``."""
-        box = query if isinstance(query, Box3) else query.box()
-        base, windows, delta = self._read_state()
-        total, base_stats = base.count(query, replica=replica,
-                                       options=options)
-        stats_parts = [base_stats]
-        for w in windows:
-            if not w.intersects(box):
-                continue
-            w_total, w_stats = w.store.count(query, replica=replica,
-                                             options=options)
-            total += w_total
-            stats_parts.append(w_stats)
-        buffer_seconds = 0.0
-        buffer_bytes = 0
-        buffer_records = 0
-        if delta:
-            t0 = time.perf_counter()
-            total += sum(d.count_in_box(box) for d in delta)
-            buffer_seconds = time.perf_counter() - t0
-            buffer_bytes = sum(d.binary_size_bytes() for d in delta)
-            buffer_records = sum(len(d) for d in delta)
-        stats = self._merge_query_stats(
-            stats_parts, records_returned=total, total_records=len(self),
-            buffer_seconds=buffer_seconds, buffer_bytes=buffer_bytes,
-            buffer_records=buffer_records)
-        return total, stats
-
-    def execute_workload(self, workload, plan=None,
-                         options: ExecOptions | None = None) -> WorkloadResult:
-        """Execute a batch of positioned queries across every layer.
-
-        The base store runs the batch path (union scans, shared
-        decodes); each sealed window whose time span intersects any
-        query runs it too; the delta buffer is brute-force filtered per
-        query.  Every per-query result is the multiset union of the
-        layers (window records first, then base, then buffer), so
-        results agree with per-query :meth:`query` up to record order.
+        Per request the layers merge in the order sealed windows (oldest
+        first), base, buffer, so a raw :class:`Box3` is matched against
+        its exact bounds in every layer and results agree with a scan of
+        :meth:`dataset` up to record order.  Stats sum the replica
+        scans, keeping the base's serving replica; the buffer filter is
+        accounted separately (``buffer_seconds`` /
+        ``buffer_bytes_scanned``).  A request any layer could not serve
+        ends in that layer's :class:`DegradedReadError`.
         """
         base, windows, delta = self._read_state()
-        queries = [q for q, _ in workload]
-        boxes = [q.box() if isinstance(q, Query) else q for q in queries]
-        base_result = base.execute_workload(workload, plan=plan,
-                                            options=options)
-        window_results = []
+        answers: list[list[QueryResult]] = [[] for _ in requests]
+        errors: dict[int, DegradedReadError] = {}
+        layer_stats: list[WorkloadStats] = []
+
+        def scan_layer(store: BlotStore, idxs, layer_plan=None):
+            outcomes, used_plan, stats = store._execute(
+                [requests[i] for i in idxs], opts, batch=batch,
+                replica=replica, plan=layer_plan)
+            for i, outcome in zip(idxs, outcomes):
+                if isinstance(outcome, DegradedReadError):
+                    errors.setdefault(i, outcome)
+                else:
+                    answers[i].append(outcome)
+            if stats is not None:
+                layer_stats.append(stats)
+            return used_plan
+
         for w in windows:
-            if not any(w.intersects(box) for box in boxes):
-                continue
-            window_results.append(w.store.execute_workload(workload,
-                                                           options=options))
-        buffer_seconds = 0.0
-        buffer_bytes = 0
-        buffer_records = 0
-        buffer_matches: list[list[Dataset]] = [[] for _ in boxes]
-        if delta:
-            t0 = time.perf_counter()
-            for i, box in enumerate(boxes):
-                buffer_matches[i] = [d.filter_box(box) for d in delta]
-            buffer_seconds = time.perf_counter() - t0
-            buffer_bytes = len(boxes) * sum(d.binary_size_bytes()
-                                            for d in delta)
-            buffer_records = len(boxes) * sum(len(d) for d in delta)
+            idxs = [i for i, r in enumerate(requests) if w.intersects(r.box)]
+            if idxs:
+                scan_layer(w.store, idxs)
+        plan = scan_layer(base, range(len(requests)), plan)
+        delta_bytes = sum(d.binary_size_bytes() for d in delta)
+        delta_records = sum(len(d) for d in delta)
+        buffered = self._scan_buffer(delta, requests, opts,
+                                     records=delta_records, bytes=delta_bytes)
+
         total_records = len(self)
-
-        merged_results = []
-        for i, base_qr in enumerate(base_result.results):
-            parts = [wr.results[i].records for wr in window_results]
-            parts.append(base_qr.records)
-            parts.extend(buffer_matches[i])
-            if len(parts) == 1:
-                records = base_qr.records
+        outcomes: list = []
+        for i, request in enumerate(requests):
+            if i in errors:
+                outcomes.append(errors[i])
+                continue
+            layers = answers[i]
+            matched, buffer_seconds = buffered[i]
+            if request.count:
+                merged = returned = sum(r.records for r in layers) + matched
             else:
-                records = Dataset.concat(parts)
-            stats_parts = [base_qr.stats] + [wr.results[i].stats
-                                             for wr in window_results]
-            merged_results.append(QueryResult(
-                records=records,
-                stats=self._merge_query_stats(
-                    stats_parts, records_returned=len(records),
-                    total_records=total_records,
-                    buffer_seconds=0.0, buffer_bytes=0,
-                    buffer_records=sum(len(d) for d in delta)),
-            ))
+                pieces = [r.records for r in layers] + matched
+                merged = (pieces[0] if len(pieces) == 1
+                          else Dataset.concat(pieces))
+                returned = len(merged)
+            parts = [r.stats for r in layers]
+            outcomes.append(QueryResult(records=merged, stats=QueryStats(
+                replica_name=parts[-1].replica_name,  # the base's
+                partitions_involved=sum(p.partitions_involved for p in parts),
+                records_scanned=sum(p.records_scanned for p in parts)
+                + delta_records,
+                records_returned=returned,
+                bytes_read=sum(p.bytes_read for p in parts),
+                seconds=sum(p.seconds for p in parts),
+                total_records=total_records,
+                retries=sum(p.retries for p in parts),
+                failovers=sum(p.failovers for p in parts),
+                buffer_seconds=buffer_seconds,
+                buffer_bytes_scanned=delta_bytes,
+            )))
+        if not batch:
+            return outcomes, None, None
 
-        all_stats = [base_result.stats] + [wr.stats for wr in window_results]
+        def total(field: str):
+            return sum(getattr(s, field) for s in layer_stats)
+
         per_replica: dict[str, int] = {}
-        for s in all_stats:
+        for s in layer_stats:
             for name, n in s.per_replica_queries.items():
                 per_replica[name] = per_replica.get(name, 0) + n
-        failed = tuple(dict.fromkeys(
-            name for s in all_stats for name in s.failed_replicas))
+        served = [o.stats for o in outcomes if isinstance(o, QueryResult)]
         stats = WorkloadStats(
-            n_queries=base_result.stats.n_queries,
-            seconds=sum(s.seconds for s in all_stats),
-            bytes_read=sum(s.bytes_read for s in all_stats),
-            records_scanned=sum(s.records_scanned for s in all_stats)
-            + buffer_records,
-            records_returned=sum(len(r.records) for r in merged_results),
-            partitions_decoded=sum(s.partitions_decoded for s in all_stats),
-            cache_hits=sum(s.cache_hits for s in all_stats),
-            cache_misses=sum(s.cache_misses for s in all_stats),
+            n_queries=len(requests),
+            seconds=total("seconds"),
+            bytes_read=total("bytes_read"),
+            records_scanned=total("records_scanned")
+            + len(requests) * delta_records,
+            records_returned=sum(s.records_returned for s in served),
+            partitions_decoded=total("partitions_decoded"),
+            cache_hits=total("cache_hits"),
+            cache_misses=total("cache_misses"),
             per_replica_queries=per_replica,
-            retries=sum(s.retries for s in all_stats),
-            failovers=sum(s.failovers for s in all_stats),
-            repairs=sum(s.repairs for s in all_stats),
-            degraded_cost_delta=sum(s.degraded_cost_delta
-                                    for s in all_stats),
-            failed_replicas=failed,
-            buffer_seconds=buffer_seconds,
-            buffer_bytes_scanned=buffer_bytes,
+            retries=total("retries"),
+            failovers=total("failovers"),
+            repairs=total("repairs"),
+            degraded_cost_delta=total("degraded_cost_delta"),
+            failed_replicas=tuple(dict.fromkeys(
+                name for s in layer_stats for name in s.failed_replicas)),
+            buffer_seconds=sum(seconds for _, seconds in buffered),
+            buffer_bytes_scanned=len(requests) * delta_bytes,
         )
-        return WorkloadResult(results=tuple(merged_results),
-                              plan=base_result.plan, stats=stats)
+        return outcomes, plan, stats
+
+    def _scan_buffer(self, delta: list[Dataset], requests: list[ReadRequest],
+                     opts: ExecOptions, **span_attrs) -> list[tuple]:
+        """Filter the delta buffer for every request: per request, the
+        fold's answer over the buffered batches (a count, or the matching
+        records batch by batch) and the seconds that took."""
+        if not delta:
+            return [(0 if r.count else [], 0.0) for r in requests]
+        # The buffer filter is engine work too: give it a span that joins
+        # the caller's trace (remote context included), so a stitched
+        # request tree shows time spent in the unindexed delta alongside
+        # the replica scans.
+        tracer = self._tracer if opts.trace else NULL_RECORDER
+        out = []
+        with tracer.start("buffer_scan", context=opts.trace_context,
+                          batches=len(delta), requests=len(requests),
+                          **span_attrs):
+            for request in requests:
+                t0 = time.perf_counter()
+                if request.count:
+                    matched = sum(d.count_in_box(request.box) for d in delta)
+                else:
+                    matched = [d.filter_box(request.box) for d in delta]
+                out.append((matched, time.perf_counter() - t0))
+        return out
 
 
 def _default_cost_model(specs: list[ReplicaSpec]) -> CostModel | None:

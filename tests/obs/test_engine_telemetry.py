@@ -115,6 +115,61 @@ class TestQueryTracing:
         assert plain.observability is None
 
 
+class TestSpanVocabulary:
+    """The span names, nesting and ``kind`` attribute the end-to-end
+    benchmark folds into its per-layer rows (``benchmarks/e2e/fold.py``
+    reads ``query -> route, scan -> decode``, ``workload -> scan ->
+    decode``, ``query[kind=workload]`` and ``buffer_scan``): a read-path
+    refactor that renames or re-parents one silently zeroes a row."""
+
+    @staticmethod
+    def edges(spans):
+        """``{(parent name | None, name)}`` over one recorder's spans."""
+        by_id = {s.span_id: s for s in spans}
+        return {(by_id[s.parent_id].name if s.parent_id else None, s.name)
+                for s in spans}
+
+    @pytest.mark.parametrize("kind", ["query", "count"])
+    def test_scalar_read(self, ds, kind):
+        obs = Observability.create()
+        store = make_store(ds, obs)
+        getattr(store, kind)(one_query(ds), options=TRACED)
+        spans = obs.tracer.spans()
+        assert self.edges(spans) == {(None, "query"), ("query", "route"),
+                                     ("query", "scan"), ("scan", "decode")}
+        (root,) = [s for s in spans if s.name == "query"]
+        assert root.attrs["kind"] == kind
+
+    def test_two_query_workload(self, ds):
+        obs = Observability.create()
+        store = make_store(ds, obs)
+        store.execute_workload(make_workload(ds, 2), options=TRACED)
+        spans = obs.tracer.spans()
+        assert self.edges(spans) == {
+            (None, "workload"), ("workload", "route"), ("workload", "scan"),
+            ("scan", "decode"), ("workload", "query")}
+        per_query = [s for s in spans if s.name == "query"]
+        assert [s.attrs["kind"] for s in per_query] == ["workload"] * 2
+        assert sorted(s.attrs["query"] for s in per_query) == [0, 1]
+
+    def test_ingest_buffer_scan_is_its_own_root(self, ds):
+        from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
+
+        obs = Observability.create()
+        ordered = ds.sorted_by_time()
+        head, tail = (ordered.take(np.arange(3000)),
+                      ordered.take(np.arange(3000, len(ordered))))
+        store = IngestingBlotStore(head, [ReplicaSpec(
+            CompositeScheme(KdTreePartitioner(8), 4),
+            encoding_scheme_by_name("COL-GZIP"), name="r")],
+            observability=obs)
+        store.append(tail)
+        store.query(ds.bounding_box(), options=TRACED)
+        assert self.edges(obs.tracer.spans()) == {
+            (None, "query"), ("query", "route"), ("query", "scan"),
+            ("scan", "decode"), (None, "buffer_scan")}
+
+
 class TestMetricsConsistency:
     def test_workload_counters_match_stats(self, ds):
         obs = Observability.create()

@@ -5,18 +5,27 @@ failed query surfaces as a structured error — never a silent partial.
 
 import asyncio
 import dataclasses
+import queue
+import threading
 
 import pytest
 
+from repro.cluster.placement import assign_shards
 from repro.errors import DegradedReadError, OverloadError, QuotaExceededError
 from repro.serve import (
     FleetSpec,
+    QueryTask,
     QuotaConfig,
+    ShardRequest,
     ShardServer,
     TenantQuotas,
+    open_shard_store,
+    payload_to_dataset,
     run_fleet,
+    serve_request,
+    shard_worker_main,
 )
-from repro.storage import FaultSpec
+from repro.storage import ExecOptions, FaultSpec, hydrate_store
 from repro.verify.oracle import canonical, datasets_identical
 
 
@@ -118,6 +127,117 @@ class TestCoordinatedFailover:
         # so degraded can exceed the data-bearing count — never be less.
         assert degraded >= sum(1 for want in baseline if len(want) > 0) > 0
         assert stats["degraded"] == degraded
+
+
+def one_dead_unit(config, queries, shard_id=0, n_shards=2):
+    """A persistent partition fault on one ``grid-plain`` unit that
+    ``shard_id`` owns and that some — not all — of ``queries`` touch:
+    ``(faulty config, assignment, pid)``."""
+    router = hydrate_store(config)
+    try:
+        names = sorted(router.replica_names())
+        assignment = assign_shards([router.replica(n) for n in names],
+                                   n_shards, "hash")
+        grid = router.replica("grid-plain")
+        owned = [pid for pid, key in enumerate(grid.unit_keys)
+                 if key is not None
+                 and assignment.owners["grid-plain"][pid] == shard_id]
+        touching = {pid: sum(pid in grid.involved_partitions(q.box())
+                             for q in queries) for pid in owned}
+        pid = next(p for p, n in touching.items() if 0 < n < len(queries))
+    finally:
+        router.close()
+    faulty = dataclasses.replace(
+        config, observability=True,
+        faults=FaultSpec(fail_partitions=(("grid-plain", pid),)))
+    return faulty, assignment, pid
+
+
+class TestWorkerExecutesEachRequestOnce:
+    OPTS = ExecOptions(retries=0, failover=False, repair=False)
+
+    def test_healthy_units_read_once_under_a_partition_fault(
+            self, config, queries):
+        faulty, assignment, dead = one_dead_unit(config, queries)
+        store = open_shard_store(faulty, assignment, 0)
+        try:
+            grid = store.replica("grid-plain")
+            involved = [set(grid.involved_partitions(q.box()).tolist())
+                        for q in queries]
+            owned = {pid for pids in involved for pid in pids
+                     if grid.unit_keys[pid] is not None}
+            request = ShardRequest(
+                request_id=1, replica="grid-plain",
+                tasks=tuple(QueryTask(i, q) for i, q in enumerate(queries)))
+            response = serve_request(store, request, 0, self.OPTS)
+
+            # Nothing was executed twice: every owned unit of the request
+            # was read at most once, the dead one included (the parent
+            # re-ran the failed batch query by query, re-reading the
+            # healthy units of every query in it).
+            bytes_read = sum(
+                c["value"]
+                for c in store.observability.metrics.snapshot()["counters"]
+                if c["name"] == "repro_bytes_read_total")
+            assert 0 < bytes_read <= sum(
+                grid.store.size(grid.unit_keys[pid])
+                for pid in owned - {dead})
+            faults = store.fault_injector.stats()
+            assert faults.faults_injected == 1
+            assert faults.reads_checked <= len(owned)
+
+            # Exactly the queries touching the dead unit fail, each with
+            # a structured error; the rest keep their answers — the ones
+            # a pinned per-query read of the same shard view gives.
+            assert set(response.failures) == {
+                i for i, pids in enumerate(involved) if dead in pids}
+            assert all("DegradedReadError" in e
+                       for e in response.failures.values())
+            assert response.results and response.failures
+            assert set(response.results) | set(response.failures) \
+                == set(range(len(queries)))
+            for i, payload in response.results.items():
+                want = store.query(queries[i], replica="grid-plain",
+                                   options=self.OPTS).records
+                assert datasets_identical(payload_to_dataset(payload), want)
+        finally:
+            store.close()
+
+    def test_answer_is_bit_equal_after_coordinated_failover(
+            self, config, queries, baseline):
+        faulty, _, _ = one_dead_unit(config, queries)
+        results, stats = serve_all(faulty, queries, n_shards=2)
+        assert_bit_equal(results, baseline)
+        assert stats["failovers"] > 0
+        assert stats["degraded"] == 0
+
+    def test_non_read_error_fails_every_task_once_and_worker_survives(
+            self, config, queries):
+        router = hydrate_store(config)
+        try:
+            names = sorted(router.replica_names())
+            assignment = assign_shards(
+                [router.replica(n) for n in names], 1, "hash")
+        finally:
+            router.close()
+        requests, responses = queue.Queue(), queue.Queue()
+        worker = threading.Thread(
+            target=shard_worker_main,
+            args=(config, assignment, 0, requests, responses), daemon=True)
+        worker.start()
+        tasks = tuple(QueryTask(i, q) for i, q in enumerate(queries[:4]))
+        # An unknown replica is a caller bug (KeyError), not a read error.
+        requests.put(ShardRequest(1, "no-such-replica", tasks))
+        requests.put(ShardRequest(2, "grid-plain", tasks))
+        requests.put(None)
+        broken, healthy, sentinel = (responses.get(timeout=30)
+                                     for _ in range(3))
+        worker.join(30)
+        assert sentinel is None and not worker.is_alive()
+        assert not broken.results
+        assert set(broken.failures) == {0, 1, 2, 3}
+        assert all(e.startswith("KeyError") for e in broken.failures.values())
+        assert set(healthy.results) == {0, 1, 2, 3} and not healthy.failures
 
 
 class TestAdmissionAndQuotas:

@@ -9,6 +9,7 @@ import pytest
 from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
+from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage import (
     BlotStore,
@@ -137,30 +138,53 @@ class TestQueryFailover:
         assert res.stats.bytes_read > 0
 
 
+def read_everything(store, ds, fold, replica, opts):
+    """One of the two scalar reads that must share one failure path:
+    ``"query"`` — a range query over the whole dataset — or ``"count"``
+    — a count over the bounding box pulled in a hair on every face, so
+    every edge partition is a *boundary* partition ``count()`` has to
+    read rather than answer from metadata.  Returns ``(records matched,
+    records expected, stats)``."""
+    bb = ds.bounding_box()
+    if fold == "query":
+        res = store.query(bb, replica=replica, options=opts)
+        return res.stats.records_returned, len(ds), res.stats
+    eps = 1e-9
+    clipped = Box3(bb.x_min + bb.width * eps, bb.x_max - bb.width * eps,
+                   bb.y_min + bb.height * eps, bb.y_max - bb.height * eps,
+                   bb.t_min + bb.duration * eps, bb.t_max - bb.duration * eps)
+    total, stats = store.count(clipped, replica=replica, options=opts)
+    return total, ds.count_in_box(clipped), stats
+
+
 class TestRepairOnExhaustion:
     def test_real_damage_repaired_from_diverse_replica(self, ds):
-        store = make_twin_store(ds)
-        fast = store.replica("fast")
-        pid = next(i for i, k in enumerate(fast.unit_keys) if k is not None)
-        fast.store.delete(fast.unit_keys[pid])
-        opts = ExecOptions(failover=False, retries=0)
-        res = store.query(ds.bounding_box(), replica="fast", options=opts)
-        assert res.stats.replica_name == "fast"
-        assert res.stats.records_returned == len(ds)
-        # the unit was rewritten: a second read needs no repair
-        assert len(fast.store.get(fast.unit_keys[pid])) > 0
+        for name in ("query", "count"):
+            store = make_twin_store(ds)
+            fast = store.replica("fast")
+            pid = next(i for i, k in enumerate(fast.unit_keys)
+                       if k is not None)
+            fast.store.delete(fast.unit_keys[pid])
+            opts = ExecOptions(failover=False, retries=0)
+            got, want, stats = read_everything(store, ds, name, "fast", opts)
+            assert stats.replica_name == "fast", name
+            assert got == want, name
+            # the unit was rewritten: a second read needs no repair
+            assert len(fast.store.get(fast.unit_keys[pid])) > 0, name
 
     def test_injected_partition_fault_repaired_and_healed(self, ds):
-        inj = FaultInjector()
-        store = make_twin_store(ds, injector=inj)
-        pid = next(i for i, k in enumerate(store.replica("fast").unit_keys)
-                   if k is not None)
-        inj.fail_partition("fast", pid)
-        opts = ExecOptions(failover=False, retries=0)
-        res = store.query(ds.bounding_box(), replica="fast", options=opts)
-        assert res.stats.replica_name == "fast"
-        assert res.stats.records_returned == len(ds)
-        assert not inj.partition_failed("fast", pid)
+        for name in ("query", "count"):
+            inj = FaultInjector()
+            store = make_twin_store(ds, injector=inj)
+            pid = next(i for i, k in
+                       enumerate(store.replica("fast").unit_keys)
+                       if k is not None)
+            inj.fail_partition("fast", pid)
+            opts = ExecOptions(failover=False, retries=0)
+            got, want, stats = read_everything(store, ds, name, "fast", opts)
+            assert stats.replica_name == "fast", name
+            assert got == want, name
+            assert not inj.partition_failed("fast", pid), name
 
     def test_repair_impossible_when_sources_also_down(self, ds):
         inj = FaultInjector()
@@ -241,6 +265,54 @@ class TestWorkloadFailover:
         assert not inj.partition_failed("fast", pid)
         assert [r.stats.records_returned for r in result.results] \
             == [r.stats.records_returned for r in baseline.results]
+
+
+class TestExecuteEach:
+    """``execute_each`` is ``execute_workload`` with one outcome per
+    query: an unreadable partition costs only the queries that needed
+    it, and each of those gets its own structured error."""
+
+    def test_unserved_queries_come_back_as_errors_not_raises(self, ds):
+        inj = FaultInjector()
+        store = make_twin_store(ds, injector=inj)
+        workload = make_workload(ds, 12)
+        baseline = store.execute_workload(workload)
+        fast = store.replica("fast")
+        pid = next(i for i, k in enumerate(fast.unit_keys) if k is not None)
+        inj.fail_partition("fast", pid)
+        pinned = ExecOptions(failover=False, repair=False, retries=0)
+        touched = [pid in fast.involved_partitions(q.box())
+                   for q in workload.queries()]
+        assert any(touched) and not all(touched)
+
+        each = store.execute_each(workload, replica="fast", options=pinned)
+        assert each.stats.n_queries == 12
+        for hit, got, want in zip(touched, each.results, baseline.results):
+            if hit:
+                assert isinstance(got, DegradedReadError)
+                assert [name for name, _ in got.attempts] == ["fast"]
+            else:
+                assert got.stats.replica_name == "fast"
+                for col in ("oid", "t", "x", "y"):
+                    assert np.array_equal(got.records.column(col),
+                                          want.records.column(col))
+        # the all-or-nothing form raises the first of those errors
+        with pytest.raises(DegradedReadError):
+            store.execute_workload(workload, options=pinned)
+
+    def test_pin_fails_over_like_a_pinned_query(self, ds):
+        inj = FaultInjector()
+        store = make_twin_store(ds, injector=inj)
+        workload = make_workload(ds, 8)
+        baseline = store.execute_workload(workload)
+        inj.fail_replica("slow")
+        each = store.execute_each(workload, replica="slow")
+        assert each.stats.per_replica_queries == {"fast": 8}
+        assert each.stats.failovers == 8
+        for got, want in zip(each.results, baseline.results):
+            assert got.stats.failovers == 1
+            assert np.array_equal(got.records.column("oid"),
+                                  want.records.column("oid"))
 
 
 class TestExecOptionsSurface:

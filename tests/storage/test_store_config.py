@@ -145,6 +145,29 @@ class TestMaterialize:
         model = config.build_cost_model()
         assert model is not None
 
+    def test_default_replica_names_round_trip(self, dataset, tmp_path):
+        """Without a name a replica is called ``<scheme>/<encoding>`` —
+        a manifest path one directory deeper, which must exist before
+        the manifest is written."""
+        config = materialize_store(
+            dataset,
+            [(GridPartitioner(3, 3), encoding_scheme_by_name("ROW-PLAIN")),
+             (CompositeScheme(KdTreePartitioner(4), 2),
+              encoding_scheme_by_name("COL-GZIP"))],
+            str(tmp_path / "store"))
+        store = open_store(config)
+        try:
+            assert all("/" in name for name in store.replica_names())
+            bb = dataset.bounding_box()
+            box = Box3(bb.x_min, bb.x_min + bb.width / 2,
+                       bb.y_min, bb.y_min + bb.height / 2, bb.t_min, bb.t_max)
+            for name in store.replica_names():
+                got = store.query(box, replica=name).records
+                assert datasets_identical(canonical(got),
+                                          canonical(dataset.filter_box(box)))
+        finally:
+            store.close()
+
     def test_dataset_npz_round_trip_is_bit_exact(self, dataset, tmp_path):
         path = str(tmp_path / "ds.npz")
         dataset.to_npz(path)
