@@ -96,7 +96,7 @@ def test_batched_dispatch_beats_naive(served_config, serving_queries, capsys):
         s, naive_stats = _drive(served_config, serving_queries, max_batch=1)
         naive_seconds = min(naive_seconds, s)
         s, batched_stats = _drive(served_config, serving_queries,
-                                  max_batch=64, window_seconds=0.005)
+                                  max_batch=64)
         batched_seconds = min(batched_seconds, s)
 
     # Naive mode flushes every query alone; batching must coalesce hard.

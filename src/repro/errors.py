@@ -143,6 +143,23 @@ class DeadlineExceededError(RuntimeError):
         )
 
 
+class WorkerLostError(RuntimeError):
+    """A shard worker's pipe reached end-of-file: the process (or
+    thread) behind ``shard_id`` is gone, so its slice of every answer
+    is unreachable.  Every request pending on that shard, and every
+    later one, fails with this error instead of waiting forever.
+    ``exitcode`` is the dead process's exit status (negative for a
+    signal) when it could be reaped, else None."""
+
+    def __init__(self, shard_id: int, exitcode: int | None = None):
+        self.shard_id = int(shard_id)
+        self.exitcode = exitcode
+        super().__init__(
+            f"shard worker {shard_id} is gone"
+            + (f" (exit code {exitcode})" if exitcode is not None else "")
+        )
+
+
 class SnapshotMergeError(ValueError):
     """Two per-process metric snapshots disagree on an instrument's
     shape — histogram bucket bounds or quantile-sketch resolution — so
@@ -172,4 +189,5 @@ __all__ = [
     "QuotaExceededError",
     "ReplicaExists",
     "SnapshotMergeError",
+    "WorkerLostError",
 ]

@@ -31,6 +31,7 @@ from repro.serve.protocol import (
     MetricsRequest,
     MetricsResponse,
     QueryTask,
+    Ready,
     ShardRequest,
     ShardResponse,
     TraceRequest,
@@ -55,6 +56,7 @@ __all__ = [
     "MetricsResponse",
     "QueryTask",
     "QuotaConfig",
+    "Ready",
     "ShardRequest",
     "ShardResponse",
     "ShardServer",

@@ -2,9 +2,11 @@
 
 The engine's ``execute_each`` decodes each involved partition once
 per *batch* instead of once per query — but only if concurrent requests
-actually arrive as one workload.  The :class:`Batcher` is that funnel:
-admitted queries wait up to ``window_seconds`` (or until ``max_batch``
-queued) and flush together into one routed, sharded dispatch.
+actually arrive as one workload.  The :class:`Batcher` is that funnel,
+and it batches *naturally*: one batch is in flight at a time, and
+whatever arrived while it ran is the next batch.  There is no window
+and no timer — an idle tier adds no wait of its own, and batch size
+follows load by itself.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import asyncio
 
 
 class Batcher:
-    """Window/size-bounded query coalescing on the asyncio loop.
+    """Natural (load-following) query coalescing on the asyncio loop.
+
+    With nothing in flight, a submit schedules the flush for the end of
+    the current loop tick, so queries submitted together (a ``gather``)
+    share one batch.  While a batch is in flight arrivals accumulate and
+    flush the moment it completes, at most ``max_batch`` at a time.
 
     ``flush`` is an async callable receiving ``[(query, future), ...]``;
     it must resolve every future (result or exception).  Any exception
@@ -21,18 +28,13 @@ class Batcher:
     futures, so a submitter can never hang on a crashed flush.
     """
 
-    def __init__(self, flush, window_seconds: float = 0.002,
-                 max_batch: int = 64):
-        if window_seconds < 0:
-            raise ValueError("window_seconds must be non-negative")
+    def __init__(self, flush, max_batch: int = 64):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._flush_cb = flush
-        self._window = window_seconds
         self._max_batch = max_batch
         self._pending: list = []
-        self._timer: asyncio.TimerHandle | None = None
-        self._inflight: set[asyncio.Task] = set()
+        self._inflight: asyncio.Task | None = None
         self.batches_flushed = 0
         self.queries_batched = 0
 
@@ -43,30 +45,32 @@ class Batcher:
         future = loop.create_future()
         self._pending.append((query, future))
         self.queries_batched += 1
-        if len(self._pending) >= self._max_batch:
-            self._flush_now()
-        elif self._timer is None:
-            self._timer = loop.call_later(self._window, self._flush_now)
+        # The first arrival of an idle batcher arms the flush; later
+        # ones this tick ride it, and with a batch in flight its
+        # completion flushes them.
+        if self._inflight is None and len(self._pending) == 1:
+            loop.call_soon(self._flush_next)
         return await future
 
     async def drain(self) -> None:
-        """Flush anything pending and wait for in-flight batches."""
-        self._flush_now()
-        while self._inflight:
-            await asyncio.gather(*tuple(self._inflight),
-                                 return_exceptions=True)
+        """Flush anything pending and wait until nothing is in flight."""
+        self._flush_next()
+        while self._inflight is not None:
+            # _flush_done (added first) has run by the time this wakes.
+            await asyncio.wait([self._inflight])
 
-    def _flush_now(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
+    def _flush_next(self) -> None:
+        if self._inflight is not None or not self._pending:
             return
-        batch, self._pending = self._pending, []
+        batch = self._pending[:self._max_batch]
+        del self._pending[:self._max_batch]
         self.batches_flushed += 1
-        task = asyncio.ensure_future(self._run_flush(batch))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._inflight = asyncio.ensure_future(self._run_flush(batch))
+        self._inflight.add_done_callback(self._flush_done)
+
+    def _flush_done(self, _task) -> None:
+        self._inflight = None
+        self._flush_next()
 
     async def _run_flush(self, batch) -> None:
         try:

@@ -1,6 +1,6 @@
 """The wire vocabulary between the serving front door and shard workers.
 
-Everything crossing a worker queue is plain picklable data: frozen
+Everything crossing a worker pipe is plain picklable data: frozen
 dataclasses of scalars, :class:`~repro.workload.query.Query` values and
 numpy column payloads.  Result records travel as ``{field: ndarray}``
 dicts (:func:`dataset_to_payload`) rather than :class:`Dataset` objects
@@ -112,6 +112,14 @@ class TraceResponse:
     spans: tuple[dict, ...] = ()
 
 
-#: Queue sentinel: a worker receiving ``None`` drains out; it echoes
-#: ``None`` on its response queue so the front door's reader exits too.
+@dataclass(frozen=True, slots=True)
+class Ready:
+    """A worker's first frame, sent once its shard store is hydrated;
+    ``ShardServer.start()`` returns when every shard has sent one."""
+
+    shard_id: int
+
+
+#: Request-pipe sentinel: a worker receiving ``None`` (or end-of-file,
+#: when the front door is gone) closes its store and its pipe ends.
 SHUTDOWN = None

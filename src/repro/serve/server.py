@@ -20,6 +20,15 @@ agree on which replica a query reads.  A query that exhausts the
 ranking raises :class:`~repro.errors.DegradedReadError`, never a
 partial result.
 
+**Transport.** Each worker is reached over one pair of one-way pipes,
+the same in both worker modes.  Request frames are sent inline on the
+loop thread; responses are read in a ``loop.add_reader`` readiness
+callback, one whole frame per wake-up.  A worker sends one ``Ready``
+frame once hydrated and :meth:`ShardServer.start` waits for all of
+them.  End-of-file on a response pipe means the worker is gone: every
+request pending on that shard, and every later one, fails with
+:class:`~repro.errors.WorkerLostError` — nothing is restarted here.
+
 **Distributed tracing** (``tracing=True``): every ``query()`` call
 opens a ``request`` root span under a fresh 128-bit trace id; the batch
 span parents under the *first* request of the batch and lists the
@@ -47,8 +56,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import multiprocessing as mp
+import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.cluster.placement import ShardAssignment, assign_shards
 from repro.data.dataset import Dataset
@@ -57,6 +68,7 @@ from repro.errors import (
     DegradedReadError,
     OverloadError,
     QuotaExceededError,
+    WorkerLostError,
 )
 from repro.obs import Observability
 from repro.obs.aggregate import merge_metric_snapshots
@@ -65,8 +77,10 @@ from repro.obs.trace import NULL_RECORDER
 from repro.serve.admission import AdmissionController, TenantQuotas
 from repro.serve.batcher import Batcher
 from repro.serve.protocol import (
+    SHUTDOWN,
     MetricsRequest,
     QueryTask,
+    Ready,
     ShardRequest,
     TraceRequest,
     concat_payloads,
@@ -92,6 +106,22 @@ class _Envelope:
     deadline: float | None  # absolute ``time.time()`` seconds
 
 
+@dataclass(slots=True)
+class _Shard:
+    """The front door's side of one worker: its handle, this side's
+    ends of the worker's one-way pipe pair, and the futures waiting on
+    frames from it.  ``lost`` is set when the response pipe reaches
+    end-of-file."""
+
+    shard_id: int
+    worker: object  # mp.Process or threading.Thread
+    requests: object  # send-only Connection
+    responses: object  # receive-only Connection
+    ready: asyncio.Future
+    pending: dict[int, asyncio.Future] = field(default_factory=dict)
+    lost: WorkerLostError | None = None
+
+
 class ShardServer:
     """An asyncio serving tier over ``n_shards`` store workers.
 
@@ -107,7 +137,6 @@ class ShardServer:
         n_shards: int = 2,
         sharding: str = "hash",
         worker_mode: str = "thread",
-        window_seconds: float = 0.002,
         max_batch: int = 64,
         max_inflight: int = 256,
         quotas: TenantQuotas | None = None,
@@ -137,16 +166,10 @@ class ShardServer:
         self.quotas = quotas
         if quotas is not None:
             quotas.bind_metrics(self.obs.metrics)
-        self._batcher = Batcher(self._flush_batch,
-                                window_seconds=window_seconds,
-                                max_batch=max_batch)
+        self._batcher = Batcher(self._flush_batch, max_batch=max_batch)
         self._router = None
         self._assignment: ShardAssignment | None = None
-        self._workers: list = []
-        self._request_queues: list = []
-        self._response_queues: list = []
-        self._readers: list[asyncio.Task] = []
-        self._pending: dict[int, asyncio.Future] = {}
+        self._shards: list[_Shard] = []
         self._ids = itertools.count()
         self._started = False
         self.failovers = 0
@@ -190,46 +213,50 @@ class ShardServer:
         if self._tracing and not worker_config.observability:
             worker_config = replace(worker_config, observability=True)
         if self._worker_mode == "process":
-            import multiprocessing as mp
-
-            ctx = mp.get_context("spawn")
-            make_queue = ctx.Queue
-            def make_worker(args):
-                return ctx.Process(target=shard_worker_main, args=args,
-                                   daemon=True)
+            make_worker = mp.get_context("spawn").Process
         else:
-            import queue as queue_mod
-            import threading
-
-            make_queue = queue_mod.Queue
-            def make_worker(args):
-                return threading.Thread(target=shard_worker_main, args=args,
-                                        daemon=True)
+            make_worker = threading.Thread
         loop = asyncio.get_running_loop()
         for shard_id in range(self._n_shards):
-            request_q = make_queue()
-            response_q = make_queue()
-            worker = make_worker((worker_config, self._assignment, shard_id,
-                                  request_q, response_q, self._options))
+            worker_requests, requests = mp.Pipe(duplex=False)
+            responses, worker_responses = mp.Pipe(duplex=False)
+            worker = make_worker(
+                target=shard_worker_main, daemon=True,
+                args=(worker_config, self._assignment, shard_id,
+                      worker_requests, worker_responses, self._options))
             worker.start()
-            self._request_queues.append(request_q)
-            self._response_queues.append(response_q)
-            self._workers.append(worker)
-            self._readers.append(loop.create_task(
-                self._read_responses(response_q)))
+            if self._worker_mode == "process":
+                # The child has its own copies; with ours closed, its
+                # death is an end-of-file on ``responses``.
+                worker_requests.close()
+                worker_responses.close()
+            shard = _Shard(shard_id, worker, requests, responses,
+                           ready=loop.create_future())
+            self._shards.append(shard)
+            loop.add_reader(responses.fileno(), self._read_frame, shard)
         self._started = True
+        try:
+            await asyncio.gather(*(shard.ready for shard in self._shards))
+        except BaseException:
+            await self.stop()
+            raise
 
     async def stop(self) -> None:
         if not self._started:
             return
         await self._batcher.drain()
-        for request_q in self._request_queues:
-            request_q.put(None)
-        if self._readers:
-            await asyncio.gather(*self._readers, return_exceptions=True)
         loop = asyncio.get_running_loop()
-        for worker in self._workers:
-            await loop.run_in_executor(None, lambda w=worker: w.join(10))
+        for shard in self._shards:
+            loop.remove_reader(shard.responses.fileno())
+            try:
+                shard.requests.send(SHUTDOWN)
+            except OSError:
+                pass  # the worker is already gone
+            shard.requests.close()
+        for shard in self._shards:
+            await loop.run_in_executor(None, shard.worker.join, 10)
+            shard.responses.close()
+        self._shards.clear()
         self._router.close()
         self._started = False
 
@@ -446,17 +473,10 @@ class ShardServer:
             ctx = TraceContext(trace_id=span.trace_id,
                                parent_span_id=span.span_id or None,
                                tenant=tenant, deadline=deadline)
-        loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(
-                ShardRequest(request_id=request_id, replica=replica,
-                             tasks=tasks, trace=ctx))
-            waits.append((shard_id, future))
+        waits = self._broadcast(
+            ShardRequest(request_id=next(self._ids), replica=replica,
+                         tasks=tasks, trace=ctx))
 
         async def wait_one(shard_id, future):
             response = await future
@@ -468,22 +488,67 @@ class ShardServer:
 
         try:
             responses = await asyncio.gather(
-                *(wait_one(s, f) for s, f in waits))
+                *(wait_one(s, f) for s, f in enumerate(waits)))
             span.annotate(failures=sum(
                 len(r.failures) for r in responses))
             return responses
         finally:
             span.finish()
 
-    async def _read_responses(self, response_q) -> None:
+    # -- the pipe transport ------------------------------------------------
+
+    def _broadcast(self, frame) -> list[asyncio.Future]:
+        """Send one request frame to every shard; returns one future per
+        shard, in shard order, resolving with that worker's response or
+        failing with :class:`~repro.errors.WorkerLostError`.
+
+        The send is inline on the loop thread.  It cannot block against
+        a worker that is itself blocked sending: the batcher keeps one
+        batch in flight, so the request bytes queued toward a worker
+        stay far below the pipe buffer."""
         loop = asyncio.get_running_loop()
-        while True:
-            message = await loop.run_in_executor(None, response_q.get)
-            if message is None:
-                return
-            future = self._pending.pop(message.request_id, None)
-            if future is not None and not future.done():
-                future.set_result(message)
+        futures = []
+        for shard in self._shards:
+            future = loop.create_future()
+            futures.append(future)
+            if shard.lost is not None:
+                future.set_exception(shard.lost)
+                continue
+            shard.pending[frame.request_id] = future
+            try:
+                shard.requests.send(frame)
+            except OSError:
+                self._worker_lost(shard)
+        return futures
+
+    def _read_frame(self, shard: _Shard) -> None:
+        """Readiness callback of a shard's response pipe: reads one
+        whole frame inline and resolves the future waiting on it."""
+        try:
+            message = shard.responses.recv()
+        except (EOFError, OSError):
+            self._worker_lost(shard)
+            return
+        if isinstance(message, Ready):
+            shard.ready.set_result(None)
+            return
+        future = shard.pending.pop(message.request_id, None)
+        if future is not None and not future.done():
+            future.set_result(message)
+
+    def _worker_lost(self, shard: _Shard) -> None:
+        """Fail everything waiting on a dead worker, now and later."""
+        asyncio.get_running_loop().remove_reader(shard.responses.fileno())
+        exitcode = None
+        if self._worker_mode == "process":
+            shard.worker.join(1.0)  # reap it, so the exit code is known
+            exitcode = shard.worker.exitcode
+        shard.lost = WorkerLostError(shard.shard_id, exitcode)
+        waiters = [shard.ready, *shard.pending.values()]
+        shard.pending.clear()
+        for future in waiters:
+            if not future.done():
+                future.set_exception(shard.lost)
 
     # -- observability -----------------------------------------------------
 
@@ -511,15 +576,8 @@ class ShardServer:
         :func:`~repro.obs.aggregate.merge_metric_snapshots` union;
         ``server`` the front-door counters.  When an SLO engine is
         attached, ``slo`` carries its freshly evaluated status."""
-        loop = asyncio.get_running_loop()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(MetricsRequest(request_id))
-            waits.append(future)
-        responses = await asyncio.gather(*waits)
+        responses = await asyncio.gather(
+            *self._broadcast(MetricsRequest(next(self._ids))))
         shard_snapshots = {r.shard_id: r.snapshot for r in responses}
         frontdoor = self.obs.metrics.snapshot()
         snapshot = {
@@ -545,16 +603,8 @@ class ShardServer:
         """Every worker's retained spans plus the front door's own, each
         tagged with a ``worker`` label (``frontdoor`` / ``shard-N``) for
         :func:`~repro.obs.distributed.stitch_traces`."""
-        loop = asyncio.get_running_loop()
-        waits = []
-        for shard_id in range(self._n_shards):
-            request_id = next(self._ids)
-            future = loop.create_future()
-            self._pending[request_id] = future
-            self._request_queues[shard_id].put(
-                TraceRequest(request_id, clear=clear))
-            waits.append(future)
-        responses = await asyncio.gather(*waits)
+        responses = await asyncio.gather(
+            *self._broadcast(TraceRequest(next(self._ids), clear=clear)))
         shards = {
             r.shard_id: [dict(s, worker=f"shard-{r.shard_id}")
                          for s in r.spans]

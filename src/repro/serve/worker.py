@@ -40,8 +40,10 @@ from repro.errors import DeadlineExceededError, DegradedReadError
 from repro.obs.distributed import TraceContext
 from repro.obs.trace import NULL_RECORDER
 from repro.serve.protocol import (
+    SHUTDOWN,
     MetricsRequest,
     MetricsResponse,
+    Ready,
     ShardRequest,
     ShardResponse,
     TraceRequest,
@@ -83,7 +85,8 @@ def serve_request(store, request: ShardRequest, shard_id: int,
     the others keep their answers.  An exception that is *not* a read
     error (a bug, a malformed frame) is reported once as the failure of
     every task — never re-executed, and never allowed to kill the
-    worker loop, since the front door has no supervision to notice.
+    worker loop: losing the worker would fail every request of the
+    tier (:class:`~repro.errors.WorkerLostError`), not just this one.
     """
     ctx = request.trace
     if ctx is not None and ctx.deadline is not None:
@@ -149,33 +152,42 @@ def _trace_spans(store, clear: bool) -> tuple[dict, ...]:
 
 
 def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
-                      request_queue, response_queue,
+                      requests, responses,
                       options: ExecOptions | None = None) -> None:
     """The worker loop: ``spawn`` target for process workers, ``Thread``
-    target for in-process ones.  Exits on the ``None`` sentinel, echoing
-    it so the front door's response reader unblocks."""
+    target for in-process ones.  ``requests``/``responses`` are this
+    worker's ends of its one-way pipe pair.  Sends one
+    :class:`~repro.serve.protocol.Ready` frame once hydrated, answers
+    frames in arrival order, and exits on the ``SHUTDOWN`` sentinel or
+    end-of-file (the front door is gone).  Its pipe ends are closed on
+    the way out however it leaves — that end-of-file is how the front
+    door learns a worker died."""
     opts = _worker_options(options)
-    store = open_shard_store(config, assignment, shard_id)
-    try:
-        while True:
-            message = request_queue.get()
-            if message is None:
-                break
-            if isinstance(message, MetricsRequest):
-                response_queue.put(MetricsResponse(
-                    request_id=message.request_id,
-                    shard_id=shard_id,
-                    snapshot=_metrics_snapshot(store),
-                ))
-                continue
-            if isinstance(message, TraceRequest):
-                response_queue.put(TraceResponse(
-                    request_id=message.request_id,
-                    shard_id=shard_id,
-                    spans=_trace_spans(store, message.clear),
-                ))
-                continue
-            response_queue.put(serve_request(store, message, shard_id, opts))
-    finally:
-        store.close()
-        response_queue.put(None)
+    with requests, responses:
+        store = open_shard_store(config, assignment, shard_id)
+        try:
+            responses.send(Ready(shard_id))
+            while True:
+                try:
+                    message = requests.recv()
+                except EOFError:
+                    break
+                if message is SHUTDOWN:
+                    break
+                if isinstance(message, MetricsRequest):
+                    responses.send(MetricsResponse(
+                        request_id=message.request_id,
+                        shard_id=shard_id,
+                        snapshot=_metrics_snapshot(store),
+                    ))
+                elif isinstance(message, TraceRequest):
+                    responses.send(TraceResponse(
+                        request_id=message.request_id,
+                        shard_id=shard_id,
+                        spans=_trace_spans(store, message.clear),
+                    ))
+                else:
+                    responses.send(
+                        serve_request(store, message, shard_id, opts))
+        finally:
+            store.close()

@@ -108,68 +108,141 @@ class TestTenantQuotas:
 
 
 class TestBatcher:
-    def test_max_batch_flushes_immediately(self):
-        batches = []
+    """Natural batching, checked without a clock: every ordering below
+    follows from the loop's FIFO ready queue, not from elapsed time."""
 
+    @staticmethod
+    def echo(batches):
         async def flush(batch):
-            batches.append(len(batch))
+            batches.append([query for query, _ in batch])
             for query, future in batch:
                 future.set_result(query * 10)
+        return flush
+
+    def test_same_tick_submits_share_one_batch(self):
+        batches = []
 
         async def go():
-            batcher = Batcher(flush, window_seconds=60.0, max_batch=3)
+            batcher = Batcher(self.echo(batches), max_batch=100)
             results = await asyncio.gather(*(batcher.submit(i)
-                                             for i in range(3)))
-            await batcher.drain()
+                                             for i in range(5)))
             return results, batcher
 
         results, batcher = asyncio.run(go())
-        assert results == [0, 10, 20]
-        assert batches == [3]
+        assert results == [0, 10, 20, 30, 40]
+        assert batches == [[0, 1, 2, 3, 4]]
         assert batcher.batches_flushed == 1
-        assert batcher.queries_batched == 3
+        assert batcher.queries_batched == 5
 
-    def test_window_flushes_a_partial_batch(self):
-        async def flush(batch):
-            for query, future in batch:
-                future.set_result(query)
+    def test_lone_submit_flushes_without_a_timer(self, monkeypatch):
+        def no_timers(*args, **kwargs):
+            raise AssertionError("the batcher armed a timer")
 
         async def go():
-            batcher = Batcher(flush, window_seconds=0.005, max_batch=100)
-            return await batcher.submit("lone")
+            loop = asyncio.get_running_loop()
+            monkeypatch.setattr(loop, "call_later", no_timers)
+            monkeypatch.setattr(loop, "call_at", no_timers)
+            batcher = Batcher(self.echo([]), max_batch=100)
+            return await batcher.submit(7)
 
-        assert asyncio.run(go()) == "lone"
+        assert asyncio.run(go()) == 70
+
+    def test_arrivals_during_a_flush_form_the_next_batch(self):
+        batches = []
+
+        async def go():
+            started = asyncio.Event()
+            release = asyncio.Event()
+
+            async def flush(batch):
+                batches.append([query for query, _ in batch])
+                if len(batches) == 1:
+                    started.set()
+                    await release.wait()
+                for query, future in batch:
+                    future.set_result(query)
+
+            batcher = Batcher(flush, max_batch=100)
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await started.wait()
+            late = [asyncio.ensure_future(batcher.submit(q)) for q in "bcd"]
+            # The late submits were scheduled before the release, so
+            # they are queued by the time the first flush completes.
+            release.set()
+            results = await asyncio.gather(first, *late)
+            return results, batcher
+
+        results, batcher = asyncio.run(go())
+        assert results == ["a", "b", "c", "d"]
+        assert batches == [["a"], ["b", "c", "d"]]
+        assert batcher.batches_flushed == 2
+
+    def test_max_batch_flushes_immediately(self):
+        # A burst beyond max_batch goes out max_batch at a time, one
+        # batch in flight: the rest flush as each batch completes.
+        batches = []
+
+        async def go():
+            batcher = Batcher(self.echo(batches), max_batch=3)
+            results = await asyncio.gather(*(batcher.submit(i)
+                                             for i in range(7)))
+            return results, batcher
+
+        results, batcher = asyncio.run(go())
+        assert results == [i * 10 for i in range(7)]
+        assert batches == [[0, 1, 2], [3, 4, 5], [6]]
+        assert batcher.batches_flushed == 3
+        assert batcher.queries_batched == 7
 
     def test_crashed_flush_propagates_to_submitters(self):
         async def flush(batch):
             raise RuntimeError("shard fell over")
 
         async def go():
-            batcher = Batcher(flush, window_seconds=0.001, max_batch=100)
-            with pytest.raises(RuntimeError, match="shard fell over"):
-                await batcher.submit("q")
+            batcher = Batcher(flush, max_batch=100)
+            return await asyncio.gather(
+                *(batcher.submit(q) for q in "abc"), return_exceptions=True)
 
-        asyncio.run(go())
+        outcomes = asyncio.run(go())
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert isinstance(outcome, RuntimeError)
+            assert "shard fell over" in str(outcome)
 
-    def test_drain_flushes_pending_before_window(self):
-        async def flush(batch):
-            for query, future in batch:
-                future.set_result(query)
+    def test_drain_flushes_the_tail(self):
+        batches = []
 
         async def go():
-            batcher = Batcher(flush, window_seconds=60.0, max_batch=100)
-            submit = asyncio.ensure_future(batcher.submit("q"))
-            await asyncio.sleep(0)  # let submit enqueue
-            await batcher.drain()
-            return await submit
+            started = asyncio.Event()
+            release = asyncio.Event()
 
-        assert asyncio.run(go()) == "q"
+            async def flush(batch):
+                batches.append([query for query, _ in batch])
+                if len(batches) == 1:
+                    started.set()
+                    await release.wait()
+                for query, future in batch:
+                    future.set_result(query)
+
+            batcher = Batcher(flush, max_batch=100)
+            head = asyncio.ensure_future(batcher.submit("head"))
+            await started.wait()
+            tail = asyncio.ensure_future(batcher.submit("tail"))
+            drained = asyncio.ensure_future(batcher.drain())
+            release.set()
+            await drained
+            # drain() returns only once the tail's batch has finished.
+            assert head.done() and tail.done()
+            return head.result(), tail.result()
+
+        assert asyncio.run(go()) == ("head", "tail")
+        assert batches == [["head"], ["tail"]]
 
     def test_parameters_validated(self):
         async def flush(batch):
             pass
 
-        with pytest.raises(ValueError, match="window"):
-            Batcher(flush, window_seconds=-0.1)
         with pytest.raises(ValueError, match="max_batch"):
             Batcher(flush, max_batch=0)
+        with pytest.raises(TypeError):
+            Batcher(flush, window_seconds=0.002)

@@ -5,7 +5,7 @@ failed query surfaces as a structured error — never a silent partial.
 
 import asyncio
 import dataclasses
-import queue
+import multiprocessing as mp
 import threading
 
 import pytest
@@ -16,6 +16,7 @@ from repro.serve import (
     FleetSpec,
     QueryTask,
     QuotaConfig,
+    Ready,
     ShardRequest,
     ShardServer,
     TenantQuotas,
@@ -71,7 +72,7 @@ class TestBitEquality:
 
     def test_batching_actually_coalesces(self, config, queries):
         _, stats = serve_all(config, queries, n_shards=2,
-                             window_seconds=0.05, max_batch=len(queries))
+                             max_batch=len(queries))
         assert stats["batches_flushed"] < stats["queries_batched"]
 
 
@@ -220,20 +221,32 @@ class TestWorkerExecutesEachRequestOnce:
                 [router.replica(n) for n in names], 1, "hash")
         finally:
             router.close()
-        requests, responses = queue.Queue(), queue.Queue()
+        worker_requests, requests = mp.Pipe(duplex=False)
+        responses, worker_responses = mp.Pipe(duplex=False)
         worker = threading.Thread(
             target=shard_worker_main,
-            args=(config, assignment, 0, requests, responses), daemon=True)
+            args=(config, assignment, 0, worker_requests, worker_responses),
+            daemon=True)
         worker.start()
         tasks = tuple(QueryTask(i, q) for i, q in enumerate(queries[:4]))
         # An unknown replica is a caller bug (KeyError), not a read error.
-        requests.put(ShardRequest(1, "no-such-replica", tasks))
-        requests.put(ShardRequest(2, "grid-plain", tasks))
-        requests.put(None)
-        broken, healthy, sentinel = (responses.get(timeout=30)
-                                     for _ in range(3))
+        requests.send(ShardRequest(1, "no-such-replica", tasks))
+        requests.send(ShardRequest(2, "grid-plain", tasks))
+        requests.send(None)
+        frames = []
+        for _ in range(3):
+            assert responses.poll(30)
+            frames.append(responses.recv())
+        ready, broken, healthy = frames
         worker.join(30)
-        assert sentinel is None and not worker.is_alive()
+        assert not worker.is_alive()
+        assert ready == Ready(0)
+        # The worker closed its ends on the way out.
+        with pytest.raises(EOFError):
+            responses.recv()
+        assert worker_requests.closed and worker_responses.closed
+        requests.close()
+        responses.close()
         assert not broken.results
         assert set(broken.failures) == {0, 1, 2, 3}
         assert all(e.startswith("KeyError") for e in broken.failures.values())
@@ -331,7 +344,6 @@ class TestFrontDoor:
                                                   baseline):
         async def go():
             async with ShardServer(config, n_shards=2,
-                                   window_seconds=0.05,
                                    max_batch=64) as server:
                 results = await asyncio.gather(
                     *(server.query(queries[0]) for _ in range(6)))

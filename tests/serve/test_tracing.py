@@ -63,7 +63,6 @@ class TestTracedServing:
                                                        queries):
         async def go():
             async with ShardServer(config, n_shards=2, tracing=True,
-                                   window_seconds=0.05,
                                    max_batch=64) as server:
                 await asyncio.gather(
                     *(server.query(queries[0]) for _ in range(6)))
@@ -93,8 +92,8 @@ class TestDeadlines:
     def test_expired_deadline_is_structured_and_counted(self, config,
                                                         queries):
         async def go():
-            async with ShardServer(config, n_shards=2, tracing=True,
-                                   window_seconds=0.05) as server:
+            async with ShardServer(config, n_shards=2,
+                                   tracing=True) as server:
                 with pytest.raises(DeadlineExceededError):
                     await server.query(queries[0],
                                        deadline_seconds=-1.0)
