@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Adaptive reconfiguration as the workload drifts.
+"""The retuning what-if as the workload drifts.
 
 BLOT systems "adaptively optimize the configuration of the physical
 storage organization based on analyzing the historical queries" (paper
 Section II-E).  This demo deploys a replica set tuned for analytics-style
 big scans, then lets a month of interactive traffic (tiny range queries)
-arrive; the reconfigurator notices the drift from the query log and
-re-selects the replica set, quantifying the improvement.
+arrive; the query log is compressed into a grouped workload and the
+selection re-run against it, quantifying what a redeploy would win.  On a
+live store the ``ReselectionController`` (docs/adaptivity.md) runs this
+same comparison continuously and performs the swap.
 
     python examples/adaptive_retuning.py
 """
@@ -23,7 +25,7 @@ from repro import (
     paper_encoding_schemes,
     synthetic_shanghai_taxis,
 )
-from repro.core import AdaptiveReconfigurator
+from repro.core import QueryLogger
 from repro.partition import small_partitioning_schemes
 
 
@@ -39,6 +41,17 @@ def live_queries(universe, frac, n, rng):
             rng.uniform(universe.t_min + t / 2, universe.t_max - t / 2),
         ))
     return out
+
+
+def what_if(advisor, budget, deployed, log):
+    """Cost of the deployed set vs a re-selection, both on the logged
+    workload (so the improvement is apples-to-apples)."""
+    workload = log.to_workload(max_grouped_queries=16)
+    instance = advisor.build_instance(workload, budget)
+    column = {instance.name_of(j): j for j in range(instance.n_replicas)}
+    current = instance.workload_cost(
+        [column[name] for name in deployed.replica_names])
+    return current, advisor.recommend(workload, budget, method="exact")
 
 
 def main() -> None:
@@ -60,36 +73,38 @@ def main() -> None:
         (GroupedQuery(u.width * 0.3, u.height * 0.3, u.duration * 0.2), 0.2),
     ])
     budget = advisor.single_replica_budget(expected, copies=3)
-    recon = AdaptiveReconfigurator(advisor, budget, method="exact",
-                                   threshold=0.05, min_queries=20)
-    initial = recon.deploy_initial(expected)
+    deployed = advisor.recommend(expected, budget, method="exact")
     print("deployed for the expected scan workload:")
-    for name in initial.replica_names:
+    for name in deployed.replica_names:
         print(f"  {name}")
 
     # Reality: interactive dashboards issue tiny queries.
     rng = np.random.default_rng(9)
+    log = QueryLogger()
     print("\nobserving live traffic (40 tiny interactive queries)...")
     for q in live_queries(u, 0.004, 40, rng):
-        recon.observe(q)
+        log.record(q)
 
-    decision = recon.evaluate()
-    print(f"retune evaluation: deployed-set cost {decision.current_cost:.1f}s, "
-          f"re-optimized {decision.optimized_cost:.1f}s "
-          f"({decision.improvement:.0%} improvement)")
-    if decision.retuned:
+    current, candidate = what_if(advisor, budget, deployed, log)
+    improvement = 1.0 - candidate.cost / current
+    print(f"retune evaluation: deployed-set cost {current:.1f}s, "
+          f"re-optimized {candidate.cost:.1f}s "
+          f"({improvement:.0%} improvement)")
+    if improvement >= 0.05:
+        deployed = candidate
+        log.clear()  # a new epoch starts
         print("replica set redeployed:")
-        for name in recon.deployed.replica_names:
+        for name in deployed.replica_names:
             print(f"  {name}")
     else:
         print("drift below threshold; keeping the deployed set")
 
     # And stable traffic afterwards does not thrash.
     for q in live_queries(u, 0.004, 25, rng):
-        recon.observe(q)
-    second = recon.evaluate()
-    print(f"\nsecond evaluation on the same traffic: retuned={second.retuned} "
-          f"(improvement {second.improvement:.1%}) — no thrashing")
+        log.record(q)
+    current, candidate = what_if(advisor, budget, deployed, log)
+    print(f"\nsecond evaluation on the same traffic: improvement "
+          f"{1.0 - candidate.cost / current:.1%} — no thrashing")
 
 
 if __name__ == "__main__":

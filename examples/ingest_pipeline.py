@@ -25,7 +25,7 @@ from repro import (
     paper_encoding_schemes,
     synthetic_shanghai_taxis,
 )
-from repro.core import AdaptiveReconfigurator
+from repro.core import QueryLogger
 from repro.costmodel import Histogram3D
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner, small_partitioning_schemes
@@ -98,21 +98,29 @@ def main() -> None:
         (GroupedQuery(u.width * 0.6, u.height * 0.6, u.duration * 0.5), 1.0),
     ])
     budget = advisor.single_replica_budget(expected, copies=3)
-    recon = AdaptiveReconfigurator(advisor, budget, method="exact",
-                                   threshold=0.05, min_queries=10)
-    recon.deploy_initial(expected)
+    deployed = advisor.recommend(expected, budget, method="exact")
+    log = QueryLogger()
     for _ in range(15):  # interactive dashboards took over
         frac = 0.01
         w, h, t = u.width * frac, u.height * frac, u.duration * frac
-        recon.observe(GroupedQuery(w, h, t).at(
+        log.record(GroupedQuery(w, h, t).at(
             rng.uniform(u.x_min + w / 2, u.x_max - w / 2),
             rng.uniform(u.y_min + h / 2, u.y_max - h / 2),
             rng.uniform(u.t_min + t / 2, u.t_max - t / 2)))
-    decision = recon.evaluate()
-    print(f"  drift improvement available: {decision.improvement:.0%} "
-          f"-> retuned: {decision.retuned}")
-    if decision.retuned:
-        print(f"  new replica set: {', '.join(recon.deployed.replica_names)}")
+    # The what-if: deployed set vs a re-selection, both priced on the
+    # logged workload.  (On a live BlotStore the ReselectionController
+    # runs this continuously and swaps replicas — docs/adaptivity.md.)
+    observed = log.to_workload(max_grouped_queries=16)
+    instance = advisor.build_instance(observed, budget)
+    column = {instance.name_of(j): j for j in range(instance.n_replicas)}
+    current = instance.workload_cost(
+        [column[name] for name in deployed.replica_names])
+    candidate = advisor.recommend(observed, budget, method="exact")
+    improvement = 1.0 - candidate.cost / current
+    print(f"  drift improvement available: {improvement:.0%} "
+          f"-> retune: {improvement >= 0.05}")
+    if improvement >= 0.05:
+        print(f"  new replica set: {', '.join(candidate.replica_names)}")
 
     # --- close of day -----------------------------------------------------
     store.compact()

@@ -175,23 +175,30 @@ def _build_workload_store(args: argparse.Namespace, observability=None,
     ``drill`` and ``stats``: ``args.replicas`` kd-tree/time-slice
     combinations over one dataset, with an optional decoded-partition
     cache and (when more than one replica exists) a calibrated cost
-    model for routing.  ``observability`` attaches a telemetry bundle;
-    ``quiet`` suppresses the banner (machine-readable output modes).
+    model for routing — plus the seeded positioned workload they run
+    and, with ``--inject-faults``, the fault schedule already applied.
+    ``observability`` attaches a telemetry bundle; ``quiet`` suppresses
+    the banner (machine-readable output modes).
 
-    Returns ``(store, 0)`` or ``(None, exit_code)`` on bad arguments.
+    Returns ``(store, workload, 0)`` or ``(None, None, exit_code)`` on
+    bad arguments.
     """
     from repro.cluster import cost_model_for, make_cluster
     from repro.encoding import encoding_scheme_by_name
     from repro.partition import CompositeScheme, KdTreePartitioner
     from repro.storage import BlotStore, InMemoryStore
+    from repro.workload import positioned_random_workload
 
+    if getattr(args, "repeat", 1) < 1:
+        print("--repeat must be >= 1", file=sys.stderr)
+        return None, None, 2
     if not 1 <= args.replicas <= len(_WORKLOAD_REPLICA_SPECS):
         print(f"--replicas must be 1..{len(_WORKLOAD_REPLICA_SPECS)}",
               file=sys.stderr)
-        return None, 2
+        return None, None, 2
     if args.queries < 1:
         print("--queries must be >= 1", file=sys.stderr)
-        return None, 2
+        return None, None, 2
     data = _load_or_generate(args)
     specs = _WORKLOAD_REPLICA_SPECS[:args.replicas]
     model = None
@@ -209,7 +216,15 @@ def _build_workload_store(args: argparse.Namespace, observability=None,
     if not quiet:
         print(f"{len(data):,} records, {args.replicas} replicas: "
               + ", ".join(store.replica_names()))
-    return store, 0
+    if getattr(args, "inject_faults", False):
+        injector, err = _make_injector(args, store)
+        if injector is None:
+            return None, None, err
+        store.set_fault_injector(injector)
+    workload = positioned_random_workload(
+        data.bounding_box(), args.queries, np.random.default_rng(args.seed),
+        max_fraction=args.max_frac)
+    return store, workload, 0
 
 
 def _make_injector(args: argparse.Namespace, store):
@@ -288,25 +303,11 @@ def _print_telemetry(obs) -> None:
 def _cmd_run_workload(args: argparse.Namespace) -> int:
     from repro.obs import Observability
     from repro.storage import DegradedReadError
-    from repro.workload import positioned_random_workload
 
-    if args.repeat < 1:
-        print("--repeat must be >= 1", file=sys.stderr)
-        return 2
     obs = Observability.create() if args.trace else None
-    store, err = _build_workload_store(args, observability=obs)
+    store, workload, err = _build_workload_store(args, observability=obs)
     if store is None:
         return err
-    if args.inject_faults:
-        injector, err = _make_injector(args, store)
-        if injector is None:
-            return err
-        store.set_fault_injector(injector)
-
-    rng = np.random.default_rng(args.seed)
-    workload = positioned_random_workload(
-        store.dataset.bounding_box(), args.queries, rng,
-        max_fraction=args.max_frac)
     opts = _exec_options(args)
     cache_enabled = store.partition_cache is not None
     for pass_no in range(1, args.repeat + 1):
@@ -335,25 +336,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from repro.obs import Observability
     from repro.storage import DegradedReadError
-    from repro.workload import positioned_random_workload
 
-    if args.repeat < 1:
-        print("--repeat must be >= 1", file=sys.stderr)
-        return 2
     machine = args.json or args.prom
     obs = Observability.create(drift_threshold=args.drift_threshold)
-    store, err = _build_workload_store(args, observability=obs, quiet=machine)
+    store, workload, err = _build_workload_store(args, observability=obs,
+                                                 quiet=machine)
     if store is None:
         return err
-    if args.inject_faults:
-        injector, err = _make_injector(args, store)
-        if injector is None:
-            return err
-        store.set_fault_injector(injector)
-    rng = np.random.default_rng(args.seed)
-    workload = positioned_random_workload(
-        store.dataset.bounding_box(), args.queries, rng,
-        max_fraction=args.max_frac)
     opts = _exec_options(args, trace=True)
     try:
         for _ in range(args.repeat):
@@ -386,24 +375,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import Observability, TimeseriesStore, build_report
     from repro.obs.report import render_report_text
     from repro.storage import DegradedReadError
-    from repro.workload import positioned_random_workload
 
-    if args.repeat < 1:
-        print("--repeat must be >= 1", file=sys.stderr)
-        return 2
     if args.dry_run and not args.recalibrate:
         print("--dry-run requires --recalibrate", file=sys.stderr)
         return 2
     obs = Observability.create(drift_threshold=args.drift_threshold)
-    store, err = _build_workload_store(args, observability=obs,
-                                       quiet=args.json)
+    store, workload, err = _build_workload_store(args, observability=obs,
+                                                 quiet=args.json)
     if store is None:
         return err
-    if args.inject_faults:
-        injector, err = _make_injector(args, store)
-        if injector is None:
-            return err
-        store.set_fault_injector(injector)
 
     model = store.cost_model
     if (args.stale_factor != 1.0 or args.recalibrate) and model is None:
@@ -441,10 +421,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             model, min_samples=args.min_samples, max_step_factor=None,
             dry_run=args.dry_run, timeseries=ts)
 
-    rng = np.random.default_rng(args.seed)
-    workload = positioned_random_workload(
-        store.dataset.bounding_box(), args.queries, rng,
-        max_fraction=args.max_frac)
     opts = _exec_options(args, trace=True)
     try:
         for _ in range(args.repeat):
@@ -471,16 +447,11 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     repairs, extra estimated cost) plus a result-integrity check."""
     from repro.obs import Observability
     from repro.storage import DegradedReadError
-    from repro.workload import positioned_random_workload
 
     obs = Observability.create()
-    store, err = _build_workload_store(args, observability=obs)
+    store, workload, err = _build_workload_store(args, observability=obs)
     if store is None:
         return err
-    rng = np.random.default_rng(args.seed)
-    workload = positioned_random_workload(
-        store.dataset.bounding_box(), args.queries, rng,
-        max_fraction=args.max_frac)
     opts = _exec_options(args, trace=True)
     cache_enabled = store.partition_cache is not None
 
@@ -544,144 +515,42 @@ def _cmd_reselect(args: argparse.Namespace) -> int:
     online — verifying bit-equal reads across the transition."""
     import json
 
-    from repro.core import (
-        AdvisorConfig,
-        ReplicaAdvisor,
-        ReselectionConfig,
-        ReselectionController,
-        replica_builder,
-    )
-    from repro.costmodel import CostModel, EncodingCostParams
-    from repro.encoding import encoding_scheme_by_name
-    from repro.obs import Observability, TimeseriesStore, build_report
+    from repro.core import ReselectionConfig
+    from repro.drills import run_reselect_drill
+    from repro.obs import TimeseriesStore, build_report
     from repro.obs.report import render_report_text
-    from repro.partition import small_partitioning_schemes
-    from repro.storage import BlotStore
-    from repro.workload import GroupedQuery, Query, Workload
 
     if args.budget_copies < 1:
         print("--budget-copies must be >= 1", file=sys.stderr)
         return 2
-    if args.min_queries < 1:
-        print("--min-queries must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.drift_threshold <= 1.0:
-        print("--drift-threshold must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.min_improvement < 0.0:
-        print("--min-improvement must be >= 0", file=sys.stderr)
+    try:
+        config = ReselectionConfig(drift_threshold=args.drift_threshold,
+                                   min_queries=args.min_queries,
+                                   min_improvement=args.min_improvement)
+    except ValueError as exc:
+        print(f"bad reselection guard: {exc}", file=sys.stderr)
         return 2
 
-    data = _load_or_generate(args)
-    bb = data.bounding_box()
-    rng = np.random.default_rng(args.seed)
-
-    encodings = [encoding_scheme_by_name(n)
-                 for n in ("ROW-PLAIN", "COL-GZIP")]
-    schemes = small_partitioning_schemes((4, 16, 64), (2, 4))
-    # A scan-bound cost regime (low per-partition overhead): wide scans
-    # favor coarse row-plain replicas, hot-spot probes favor fine
-    # compressed ones — so a workload shift genuinely moves the Eq. 5
-    # optimum, which is the point of the drill.
-    model = CostModel({
-        "ROW-PLAIN": EncodingCostParams(scan_rate=250_000,
-                                        extra_time=0.004),
-        "COL-GZIP": EncodingCostParams(scan_rate=100_000,
-                                       extra_time=0.001),
-    })
-    advisor = ReplicaAdvisor(data, schemes, encodings, model,
-                             AdvisorConfig(n_records=len(data)))
-    baseline = Workload([
-        (GroupedQuery(bb.width * 0.6, bb.height * 0.6, bb.duration * 0.6),
-         0.9),
-        (GroupedQuery(bb.width * 0.2, bb.height * 0.2, bb.duration * 0.2),
-         0.1),
-    ])
-    budget = advisor.single_replica_budget(baseline,
-                                           copies=args.budget_copies)
-    initial = advisor.recommend(baseline, budget, method="local-search")
-    build = replica_builder(data, schemes, encodings,
-                            universe=advisor.universe)
-
-    obs = Observability.create()
-    cache_bytes = int(args.cache_mb * 1e6) if args.cache_mb > 0 else None
-    store = BlotStore(data, cost_model=model, cache_bytes=cache_bytes,
-                      observability=obs)
-    for name in initial.replica_names:
-        store.register_replica(build(name))
-    incumbent = list(store.replica_names())
-
-    ts = None
-    if args.timeseries:
-        ts = TimeseriesStore(args.timeseries)
-    controller = obs.attach_reselector(ReselectionController(
-        store, advisor, budget, baseline,
-        build=build,
-        config=ReselectionConfig(
-            drift_threshold=args.drift_threshold,
-            min_queries=args.min_queries,
-            min_improvement=args.min_improvement,
-        ),
-        obs=obs, timeseries=ts, rng=np.random.default_rng(args.seed),
-    ))
-
-    def positioned(frac: float, center=None) -> Query:
-        w, h, t = bb.width * frac, bb.height * frac, bb.duration * frac
-        if center is None:
-            return Query(
-                w, h, t,
-                rng.uniform(bb.x_min + w / 2, bb.x_max - w / 2),
-                rng.uniform(bb.y_min + h / 2, bb.y_max - h / 2),
-                rng.uniform(bb.t_min + t / 2, bb.t_max - t / 2))
-        return Query(w, h, t, *center)
-
-    # Fixed probes re-run across the transition: results must stay
-    # bit-equal to the brute-force oracle at every point.
-    probes = [positioned(0.25) for _ in range(3)]
-    oracles = [sorted(zip(data.filter_box(p.box()).column("oid"),
-                          data.filter_box(p.box()).column("t")))
-               for p in probes]
-
-    def check_probes() -> bool:
-        for p, want in zip(probes, oracles):
-            got = store.query(p).records
-            if sorted(zip(got.column("oid"), got.column("t"))) != want:
-                return False
-        return True
-
-    # Phase 1: traffic shaped like the baseline — no drift expected.
-    for _ in range(args.min_queries):
-        frac = 0.6 if rng.uniform() < 0.9 else 0.2
-        store.query(positioned(frac))
-    ok_before = check_probes()
-
-    # Phase 2: the hot-spot shift — tiny probes in one corner of the
-    # universe.  The engine hook trips the controller automatically.
-    hot = (bb.x_min + bb.width * 0.25, bb.y_min + bb.height * 0.25,
-           bb.t_min + bb.duration * 0.25)
-    for _ in range(args.min_queries * 2):
-        store.query(positioned(0.02, center=(
-            hot[0] + rng.uniform(-bb.width, bb.width) * 0.05,
-            hot[1] + rng.uniform(-bb.height, bb.height) * 0.05,
-            hot[2] + rng.uniform(-bb.duration, bb.duration) * 0.05)))
-    controller.wait()
-    ok_after = check_probes()
-
+    ts = TimeseriesStore(args.timeseries) if args.timeseries else None
+    scenario, verified = run_reselect_drill(
+        _load_or_generate(args), args.seed, copies=args.budget_copies,
+        config=config, timeseries=ts,
+        cache_bytes=int(args.cache_mb * 1e6) if args.cache_mb > 0 else None)
+    store, controller = scenario.store, scenario.controller
     applied = [u for u in controller.audit_log if u.action == "applied"]
-    verified = ok_before and ok_after
-    summary = {
-        "epoch": controller.epoch,
-        "evaluations": len(controller.audit_log),
-        "applied": len(applied),
-        "incumbent": incumbent,
-        "serving": store.replica_names(),
-        "verified_bit_equal": verified,
-        "audit": controller.audit_dicts(),
-    }
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps({
+            "epoch": controller.epoch,
+            "evaluations": len(controller.audit_log),
+            "applied": len(applied),
+            "incumbent": scenario.incumbent,
+            "serving": store.replica_names(),
+            "verified_bit_equal": verified,
+            "audit": controller.audit_dicts(),
+        }, indent=2, sort_keys=True))
     else:
-        print(f"initial set ({len(incumbent)}): {', '.join(incumbent)}")
+        print(f"initial set ({len(scenario.incumbent)}): "
+              + ", ".join(scenario.incumbent))
         for u in controller.audit_log:
             if u.action == "applied":
                 print(f"[epoch {u.epoch}] drift {u.divergence:.3f} >= "
@@ -698,7 +567,8 @@ def _cmd_reselect(args: argparse.Namespace) -> int:
         print("probe reads bit-equal across transition: "
               + ("yes" if verified else "NO"))
     if args.report:
-        report = build_report(obs, timeseries=ts, reselector=controller)
+        report = build_report(scenario.obs, timeseries=ts,
+                              reselector=controller)
         print(render_report_text(report))
     store.close()
     if not verified:
@@ -994,25 +864,26 @@ def _materialize_serve_store(args: argparse.Namespace):
     return config, 0
 
 
+def _fleet_spec(args: argparse.Namespace):
+    """The simulated traffic ``serve``, ``fleet`` and ``slo`` share."""
+    from repro.serve import FleetSpec
+
+    return FleetSpec(
+        n_queries=args.queries,
+        tenants=tuple(f"tenant-{i}" for i in range(args.tenants)),
+        concurrency=args.concurrency,
+        seed=args.seed,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the sharded serving tier against a materialized store, drive
     a simulated fleet through it, and optionally verify every answer
     bit-equal against a single-process engine (exit 1 on mismatch)."""
-    import asyncio
-    import dataclasses
     import json
 
-    from repro.errors import DegradedReadError
-    from repro.serve import (
-        FleetSpec,
-        QuotaConfig,
-        ShardServer,
-        TenantQuotas,
-        fleet_queries,
-        run_fleet,
-    )
-    from repro.storage import hydrate_store
-    from repro.verify.oracle import canonical, datasets_identical
+    from repro.drills import run_serve_drill
+    from repro.serve import QuotaConfig, TenantQuotas
 
     tracing = args.trace_dir is not None
     if (args.stitch or args.trace_out or args.min_stitch is not None) \
@@ -1023,63 +894,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config, err = _materialize_serve_store(args)
     if config is None:
         return err
-    spec = FleetSpec(
-        n_queries=args.queries,
-        tenants=tuple(f"tenant-{i}" for i in range(args.tenants)),
-        concurrency=args.concurrency,
-        seed=args.seed,
-    )
     quotas = None
     if args.quota_rate > 0:
         quotas = TenantQuotas(QuotaConfig(rate=args.quota_rate,
                                           burst=args.quota_burst))
-
-    # The bit-equality referee answers from a fault-free hydration: the
-    # true result of a query does not depend on the fault schedule.
-    baselines = None
-    queries = None
-    if args.verify:
-        referee = hydrate_store(dataclasses.replace(config, faults=None))
-        try:
-            queries = fleet_queries(referee.universe, spec)
-            baselines = [canonical(referee.query(q).records)
-                         for q in queries]
-        finally:
-            referee.close()
-
-    async def go():
-        async with ShardServer(
-            config,
-            n_shards=args.shards,
-            sharding=args.sharding,
-            worker_mode=args.worker_mode,
-            max_inflight=args.max_inflight,
-            quotas=quotas,
-            tracing=tracing,
-        ) as server:
-            report = await run_fleet(server, spec)
-            verified = mismatched = degraded = 0
-            if args.verify:
-                server.quotas = None  # the referee pass is not traffic
-                for q, want in zip(queries, baselines):
-                    try:
-                        got = await server.query(q, tenant="verify")
-                    except DegradedReadError:
-                        degraded += 1
-                        continue
-                    if datasets_identical(canonical(got), want):
-                        verified += 1
-                    else:
-                        mismatched += 1
-            stats = server.server_stats()
-            snapshot = await server.metrics_snapshot()
-            trace_paths = (await server.dump_traces(args.trace_dir)
-                           if tracing else [])
-        return report, stats, snapshot, trace_paths, \
-            (verified, mismatched, degraded)
-
-    report, stats, snapshot, trace_paths, (verified, mismatched, degraded) \
-        = asyncio.run(go())
+    drill = run_serve_drill(
+        config, _fleet_spec(args), verify=args.verify,
+        trace_dir=args.trace_dir, n_shards=args.shards,
+        sharding=args.sharding, worker_mode=args.worker_mode,
+        max_inflight=args.max_inflight, quotas=quotas)
+    report, stats, trace_paths = drill.report, drill.stats, drill.trace_paths
 
     print(f"[fleet] {report.n_queries} queries over {args.tenants} tenants: "
           f"{report.served} served ({report.records_returned:,} records), "
@@ -1091,7 +915,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{stats['failovers']} failovers")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as f:
-            json.dump(snapshot, f, indent=2, sort_keys=True)
+            json.dump(drill.snapshot, f, indent=2, sort_keys=True)
         print(f"wrote shard metrics to {args.metrics_out}")
     if tracing:
         print(f"[trace] wrote {len(trace_paths)} span streams "
@@ -1121,9 +945,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"--min-stitch {args.min_stitch}", file=sys.stderr)
             return 1
     if args.verify:
-        print(f"[verify] {verified} bit-equal, {mismatched} MISMATCHED, "
-              f"{degraded} degraded (skipped)")
-        if mismatched or not verified:
+        print(f"[verify] {drill.verified} bit-equal, "
+              f"{drill.mismatched} MISMATCHED, "
+              f"{drill.degraded} degraded (skipped)")
+        if drill.mismatched or not drill.verified:
             print("verification FAILED: sharded answers are not bit-equal "
                   "to the single-process engine", file=sys.stderr)
             return 1
@@ -1136,7 +961,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     door — the number the serving tier's throughput is judged against."""
     import time
 
-    from repro.serve import FleetSpec, fleet_queries
+    from repro.serve import fleet_queries
     from repro.storage import hydrate_store
     from repro.workload import Workload
 
@@ -1145,13 +970,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         return err
     store = hydrate_store(config)
     try:
-        spec = FleetSpec(
-            n_queries=args.queries,
-            tenants=tuple(f"tenant-{i}" for i in range(args.tenants)),
-            concurrency=args.concurrency,
-            seed=args.seed,
-        )
-        queries = fleet_queries(store.universe, spec)
+        queries = fleet_queries(store.universe, _fleet_spec(args))
         start = time.perf_counter()
         result = store.execute_workload(Workload.unweighted(queries))
         seconds = time.perf_counter() - start
@@ -1275,19 +1094,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     fault schedule), evaluate per-tenant burn-rate objectives, and exit
     by SLO health — 0 healthy / 1 firing, inverted by
     ``--expect-alert`` for deterministic alert drills in CI."""
-    import asyncio
     import json
 
-    from repro.obs import (
-        Observability,
-        SLOEngine,
-        SLObjective,
-        build_report,
-        parse_slo_config,
-        validate_report,
-    )
+    from repro.drills import run_slo_drill
+    from repro.obs import SLObjective, parse_slo_config
     from repro.obs.report import render_report_text
-    from repro.serve import FleetSpec, ShardServer, run_fleet
 
     objectives: list[SLObjective] = []
     if args.slo_config:
@@ -1309,33 +1120,10 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     config, err = _materialize_serve_store(args)
     if config is None:
         return err
-    obs = Observability.create()
-    engine = SLOEngine(objectives, metrics=obs.metrics,
-                       min_events=args.min_events)
-    spec = FleetSpec(
-        n_queries=args.queries,
-        tenants=tuple(f"tenant-{i}" for i in range(args.tenants)),
-        concurrency=args.concurrency,
-        seed=args.seed,
-    )
-
-    async def go():
-        async with ShardServer(
-            config,
-            n_shards=args.shards,
-            worker_mode=args.worker_mode,
-            observability=obs,
-            slo=engine,
-        ) as server:
-            fleet = await run_fleet(server, spec)
-            engine.evaluate()
-            snapshot = await server.metrics_snapshot()
-        return fleet, snapshot
-
-    fleet, snapshot = asyncio.run(go())
-
-    report = build_report(obs, slo=engine)
-    validate_report(report)
+    drill = run_slo_drill(config, _fleet_spec(args), objectives,
+                          min_events=args.min_events, n_shards=args.shards,
+                          worker_mode=args.worker_mode)
+    fleet, engine, report = drill.fleet, drill.engine, drill.report
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:
             json.dump(report, f, indent=2, sort_keys=True)
@@ -1352,7 +1140,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     else:
         print(f"[fleet] {fleet.n_queries} queries: {fleet.served} served, "
               f"{fleet.degraded} degraded")
-        print(_render_top(snapshot))
+        print(_render_top(drill.snapshot))
         print(render_report_text(report))
     if args.report_out and not args.json:
         print(f"wrote v{report['schema_version']} report "

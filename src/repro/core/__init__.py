@@ -8,11 +8,6 @@ clustering + dominated-replica pruning), the Algorithm 1 greedy
 :class:`ReplicaAdvisor` facade gluing it to the cost model.
 """
 
-from repro.core.adaptive import (
-    AdaptiveReconfigurator,
-    QueryLogger,
-    RetuneDecision,
-)
 from repro.core.advisor import AdvisorConfig, ReplicaAdvisor, SelectionReport
 from repro.core.bnb import BranchAndBoundLimit, branch_and_bound_select
 from repro.core.bruteforce import brute_force_select
@@ -38,6 +33,7 @@ from repro.core.partial import (
 from repro.core.problem import Selection, SelectionInstance
 from repro.core.pruning import PruningResult, prune_dominated
 from repro.core.reselect import (
+    QueryLogger,
     ReselectionConfig,
     ReselectionController,
     baseline_from_history,
@@ -48,12 +44,10 @@ from repro.core.reselect import (
 )
 
 __all__ = [
-    "AdaptiveReconfigurator",
     "BudgetFrontier",
     "FrontierPoint",
     "AdvisorConfig",
     "QueryLogger",
-    "RetuneDecision",
     "BranchAndBoundLimit",
     "GreedyStep",
     "MipFormulation",

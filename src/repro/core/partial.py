@@ -46,15 +46,6 @@ class PartialReplica:
     def name(self) -> str:
         return f"{self.base.name}@partial"
 
-    @classmethod
-    def from_sample(cls, base: ReplicaProfile, coverage: Box3,
-                    sample) -> "PartialReplica":
-        """A partial replica whose ``record_fraction`` is measured from
-        ``sample`` (the usual way to price a hot-spot coverage box —
-        e.g. for the reselection controller's advisory pass)."""
-        return cls(base=base, coverage=coverage,
-                   record_fraction=record_fraction_in_box(sample, coverage))
-
     def profile(self) -> ReplicaProfile:
         """The restricted profile: only partitions intersecting the
         coverage are kept, records and storage scale by the fraction."""

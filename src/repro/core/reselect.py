@@ -8,8 +8,7 @@ incumbent ``R*`` silently degrades while every individual query still
 succeeds.  This module closes that loop:
 
 1. **Mine** the live query distribution: the engine feeds every served
-   query into a bounded, thread-safe
-   :class:`~repro.core.adaptive.QueryLogger`;
+   query into a bounded, thread-safe :class:`QueryLogger`;
    :func:`queries_from_traces` additionally reconstructs history from
    the :class:`~repro.obs.TraceRecorder`'s finished ``query`` spans
    (for controllers attached after the fact), and
@@ -34,34 +33,29 @@ succeeds.  This module closes that loop:
    still name a retired replica fail over down their Eq. 6-7 ranking
    inside the engine, so reads never block or truncate across the
    transition.
-
-Partial replicas (:mod:`repro.core.partial`) participate in the pricing
-pass as *advisory* candidates only: a partial replica cannot be
-physically installed (engine replicas must hold the full dataset — the
-diverse-replica repair path assumes identical logical content), so the
-controller reports which partials the solver would have picked and
-re-solves the install set over full columns.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import QueryLogger
 from repro.core.grouping import reduce_workload
 from repro.core.localsearch import local_search_select
-from repro.core.partial import PartialReplica, partial_selection_instance
 from repro.core.problem import Selection, SelectionInstance
+from repro.obs.audit import AuditTrail
 from repro.obs.reselection import ReselectionUpdate
 from repro.obs.trace import NULL_RECORDER
+from repro.workload.generator import workload_from_query_log
 from repro.workload.query import GroupedQuery, Query, Workload
 
 __all__ = [
+    "QueryLogger",
     "ReselectionConfig",
     "ReselectionController",
     "baseline_from_history",
@@ -70,6 +64,84 @@ __all__ = [
     "warm_reselect",
     "workload_divergence",
 ]
+
+
+# -- the query log ------------------------------------------------------------
+
+
+class QueryLogger:
+    """Accumulates executed queries, the raw material for retuning.
+
+    The log is a bounded ring buffer guarded by a lock: under always-on
+    serving, ``record()`` arrives concurrently from the workload thread
+    pool, and an unbounded list would both race on append and grow
+    without limit for the life of the process.  ``capacity`` bounds the
+    retained window (retuning cares about the *recent* distribution
+    anyway); overflow drops the oldest entry and bumps ``evicted`` so
+    operators can tell a short log from a saturated one.
+    """
+
+    def __init__(self, capacity: int = 4096) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = int(capacity)
+        self._log: deque[Query] = deque(maxlen=self.capacity)
+        self._recorded = 0
+        self._evicted = 0
+        self._lock = threading.Lock()
+
+    def record(self, query: Query) -> None:
+        with self._lock:
+            if len(self._log) == self.capacity:
+                self._evicted += 1
+            self._log.append(query)
+            self._recorded += 1
+
+    @property
+    def recorded(self) -> int:
+        """Queries recorded over the logger's lifetime."""
+        with self._lock:
+            return self._recorded
+
+    @property
+    def evicted(self) -> int:
+        """Queries dropped from the ring buffer to stay within
+        ``capacity`` (``clear()`` does not count)."""
+        with self._lock:
+            return self._evicted
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._log)
+
+    def queries(self) -> list[Query]:
+        with self._lock:
+            return list(self._log)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._log.clear()
+
+    def to_workload(
+        self,
+        max_grouped_queries: int | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> Workload:
+        """The logged queries as a weighted grouped workload.
+
+        Identical range sizes merge (Section III-C1); when the number of
+        distinct sizes still exceeds ``max_grouped_queries`` they are
+        k-means-clustered down to that many centers.
+        """
+        log = self.queries()
+        if not log:
+            raise ValueError("query log is empty")
+        workload = workload_from_query_log(log)
+        if max_grouped_queries is not None and len(workload) > max_grouped_queries:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            workload = reduce_workload(workload, max_grouped_queries, rng).reduced
+        return workload
 
 
 # -- drift signal -------------------------------------------------------------
@@ -253,6 +325,10 @@ def replica_builder(
 
 # -- the controller -----------------------------------------------------------
 
+#: The counter each audited action bumps (a dry run counts as neither).
+_DECISION_COUNTERS = {"applied": "repro_reselect_applied_total",
+                      "rejected": "repro_reselect_rejected_total"}
+
 
 @dataclass(frozen=True)
 class ReselectionConfig:
@@ -272,9 +348,6 @@ class ReselectionConfig:
     capacity: int = 4096
     #: Audit what would change, touch nothing.
     dry_run: bool = False
-    #: Run evaluations on a background thread (the serving path only
-    #: pays a counter check); tests use the synchronous default.
-    background: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.drift_threshold <= 1.0:
@@ -294,7 +367,9 @@ class ReselectionController:
     :meth:`repro.obs.Observability.attach_reselector`: the engine then
     feeds every served query into :meth:`observe` and offers
     :meth:`maybe_reselect` a shot after each served call (both are a
-    counter check until ``min_queries`` fresh queries accumulate).
+    counter check until ``min_queries`` fresh queries accumulate; the
+    evaluation itself then runs on a background thread, so the query
+    that trips the gate pays neither the re-solve nor the builds).
 
     An evaluation: group the observed log, measure
     :func:`workload_divergence` against the baseline workload, and —
@@ -310,7 +385,8 @@ class ReselectionController:
     over inside the engine, so concurrent reads stay correct and
     non-blocking throughout.
 
-    Every decision lands in :attr:`audit_log`, in the
+    Every decision lands in :attr:`audit_log` (a bounded
+    :class:`~repro.obs.audit.AuditTrail`), in the
     ``repro_reselect_*`` counters, and (when a timeseries store is
     attached) in the on-disk history as a ``"reselection"`` entry.
     """
@@ -323,7 +399,6 @@ class ReselectionController:
         baseline: Workload,
         *,
         build: Callable[[str], object] | None = None,
-        partial_replicas: Sequence[PartialReplica] = (),
         config: ReselectionConfig | None = None,
         obs=None,
         timeseries=None,
@@ -341,11 +416,11 @@ class ReselectionController:
         self.baseline = baseline
         self.config = config or ReselectionConfig()
         self.obs = obs
-        self.timeseries = timeseries
-        self.partial_replicas = list(partial_replicas)
         self.logger = QueryLogger(capacity=self.config.capacity)
         self.epoch = 0
-        self.audit_log: list[ReselectionUpdate] = []
+        self.audit_log = AuditTrail(
+            "reselection", timeseries=timeseries,
+            metrics=obs.metrics if obs is not None else None)
         self._build = build
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._gate = threading.Lock()        # one evaluation at a time
@@ -374,26 +449,25 @@ class ReselectionController:
 
     # -- the loop ----------------------------------------------------------
 
-    def maybe_reselect(self) -> ReselectionUpdate | None:
-        """Engine hook: cheap until ``min_queries`` fresh queries have
-        accumulated, then one evaluation (inline or on a background
-        thread per the config).  Never blocks behind a running
-        evaluation."""
+    def maybe_reselect(self) -> None:
+        """Engine hook: a counter check until ``min_queries`` fresh
+        queries have accumulated, then one evaluation handed to a
+        background thread.  Never blocks behind a running evaluation;
+        :meth:`wait` joins it, :meth:`evaluate` is the synchronous
+        form."""
         if self.logger.recorded < self._next_eval:
-            return None
+            return
         if not self._gate.acquire(blocking=False):
-            return None
-        if self.config.background:
-            thread = threading.Thread(
-                target=self._evaluate_and_release,
-                name="repro-reselect", daemon=True)
-            self._thread = thread
-            thread.start()
-            return None
-        try:
-            return self._evaluate_locked(force=False)
-        finally:
+            return
+        if self.logger.recorded < self._next_eval:
+            # An evaluation finished between the two checks above.
             self._gate.release()
+            return
+        thread = threading.Thread(
+            target=self._evaluate_and_release,
+            name="repro-reselect", daemon=True)
+        self._thread = thread
+        thread.start()
 
     def evaluate(self, force: bool = False) -> ReselectionUpdate | None:
         """Run one evaluation now (blocking).  ``force`` skips the
@@ -442,8 +516,10 @@ class ReselectionController:
         divergence = workload_divergence(
             self.baseline, observed, k=cfg.max_grouped_queries,
             rng=self._rng)
-        self._count("repro_reselect_evaluations_total")
-        self._gauge("repro_reselect_divergence", divergence)
+        if self.obs is not None:
+            m = self.obs.metrics
+            m.counter("repro_reselect_evaluations_total").inc()
+            m.gauge("repro_reselect_divergence").set(divergence)
         if not force and divergence < cfg.drift_threshold:
             return None
 
@@ -458,7 +534,6 @@ class ReselectionController:
         candidate_names = tuple(instance.name_of(j) for j in warm.selected)
         improvement = ((incumbent_cost - candidate_cost) / incumbent_cost
                        if incumbent_cost > 0 else 0.0)
-        advisory = self._partial_advisory(observed)
 
         common = dict(
             epoch=self.epoch,
@@ -470,7 +545,6 @@ class ReselectionController:
             candidate=candidate_names,
             candidate_cost=candidate_cost,
             improvement=improvement,
-            partial_advisory=advisory,
             storage_used=warm.storage,
             budget=self.budget,
             solver=warm.solver,
@@ -541,28 +615,6 @@ class ReselectionController:
                             built=tuple(to_build),
                             retired=tuple(to_retire))
 
-    # -- advisory partial pricing ------------------------------------------
-
-    def _partial_advisory(self, observed: Workload) -> tuple[str, ...]:
-        """Which partial replicas the solver would pick if they were
-        installable — priced against the observed workload alongside
-        the full candidates, reported but never built."""
-        if not self.partial_replicas:
-            return ()
-        cost_model = getattr(self.store, "cost_model", None)
-        if cost_model is None:
-            return ()
-        try:
-            instance = partial_selection_instance(
-                cost_model, observed, self.advisor.candidates,
-                list(self.partial_replicas), self.budget)
-            picked = local_search_select(instance)
-        except ValueError:
-            return ()
-        return tuple(n for n in (instance.name_of(j)
-                                 for j in picked.selected)
-                     if n.endswith("@partial"))
-
     # -- audit -------------------------------------------------------------
 
     def _decide(self, action: str, reason: str | None, common: dict,
@@ -570,23 +622,8 @@ class ReselectionController:
                 retired: tuple[str, ...] = ()) -> ReselectionUpdate:
         update = ReselectionUpdate(action=action, reason=reason,
                                    built=built, retired=retired, **common)
-        self.audit_log.append(update)
-        if self.timeseries is not None:
-            self.timeseries.append("reselection", update.to_dict())
-        if action == "applied":
-            self._count("repro_reselect_applied_total")
-        elif action == "rejected":
-            self._count("repro_reselect_rejected_total")
-        return update
+        return self.audit_log.append(update, _DECISION_COUNTERS.get(action))
 
     def audit_dicts(self) -> list[dict]:
         """The in-memory audit trail as JSON-safe data."""
-        return [u.to_dict() for u in self.audit_log]
-
-    def _count(self, name: str) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter(name).inc()
-
-    def _gauge(self, name: str, value: float) -> None:
-        if self.obs is not None:
-            self.obs.metrics.gauge(name).set(value)
+        return self.audit_log.dicts()

@@ -24,10 +24,11 @@ Everything round-trips bit-exactly.
 
 Two container versions share the column-block wire format:
 
-- **v1** (the original): magic, version byte, varint record count, then
-  the nine column blocks back to back.  Decoding is necessarily
-  sequential — block boundaries are only discovered by decoding.
-- **v2** (default): between the record count and the blocks sit a
+- **v1** (the original, read-only now): magic, version byte, varint
+  record count, then the nine column blocks back to back.  Decoding is
+  necessarily sequential — block boundaries are only discovered by
+  decoding.
+- **v2** (what :func:`encode_columns` writes): between the record count and the blocks sit a
   **zone map** (per-column min/max as little-endian float64, NaN when
   empty/unknown) and a **column directory** (nine varint block byte
   lengths).  The zone map lets the query engine prune partitions the
@@ -61,7 +62,6 @@ from repro.encoding.varint import (
 _MAGIC = b"BCOL"
 _VERSION_V1 = 1
 _VERSION_V2 = 2
-_DEFAULT_VERSION = _VERSION_V2
 
 # Column block kinds.
 _KIND_SVARINT_DELTA = 0  # zigzag varint of numeric deltas (int columns)
@@ -299,24 +299,16 @@ def _zone_map(dataset: Dataset) -> np.ndarray:
     return zones
 
 
-def encode_columns(dataset: Dataset, version: int = _DEFAULT_VERSION) -> bytes:
-    """Serialize a dataset in column-major order with per-column encodings.
-
-    Writes the v2 container (zone map + column directory) by default;
-    ``version=1`` emits the original sequential layout, kept for
-    compatibility tests against stores written before the directory
-    existed.  Column-block bytes are identical across versions.
+def encode_columns(dataset: Dataset) -> bytes:
+    """Serialize a dataset in column-major order with per-column
+    encodings, in the v2 container (zone map + column directory).
+    The v1 layout is read-only: :class:`ColumnarBlob` still decodes
+    stores written before the directory existed.
     """
-    if version not in (_VERSION_V1, _VERSION_V2):
-        raise ValueError(f"unsupported columnar blob version {version}")
     out = bytearray()
     out += _MAGIC
-    out.append(version)
+    out.append(_VERSION_V2)
     encode_uvarint(len(dataset), out)
-    if version == _VERSION_V1:
-        for f in FIELDS:
-            _encode_column(f.name, dataset.column(f.name), out)
-        return bytes(out)
     body = bytearray()
     lengths = []
     for f in FIELDS:

@@ -19,9 +19,8 @@ CLI) can catch them without import cycles:
 - :class:`SnapshotMergeError` — two per-process metric snapshots could
   not be merged (mismatched histogram bounds or sketch resolution).
 
-The historical homes (``repro.storage.faults``, ``repro.storage.engine``)
-re-export their classes from here, so existing ``except`` clauses keep
-working unchanged.
+Import them from here, from ``repro`` or (the storage ones) from
+``repro.storage``; the modules that raise them no longer re-export them.
 """
 
 from __future__ import annotations

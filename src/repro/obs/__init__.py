@@ -159,7 +159,7 @@ class Observability:
     def attach_reselector(self, controller):
         """Attach a reselection controller (duck-typed: ``observe`` +
         ``maybe_reselect``).  The engine then feeds served queries into
-        it and offers it a shot after every served call."""
+        it and offers it one shot per served call."""
         self.reselector = controller
         return controller
 
@@ -169,13 +169,12 @@ class Observability:
         if self.reselector is not None:
             self.reselector.observe(query)
 
-    def maybe_reselect(self):
+    def maybe_reselect(self) -> None:
         """Engine hook: give the reselection controller (when attached)
-        a chance to act on accumulated workload drift.  No-op without
-        one."""
-        if self.reselector is None:
-            return None
-        return self.reselector.maybe_reselect()
+        a chance to act on accumulated workload drift — it evaluates on
+        its own thread, so this returns at once.  No-op without one."""
+        if self.reselector is not None:
+            self.reselector.maybe_reselect()
 
     def maybe_recalibrate(self, replica_name: str,
                           encoding_name: str) -> "CalibrationUpdate | None":

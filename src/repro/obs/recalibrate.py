@@ -23,8 +23,8 @@ stale; this module acts on the flag instead of waiting for a human:
    recalibration may not move a constant by more than ``x``-fold), and
    a dry-run mode that audits what *would* change without applying it.
 
-Every decision — applied, rejected, or dry-run — lands in an in-memory
-audit log, in the ``repro_recalib_applied_total`` /
+Every decision — applied, rejected, or dry-run — lands in a bounded
+in-memory :class:`~repro.obs.audit.AuditTrail`, in the ``repro_recalib_applied_total`` /
 ``repro_recalib_rejected_total`` counters, and (when a
 :class:`~repro.obs.timeseries.TimeseriesStore` is attached) in the
 on-disk history as a ``"calibration"`` entry, so the full trail
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 from repro.costmodel.calibrate import MeasurementPoint, fit_cost_params
 from repro.costmodel.model import CostModel, EncodingCostParams
+from repro.obs.audit import AuditTrail
 
 __all__ = ["CalibrationUpdate", "Recalibrator"]
 
@@ -144,8 +145,8 @@ class Recalibrator:
         self.max_step_factor = max_step_factor
         self.dry_run = bool(dry_run)
         self.metrics = metrics
-        self.timeseries = timeseries
-        self.audit_log: list[CalibrationUpdate] = []
+        self.audit_log = AuditTrail("calibration", timeseries=timeseries,
+                                    metrics=metrics)
         self._cooldown_until: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -263,8 +264,8 @@ class Recalibrator:
             # obsolete now; drop them so the flag clears immediately and
             # the fresh window judges the corrected constants.
             self.drift.clear_replica(replica_name)
-            self._count("repro_recalib_applied_total")
-        return self._audit(update)
+        return self.audit_log.append(
+            update, None if self.dry_run else "repro_recalib_applied_total")
 
     def _clamp(self, old: EncodingCostParams,
                proposed: EncodingCostParams
@@ -289,8 +290,7 @@ class Recalibrator:
         # Cooldown: don't retry until min_samples fresh pairs arrive.
         self._cooldown_until[replica_name] = (
             self.drift.recorded + self.min_samples)
-        self._count("repro_recalib_rejected_total")
-        return self._audit(CalibrationUpdate(
+        return self.audit_log.append(CalibrationUpdate(
             replica=replica_name,
             encoding=encoding_name,
             action="rejected",
@@ -303,19 +303,8 @@ class Recalibrator:
             n_samples=n_samples,
             r_squared=None,
             clamped=False,
-        ))
-
-    def _audit(self, update: CalibrationUpdate) -> CalibrationUpdate:
-        self.audit_log.append(update)
-        if self.timeseries is not None:
-            self.timeseries.append("calibration", update.to_dict())
-        return update
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+        ), "repro_recalib_rejected_total")
 
     def audit_dicts(self) -> list[dict]:
         """The in-memory audit trail as JSON-safe data."""
-        with self._lock:
-            return [u.to_dict() for u in self.audit_log]
+        return self.audit_log.dicts()

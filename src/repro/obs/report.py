@@ -21,18 +21,149 @@ telemetry loop in one document:
   firing/resolved audit trail (read from the timeseries store when one
   is attached, the live engine otherwise).
 
-:func:`validate_report` is the schema gate CI runs against
-``repro report --json``; it is hand-rolled (the toolchain carries no
-jsonschema dependency) and intentionally strict about section presence
-and types, loose about additive extension.
+:data:`REPORT_SCHEMA` is the one definition of the document: section →
+field → kind, and for counter-backed fields the metric (and label) the
+field folds.  :func:`build_report` fills every counter-backed field
+from it and :func:`validate_report` — the schema gate CI runs against
+``repro report --json`` — checks every field and audit entry against
+it (the toolchain carries no jsonschema dependency): strict about
+section presence and types, loose about additive extension.
 """
 
 from __future__ import annotations
 
-__all__ = ["REPORT_SCHEMA_VERSION", "build_report", "render_report_text",
-           "validate_report"]
+from typing import NamedTuple
+
+__all__ = ["REPORT_SCHEMA", "REPORT_SCHEMA_VERSION", "build_report",
+           "render_report_text", "validate_report"]
 
 REPORT_SCHEMA_VERSION = 4
+
+
+class _Entries(NamedTuple):
+    """A list (or, with ``container=dict``, a mapping's values) of
+    mappings.  Untagged, every entry has the fields of ``shape``;
+    tagged, ``shape`` maps each allowed value of the entry's ``tag``
+    field to the fields that variant carries."""
+
+    shape: dict
+    tag: str | None = None
+    container: type = list
+
+
+# Leaf kinds.  A counter-backed field is spelled by what it folds: a
+# metric name (summed over its label sets: a number) or a ``(metric,
+# label)`` pair (grouped by that label: a dict).  Any other field is
+# the tuple of Python types it admits, ``_PRESENT`` when only the key
+# is required, or (``schema_version``) the one value it must equal.
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+_PRESENT = ()
+
+_CALIBRATION_DECISION = dict.fromkeys(
+    ("replica", "encoding", "old_scan_rate", "old_extra_time", "n_samples"),
+    _PRESENT)
+_CALIBRATION_PROPOSAL = dict(_CALIBRATION_DECISION,
+                             new_scan_rate=_NUMBER, new_extra_time=_NUMBER)
+_RESELECTION_DECISION = dict.fromkeys(
+    ("epoch", "divergence", "incumbent", "candidate", "improvement",
+     "built", "retired"), _PRESENT)
+_SLO_TRANSITION = {"tenant": _PRESENT, "objective": _PRESENT}
+
+REPORT_SCHEMA: dict = {
+    "schema_version": REPORT_SCHEMA_VERSION,
+    "queries": {
+        "workloads": "repro_workloads_total",
+        "by_path": ("repro_queries_total", "path"),
+        "by_replica": ("repro_queries_by_replica_total", "replica"),
+        "bytes_read": "repro_bytes_read_total",
+        "records_scanned": "repro_records_scanned_total",
+    },
+    "scan": {
+        "partitions_pruned": "repro_partitions_pruned_total",
+        "columns_skipped": "repro_columns_skipped_total",
+        "count_metadata_partitions": "repro_count_metadata_partitions_total",
+        "columns_decoded_by_kind": ("repro_columns_decoded_total", "kind"),
+    },
+    "cache": {
+        "hits": "repro_cache_hits_total",
+        "misses": "repro_cache_misses_total",
+        "hit_rate": _OPTIONAL_NUMBER,
+        "evictions": "repro_cache_evictions_total",
+        "invalidations": "repro_cache_invalidations_total",
+    },
+    "degradation": {
+        "retries": "repro_retries_total",
+        "failovers": "repro_failovers_total",
+        "repairs": "repro_repairs_total",
+        "faults_injected": "repro_faults_injected_total",
+    },
+    "drift": {
+        "replicas": _Entries(dict.fromkeys(
+            ("replica", "samples", "mean_relative_error", "flagged"),
+            _PRESENT)),
+        "flagged": (list,),
+    },
+    "ingest": {
+        "appends": "repro_ingest_appends_total",
+        "records": "repro_ingest_records_total",
+        "compactions_by_mode": ("repro_ingest_compactions_total", "mode"),
+        "compaction_failures": "repro_ingest_compaction_failures_total",
+        "windows_sealed": "repro_ingest_windows_sealed_total",
+        "wal": {
+            "appends": "repro_wal_appends_total",
+            "bytes": "repro_wal_bytes_total",
+            "torn_tails": "repro_wal_torn_tails_total",
+            "replayed_batches": "repro_wal_replayed_batches_total",
+            "snapshots": "repro_wal_snapshots_total",
+        },
+        "anti_entropy": {
+            "sweeps": "repro_antientropy_sweeps_total",
+            "windows": "repro_antientropy_windows_total",
+            "failures": "repro_antientropy_failures_total",
+        },
+    },
+    "recalibration": {
+        "applied": "repro_recalib_applied_total",
+        "rejected": "repro_recalib_rejected_total",
+        "audit": _Entries({"applied": _CALIBRATION_PROPOSAL,
+                           "dry-run": _CALIBRATION_PROPOSAL,
+                           "rejected": _CALIBRATION_DECISION}, tag="action"),
+    },
+    "reselection": {
+        "evaluations": "repro_reselect_evaluations_total",
+        "applied": "repro_reselect_applied_total",
+        "rejected": "repro_reselect_rejected_total",
+        "replica_changes_by_op": ("repro_replica_changes_total", "op"),
+        "audit": _Entries(dict.fromkeys(
+            ("applied", "rejected", "dry-run", "skipped"),
+            _RESELECTION_DECISION), tag="action"),
+    },
+    "slo": {
+        "objectives": (list,),
+        "evaluations": "repro_slo_evaluations_total",
+        "alerts": "repro_slo_alerts_total",
+        "firing": (list,),
+        "status": _Entries({
+            "tenant": _PRESENT, "objective": _PRESENT, "firing": _PRESENT,
+            "windows": _Entries(dict.fromkeys(
+                ("seconds", "max_burn", "events", "bad_fraction",
+                 "burn_rate"), _NUMBER)),
+        }),
+        "audit": _Entries({"firing": _SLO_TRANSITION,
+                           "resolved": _SLO_TRANSITION}, tag="action"),
+    },
+    "trends": {
+        "snapshots": (int,),
+        "counters": _Entries(dict.fromkeys(("first", "last", "delta"),
+                                           _NUMBER), container=dict),
+    },
+    "history": {
+        "attached": (bool,),
+        "entries": (int,),
+        "last_seq": (int,),
+    },
+}
 
 
 def _counter_total(metrics_snapshot: dict, name: str) -> float:
@@ -78,6 +209,31 @@ def _trends(snapshots: list[dict]) -> dict:
     }
 
 
+def _folds(spec) -> tuple | None:
+    """``(metric, label)`` when ``spec`` is a counter-backed leaf
+    (``label`` None: summed over its label sets), else None."""
+    if isinstance(spec, str):
+        return spec, None
+    if type(spec) is tuple and spec and isinstance(spec[0], str):
+        return spec
+    return None
+
+
+def _fold_counters(fields: dict, metrics_snapshot: dict) -> dict:
+    """The counter-backed fields of one :data:`REPORT_SCHEMA` section
+    (and its nested sections), folded from a registry snapshot."""
+    out: dict = {}
+    for name, spec in fields.items():
+        if isinstance(spec, dict):
+            out[name] = _fold_counters(spec, metrics_snapshot)
+        elif _folds(spec):
+            metric, label = _folds(spec)
+            out[name] = (_counter_total(metrics_snapshot, metric)
+                         if label is None else
+                         _counter_by_label(metrics_snapshot, metric, label))
+    return out
+
+
 def build_report(obs, timeseries=None, recalibrator=None,
                  reselector=None, slo=None) -> dict:
     """Assemble the operational report from whatever is attached.
@@ -87,13 +243,18 @@ def build_report(obs, timeseries=None, recalibrator=None,
     :class:`~repro.obs.slo.SLOEngine` are optional — absent layers
     produce empty-but-present sections, so the schema is stable.
     """
-    metrics = obs.metrics.snapshot()
+    report = _fold_counters(REPORT_SCHEMA, obs.metrics.snapshot())
+    report["schema_version"] = REPORT_SCHEMA_VERSION
 
-    hits = _counter_total(metrics, "repro_cache_hits_total")
-    misses = _counter_total(metrics, "repro_cache_misses_total")
-    lookups = hits + misses
+    cache = report["cache"]
+    lookups = cache["hits"] + cache["misses"]
+    cache["hit_rate"] = cache["hits"] / lookups if lookups else None
 
     drift_snapshot = obs.drift.snapshot()
+    report["drift"] = {
+        "replicas": drift_snapshot,
+        "flagged": [d["replica"] for d in drift_snapshot if d["flagged"]],
+    }
 
     if reselector is None:
         reselector = getattr(obs, "reselector", None)
@@ -106,7 +267,7 @@ def build_report(obs, timeseries=None, recalibrator=None,
         slo_audit = [dict(e["data"], seq=e["seq"])
                      for e in timeseries.entries("slo")]
         snapshots = timeseries.entries("snapshot")
-        history = {
+        report["history"] = {
             "attached": True,
             "path": timeseries.path,
             "entries": len(timeseries),
@@ -119,113 +280,20 @@ def build_report(obs, timeseries=None, recalibrator=None,
                           and hasattr(reselector, "audit_dicts") else [])
         slo_audit = slo.audit_dicts() if slo is not None else []
         snapshots = []
-        history = {"attached": False, "path": None, "entries": 0,
-                   "last_seq": 0}
+        report["history"] = {"attached": False, "path": None, "entries": 0,
+                             "last_seq": 0}
 
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "queries": {
-            "workloads": _counter_total(metrics, "repro_workloads_total"),
-            "by_path": _counter_by_label(metrics, "repro_queries_total",
-                                         "path"),
-            "by_replica": _counter_by_label(
-                metrics, "repro_queries_by_replica_total", "replica"),
-            "bytes_read": _counter_total(metrics, "repro_bytes_read_total"),
-            "records_scanned": _counter_total(
-                metrics, "repro_records_scanned_total"),
-        },
-        "scan": {
-            "partitions_pruned": _counter_total(
-                metrics, "repro_partitions_pruned_total"),
-            "columns_skipped": _counter_total(
-                metrics, "repro_columns_skipped_total"),
-            "count_metadata_partitions": _counter_total(
-                metrics, "repro_count_metadata_partitions_total"),
-            "columns_decoded_by_kind": _counter_by_label(
-                metrics, "repro_columns_decoded_total", "kind"),
-        },
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else None,
-            "evictions": _counter_total(metrics,
-                                        "repro_cache_evictions_total"),
-            "invalidations": _counter_total(
-                metrics, "repro_cache_invalidations_total"),
-        },
-        "degradation": {
-            "retries": _counter_total(metrics, "repro_retries_total"),
-            "failovers": _counter_total(metrics, "repro_failovers_total"),
-            "repairs": _counter_total(metrics, "repro_repairs_total"),
-            "faults_injected": _counter_total(
-                metrics, "repro_faults_injected_total"),
-        },
-        "drift": {
-            "replicas": drift_snapshot,
-            "flagged": [d["replica"] for d in drift_snapshot if d["flagged"]],
-        },
-        "ingest": {
-            "appends": _counter_total(metrics,
-                                      "repro_ingest_appends_total"),
-            "records": _counter_total(metrics,
-                                      "repro_ingest_records_total"),
-            "compactions_by_mode": _counter_by_label(
-                metrics, "repro_ingest_compactions_total", "mode"),
-            "compaction_failures": _counter_total(
-                metrics, "repro_ingest_compaction_failures_total"),
-            "windows_sealed": _counter_total(
-                metrics, "repro_ingest_windows_sealed_total"),
-            "wal": {
-                "appends": _counter_total(metrics, "repro_wal_appends_total"),
-                "bytes": _counter_total(metrics, "repro_wal_bytes_total"),
-                "torn_tails": _counter_total(
-                    metrics, "repro_wal_torn_tails_total"),
-                "replayed_batches": _counter_total(
-                    metrics, "repro_wal_replayed_batches_total"),
-                "snapshots": _counter_total(
-                    metrics, "repro_wal_snapshots_total"),
-            },
-            "anti_entropy": {
-                "sweeps": _counter_total(
-                    metrics, "repro_antientropy_sweeps_total"),
-                "windows": _counter_total(
-                    metrics, "repro_antientropy_windows_total"),
-                "failures": _counter_total(
-                    metrics, "repro_antientropy_failures_total"),
-            },
-        },
-        "recalibration": {
-            "applied": _counter_total(metrics,
-                                      "repro_recalib_applied_total"),
-            "rejected": _counter_total(metrics,
-                                       "repro_recalib_rejected_total"),
-            "audit": audit,
-        },
-        "reselection": {
-            "evaluations": _counter_total(
-                metrics, "repro_reselect_evaluations_total"),
-            "applied": _counter_total(metrics,
-                                      "repro_reselect_applied_total"),
-            "rejected": _counter_total(metrics,
-                                       "repro_reselect_rejected_total"),
-            "replica_changes_by_op": _counter_by_label(
-                metrics, "repro_replica_changes_total", "op"),
-            "audit": reselect_audit,
-        },
-        "slo": {
-            "objectives": slo.objective_dicts() if slo is not None else [],
-            "evaluations": _counter_total(metrics,
-                                          "repro_slo_evaluations_total"),
-            "alerts": _counter_total(metrics, "repro_slo_alerts_total"),
-            "firing": ([{"tenant": t, "objective": o}
-                        for t, o in slo.firing]
-                       if slo is not None else []),
-            "status": slo.status_dicts() if slo is not None else [],
-            "audit": slo_audit,
-        },
-        "trends": _trends(snapshots),
-        "history": history,
-    }
+    report["recalibration"]["audit"] = audit
+    report["reselection"]["audit"] = reselect_audit
+    report["slo"].update(
+        objectives=slo.objective_dicts() if slo is not None else [],
+        firing=([{"tenant": t, "objective": o} for t, o in slo.firing]
+                if slo is not None else []),
+        status=slo.status_dicts() if slo is not None else [],
+        audit=slo_audit,
+    )
+    report["trends"] = _trends(snapshots)
+    return report
 
 
 def render_report_text(report: dict) -> str:
@@ -344,10 +412,6 @@ def render_report_text(report: dict) -> str:
                     f"div={entry['divergence']:.3f}"
                     + (f" — {entry['reason']}" if entry.get("reason")
                        else ""))
-            if entry.get("partial_advisory"):
-                lines.append(
-                    f"      partial advisory: "
-                    f"{list(entry['partial_advisory'])}")
 
     slo = report.get("slo")
     if slo is not None and (slo["objectives"] or slo["audit"]):
@@ -391,133 +455,45 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"invalid report: {message}")
 
 
+def _check(value, spec, path: str) -> None:
+    """Walk ``value`` against one :data:`REPORT_SCHEMA` node; every
+    failure names the offending field by its dotted ``path``."""
+    if isinstance(spec, dict):
+        _require(isinstance(value, dict), f"missing section {path!r}")
+        for name, sub in spec.items():
+            if sub == _PRESENT:
+                _require(name in value, f"{path} missing {name!r}")
+            else:
+                _check(value.get(name), sub, f"{path}.{name}")
+    elif isinstance(spec, _Entries):
+        _require(isinstance(value, spec.container),
+                 f"{path} must be a {spec.container.__name__}")
+        items = (value.items() if spec.container is dict
+                 else enumerate(value))
+        for key, entry in items:
+            where = f"{path}[{key!r}]"
+            _require(isinstance(entry, dict), f"{where} must be a mapping")
+            shape = spec.shape
+            if spec.tag is not None:
+                tag = entry.get(spec.tag)
+                _require(isinstance(tag, str) and tag in shape,
+                         f"{where} {spec.tag} {tag!r}")
+                shape = shape[tag]
+            _check(entry, shape, where)
+    elif isinstance(spec, int):
+        _require(value == spec, f"{path} != {spec}")
+    else:
+        folded = _folds(spec)
+        types = (spec if folded is None
+                 else _NUMBER if folded[1] is None else (dict,))
+        _require(isinstance(value, types), f"{path} must be of type "
+                 + " | ".join(t.__name__ for t in types))
+
+
 def validate_report(report: dict) -> None:
-    """Raise ``ValueError`` unless ``report`` matches the operational
-    report schema (version, section presence, field types).  Additive
-    extra keys are allowed; missing or mistyped required ones are not.
+    """Raise ``ValueError`` unless ``report`` matches
+    :data:`REPORT_SCHEMA` (version, section presence, field types, audit
+    entry shapes).  Additive extra keys are allowed; missing or mistyped
+    required ones are not.
     """
-    _require(isinstance(report, dict), "not a mapping")
-    _require(report.get("schema_version") == REPORT_SCHEMA_VERSION,
-             f"schema_version != {REPORT_SCHEMA_VERSION}")
-    for section in ("queries", "scan", "cache", "degradation", "drift",
-                    "ingest", "recalibration", "reselection", "slo",
-                    "trends", "history"):
-        _require(isinstance(report.get(section), dict),
-                 f"missing section {section!r}")
-
-    q = report["queries"]
-    for field in ("workloads", "bytes_read", "records_scanned"):
-        _require(isinstance(q.get(field), (int, float)),
-                 f"queries.{field} must be numeric")
-    _require(isinstance(q.get("by_path"), dict), "queries.by_path")
-    _require(isinstance(q.get("by_replica"), dict), "queries.by_replica")
-
-    sc = report["scan"]
-    for field in ("partitions_pruned", "columns_skipped",
-                  "count_metadata_partitions"):
-        _require(isinstance(sc.get(field), (int, float)),
-                 f"scan.{field} must be numeric")
-    _require(isinstance(sc.get("columns_decoded_by_kind"), dict),
-             "scan.columns_decoded_by_kind")
-
-    c = report["cache"]
-    for field in ("hits", "misses", "evictions", "invalidations"):
-        _require(isinstance(c.get(field), (int, float)),
-                 f"cache.{field} must be numeric")
-    _require(c.get("hit_rate") is None
-             or isinstance(c["hit_rate"], (int, float)), "cache.hit_rate")
-
-    d = report["degradation"]
-    for field in ("retries", "failovers", "repairs", "faults_injected"):
-        _require(isinstance(d.get(field), (int, float)),
-                 f"degradation.{field} must be numeric")
-
-    drift = report["drift"]
-    _require(isinstance(drift.get("replicas"), list), "drift.replicas")
-    _require(isinstance(drift.get("flagged"), list), "drift.flagged")
-    for s in drift["replicas"]:
-        for field in ("replica", "samples", "mean_relative_error",
-                      "flagged"):
-            _require(field in s, f"drift entry missing {field!r}")
-
-    ing = report["ingest"]
-    for field in ("appends", "records", "compaction_failures",
-                  "windows_sealed"):
-        _require(isinstance(ing.get(field), (int, float)),
-                 f"ingest.{field} must be numeric")
-    _require(isinstance(ing.get("compactions_by_mode"), dict),
-             "ingest.compactions_by_mode")
-    for sub, fields in (("wal", ("appends", "bytes", "torn_tails",
-                                 "replayed_batches", "snapshots")),
-                        ("anti_entropy", ("sweeps", "windows", "failures"))):
-        _require(isinstance(ing.get(sub), dict), f"ingest.{sub}")
-        for field in fields:
-            _require(isinstance(ing[sub].get(field), (int, float)),
-                     f"ingest.{sub}.{field} must be numeric")
-
-    r = report["recalibration"]
-    for field in ("applied", "rejected"):
-        _require(isinstance(r.get(field), (int, float)),
-                 f"recalibration.{field} must be numeric")
-    _require(isinstance(r.get("audit"), list), "recalibration.audit")
-    for entry in r["audit"]:
-        _require(entry.get("action") in ("applied", "rejected", "dry-run"),
-                 f"audit action {entry.get('action')!r}")
-        for field in ("replica", "encoding", "old_scan_rate",
-                      "old_extra_time", "n_samples"):
-            _require(field in entry, f"audit entry missing {field!r}")
-        if entry["action"] != "rejected":
-            _require(isinstance(entry.get("new_scan_rate"), (int, float)),
-                     "applied/dry-run audit entry needs new_scan_rate")
-            _require(isinstance(entry.get("new_extra_time"), (int, float)),
-                     "applied/dry-run audit entry needs new_extra_time")
-
-    rs = report["reselection"]
-    for field in ("evaluations", "applied", "rejected"):
-        _require(isinstance(rs.get(field), (int, float)),
-                 f"reselection.{field} must be numeric")
-    _require(isinstance(rs.get("replica_changes_by_op"), dict),
-             "reselection.replica_changes_by_op")
-    _require(isinstance(rs.get("audit"), list), "reselection.audit")
-    for entry in rs["audit"]:
-        _require(entry.get("action") in ("applied", "rejected", "dry-run",
-                                         "skipped"),
-                 f"reselection audit action {entry.get('action')!r}")
-        for field in ("epoch", "divergence", "incumbent", "candidate",
-                      "improvement", "built", "retired"):
-            _require(field in entry,
-                     f"reselection audit entry missing {field!r}")
-
-    slo = report["slo"]
-    for field in ("evaluations", "alerts"):
-        _require(isinstance(slo.get(field), (int, float)),
-                 f"slo.{field} must be numeric")
-    for field in ("objectives", "firing", "status", "audit"):
-        _require(isinstance(slo.get(field), list), f"slo.{field}")
-    for entry in slo["audit"]:
-        _require(entry.get("action") in ("firing", "resolved"),
-                 f"slo audit action {entry.get('action')!r}")
-        for field in ("tenant", "objective"):
-            _require(field in entry, f"slo audit entry missing {field!r}")
-    for status in slo["status"]:
-        for field in ("tenant", "objective", "windows", "firing"):
-            _require(field in status, f"slo status missing {field!r}")
-        _require(isinstance(status["windows"], list), "slo status windows")
-        for window in status["windows"]:
-            for field in ("seconds", "max_burn", "events", "bad_fraction",
-                          "burn_rate"):
-                _require(isinstance(window.get(field), (int, float)),
-                         f"slo window {field} must be numeric")
-
-    t = report["trends"]
-    _require(isinstance(t.get("snapshots"), int), "trends.snapshots")
-    _require(isinstance(t.get("counters"), dict), "trends.counters")
-    for name, tr in t["counters"].items():
-        for field in ("first", "last", "delta"):
-            _require(isinstance(tr.get(field), (int, float)),
-                     f"trends.counters[{name!r}].{field}")
-
-    h = report["history"]
-    _require(isinstance(h.get("attached"), bool), "history.attached")
-    _require(isinstance(h.get("entries"), int), "history.entries")
-    _require(isinstance(h.get("last_seq"), int), "history.last_seq")
+    _check(report, REPORT_SCHEMA, "report")

@@ -58,9 +58,6 @@ class ReselectionUpdate:
     improvement: float
     built: tuple[str, ...]
     retired: tuple[str, ...]
-    #: Partial replicas the pricing pass would have picked (advisory —
-    #: partials are never physically installed, see ``docs/adaptivity.md``).
-    partial_advisory: tuple[str, ...]
     storage_used: float
     budget: float
     solver: str
@@ -85,7 +82,6 @@ class ReselectionUpdate:
             "improvement": self.improvement,
             "built": list(self.built),
             "retired": list(self.retired),
-            "partial_advisory": list(self.partial_advisory),
             "storage_used": self.storage_used,
             "budget": self.budget,
             "solver": self.solver,

@@ -25,6 +25,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 
+from repro.obs.audit import AUDIT_CAPACITY, AuditTrail
+
 __all__ = [
     "BurnWindow",
     "DEFAULT_WINDOWS",
@@ -179,7 +181,8 @@ class SLOEngine:
     def __init__(self, objectives, windows: tuple[BurnWindow, ...]
                  = DEFAULT_WINDOWS, clock=time.monotonic,
                  metrics=None, timeseries=None, min_events: int = 10,
-                 capacity: int = 65536, audit_capacity: int = 256):
+                 capacity: int = 65536,
+                 audit_capacity: int = AUDIT_CAPACITY):
         self.objectives = tuple(objectives)
         if not self.objectives:
             raise ValueError("SLOEngine needs at least one objective")
@@ -187,11 +190,11 @@ class SLOEngine:
         self.min_events = int(min_events)
         self._clock = clock
         self._metrics = metrics
-        self._timeseries = timeseries
         self._events: dict[str, deque[_Event]] = {}
         self._capacity = int(capacity)
         self._firing: set[tuple[str, str]] = set()
-        self._audit: deque[dict] = deque(maxlen=int(audit_capacity))
+        self._audit = AuditTrail("slo", capacity=audit_capacity,
+                                 timeseries=timeseries, metrics=metrics)
         self._last_statuses: tuple[SLOStatus, ...] = ()
         self._lock = threading.Lock()
 
@@ -284,14 +287,9 @@ class SLOEngine:
                  "target": status.objective.target,
                  "burn_rates": [w["burn_rate"] for w in status.windows],
                  "t": now}
-        self._audit.append(entry)
-        if action == "firing" and self._metrics is not None:
-            self._metrics.counter(
-                "repro_slo_alerts_total",
-                labels={"tenant": status.tenant,
-                        "objective": status.objective.name}).inc()
-        if self._timeseries is not None:
-            self._timeseries.append("slo", entry)
+        self._audit.append(
+            entry, "repro_slo_alerts_total" if action == "firing" else None,
+            {"tenant": status.tenant, "objective": status.objective.name})
 
     # -- inspection --------------------------------------------------------
 
@@ -309,8 +307,7 @@ class SLOEngine:
         return [s.to_dict() for s in statuses]
 
     def audit_dicts(self) -> list[dict]:
-        with self._lock:
-            return [dict(e) for e in self._audit]
+        return self._audit.dicts()
 
     def objective_dicts(self) -> list[dict]:
         return [o.to_dict() for o in self.objectives]

@@ -1,5 +1,11 @@
 """The BLOT storage engine: storage units, replicas, query processing."""
 
+from repro.errors import (
+    DegradedReadError,
+    InjectedFault,
+    PartitionReadError,
+    ReplicaExists,
+)
 from repro.storage.cache import CacheStats, PartitionCache
 from repro.storage.config import (
     DEFAULT_COST_PARAMS,
@@ -14,22 +20,8 @@ from repro.storage.config import (
     store_config_from_dict,
     store_config_to_dict,
 )
-from repro.storage.engine import (
-    BlotStore,
-    QueryResult,
-    QueryStats,
-    ReplicaExists,
-    WorkloadResult,
-    WorkloadStats,
-    open_store,
-)
-from repro.storage.faults import (
-    DegradedReadError,
-    FaultInjector,
-    FaultStats,
-    InjectedFault,
-    PartitionReadError,
-)
+from repro.storage.engine import BlotStore, open_store
+from repro.storage.faults import FaultInjector, FaultStats
 from repro.storage.options import DEFAULT_EXEC_OPTIONS, ExecOptions
 from repro.storage.manifest import (
     build_manifest,
@@ -38,6 +30,12 @@ from repro.storage.manifest import (
     verify_replica,
 )
 from repro.storage.measure import LocalScanMeasurer
+from repro.storage.reads import (
+    QueryResult,
+    QueryStats,
+    WorkloadResult,
+    WorkloadStats,
+)
 from repro.storage.recovery import (
     RecoveryError,
     rebuild_replica,

@@ -59,22 +59,21 @@ from repro.geometry import Box3
 from repro.obs import Observability
 from repro.obs.trace import NULL_RECORDER
 from repro.partition.base import PartitioningScheme
-from repro.storage.cache import CacheStats, PartitionCache
-from repro.errors import ReplicaExists
-from repro.storage.failover import RankingWalk
-from repro.storage.faults import (
+from repro.errors import (
     DegradedReadError,
-    FaultInjector,
     InjectedFault,
     PartitionReadError,
+    ReplicaExists,
 )
+from repro.storage.cache import CacheStats, PartitionCache
+from repro.storage.failover import RankingWalk
+from repro.storage.faults import FaultInjector
 from repro.storage.options import ExecOptions
-from repro.storage.reads import (  # noqa: F401  (the types' historical home)
+from repro.storage.reads import (
     QueryResult,
     QueryStats,
     ReadRequest,
     ReadSurface,
-    WorkloadResult,
     WorkloadStats,
 )
 from repro.storage.recovery import RecoveryError, repair_partition_any
@@ -1099,8 +1098,8 @@ class BlotStore(ReadSurface):
             stored = self._replicas.get(name)
             if stored is not None:
                 obs.maybe_recalibrate(name, stored.encoding.name)
-            obs.maybe_reselect()
-            obs.maybe_checkpoint()
+        obs.maybe_reselect()
+        obs.maybe_checkpoint()
 
     def _workload_stats(self, served: list[tuple[int, QueryStats]],
                         n_queries: int, plan: RoutingPlan, acct: _Accounting,

@@ -25,7 +25,7 @@ The exceptions forming the failure vocabulary of the engine —
 after retries (injected or real — missing unit, corrupt bytes), and
 :class:`DegradedReadError` when a query exhausted every replica and
 repair could not restore a readable copy — are defined in
-:mod:`repro.errors` and re-exported here for back-compat.
+:mod:`repro.errors`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from repro.errors import (  # noqa: F401  (re-exported: historical home)
-    DegradedReadError,
-    InjectedFault,
-    PartitionReadError,
-)
+from repro.errors import InjectedFault
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,7 +23,7 @@ calibration only ever sees replica scan time.
 
 :meth:`compact` folds the buffer into fresh replicas — the moment at
 which the replica advisor may also be re-consulted (see
-:mod:`repro.core.adaptive`).  With ``background_compaction=True`` the
+:mod:`repro.core.reselect`).  With ``background_compaction=True`` the
 fold runs on a worker thread: replicas are rebuilt *off to the side*
 and the serving set is swapped atomically under a read/write lock, so
 ``append()`` and ``query()`` never block on a rebuild, and a failed
@@ -53,15 +53,15 @@ from repro.encoding.base import EncodingScheme
 from repro.errors import DegradedReadError
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
-from repro.storage.engine import (
-    BlotStore,
+from repro.storage.engine import BlotStore
+from repro.storage.options import ExecOptions
+from repro.storage.reads import (
     QueryResult,
     QueryStats,
     ReadRequest,
     ReadSurface,
     WorkloadStats,
 )
-from repro.storage.options import ExecOptions
 from repro.storage.unit import InMemoryStore
 from repro.storage.wal import WriteAheadLog, wal_state_exists
 
@@ -670,7 +670,7 @@ class IngestingBlotStore(ReadSurface):
     def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
                  batch: bool, replica: str | None = None, plan=None):
         """The single read entry (see
-        :class:`~repro.storage.engine.ReadSurface`), fanned over the
+        :class:`~repro.storage.reads.ReadSurface`), fanned over the
         layers: each sealed window answers the requests whose range
         reaches its time span, the base replicas answer all of them
         (and take the caller's ``plan``), and the delta buffer — a layer

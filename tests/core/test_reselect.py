@@ -4,8 +4,8 @@ The acceptance loop (live engine, physical builds, bit-equal reads
 across the swap) lives in ``tests/storage/test_reselect_loop.py``; this
 file pins the pieces in isolation: the Jensen-Shannon drift signal, the
 warm-started incremental re-solve, and every decision branch of the
-controller (gates, cooldown, dry-run, builder failures, partial
-advisory, history re-anchoring).
+controller (gates, cooldown, dry-run, builder failures, history
+re-anchoring).
 """
 
 import threading
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import (
     AdvisorConfig,
-    PartialReplica,
     ReplicaAdvisor,
     ReselectionConfig,
     ReselectionController,
@@ -29,8 +28,8 @@ from repro.core import (
 from repro.core.problem import SelectionInstance
 from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
+from repro.drills import hotspot_query, positioned_query
 from repro.encoding import encoding_scheme_by_name
-from repro.geometry import Box3
 from repro.obs import Observability, TimeseriesStore, TraceRecorder
 from repro.partition import small_partitioning_schemes
 from repro.workload import GroupedQuery, Query, Workload
@@ -73,32 +72,16 @@ def wide_workload(bb):
     ])
 
 
-def tiny_query(bb, rng):
-    w, h, t = bb.width * 0.02, bb.height * 0.02, bb.duration * 0.02
-    return Query(
-        w, h, t,
-        bb.x_min + bb.width * 0.25 + rng.uniform(-1, 1) * bb.width * 0.05,
-        bb.y_min + bb.height * 0.25 + rng.uniform(-1, 1) * bb.height * 0.05,
-        bb.t_min + bb.duration * 0.25
-        + rng.uniform(-1, 1) * bb.duration * 0.05)
-
-
-def wide_query(bb, rng, frac=0.6):
-    w, h, t = bb.width * frac, bb.height * frac, bb.duration * frac
-    return Query(
-        w, h, t,
-        rng.uniform(bb.x_min + w / 2, bb.x_max - w / 2),
-        rng.uniform(bb.y_min + h / 2, bb.y_max - h / 2),
-        rng.uniform(bb.t_min + t / 2, bb.t_max - t / 2))
+def wide_query(bb, rng):
+    return positioned_query(bb, 0.6, rng)
 
 
 class FakeStore:
     """Just enough store surface for the controller: a named serving
-    set with register/retire and an optional cost model."""
+    set with register/retire."""
 
-    def __init__(self, names, cost_model=None):
+    def __init__(self, names):
         self._names = list(names)
-        self.cost_model = cost_model
         self.registered = []
         self.retired = []
 
@@ -119,16 +102,14 @@ def fake_build(name):
 
 
 def make_controller(ds, advisor, *, copies=3, build=fake_build,
-                    config=None, obs=None, timeseries=None,
-                    partials=(), cost_model=None):
+                    config=None, obs=None, timeseries=None):
     bb = ds.bounding_box()
     baseline = wide_workload(bb)
     budget = advisor.single_replica_budget(baseline, copies=copies)
     initial = advisor.recommend(baseline, budget, method="local-search")
-    store = FakeStore(initial.replica_names, cost_model=cost_model)
+    store = FakeStore(initial.replica_names)
     controller = ReselectionController(
         store, advisor, budget, baseline, build=build,
-        partial_replicas=partials,
         config=config or ReselectionConfig(min_queries=8),
         obs=obs, timeseries=timeseries, rng=np.random.default_rng(0))
     return controller, store, bb
@@ -279,7 +260,7 @@ class TestHistoryMining:
             ds, advisor, copies=1, obs=obs, timeseries=ts)
         rng = np.random.default_rng(4)
         for _ in range(16):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "applied"
         anchored = baseline_from_history(ts)
@@ -301,8 +282,9 @@ class TestControllerGates:
         controller, _, bb = make_controller(ds, advisor, obs=obs)
         rng = np.random.default_rng(0)
         for _ in range(7):
-            controller.observe(tiny_query(bb, rng))
-            assert controller.maybe_reselect() is None
+            controller.observe(hotspot_query(bb, rng))
+            controller.maybe_reselect()
+        controller.wait()
         assert obs.metrics.counter(
             "repro_reselect_evaluations_total").value == 0
 
@@ -314,14 +296,17 @@ class TestControllerGates:
         for _ in range(8):
             controller.observe(wide_query(bb, rng))
         controller.maybe_reselect()
+        controller.wait()
         assert evals.value == 1
         # The next min_queries - 1 offers are counter checks only.
         for _ in range(7):
             controller.maybe_reselect()
+            controller.wait()
             assert evals.value == 1
         for _ in range(8):
             controller.observe(wide_query(bb, rng))
         controller.maybe_reselect()
+        controller.wait()
         assert evals.value == 2
 
     def test_below_threshold_is_silent(self, ds, advisor):
@@ -332,8 +317,9 @@ class TestControllerGates:
         rng = np.random.default_rng(1)
         for _ in range(8):
             controller.observe(wide_query(bb, rng))
-        assert controller.maybe_reselect() is None
-        assert controller.audit_log == []
+        controller.maybe_reselect()
+        controller.wait()
+        assert len(controller.audit_log) == 0
         assert obs.metrics.counter(
             "repro_reselect_evaluations_total").value == 1
         assert store.registered == [] and store.retired == []
@@ -344,7 +330,7 @@ class TestControllerGates:
             config=ReselectionConfig(min_queries=8, min_improvement=0.99))
         rng = np.random.default_rng(2)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "rejected"
         assert "below minimum" in update.reason
@@ -369,7 +355,7 @@ class TestControllerGates:
         before = store.replica_names()
         rng = np.random.default_rng(4)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "dry-run"
         assert update.built and update.retired
@@ -381,7 +367,7 @@ class TestControllerGates:
             ds, advisor, copies=1, build=None)
         rng = np.random.default_rng(5)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "rejected"
         assert "no replica builder" in update.reason
@@ -395,7 +381,7 @@ class TestControllerGates:
             ds, advisor, copies=1, build=broken)
         rng = np.random.default_rng(6)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "rejected"
         assert "failed" in update.reason and "disk full" in update.reason
@@ -410,7 +396,7 @@ class TestControllerApply:
         incumbent = store.replica_names()
         rng = np.random.default_rng(7)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "applied"
         assert update.candidate_cost < update.incumbent_cost
@@ -450,7 +436,7 @@ class TestControllerApply:
             rng=np.random.default_rng(0))
         rng = np.random.default_rng(8)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
+            controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
         assert update.action == "applied"
         assert order, "swap never happened"
@@ -462,11 +448,11 @@ class TestControllerApply:
         obs = Observability.create()
         controller, store, bb = make_controller(
             ds, advisor, copies=1, obs=obs,
-            config=ReselectionConfig(min_queries=8, background=True))
+            config=ReselectionConfig(min_queries=8))
         rng = np.random.default_rng(9)
         for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
-        assert controller.maybe_reselect() is None  # handed to the thread
+            controller.observe(hotspot_query(bb, rng))
+        controller.maybe_reselect()  # handed to the thread
         controller.wait(timeout=30.0)
         assert controller.audit_log
         assert controller.audit_log[-1].action == "applied"
@@ -488,6 +474,7 @@ class TestControllerApply:
             t.start()
         for t in threads:
             t.join()
+        controller.wait()
         assert obs.metrics.counter(
             "repro_reselect_evaluations_total").value == 1
 
@@ -495,47 +482,6 @@ class TestControllerApply:
 def update_observed(update):
     for w, h, t, weight in update.observed:
         yield GroupedQuery(w, h, t), weight
-
-
-def hotspot_coverage(ds, bb):
-    """A coverage box around the data's median — guaranteed non-empty
-    but a strict subset, so the partial prices below full storage."""
-    cx, cy, ct = (float(np.median(ds.column(c))) for c in ("x", "y", "t"))
-    return Box3(cx - bb.width * 0.3, cx + bb.width * 0.3,
-                cy - bb.height * 0.3, cy + bb.height * 0.3,
-                ct - bb.duration * 0.3, ct + bb.duration * 0.3)
-
-
-class TestPartialAdvisory:
-    def test_partials_reported_never_installed(self, ds, advisor):
-        bb = ds.bounding_box()
-        coverage = hotspot_coverage(ds, bb)
-        finest = max(advisor.candidates,
-                     key=lambda p: p.n_partitions)
-        partial = PartialReplica.from_sample(finest, coverage, ds)
-        controller, store, _ = make_controller(
-            ds, advisor, copies=1, partials=[partial],
-            cost_model=make_model())
-        rng = np.random.default_rng(11)
-        for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
-        update = controller.evaluate(force=True)
-        assert all(n.endswith("@partial") for n in update.partial_advisory)
-        assert all(not n.endswith("@partial")
-                   for n in store.replica_names())
-
-    def test_no_cost_model_means_no_advisory(self, ds, advisor):
-        bb = ds.bounding_box()
-        finest = max(advisor.candidates, key=lambda p: p.n_partitions)
-        partial = PartialReplica.from_sample(
-            finest, hotspot_coverage(ds, bb), ds)
-        controller, _, _ = make_controller(
-            ds, advisor, copies=1, partials=[partial], cost_model=None)
-        rng = np.random.default_rng(12)
-        for _ in range(8):
-            controller.observe(tiny_query(bb, rng))
-        update = controller.evaluate(force=True)
-        assert update.partial_advisory == ()
 
 
 class TestConfigAndBuilder:

@@ -2,9 +2,9 @@
 lazy per-column decoding, and compatibility with v1 blobs.
 
 The committed golden fixture (`data/columnar_v1_golden.bin` + expected
-columns) pins two guarantees across releases: v1 blobs written by the
-seed code keep decoding bit-exactly, and the v1 writer keeps producing
-byte-identical output.
+columns) pins that v1 blobs written by the seed code keep decoding
+bit-exactly; the v1 *writer* is gone, so arbitrary-data v1 blobs are
+re-spelled from v2 ones (`v1_from_v2`).
 """
 
 import os
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.data.record import FIELDS
 from repro.encoding import ColumnarBlob, decode_columns, encode_columns
+from repro.encoding.varint import decode_uvarint
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -38,6 +39,17 @@ def columns_bit_equal(a: Dataset, b: Dataset) -> bool:
     )
 
 
+def v1_from_v2(v2: bytes) -> bytes:
+    """The v1 spelling of a v2 blob: same record count and column
+    blocks (their bytes are identical across versions), no zone map or
+    directory."""
+    pos = body = decode_uvarint(v2, 5)[1]
+    pos += len(FIELDS) * 16
+    for _ in FIELDS:
+        pos = decode_uvarint(v2, pos)[1]
+    return v2[:4] + b"\x01" + v2[5:body] + v2[pos:]
+
+
 def sample_dataset(n=600, seed=20140707) -> Dataset:
     return synthetic_shanghai_taxis(n, seed=seed, num_taxis=9).sorted_by_time()
 
@@ -46,9 +58,6 @@ class TestV1Golden:
     def test_golden_blob_decodes_bit_exact(self):
         assert columns_bit_equal(decode_columns(_golden_blob()),
                                  _golden_dataset())
-
-    def test_v1_writer_still_byte_identical(self):
-        assert encode_columns(_golden_dataset(), version=1) == _golden_blob()
 
     def test_golden_reader_is_eager(self):
         blob = ColumnarBlob(_golden_blob())
@@ -61,8 +70,9 @@ class TestV1Golden:
 class TestV2Container:
     def test_roundtrip_matches_v1(self):
         ds = sample_dataset()
-        v1 = encode_columns(ds, version=1)
         v2 = encode_columns(ds)
+        v1 = v1_from_v2(v2)
+        assert v1_from_v2(encode_columns(_golden_dataset())) == _golden_blob()
         assert v2[4] == 2 and v1[4] == 1
         assert columns_bit_equal(decode_columns(v2), ds)
         assert columns_bit_equal(decode_columns(v1), ds)

@@ -160,3 +160,38 @@ def test_live_engine_closed_loop(tmp_path):
     # The correction moved the constants toward the wall-clock truth, so
     # the refreshed window judges the new model and the flag stays down.
     assert report["drift"]["flagged"] == []
+
+
+def test_reselection_and_checkpoint_are_offered_once_per_call(tmp_path):
+    """The closed-loop tail of a served call offers reselection and the
+    checkpointer one shot each — not one per serving replica."""
+    class CountingReselector:
+        offers = 0
+
+        def observe(self, query):
+            pass
+
+        def maybe_reselect(self):
+            self.offers += 1
+
+    ds = synthetic_shanghai_taxis(1500, seed=29, num_taxis=8)
+    obs = Observability.create()
+    ts = TimeseriesStore(str(tmp_path / "history.jsonl"), retention=None)
+    obs.attach_checkpointer(ts, interval_seconds=0.0)
+    reselector = obs.attach_reselector(CountingReselector())
+    model = CostModel({ENCODING: EncodingCostParams(scan_rate=8e6,
+                                                    extra_time=0.0)})
+    store = BlotStore(ds, cost_model=model, observability=obs)
+    for leaves, name in ((4, "coarse"), (16, "fine")):
+        store.add_replica(CompositeScheme(KdTreePartitioner(leaves), 2),
+                          encoding_scheme_by_name(ENCODING),
+                          InMemoryStore(), name=name)
+    workload = positioned_random_workload(ds.bounding_box(), 6,
+                                          np.random.default_rng(3))
+    plan = store.route_workload(workload)
+    plan.assignments[:] = [i % 2 for i in range(len(workload))]
+    result = store.execute_workload(workload, plan=plan)
+    assert len(result.stats.per_replica_queries) == 2
+    assert reselector.offers == 1
+    assert len(ts.entries("snapshot")) == 1
+    store.close()

@@ -126,12 +126,48 @@ class TestValidateReport:
         (lambda r: r["recalibration"]["audit"].append({"action": "maybe"}),
          "action"),
         (lambda r: r["history"].__setitem__("attached", 1), "attached"),
+        # One per schema-table kind not reached above: by-label dict, int,
+        # nested section, untagged / tagged-variant / mapping-keyed entries.
+        (lambda r: r["queries"].__setitem__("by_path", []), "by_path"),
+        (lambda r: r["history"].__setitem__("entries", 1.5), "entries"),
+        (lambda r: r["ingest"].pop("wal"), "ingest.wal"),
+        (lambda r: r["drift"]["replicas"][0].pop("samples"), "samples"),
+        (lambda r: r["recalibration"]["audit"].append(
+            {"action": "applied", "replica": "a", "encoding": "e",
+             "old_scan_rate": 1.0, "old_extra_time": 0.0, "n_samples": 9}),
+         "new_scan_rate"),
+        (lambda r: r["trends"]["counters"].__setitem__("x", {"first": 1}),
+         r"counters\['x'\].last"),
     ])
     def test_rejects_shape_violations(self, mutate, message):
         report = copy.deepcopy(build_report(make_obs()))
         mutate(report)
         with pytest.raises(ValueError, match=message):
             validate_report(report)
+
+    def test_every_counter_row_names_a_metric_the_code_emits(self):
+        """A report row cannot outlive its counter: every metric the
+        schema table folds is spelled as a literal somewhere in ``src/``
+        outside the report module."""
+        import pathlib
+
+        import repro
+        from repro.obs.report import REPORT_SCHEMA, _folds
+
+        def metrics(fields):
+            for spec in fields.values():
+                if isinstance(spec, dict):
+                    yield from metrics(spec)
+                elif _folds(spec):
+                    yield _folds(spec)[0]
+
+        root = pathlib.Path(repro.__file__).parent
+        source = "".join(p.read_text() for p in sorted(root.rglob("*.py"))
+                         if p.name != "report.py")
+        names = list(metrics(REPORT_SCHEMA))
+        assert len(names) >= 38
+        assert [n for n in names if f'"{n}"' not in source
+                and f"'{n}'" not in source] == []
 
     def test_allows_additive_extension(self):
         report = build_report(make_obs())

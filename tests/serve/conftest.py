@@ -10,11 +10,11 @@ from the returned :class:`~repro.storage.StoreConfig`.
 import pytest
 
 from repro.data import synthetic_shanghai_taxis
+from repro.drills import single_process_answers
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, GridPartitioner, KdTreePartitioner
-from repro.serve import FleetSpec, fleet_queries
-from repro.storage import hydrate_store, materialize_store
-from repro.verify.oracle import canonical
+from repro.serve import FleetSpec
+from repro.storage import materialize_store
 
 
 @pytest.fixture(scope="session")
@@ -38,20 +38,18 @@ def config(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def queries(config):
-    store = hydrate_store(config)
-    try:
-        return fleet_queries(store.universe, FleetSpec(n_queries=24, seed=5))
-    finally:
-        store.close()
+def referee(config):
+    """``repro serve --verify``'s referee: the fleet's queries and the
+    single-process canonical answer per query."""
+    return single_process_answers(config, FleetSpec(n_queries=24, seed=5))
 
 
 @pytest.fixture(scope="session")
-def baseline(config, queries):
-    """Single-process canonical answer per query — the bit-equality
-    referee every sharded deployment must match."""
-    store = hydrate_store(config)
-    try:
-        return [canonical(store.query(q).records) for q in queries]
-    finally:
-        store.close()
+def queries(referee):
+    return referee[0]
+
+
+@pytest.fixture(scope="session")
+def baseline(referee):
+    """The bit-equality referee every sharded deployment must match."""
+    return referee[1]

@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.cluster.placement import assign_shards
+from repro.drills import run_serve_drill, run_slo_drill
 from repro.errors import DegradedReadError, OverloadError, QuotaExceededError
+from repro.obs import SLObjective
 from repro.serve import (
     FleetSpec,
     QueryTask,
@@ -22,7 +24,6 @@ from repro.serve import (
     TenantQuotas,
     open_shard_store,
     payload_to_dataset,
-    run_fleet,
     serve_request,
     shard_worker_main,
 )
@@ -379,18 +380,33 @@ class TestFrontDoor:
 
 class TestFleet:
     def test_fleet_accounts_every_outcome(self, config):
-        async def go():
-            quotas = TenantQuotas(QuotaConfig(rate=200.0, burst=10))
-            async with ShardServer(config, n_shards=2, max_inflight=8,
-                                   quotas=quotas) as server:
-                return await run_fleet(server, FleetSpec(
-                    n_queries=40, concurrency=12, seed=9))
-
-        report = asyncio.run(go())
+        """The ``repro serve --verify`` drill: fleet traffic through
+        quotas and admission, then the referee pass (not traffic: no
+        quota applies, every answer bit-equal)."""
+        drill = run_serve_drill(
+            config, FleetSpec(n_queries=40, concurrency=12, seed=9),
+            verify=True, n_shards=2, max_inflight=8,
+            quotas=TenantQuotas(QuotaConfig(rate=200.0, burst=10)))
+        report = drill.report
         assert report.n_queries == 40
         assert (report.served + report.shed + report.quota_rejected
                 + report.degraded) == 40
         assert report.served >= 1
+        assert (drill.verified, drill.mismatched, drill.degraded) \
+            == (40, 0, 0)
+
+    def test_slo_drill_fires_on_an_unmeetable_objective(self, config):
+        """The ``repro slo`` drill: a 1 ns p99 objective burns its whole
+        budget, so every tenant's alert fires and lands in the
+        (schema-validated) report."""
+        drill = run_slo_drill(
+            config, FleetSpec(n_queries=40, seed=9),
+            [SLObjective(tenant="*", kind="latency", target=0.99,
+                         latency_seconds=1e-9)],
+            min_events=10, n_shards=2)
+        assert drill.fleet.served == 40
+        assert {t for t, _ in drill.engine.firing} == {"fleet-a", "fleet-b"}
+        assert drill.report["slo"]["alerts"] == 2
 
     def test_fleet_stream_is_deterministic(self, config, queries):
         from repro.serve import fleet_queries

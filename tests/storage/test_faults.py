@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.storage.faults import (
-    DegradedReadError,
-    FaultInjector,
-    InjectedFault,
-    PartitionReadError,
-)
+from repro.errors import DegradedReadError, InjectedFault, PartitionReadError
+from repro.storage.faults import FaultInjector
 
 
 class TestSchedule:

@@ -14,20 +14,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import (
-    AdvisorConfig,
-    ReplicaAdvisor,
-    ReselectionConfig,
-    ReselectionController,
-    replica_builder,
-)
-from repro.costmodel import CostModel, EncodingCostParams
+from repro.core import ReselectionConfig
 from repro.data import synthetic_shanghai_taxis
-from repro.encoding import encoding_scheme_by_name
-from repro.obs import Observability, build_report, validate_report
-from repro.partition import small_partitioning_schemes
-from repro.storage import BlotStore
-from repro.workload import GroupedQuery, Query, Workload
+from repro.drills import (
+    hotspot_query,
+    probe_set,
+    probes_bit_equal,
+    reselect_scenario,
+    run_reselect_drill,
+)
+from repro.obs import build_report, validate_report
 
 MIN_QUERIES = 16
 
@@ -37,125 +33,40 @@ def ds():
     return synthetic_shanghai_taxis(2500, seed=43, num_taxis=10)
 
 
-def make_loop(ds, copies=3, min_improvement=0.02):
-    """A live store serving the baseline selection, with a reselection
-    controller wired through the engine's obs hooks."""
-    bb = ds.bounding_box()
-    encodings = [encoding_scheme_by_name(n)
-                 for n in ("ROW-PLAIN", "COL-GZIP")]
-    schemes = small_partitioning_schemes((4, 16, 64), (2, 4))
-    # Scan-bound regime: wide scans favor coarse replicas, hot-spot
-    # probes favor fine ones, so the Eq. 5 optimum moves with the mix.
-    model = CostModel({
-        "ROW-PLAIN": EncodingCostParams(scan_rate=250_000,
-                                        extra_time=0.004),
-        "COL-GZIP": EncodingCostParams(scan_rate=100_000,
-                                       extra_time=0.001),
-    })
-    advisor = ReplicaAdvisor(ds, schemes, encodings, model,
-                             AdvisorConfig(n_records=len(ds)))
-    baseline = Workload([
-        (GroupedQuery(bb.width * 0.6, bb.height * 0.6, bb.duration * 0.6),
-         0.9),
-        (GroupedQuery(bb.width * 0.2, bb.height * 0.2, bb.duration * 0.2),
-         0.1),
-    ])
-    budget = advisor.single_replica_budget(baseline, copies=copies)
-    initial = advisor.recommend(baseline, budget, method="local-search")
-    build = replica_builder(ds, schemes, encodings,
-                            universe=advisor.universe)
-
-    obs = Observability.create()
-    store = BlotStore(ds, cost_model=model, cache_bytes=1 << 25,
-                      observability=obs)
-    for name in initial.replica_names:
-        store.register_replica(build(name))
-    controller = obs.attach_reselector(ReselectionController(
-        store, advisor, budget, baseline, build=build,
-        config=ReselectionConfig(min_queries=MIN_QUERIES,
-                                 min_improvement=min_improvement),
-        obs=obs, rng=np.random.default_rng(0)))
-    return store, controller, obs, bb
-
-
-def baseline_query(bb, rng):
-    frac = 0.6 if rng.uniform() < 0.9 else 0.2
-    w, h, t = bb.width * frac, bb.height * frac, bb.duration * frac
-    return Query(
-        w, h, t,
-        rng.uniform(bb.x_min + w / 2, bb.x_max - w / 2),
-        rng.uniform(bb.y_min + h / 2, bb.y_max - h / 2),
-        rng.uniform(bb.t_min + t / 2, bb.t_max - t / 2))
-
-
-def hotspot_query(bb, rng):
-    w, h, t = bb.width * 0.02, bb.height * 0.02, bb.duration * 0.02
-    return Query(
-        w, h, t,
-        bb.x_min + bb.width * 0.25 + rng.uniform(-1, 1) * bb.width * 0.05,
-        bb.y_min + bb.height * 0.25
-        + rng.uniform(-1, 1) * bb.height * 0.05,
-        bb.t_min + bb.duration * 0.25
-        + rng.uniform(-1, 1) * bb.duration * 0.05)
-
-
-def pairs(records):
-    return sorted(zip(records.column("oid"), records.column("t")))
-
-
-def probe_set(ds, bb, rng, n=3, frac=0.25):
-    probes, oracles = [], []
-    for _ in range(n):
-        w, h, t = bb.width * frac, bb.height * frac, bb.duration * frac
-        p = Query(w, h, t,
-                  rng.uniform(bb.x_min + w / 2, bb.x_max - w / 2),
-                  rng.uniform(bb.y_min + h / 2, bb.y_max - h / 2),
-                  rng.uniform(bb.t_min + t / 2, bb.t_max - t / 2))
-        probes.append(p)
-        oracles.append(pairs(ds.filter_box(p.box())))
-    return probes, oracles
+def make_loop(ds, copies=3):
+    """The ``repro reselect`` scenario at this file's scale:
+    ``(store, controller, obs, bounding box)``."""
+    return reselect_scenario(
+        ds, copies=copies, cache_bytes=1 << 25,
+        config=ReselectionConfig(min_queries=MIN_QUERIES))[:4]
 
 
 class TestDriftReselectSwapLoop:
     def test_hot_spot_shift_reselects_online(self, ds):
-        """The headline loop, driven entirely through ``store.query``:
-        the engine's obs hooks feed the controller and trip the
-        evaluation — no test-side calls into the controller at all."""
-        store, controller, obs, bb = make_loop(ds)
-        incumbent = set(store.replica_names())
-        rng = np.random.default_rng(7)
-        probes, oracles = probe_set(ds, bb, rng)
-
-        # Phase 1: baseline-shaped traffic — no reselection fires.
-        for _ in range(MIN_QUERIES):
-            store.query(baseline_query(bb, rng))
-        assert [u for u in controller.audit_log
-                if u.action == "applied"] == []
-        for p, want in zip(probes, oracles):
-            assert pairs(store.query(p).records) == want
-
-        # Phase 2: the hot-spot shift.  The engine hook must flag the
-        # drift and swap the serving set mid-traffic.
-        for _ in range(MIN_QUERIES * 2):
-            store.query(hotspot_query(bb, rng))
-        controller.wait()
-
+        """The headline loop — the ``repro reselect`` drill itself —
+        driven entirely through ``store.query``: the engine's obs hooks
+        feed the controller and trip the evaluation, no calls into the
+        controller at all."""
+        scenario, verified = run_reselect_drill(
+            ds, 7, cache_bytes=1 << 25,
+            config=ReselectionConfig(min_queries=MIN_QUERIES))
+        store, controller = scenario.store, scenario.controller
+        # Probes were bit-equal after the baseline phase and after the
+        # swap (cache was invalidated for any retired replica).
+        assert verified
         applied = [u for u in controller.audit_log if u.action == "applied"]
         assert applied, (
             f"no reselection applied; audit: {controller.audit_dicts()}")
         update = applied[0]
+        # The baseline-shaped first window alone did not trigger it.
+        assert update.observed_queries > MIN_QUERIES
         assert update.divergence >= update.drift_threshold
         # Strictly better Eq. 5 objective, by at least the guard margin.
         assert update.candidate_cost < update.incumbent_cost
         assert update.improvement >= controller.config.min_improvement
         assert set(store.replica_names()) == set(update.candidate)
-        assert set(store.replica_names()) != incumbent
+        assert set(store.replica_names()) != set(scenario.incumbent)
         assert controller.epoch >= 1
-
-        # Bit-equal reads after the transition (cache was invalidated
-        # for any retired replica; survivors may serve from cache).
-        for p, want in zip(probes, oracles):
-            assert pairs(store.query(p).records) == want
         store.close()
 
     def test_reads_stay_bit_equal_through_concurrent_swap(self, ds):
@@ -163,7 +74,7 @@ class TestDriftReselectSwapLoop:
         never block, error, or see a non-oracle answer."""
         store, controller, obs, bb = make_loop(ds, copies=1)
         rng = np.random.default_rng(11)
-        probes, oracles = probe_set(ds, bb, rng, n=2, frac=0.2)
+        probes, oracles = probe_set(ds, rng, n=2, frac=0.2)
         for _ in range(MIN_QUERIES):
             controller.observe(hotspot_query(bb, rng))
 
@@ -173,16 +84,15 @@ class TestDriftReselectSwapLoop:
 
         def reader():
             while not stop.is_set():
-                for p, want in zip(probes, oracles):
-                    try:
-                        got = pairs(store.query(p).records)
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append(f"read raised: {exc!r}")
-                        return
-                    if got != want:
-                        errors.append("read diverged from oracle")
-                        return
-                    reads[0] += 1
+                try:
+                    same = probes_bit_equal(store, probes, oracles)
+                except Exception as exc:  # noqa: BLE001
+                    errors.append(f"read raised: {exc!r}")
+                    return
+                if not same:
+                    errors.append("read diverged from oracle")
+                    return
+                reads[0] += len(probes)
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -196,8 +106,7 @@ class TestDriftReselectSwapLoop:
         assert reads[0] > 0
         assert update.action == "applied"
         # And the probes still answer bit-equal after the dust settles.
-        for p, want in zip(probes, oracles):
-            assert pairs(store.query(p).records) == want
+        assert probes_bit_equal(store, probes, oracles)
         store.close()
 
     def test_tight_budget_swap_retires_displaced_replica(self, ds):
@@ -207,7 +116,7 @@ class TestDriftReselectSwapLoop:
         store, controller, obs, bb = make_loop(ds, copies=1)
         incumbent = list(store.replica_names())
         rng = np.random.default_rng(13)
-        probes, oracles = probe_set(ds, bb, rng, n=2, frac=0.2)
+        probes, oracles = probe_set(ds, rng, n=2, frac=0.2)
         for _ in range(MIN_QUERIES):
             controller.observe(hotspot_query(bb, rng))
         update = controller.evaluate(force=True)
@@ -223,8 +132,7 @@ class TestDriftReselectSwapLoop:
             assert store.partition_cache.get((name, 0)) is None
             assert not any(k[0] == name for k in store._zone_info)
         # ...and reads against the survivor set stay bit-equal.
-        for p, want in zip(probes, oracles):
-            assert pairs(store.query(p).records) == want
+        assert probes_bit_equal(store, probes, oracles)
         store.close()
 
     def test_report_carries_the_reselection_audit(self, ds):

@@ -368,3 +368,46 @@ class TestReport:
                      "--replicas", "1", "--recalibrate"]) == 2
         assert main(["report", *WORKLOAD_ARGS,
                      "--stale-factor", "-2"]) == 2
+
+
+class TestDrillCommands:
+    """The drill subcommands end to end (their bodies live in
+    ``repro.drills``; these pin the argument checks, exit codes and the
+    lines CI greps)."""
+
+    def test_reselect_applies_and_stays_bit_equal(self, capsys):
+        assert main(["reselect", "--records", "2500", "--seed", "7",
+                     "--min-queries", "16", "--expect-applied"]) == 0
+        out = capsys.readouterr().out
+        assert "[epoch 0] drift" in out
+        assert "probe reads bit-equal across transition: yes" in out
+
+    def test_reselect_rejects_a_bad_guard(self, capsys):
+        assert main(["reselect", "--drift-threshold", "0"]) == 2
+        assert "drift_threshold" in capsys.readouterr().err
+
+    def test_serve_verifies_against_the_referee(self, tmp_path, capsys):
+        assert main(["serve", "--records", "2000", "--queries", "20",
+                     "--worker-mode", "thread", "--verify",
+                     "--store-root", str(tmp_path)]) == 0
+        assert "[verify] 20 bit-equal, 0 MISMATCHED" in capsys.readouterr().out
+
+    def test_slo_exits_by_alert_state(self, tmp_path, capsys):
+        args = ["slo", "--records", "2000", "--queries", "40",
+                "--latency-p99-ms"]
+        assert main(args + ["1e-6", "--expect-alert",
+                            "--store-root", str(tmp_path / "firing")]) == 0
+        assert main(args + ["60000",  # healthy: nothing fires
+                            "--store-root", str(tmp_path / "healthy")]) == 0
+        assert main(["slo"]) == 2  # no objective declared
+
+    def test_drill_survives_losing_the_busiest_replica(self, capsys):
+        assert main(["drill", "--records", "3000", "--queries", "40"]) == 0
+        assert "results identical: yes" in capsys.readouterr().out
+
+    def test_ingest_round_trips_and_resumes(self, tmp_path, capsys):
+        args = ["ingest", "--records", "3000", "--batch-size", "500",
+                "--auto-compact-at", "1000", "--wal-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0  # same WAL dir: the resume path
+        assert "resumed from" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.encoding import EncodingScheme, NoCompression, paper_encoding_schemes
 from repro.geometry import Box3, Point3, boxes_to_array
 from repro.partition import Partitioning, TemporalSlicer
-from repro.storage.engine import QueryStats
+from repro.storage import QueryStats
 from repro.workload import GroupedQuery, Workload
 
 
