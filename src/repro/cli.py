@@ -772,9 +772,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     store.wait_for_compaction()
 
     # Every record ever acknowledged must come back bit-equal.
-    box = store.dataset().bounding_box()
+    logical = store.dataset()  # decoded from one replica per layer
+    box = logical.bounding_box()
     got = canonical(store.query(box).records)
-    want = canonical(store.dataset().filter_box(box))
+    want = canonical(logical.filter_box(box))
     if not datasets_identical(got, want):
         print("ingest verification FAILED: full-range query does not "
               "match the logical dataset", file=sys.stderr)

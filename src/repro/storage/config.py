@@ -7,8 +7,9 @@ which can cross a process boundary.  The serving tier
 *the same* store the parent routes against, so this module splits the
 store into the two halves the paper's architecture implies:
 
-- durable state on disk (the dataset file, each replica's manifest and
-  storage units), described by plain-data references; and
+- durable state on disk (each replica's manifest and storage units,
+  optionally the raw dataset file), described by plain-data references;
+  and
 - a recipe for the live handles (cache budget, cost-model constants,
   fault schedule, observability), described by plain-data settings.
 
@@ -16,20 +17,26 @@ store into the two halves the paper's architecture implies:
 and scalars that pickles in a few hundred bytes.  ``open_store(config)``
 (or :func:`hydrate_store`) rebuilds a fully functional store from it in
 any process.  Two stores hydrated from one config answer every query
-bit-identically: the dataset round-trips losslessly (``.npz``; CSV is
-accepted for pre-existing data), replicas reopen from manifests with
-CRC-checked units, and the fault schedule is seed-deterministic.
+bit-identically: replicas reopen from manifests with CRC-checked units,
+and the fault schedule is seed-deterministic.  Hydration reads no
+records: a store's record count and universe come from the manifests,
+and the raw dataset — a lossless ``.npz`` (CSV is accepted for
+pre-existing data) when the config names one, otherwise recovered from
+a replica, since diverse replicas share one logical view — is produced
+only when something asks for ``store.dataset``.
 
-:func:`materialize_store` is the write-side: given a dataset and replica
-specs it lays everything out under one root directory and returns the
-config — the one-call path the CLI, tests and CI use to stage a store
-that workers can rehydrate.
+:func:`write_replica_set` is the write side: given a dataset and replica
+specs it lays units and manifests out under one root directory — the
+shape every layer of the ingest store has on disk.
+:func:`materialize_store` is that plus a raw ``dataset.npz`` and default
+cost constants — the one-call path the CLI, tests and CI use to stage a
+store that workers can rehydrate.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.costmodel.model import CostModel, EncodingCostParams
 from repro.data.dataset import Dataset
@@ -42,22 +49,21 @@ class ReplicaRef:
     """A durable reference to one stored replica.
 
     ``manifest_path`` names the replica's JSON manifest;
-    ``store_root`` the location of its storage units — a directory
-    (:class:`~repro.storage.unit.DirectoryStore`) or, with
-    ``store_kind="segment"``, a single segment file
-    (:class:`~repro.storage.unit.SegmentFileStore`).
+    ``store_root`` the :class:`~repro.storage.unit.DirectoryStore`
+    directory holding its storage units.
     """
 
     manifest_path: str
     store_root: str
-    store_kind: str = "directory"
 
-    def __post_init__(self) -> None:
-        if self.store_kind not in ("directory", "segment"):
-            raise ValueError(
-                f"store_kind must be 'directory' or 'segment', "
-                f"got {self.store_kind!r}"
-            )
+    def open(self):
+        """Reopen the :class:`~repro.storage.replica.StoredReplica`
+        (no unit is read)."""
+        from repro.storage.manifest import load_replica
+        from repro.storage.unit import DirectoryStore
+
+        return load_replica(self.manifest_path,
+                            DirectoryStore(self.store_root))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +102,8 @@ class StoreConfig:
 
     - ``dataset_path``: the source records — ``.npz`` (lossless, the
       preferred interchange written by :func:`materialize_store`) or
-      ``.csv``.
+      ``.csv`` — or ``None`` for a replica-only set, whose records are
+      recovered from a replica on demand.
     - ``replicas``: one :class:`ReplicaRef` per stored replica.
     - ``cost_params``: Eq. 6 constants per encoding name as
       ``(name, scan_rate, extra_time)`` triples; empty means no cost
@@ -106,7 +113,7 @@ class StoreConfig:
     - ``observability``: attach a fresh telemetry bundle on hydration.
     """
 
-    dataset_path: str
+    dataset_path: str | None
     replicas: tuple[ReplicaRef, ...] = ()
     csv_has_header: bool = False
     cost_params: tuple[tuple[str, float, float], ...] = ()
@@ -123,7 +130,14 @@ class StoreConfig:
     # -- hydration ---------------------------------------------------------
 
     def load_dataset(self) -> Dataset:
-        """Load the dataset file (format chosen by extension)."""
+        """The logical dataset: the dataset file when there is one
+        (format chosen by extension), else every unit of the first
+        replica decoded (:func:`~repro.storage.recovery.recover_dataset`,
+        time order)."""
+        if self.dataset_path is None:
+            from repro.storage.recovery import recover_dataset
+
+            return recover_dataset(self.replicas[0].open())
         if self.dataset_path.endswith(".npz"):
             return Dataset.from_npz(self.dataset_path)
         from repro.data.csvio import dataset_from_csv
@@ -131,26 +145,7 @@ class StoreConfig:
         return dataset_from_csv(self.dataset_path, header=self.csv_has_header)
 
     def build_cost_model(self) -> CostModel | None:
-        if not self.cost_params:
-            return None
-        return CostModel({
-            name: EncodingCostParams(scan_rate=rate, extra_time=extra)
-            for name, rate, extra in self.cost_params
-        })
-
-
-def _open_unit_store(ref: ReplicaRef):
-    from repro.storage.unit import DirectoryStore, SegmentFileStore
-
-    if ref.store_kind == "segment":
-        # SegmentFileStore.__init__ truncates its backing file and the
-        # offset table lives only in memory; reopening one from disk
-        # needs a durable offset table we do not persist yet.
-        raise NotImplementedError(
-            "segment-backed replicas cannot be reopened from a ReplicaRef "
-            "yet; use store_kind='directory'"
-        )
-    return DirectoryStore(ref.store_root)
+        return cost_model_from_params(self.cost_params)
 
 
 def hydrate_store(config: StoreConfig, replica_transform=None):
@@ -165,18 +160,16 @@ def hydrate_store(config: StoreConfig, replica_transform=None):
     (:meth:`repro.cluster.ShardAssignment.mask_replica`).
     """
     from repro.storage.engine import BlotStore
-    from repro.storage.manifest import load_replica
 
-    dataset = config.load_dataset()
     store = BlotStore(
-        dataset,
+        config.load_dataset,
         cost_model=config.build_cost_model(),
         cache_bytes=config.cache_bytes,
         fault_injector=config.faults.build() if config.faults else None,
         observability=Observability.create() if config.observability else None,
     )
     for ref in config.replicas:
-        replica = load_replica(ref.manifest_path, _open_unit_store(ref))
+        replica = ref.open()
         if replica_transform is not None:
             replica = replica_transform(replica)
         store.register_replica(replica)
@@ -200,6 +193,77 @@ DEFAULT_COST_PARAMS = (
 )
 
 
+def cost_model_from_params(
+    cost_params: tuple[tuple[str, float, float], ...]
+) -> CostModel | None:
+    """The :class:`~repro.costmodel.CostModel` over ``(name, scan_rate,
+    extra_time)`` triples — the plain-data form configs carry; ``None``
+    for no triples."""
+    if not cost_params:
+        return None
+    return CostModel({
+        name: EncodingCostParams(scan_rate=rate, extra_time=extra)
+        for name, rate, extra in cost_params
+    })
+
+
+def default_cost_params(encoding_names) -> tuple[tuple[str, float, float], ...]:
+    """The :data:`DEFAULT_COST_PARAMS` rows for ``encoding_names``,
+    sorted by name; ``ValueError`` when one has no default."""
+    missing = set(encoding_names) - {row[0] for row in DEFAULT_COST_PARAMS}
+    if missing:
+        raise ValueError(
+            f"no default cost params for encodings {sorted(missing)}; "
+            "pass cost_params= explicitly"
+        )
+    return tuple(sorted(row for row in DEFAULT_COST_PARAMS
+                        if row[0] in encoding_names))
+
+
+def _replica_ref(root: str, name: str) -> ReplicaRef:
+    return ReplicaRef(
+        manifest_path=os.path.join(root, "manifests", f"{name}.json"),
+        store_root=os.path.join(root, "units"))
+
+
+def replica_set_config(root: str, names) -> StoreConfig:
+    """The replica-only :class:`StoreConfig` of the set
+    :func:`write_replica_set` lays out under ``root`` for replicas
+    ``names``: manifests at ``root/manifests/<name>.json``, every
+    replica's units in the one ``root/units`` directory store."""
+    return StoreConfig(None, tuple(_replica_ref(root, n) for n in names))
+
+
+def write_replica_set(dataset: Dataset, replica_specs, root: str) -> list[str]:
+    """Build a replica set under ``root`` — units and manifests, no raw
+    copy of ``dataset`` — and return the replica names, in spec order;
+    :func:`replica_set_config` of them describes the set.
+
+    ``replica_specs`` is an iterable of ``(scheme, encoding)`` or
+    ``(scheme, encoding, name)`` tuples; every replica is built over the
+    dataset's bounding box as universe.  Nothing is flushed: a caller
+    that will delete the source records follows with
+    :func:`repro.storage.wal.fsync_tree`.
+    """
+    from repro.storage.manifest import save_manifest
+    from repro.storage.replica import build_replica
+    from repro.storage.unit import DirectoryStore
+
+    store = DirectoryStore(os.path.join(root, "units"))
+    universe = dataset.bounding_box()
+    names = []
+    for scheme, encoding, *name in replica_specs:
+        replica = build_replica(dataset, scheme, encoding, store,
+                                name=name[0] if name else None,
+                                universe=universe)
+        manifest_path = _replica_ref(root, replica.name).manifest_path
+        # A default replica name is "<scheme>/<encoding>": a subdirectory.
+        os.makedirs(os.path.dirname(manifest_path), exist_ok=True)
+        save_manifest(replica, manifest_path)
+        names.append(replica.name)
+    return names
+
+
 def materialize_store(
     dataset: Dataset,
     replica_specs,
@@ -211,61 +275,23 @@ def materialize_store(
     observability: bool = False,
 ) -> StoreConfig:
     """Write a dataset + replica set under ``root`` and return the
-    :class:`StoreConfig` describing it.
+    :class:`StoreConfig` describing it: :func:`write_replica_set` plus a
+    lossless ``root/dataset.npz`` that keeps the caller's record order.
 
-    ``replica_specs`` is an iterable of ``(scheme, encoding)`` or
-    ``(scheme, encoding, name)`` tuples; each replica is built into a
-    :class:`~repro.storage.unit.DirectoryStore` under
-    ``root/units/<name>`` with its manifest at
-    ``root/manifests/<name>.json``.  ``cost_params`` defaults to entries
-    of :data:`DEFAULT_COST_PARAMS` covering the encodings actually used
-    (plus any per-partition encodings recorded in the manifests).
+    ``cost_params`` defaults to the :data:`DEFAULT_COST_PARAMS` entries
+    of the encodings used.
     """
-    from repro.storage.manifest import save_manifest
-    from repro.storage.replica import build_replica
-    from repro.storage.unit import DirectoryStore
-
-    manifest_dir = os.path.join(root, "manifests")
-    os.makedirs(manifest_dir, exist_ok=True)
+    replica_specs = list(replica_specs)
+    if cost_params is None:
+        cost_params = default_cost_params(
+            {spec[1].name for spec in replica_specs})
+    os.makedirs(root, exist_ok=True)
     dataset_path = os.path.join(root, "dataset.npz")
     dataset.to_npz(dataset_path)
-
-    universe = dataset.bounding_box()
-    refs = []
-    encodings_used: set[str] = set()
-    for spec in replica_specs:
-        scheme, encoding, *rest = spec
-        name = rest[0] if rest else None
-        store_root = os.path.join(root, "units")
-        store = DirectoryStore(store_root)
-        replica = build_replica(dataset, scheme, encoding, store,
-                                name=name, universe=universe)
-        manifest_path = os.path.join(manifest_dir, f"{replica.name}.json")
-        # A default replica name is "<scheme>/<encoding>": a subdirectory.
-        os.makedirs(os.path.dirname(manifest_path), exist_ok=True)
-        manifest = save_manifest(replica, manifest_path)
-        for unit in manifest["units"]:
-            if unit is not None:
-                encodings_used.add(unit["encoding"])
-        encodings_used.add(manifest["encoding"])
-        refs.append(ReplicaRef(manifest_path=manifest_path,
-                               store_root=store_root))
-
-    if cost_params is None:
-        defaults = {name: (rate, extra)
-                    for name, rate, extra in DEFAULT_COST_PARAMS}
-        missing = encodings_used - set(defaults)
-        if missing:
-            raise ValueError(
-                f"no default cost params for encodings {sorted(missing)}; "
-                "pass cost_params= explicitly"
-            )
-        cost_params = tuple(
-            (name, *defaults[name]) for name in sorted(encodings_used))
-
-    return StoreConfig(
+    names = write_replica_set(dataset, replica_specs, root)
+    return replace(
+        replica_set_config(root, names),
         dataset_path=dataset_path,
-        replicas=tuple(refs),
         cost_params=cost_params,
         cache_bytes=cache_bytes,
         faults=faults,
@@ -279,15 +305,12 @@ def materialize_store(
 def store_config_to_dict(config: StoreConfig) -> dict:
     """A :class:`StoreConfig` as JSON-serializable plain data.
 
-    The ingest store persists its sealed-window configs inside the WAL's
-    ``snapshot.json`` commit record with this; :func:`store_config_from_dict`
-    round-trips it exactly.
+    :func:`store_config_from_dict` round-trips it exactly.
     """
     return {
         "dataset_path": config.dataset_path,
         "replicas": [
-            {"manifest_path": r.manifest_path, "store_root": r.store_root,
-             "store_kind": r.store_kind}
+            {"manifest_path": r.manifest_path, "store_root": r.store_root}
             for r in config.replicas
         ],
         "csv_has_header": config.csv_has_header,
@@ -309,7 +332,8 @@ def store_config_from_dict(data: dict) -> StoreConfig:
     faults = data.get("faults")
     return StoreConfig(
         dataset_path=data["dataset_path"],
-        replicas=tuple(ReplicaRef(**r) for r in data["replicas"]),
+        replicas=tuple(ReplicaRef(r["manifest_path"], r["store_root"])
+                       for r in data["replicas"]),
         csv_has_header=bool(data.get("csv_has_header", False)),
         cost_params=tuple(
             (str(n), float(a), float(b)) for n, a, b in data["cost_params"]),
@@ -376,8 +400,9 @@ class IngestConfig:
     ``replica_specs`` are ``(scheme_spec, encoding_name, name)`` triples
     where ``scheme_spec`` follows :func:`parse_scheme_spec`'s grammar;
     ``cost_params`` mirror :class:`StoreConfig`.  Durable state lives
-    under ``wal_dir`` (WAL segments, the compaction snapshot, sealed
-    windows); :func:`hydrate_ingest_store` resumes from it when present.
+    under ``wal_dir`` (WAL segments, the commit record, the base and
+    sealed-window replica sets); :func:`hydrate_ingest_store` resumes
+    from it when present.
     """
 
     wal_dir: str
@@ -407,14 +432,6 @@ class IngestConfig:
             for scheme, encoding, name in self.replica_specs
         ]
 
-    def build_cost_model(self) -> CostModel | None:
-        if not self.cost_params:
-            return None
-        return CostModel({
-            name: EncodingCostParams(scan_rate=rate, extra_time=extra)
-            for name, rate, extra in self.cost_params
-        })
-
 
 def hydrate_ingest_store(config: IngestConfig, initial: Dataset | None = None):
     """Open a live :class:`~repro.storage.ingest.IngestingBlotStore`
@@ -429,7 +446,7 @@ def hydrate_ingest_store(config: IngestConfig, initial: Dataset | None = None):
     from repro.storage.wal import wal_state_exists
 
     kwargs = dict(
-        cost_model=config.build_cost_model(),
+        cost_model=cost_model_from_params(config.cost_params),
         auto_compact_at=config.auto_compact_at,
         wal_dir=config.wal_dir,
         fsync_wal=config.fsync_wal,

@@ -50,6 +50,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.costmodel.model import CostModel, RoutingPlan
 from repro.data.dataset import Dataset
@@ -146,6 +147,12 @@ class _Read:
 class BlotStore(ReadSurface):
     """A single-node BLOT system instance over one logical dataset.
 
+    ``dataset`` is the records, or — for a store over replicas that
+    already exist — a zero-argument loader of them
+    (``StoreConfig.load_dataset``): such a store holds no raw copy,
+    takes its record count and universe from the first replica
+    registered, and calls the loader whenever :attr:`dataset` is read.
+
     ``cache_bytes`` enables the decoded-partition LRU cache shared by
     every read (see :class:`ReadSurface` for ``query`` / ``count`` /
     ``execute_workload`` / ``execute_each``); ``None`` keeps
@@ -157,16 +164,23 @@ class BlotStore(ReadSurface):
 
     def __init__(
         self,
-        dataset: Dataset,
+        dataset: Dataset | Callable[[], Dataset],
         cost_model: CostModel | None = None,
         cache_bytes: int | None = None,
         fault_injector: FaultInjector | None = None,
         observability: Observability | None = None,
     ):
-        if len(dataset) == 0:
-            raise ValueError("BlotStore needs a non-empty dataset")
-        self._dataset = dataset
-        self._universe = dataset.bounding_box()
+        if isinstance(dataset, Dataset):
+            if len(dataset) == 0:
+                raise ValueError("BlotStore needs a non-empty dataset")
+            self._dataset, self._load_dataset = dataset, None
+            self._n_records: int | None = len(dataset)
+            self._universe: Box3 | None = dataset.bounding_box()
+        else:
+            # Measured by the first register_replica: every replica of a
+            # set shares one record count and universe.
+            self._dataset, self._load_dataset = None, dataset
+            self._n_records = self._universe = None
         self._replicas: dict[str, StoredReplica] = {}
         self._cost_model = cost_model
         self._obs = observability
@@ -204,7 +218,11 @@ class BlotStore(ReadSurface):
 
     @property
     def dataset(self) -> Dataset:
-        return self._dataset
+        """The logical dataset — held in memory when the store was built
+        from one, loaded anew on every read otherwise."""
+        if self._dataset is not None:
+            return self._dataset
+        return self._load_dataset()
 
     @property
     def universe(self) -> Box3:
@@ -264,7 +282,7 @@ class BlotStore(ReadSurface):
     ) -> StoredReplica:
         """Build and register a diverse replica of the dataset."""
         replica = build_replica(
-            self._dataset, scheme, encoding, store, name=name, universe=self._universe
+            self.dataset, scheme, encoding, store, name=name, universe=self._universe
         )
         return self.register_replica(replica)
 
@@ -274,6 +292,9 @@ class BlotStore(ReadSurface):
         reopened from a manifest)."""
         if replica.name in self._replicas:
             raise ReplicaExists(f"replica {replica.name!r} already exists")
+        if self._universe is None:
+            self._n_records = int(replica.partitioning.counts.sum())
+            self._universe = replica.partitioning.universe
         self._replicas[replica.name] = replica
         if self._faults is not None:
             replica.attach_fault_injector(self._faults)
@@ -367,7 +388,7 @@ class BlotStore(ReadSurface):
                 "multiple replicas but no cost model configured; "
                 "pass replica= to query() or construct BlotStore with a cost model"
             )
-        n = len(self._dataset)
+        n = self._n_records
         scored = [
             (self._cost_model.query_cost(
                 query, self._replicas[name].profile(n_records=n)), name)
@@ -422,7 +443,7 @@ class BlotStore(ReadSurface):
                 "multiple replicas but no cost model configured; "
                 "cannot route a workload"
             )
-        n = len(self._dataset)
+        n = self._n_records
         profiles = [self._replicas[name].profile(n_records=n) for name in names]
         return self._cost_model.route_batch(workload, profiles)
 
@@ -772,7 +793,7 @@ class BlotStore(ReadSurface):
                     matches[k].append(matched)
 
         results: list = []
-        total_records = len(self._dataset)
+        total_records = self._n_records
         for k, read in enumerate(reads):
             if k in failed:
                 results.append(failed[k])
@@ -1085,7 +1106,7 @@ class BlotStore(ReadSurface):
                 try:
                     costs = self._cost_model.query_costs(
                         [requests[i].query for i in idxs],
-                        stored.profile(n_records=len(self._dataset)))
+                        stored.profile(n_records=self._n_records))
                 except KeyError:
                     continue  # no calibrated params for this encoding
             for i, cost in zip(idxs, costs):
@@ -1165,7 +1186,8 @@ def open_store(
     carries the dataset path, replica manifests, cost constants, cache
     budget, fault schedule and observability flag).
 
-    With a :class:`~repro.data.Dataset`, each item of ``replicas`` is
+    Otherwise (a :class:`~repro.data.Dataset`, or a loader of one — see
+    :class:`BlotStore`), each item of ``replicas`` is
     either an already-built
     :class:`~repro.storage.replica.StoredReplica` (e.g. reopened from a
     manifest) or a ``(scheme, encoding, store)`` /

@@ -5,34 +5,35 @@ Location tracking data arrives as a live feed (taxis report every
 Following the standard log-structured pattern (TrajStore buffers
 inserts the same way), :class:`IngestingBlotStore` keeps
 
-- a set of **base replicas** over the active time window,
+- a stack of **layers**, each one replica set (:class:`SealedWindow`):
+  the **sealed windows** — read-only sets over old time windows, rolled
+  out of the active set at compaction and swept by :meth:`anti_entropy`
+  — and on top the **base**, the window that is still open;
 - an in-memory **delta buffer** of everything appended since the last
-  compaction, made durable by a per-store
-  :class:`~repro.storage.wal.WriteAheadLog` (crash → :meth:`open`
-  replays the buffer with zero loss), and
-- a list of **sealed windows**: read-only, on-disk,
-  :class:`~repro.storage.StoreConfig`-describable replica sets over old
-  time windows, rolled out of the active set at compaction and swept by
-  the :meth:`anti_entropy` CRC + majority-vote check on a schedule.
+  compaction, made durable by a :class:`~repro.storage.wal.WriteAheadLog`.
 
-Queries merge base-replica scans, sealed-window scans and a brute-force
-filter of the buffer (the buffer is small by construction); the buffer
-filter's time and bytes are accounted *separately*
+With a ``wal_dir`` every layer has one shape on disk — units and
+manifests (:func:`~repro.storage.config.write_replica_set`), no raw copy
+of the records — and ``snapshot.json`` names the live ones, so
+:meth:`open` after a crash is manifests + a replay of the log tail:
+nothing is partitioned, encoded or lost.  Without one the store is the
+same stack with a single in-memory base.
+
+Queries merge the layers' scans and a brute-force filter of the buffer
+(small by construction), whose time and bytes are accounted separately
 (``QueryStats.buffer_seconds`` / ``buffer_bytes_scanned``) so Eq. 7
 calibration only ever sees replica scan time.
 
-:meth:`compact` folds the buffer into fresh replicas — the moment at
-which the replica advisor may also be re-consulted (see
-:mod:`repro.core.reselect`).  With ``background_compaction=True`` the
-fold runs on a worker thread: replicas are rebuilt *off to the side*
-and the serving set is swapped atomically under a read/write lock, so
-``append()`` and ``query()`` never block on a rebuild, and a failed
-rebuild leaves the serving set untouched (the frozen batches return to
-the buffer).  Compaction's durability protocol is the WAL's
-rotate → fold → snapshot cycle: the segment seal at compaction start
-bounds exactly the batches being folded, and the single
-``snapshot.json`` replace commits the folded dataset, the sealed-window
-index and the segment GC together.
+:meth:`compact` folds the buffer into a fresh base — the moment at which
+the replica advisor may also be re-consulted (:mod:`repro.core.reselect`).
+With ``background_compaction=True`` the fold runs on a worker thread:
+layers are written *off to the side* and swapped in under a read/write
+lock, so ``append()`` and ``query()`` never block on a rebuild, and a
+failed rebuild leaves the serving set untouched (the frozen batches
+return to the buffer).  Durability is the WAL's rotate → fold → snapshot
+cycle: the segment seal at compaction start bounds exactly the batches
+being folded, the new layers are flushed, and one ``snapshot.json``
+replace commits them together with the segment GC (``docs/ingest.md``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,14 @@ from repro.encoding.base import EncodingScheme
 from repro.errors import DegradedReadError
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
-from repro.storage.engine import BlotStore
+from repro.storage.config import (
+    StoreConfig,
+    cost_model_from_params,
+    default_cost_params,
+    replica_set_config,
+    write_replica_set,
+)
+from repro.storage.engine import BlotStore, open_store
 from repro.storage.options import ExecOptions
 from repro.storage.reads import (
     QueryResult,
@@ -62,21 +70,19 @@ from repro.storage.reads import (
     ReadSurface,
     WorkloadStats,
 )
-from repro.storage.unit import InMemoryStore
-from repro.storage.wal import WriteAheadLog, wal_state_exists
+from repro.obs import NULL_RECORDER
+from repro.storage.unit import DirectoryStore, InMemoryStore
+from repro.storage.wal import WriteAheadLog, fsync_tree, wal_state_exists
 
-try:
-    from repro.obs import NULL_RECORDER
-except ImportError:  # pragma: no cover - obs is a hard sibling in-tree
-    NULL_RECORDER = None
-
-_WINDOW_DIR = "windows"
-_WINDOW_PREFIX = "window-"
+#: Replica-set directories under the WAL directory are named
+#: ``<prefix><seq>``; one sequence numbers both kinds.
+_BASE_PREFIX = os.path.join("base", "base-")
+_WINDOW_PREFIX = os.path.join("windows", "window-")
 
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """Recipe for one diverse replica, re-applied at every compaction."""
+    """Recipe for one diverse replica, applied at every compaction."""
 
     scheme: PartitioningScheme
     encoding: EncodingScheme
@@ -85,19 +91,21 @@ class ReplicaSpec:
 
 @dataclass
 class SealedWindow:
-    """One read-only time window, materialized on disk.
+    """One layer: a replica set over the half-open time span
+    ``[t_lo, t_hi)`` — unbounded for the base, the window still open.
 
-    ``[t_lo, t_hi)`` is the window's half-open time span; late-arriving
-    records for an already-sealed span produce an *additional* window
-    over the same span (windows are append-only, never rewritten), so
-    spans may repeat — queries merge every intersecting window.
+    Late-arriving records for an already-sealed span produce an
+    *additional* window over the same span (windows are append-only,
+    never rewritten), so spans may repeat — queries merge every
+    intersecting window.  ``root`` (the layer's directory) and ``config``
+    (its replica-only config) are ``None`` for an in-memory base.
     """
 
     t_lo: float
     t_hi: float
-    root: str
+    root: str | None
     records: int
-    config: "StoreConfig"  # noqa: F821 - imported lazily to avoid a cycle
+    config: StoreConfig | None
     store: BlotStore
 
     def intersects(self, box: Box3) -> bool:
@@ -188,28 +196,52 @@ class IngestingBlotStore(ReadSurface):
         anti_entropy_interval: float | None = None,
         observability=None,
         clock=time.monotonic,
-        _resume: tuple | None = None,
     ):
         """``auto_compact_at`` triggers :meth:`compact` automatically once
         the live buffer holds that many records (None disables)."""
+        if window_seconds is not None and wal_dir is None:
+            raise ValueError(
+                "window_seconds needs wal_dir (sealed windows are "
+                "materialized on disk under it)")
+        self._configure(replica_specs, cost_model, auto_compact_at,
+                        background_compaction, window_seconds,
+                        anti_entropy_interval, observability, clock)
+        if wal_dir is not None:
+            if wal_state_exists(wal_dir):
+                raise ValueError(
+                    f"{wal_dir!r} already holds WAL state; resume it with "
+                    "IngestingBlotStore.open() instead of constructing over it"
+                )
+            self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
+                                      metrics=self._metrics)
+        self._base = self._write_layer(initial, _BASE_PREFIX)
+        # Make the initial load durable immediately: open() after a
+        # crash must never need the caller to re-supply it.
+        self._commit(0, self._base, [])
+
+    def _configure(self, replica_specs, cost_model, auto_compact_at,
+                   background_compaction, window_seconds,
+                   anti_entropy_interval, observability, clock) -> None:
+        """The settings and empty state ``__init__`` and :meth:`open`
+        share."""
         if not replica_specs:
             raise ValueError("need at least one replica spec")
         if auto_compact_at is not None and auto_compact_at < 1:
             raise ValueError("auto_compact_at must be >= 1")
-        if window_seconds is not None:
-            if window_seconds <= 0:
-                raise ValueError("window_seconds must be positive")
-            if wal_dir is None and _resume is None:
-                raise ValueError(
-                    "window_seconds needs wal_dir (sealed windows are "
-                    "materialized on disk under it)")
+        if window_seconds is not None and window_seconds <= 0:
+            raise ValueError("window_seconds must be positive")
         if anti_entropy_interval is not None and anti_entropy_interval < 0:
             raise ValueError("anti_entropy_interval must be >= 0")
         self._specs = list(replica_specs)
         if cost_model is None and len(self._specs) > 1:
             # Multi-replica routing needs Eq. 7 constants; an always-on
             # store should not fail its first query for lack of them.
-            cost_model = _default_cost_model(self._specs)
+            # (No default for some encoding: callers pin ``replica=``.)
+            try:
+                cost_model = cost_model_from_params(default_cost_params(
+                    {spec.encoding.name for spec in self._specs}))
+            except ValueError:
+                pass
         self._cost_model = cost_model
         self._auto_compact_at = auto_compact_at
         self._background = bool(background_compaction)
@@ -235,30 +267,6 @@ class IngestingBlotStore(ReadSurface):
         self._seal_seq = 0
         self._wal: WriteAheadLog | None = None
 
-        if _resume is not None:
-            wal, base_dataset, replayed, windows, seal_seq = _resume
-            self._wal = wal
-            self._windows = list(windows)
-            self._buffer = list(replayed)
-            self._seal_seq = seal_seq
-            self._base = self._build_base(base_dataset)
-            return
-
-        if wal_dir is not None:
-            if wal_state_exists(wal_dir):
-                raise ValueError(
-                    f"{wal_dir!r} already holds WAL state; resume it with "
-                    "IngestingBlotStore.open() instead of constructing over it"
-                )
-            self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
-                                      metrics=self._metrics)
-        self._base = self._build_base(initial)
-        if self._wal is not None:
-            # Make the initial load durable immediately: open() after a
-            # crash must never need the caller to re-supply it.
-            self._wal.snapshot(initial, through_segment=0,
-                               extra=self._snapshot_extra([]))
-
     # -- crash recovery ----------------------------------------------------
 
     @classmethod
@@ -278,76 +286,123 @@ class IngestingBlotStore(ReadSurface):
     ) -> "IngestingBlotStore":
         """Recover a store from its WAL directory after a restart/crash.
 
-        Rebuilds the base replicas from the committed compaction
-        snapshot, rehydrates the sealed-window index, and replays every
-        acknowledged post-snapshot batch back into the delta buffer —
-        sealing any torn final frame the crash left behind.  The result
-        answers every query exactly as the pre-crash store did.
+        Reopens the layers the committed ``snapshot.json`` names from
+        their manifests — nothing is partitioned, encoded or read — and
+        replays every acknowledged post-commit batch into the delta
+        buffer, sealing any torn final frame the crash left behind.  The
+        result answers every query exactly as the pre-crash store did.
+        Layers keep the replicas they were written with:
+        ``replica_specs`` take effect at the next compaction.
         """
-        metrics = observability.metrics if observability else None
-        wal = WriteAheadLog(wal_dir, fsync=fsync_wal, metrics=metrics)
-        base_dataset, _, extra = wal.snapshot_meta()
-        if base_dataset is None:
+        self = cls.__new__(cls)
+        self._configure(replica_specs, cost_model, auto_compact_at,
+                        background_compaction, window_seconds,
+                        anti_entropy_interval, observability, clock)
+        self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
+                                  metrics=self._metrics)
+        _, committed = self._wal.snapshot_meta()
+        if "base" not in committed:
             raise ValueError(
                 f"no committed snapshot under {wal_dir!r}; create the store "
                 "with IngestingBlotStore(initial, ..., wal_dir=...) first"
             )
-        replayed = wal.replay()
-        if metrics is not None:
-            metrics.counter("repro_wal_replayed_records_total").inc(
-                sum(len(b) for b in replayed))
-        windows = [cls._hydrate_window(d) for d in extra.get("windows", [])]
-        seal_seq = max((w_seq for w_seq in
-                        (_window_seq(w.root) for w in windows)
-                        if w_seq is not None), default=0)
-        _gc_orphan_windows(wal_dir, windows)
-        return cls(
-            base_dataset, replica_specs, cost_model, auto_compact_at,
-            background_compaction=background_compaction,
-            window_seconds=window_seconds,
-            anti_entropy_interval=anti_entropy_interval,
-            observability=observability, clock=clock,
-            _resume=(wal, base_dataset, replayed, windows, seal_seq),
-        )
+        self._base = self._open_layer(committed["base"])
+        self._windows = [self._open_layer(d) for d in committed["windows"]]
+        self._seal_seq = max(int(layer.root.rpartition("-")[2])
+                             for layer in [self._base, *self._windows])
+        self._collect_orphans()
+        self._buffer = self._wal.replay()
+        if self._metrics is not None:
+            self._metrics.counter("repro_wal_replayed_records_total").inc(
+                sum(len(b) for b in self._buffer))
+        return self
 
-    @staticmethod
-    def _hydrate_window(descriptor: dict) -> SealedWindow:
-        from repro.storage.config import hydrate_store, store_config_from_dict
+    # -- layers ------------------------------------------------------------
 
-        config = store_config_from_dict(descriptor["config"])
+    def _write_layer(self, dataset: Dataset, prefix: str,
+                     t_lo: float = -math.inf,
+                     t_hi: float = math.inf) -> SealedWindow:
+        """Build the replica set of one layer over ``dataset`` with the
+        current specs — flushed under the WAL directory, or in memory
+        when there is none — and open it for serving."""
+        specs = [(s.scheme, s.encoding, s.name) for s in self._specs]
+        if self._wal is None:
+            store = open_store(
+                dataset,
+                [(scheme, encoding, InMemoryStore(), name)
+                 for scheme, encoding, name in specs],
+                cost_model=self._cost_model, observability=self._obs)
+            return SealedWindow(t_lo, t_hi, None, len(dataset), None, store)
+        self._seal_seq += 1
+        rel = f"{prefix}{self._seal_seq:06d}"
+        root = os.path.join(self._wal.dir, rel)
+        names = write_replica_set(dataset, specs, root)
+        # The commit that names this layer GCs the WAL segments holding
+        # the same records: it must be on stable storage first.
+        fsync_tree(root)
+        return self._open_layer({"dir": rel, "records": len(dataset),
+                                 "replicas": names,
+                                 "t_lo": t_lo, "t_hi": t_hi})
+
+    def _open_layer(self, descriptor: dict) -> SealedWindow:
+        """Open one committed (or about to be committed) layer from its
+        ``snapshot.json`` descriptor: manifests only, with the store's
+        live cost model and telemetry."""
+        root = os.path.join(self._wal.dir, descriptor["dir"])
+        config = replica_set_config(root, descriptor["replicas"])
+        store = open_store(config.load_dataset,
+                           [ref.open() for ref in config.replicas],
+                           cost_model=self._cost_model,
+                           observability=self._obs)
         return SealedWindow(
-            t_lo=float(descriptor["t_lo"]),
-            t_hi=float(descriptor["t_hi"]),
-            root=descriptor["root"],
-            records=int(descriptor["records"]),
-            config=config,
-            store=hydrate_store(config),
-        )
+            t_lo=float(descriptor.get("t_lo", -math.inf)),
+            t_hi=float(descriptor.get("t_hi", math.inf)),
+            root=root, records=int(descriptor["records"]),
+            config=config, store=store)
 
-    def _snapshot_extra(self, windows: list[SealedWindow]) -> dict:
-        from repro.storage.config import store_config_to_dict
+    def _commit(self, through_segment: int, base: SealedWindow,
+                windows: list[SealedWindow]) -> None:
+        """Make ``base`` + ``windows`` the committed layers, and WAL
+        segments <= ``through_segment`` folded, in one atomic
+        ``snapshot.json`` replace.  Paths are stored relative to the WAL
+        directory, so the directory can be moved."""
+        if self._wal is None:
+            return
 
-        return {"windows": [
-            {"t_lo": w.t_lo, "t_hi": w.t_hi, "root": w.root,
-             "records": w.records,
-             "config": store_config_to_dict(w.config)}
-            for w in windows
-        ]}
+        def describe(layer: SealedWindow, **span) -> dict:
+            return {"dir": os.path.relpath(layer.root, self._wal.dir),
+                    "records": layer.records,
+                    "replicas": layer.store.replica_names(), **span}
 
-    def _build_base(self, dataset: Dataset) -> BlotStore:
-        store = BlotStore(dataset, cost_model=self._cost_model,
-                          observability=self._obs)
-        for spec in self._specs:
-            store.add_replica(spec.scheme, spec.encoding, InMemoryStore(),
-                              name=spec.name)
-        return store
+        self._wal.snapshot(through_segment, extra={
+            "base": describe(base),
+            "windows": [describe(w, t_lo=w.t_lo, t_hi=w.t_hi)
+                        for w in windows]})
+
+    def _collect_orphans(self) -> None:
+        """Delete every replica-set directory that ``snapshot.json`` does
+        not name and this store does not serve: what a crashed or failed
+        compaction wrote but never committed, and superseded bases.
+        Callers hold ``_compact_lock`` (or own the store alone)."""
+        if self._wal is None:
+            return
+        committed = self._wal.snapshot_meta()[1]
+        keep = {os.path.join(self._wal.dir, d["dir"])
+                for d in [committed["base"], *committed["windows"]]}
+        keep.update(layer.root for layer in [self._base, *self._windows])
+        for prefix in (_BASE_PREFIX, _WINDOW_PREFIX):
+            parent = os.path.join(self._wal.dir, os.path.dirname(prefix))
+            for name in os.listdir(parent) if os.path.isdir(parent) else ():
+                path = os.path.join(parent, name)
+                if path not in keep:
+                    shutil.rmtree(path, ignore_errors=True)
 
     # -- state ------------------------------------------------------------
 
     @property
     def base(self) -> BlotStore:
         """The replica set over the active window's compacted data."""
-        return self._base
+        return self._base.store
 
     @property
     def windows(self) -> tuple[SealedWindow, ...]:
@@ -371,18 +426,16 @@ class IngestingBlotStore(ReadSurface):
             sum(len(d) for d in self._buffer)
 
     def dataset(self) -> Dataset:
-        """The full logical dataset (sealed windows + base + buffer)."""
-        with self._rw.read_lock():
-            windows = list(self._windows)
-            base = self._base
-            delta = self._compacting + self._buffer
+        """The full logical dataset (sealed windows + base + buffer),
+        decoded from one replica of each on-disk layer."""
+        layers, delta = self._read_state()
         return Dataset.concat(
-            [w.store.dataset for w in windows] + [base.dataset] + delta)
+            [layer.store.dataset for layer in layers] + delta)
 
     def __len__(self) -> int:
         with self._rw.read_lock():
             return (sum(w.records for w in self._windows)
-                    + len(self._base.dataset)
+                    + self._base.records
                     + self._delta_records_unlocked())
 
     @property
@@ -401,14 +454,16 @@ class IngestingBlotStore(ReadSurface):
         return self._last_compaction_error
 
     def close(self) -> None:
-        """Wait out any in-flight background compaction and release the
-        WAL handle and window stores."""
+        """Wait out any in-flight background compaction, release the
+        WAL handle and the layer stores, and collect what the committed
+        state no longer names."""
         self.wait_for_compaction()
-        if self._wal is not None:
-            self._wal.close()
-        self._base.close()
-        for w in self._windows:
-            w.store.close()
+        with self._compact_lock:
+            if self._wal is not None:
+                self._wal.close()
+            for layer in [*self._windows, self._base]:
+                layer.store.close()
+            self._collect_orphans()
 
     # -- writes ----------------------------------------------------------------
 
@@ -496,6 +551,10 @@ class IngestingBlotStore(ReadSurface):
     def _compact_once(self, mode: str) -> bool:
         """One rotate → fold → snapshot → swap cycle.  Caller holds
         ``_compact_lock`` (compactions are single-flight)."""
+        # A reader that took its state before the *previous* swap has had
+        # a whole compaction interval to finish: the base that swap
+        # superseded (and anything a failed attempt left) can go now.
+        self._collect_orphans()
         with self._rw.write_lock():
             if not self._buffer and not self._compacting:
                 return False
@@ -506,14 +565,13 @@ class IngestingBlotStore(ReadSurface):
             sealed_segment = self._wal.rotate() if self._wal else None
             self._compacting = self._compacting + self._buffer
             self._buffer = []
-            base = self._base
             frozen = list(self._compacting)
         t0 = time.perf_counter()
         try:
             with self._tracer.start("compact", kind="compact",
                                     mode=mode) as root:
                 merged = Dataset.concat(
-                    [base.dataset, *frozen]).sorted_by_time()
+                    [self._base.store.dataset, *frozen]).sorted_by_time()
                 new_windows: list[SealedWindow] = []
                 active = merged
                 if self._window_seconds is not None:
@@ -521,13 +579,10 @@ class IngestingBlotStore(ReadSurface):
                         active, new_windows = self._seal_windows(merged)
                 with self._tracer.start("rebuild", parent=root,
                                         records=len(active)):
-                    new_base = self._build_base(active)
-                if self._wal is not None:
-                    with self._tracer.start("snapshot", parent=root):
-                        self._wal.snapshot(
-                            active, through_segment=sealed_segment,
-                            extra=self._snapshot_extra(
-                                self._windows + new_windows))
+                    new_base = self._write_layer(active, _BASE_PREFIX)
+                with self._tracer.start("snapshot", parent=root):
+                    self._commit(sealed_segment, new_base,
+                                 self._windows + new_windows)
                 with self._rw.write_lock():
                     self._base = new_base
                     self._windows.extend(new_windows)
@@ -538,7 +593,8 @@ class IngestingBlotStore(ReadSurface):
             # Rebuild failed off to the side: the serving set was never
             # touched; return the frozen batches to the head of the
             # buffer (their WAL segments are still on disk — the
-            # snapshot that would have GC'd them never committed).
+            # snapshot that would have GC'd them never committed; the
+            # half-written layers go at the next collection).
             with self._rw.write_lock():
                 self._compacting = []
                 self._buffer = frozen + self._buffer
@@ -568,7 +624,7 @@ class IngestingBlotStore(ReadSurface):
         self, merged: Dataset
     ) -> tuple[Dataset, list[SealedWindow]]:
         """Split ``merged`` into the active (open-window) dataset and
-        newly sealed on-disk windows for everything older."""
+        newly written on-disk windows for everything older."""
         window = float(self._window_seconds)
         t = merged.column("t")
         open_start = math.floor(float(t.max()) / window) * window
@@ -581,30 +637,10 @@ class IngestingBlotStore(ReadSurface):
         windows = []
         for bucket in np.unique(buckets):
             part = sealed.take(buckets == bucket)
-            windows.append(self._materialize_window(
-                part, float(bucket) * window, float(bucket + 1) * window))
+            windows.append(self._write_layer(
+                part, _WINDOW_PREFIX,
+                float(bucket) * window, float(bucket + 1) * window))
         return active, windows
-
-    def _materialize_window(self, dataset: Dataset, t_lo: float,
-                            t_hi: float) -> SealedWindow:
-        from repro.storage.config import hydrate_store, materialize_store
-
-        self._seal_seq += 1
-        root = os.path.join(self._wal.dir, _WINDOW_DIR,
-                            f"{_WINDOW_PREFIX}{self._seal_seq:06d}")
-        cost_params = None
-        if self._cost_model is not None:
-            cost_params = tuple(
-                (name, self._cost_model.params_for(name).scan_rate,
-                 self._cost_model.params_for(name).extra_time)
-                for name in self._cost_model.encoding_names)
-        config = materialize_store(
-            dataset,
-            [(spec.scheme, spec.encoding, spec.name) for spec in self._specs],
-            root, cost_params=cost_params)
-        return SealedWindow(t_lo=t_lo, t_hi=t_hi, root=root,
-                            records=len(dataset), config=config,
-                            store=hydrate_store(config))
 
     # -- anti-entropy -----------------------------------------------------------
 
@@ -631,7 +667,6 @@ class IngestingBlotStore(ReadSurface):
         :class:`~repro.verify.StoreVerification` per window and
         publishes ``repro_antientropy_*`` counters.
         """
-        from repro.storage.unit import DirectoryStore
         from repro.verify.diskcheck import verify_store
 
         with self._rw.read_lock():
@@ -662,19 +697,21 @@ class IngestingBlotStore(ReadSurface):
 
     # -- reads ----------------------------------------------------------------
 
-    def _read_state(self):
+    def _read_state(self) -> tuple[list[SealedWindow], list[Dataset]]:
+        """One instant's serving state: the layers (sealed windows oldest
+        first, the base last) and the delta batches."""
         with self._rw.read_lock():
-            return (self._base, list(self._windows),
+            return ([*self._windows, self._base],
                     self._compacting + self._buffer)
 
     def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
                  batch: bool, replica: str | None = None, plan=None):
         """The single read entry (see
         :class:`~repro.storage.reads.ReadSurface`), fanned over the
-        layers: each sealed window answers the requests whose range
-        reaches its time span, the base replicas answer all of them
-        (and take the caller's ``plan``), and the delta buffer — a layer
-        whose decode is the identity — is filtered brute force.
+        layers: each one answers the requests whose range reaches its
+        time span (the base: all of them, so it takes the caller's
+        ``plan``), and the delta buffer — a layer whose decode is the
+        identity — is filtered brute force.
 
         Per request the layers merge in the order sealed windows (oldest
         first), base, buffer, so a raw :class:`Box3` is matched against
@@ -685,15 +722,18 @@ class IngestingBlotStore(ReadSurface):
         ``buffer_bytes_scanned``).  A request any layer could not serve
         ends in that layer's :class:`DegradedReadError`.
         """
-        base, windows, delta = self._read_state()
+        layers, delta = self._read_state()
         answers: list[list[QueryResult]] = [[] for _ in requests]
         errors: dict[int, DegradedReadError] = {}
         layer_stats: list[WorkloadStats] = []
-
-        def scan_layer(store: BlotStore, idxs, layer_plan=None):
-            outcomes, used_plan, stats = store._execute(
+        for layer in layers:
+            idxs = [i for i, r in enumerate(requests)
+                    if layer.intersects(r.box)]
+            if not idxs:
+                continue
+            outcomes, layer_plan, stats = layer.store._execute(
                 [requests[i] for i in idxs], opts, batch=batch,
-                replica=replica, plan=layer_plan)
+                replica=replica, plan=plan if layer is layers[-1] else None)
             for i, outcome in zip(idxs, outcomes):
                 if isinstance(outcome, DegradedReadError):
                     errors.setdefault(i, outcome)
@@ -701,34 +741,28 @@ class IngestingBlotStore(ReadSurface):
                     answers[i].append(outcome)
             if stats is not None:
                 layer_stats.append(stats)
-            return used_plan
-
-        for w in windows:
-            idxs = [i for i, r in enumerate(requests) if w.intersects(r.box)]
-            if idxs:
-                scan_layer(w.store, idxs)
-        plan = scan_layer(base, range(len(requests)), plan)
+        plan = layer_plan
         delta_bytes = sum(d.binary_size_bytes() for d in delta)
         delta_records = sum(len(d) for d in delta)
         buffered = self._scan_buffer(delta, requests, opts,
                                      records=delta_records, bytes=delta_bytes)
 
-        total_records = len(self)
+        total_records = sum(layer.records for layer in layers) + delta_records
         outcomes: list = []
         for i, request in enumerate(requests):
             if i in errors:
                 outcomes.append(errors[i])
                 continue
-            layers = answers[i]
+            found = answers[i]
             matched, buffer_seconds = buffered[i]
             if request.count:
-                merged = returned = sum(r.records for r in layers) + matched
+                merged = returned = sum(r.records for r in found) + matched
             else:
-                pieces = [r.records for r in layers] + matched
+                pieces = [r.records for r in found] + matched
                 merged = (pieces[0] if len(pieces) == 1
                           else Dataset.concat(pieces))
                 returned = len(merged)
-            parts = [r.stats for r in layers]
+            parts = [r.stats for r in found]
             outcomes.append(QueryResult(records=merged, stats=QueryStats(
                 replica_name=parts[-1].replica_name,  # the base's
                 partitions_involved=sum(p.partitions_involved for p in parts),
@@ -800,48 +834,3 @@ class IngestingBlotStore(ReadSurface):
                     matched = [d.filter_box(request.box) for d in delta]
                 out.append((matched, time.perf_counter() - t0))
         return out
-
-
-def _default_cost_model(specs: list[ReplicaSpec]) -> CostModel | None:
-    """Calibration-table fallback for multi-replica stores built without
-    an explicit cost model; ``None`` when an encoding has no default
-    entry (the caller must then pin queries with ``replica=``)."""
-    from repro.costmodel.model import EncodingCostParams
-    from repro.storage.config import DEFAULT_COST_PARAMS
-
-    defaults = {name: (rate, extra)
-                for name, rate, extra in DEFAULT_COST_PARAMS}
-    needed = {spec.encoding.name for spec in specs}
-    if not needed <= set(defaults):
-        return None
-    return CostModel({
-        name: EncodingCostParams(scan_rate=defaults[name][0],
-                                 extra_time=defaults[name][1])
-        for name in needed
-    })
-
-
-def _window_seq(root: str) -> int | None:
-    name = os.path.basename(root.rstrip("/"))
-    if name.startswith(_WINDOW_PREFIX):
-        try:
-            return int(name[len(_WINDOW_PREFIX):])
-        except ValueError:
-            return None
-    return None
-
-
-def _gc_orphan_windows(wal_dir: str, committed: list[SealedWindow]) -> None:
-    """Delete window directories a crashed compaction wrote but never
-    committed (the snapshot.json replace is the commit point)."""
-    windows_root = os.path.join(wal_dir, _WINDOW_DIR)
-    keep = {os.path.abspath(w.root) for w in committed}
-    try:
-        names = os.listdir(windows_root)
-    except FileNotFoundError:
-        return
-    for name in names:
-        path = os.path.join(windows_root, name)
-        if (name.startswith(_WINDOW_PREFIX)
-                and os.path.abspath(path) not in keep):
-            shutil.rmtree(path, ignore_errors=True)

@@ -55,7 +55,7 @@ def save_manifest(replica: StoredReplica, path: str) -> dict:
     """Write the manifest JSON to ``path``; returns the manifest dict."""
     manifest = build_manifest(replica)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f)
+        f.write(json.dumps(manifest))
     return manifest
 
 

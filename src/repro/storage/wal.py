@@ -20,20 +20,21 @@ torn tail — that is real corruption and raises :class:`WalError`.
 
 Layout under the WAL directory::
 
-    wal-00000001.log   CRC-framed segments (appends since the snapshot)
-    snapshot-<k>.npz   the folded dataset at the last compaction
-    snapshot.json      commit point: which snapshot file is live, which
-                       segments it covers, plus opaque owner metadata
-                       (the ingest store keeps its sealed-window index
-                       here so windows and snapshot commit atomically)
+    wal-00000001.log   CRC-framed segments (appends since the commit)
+    snapshot.json      commit point: the last segment the owner has
+                       folded, plus opaque owner metadata naming where
+                       the folded records live now (the ingest store's
+                       ``base/base-<n>/`` and ``windows/window-<n>/``
+                       replica sets, relative to this directory)
 
-Segment rotation ties the log to compaction: the ingest store rotates
-at compaction start, folds exactly the sealed segments' batches, then
-commits ``snapshot.json`` naming the last sealed segment — one
-``os.replace`` making snapshot + window index + segment GC atomic.
-Segments at or below ``through_segment`` are deleted after the commit;
-a crash between commit and GC merely leaves stale segments that replay
-skips.
+The log holds records only inside frames.  Segment rotation ties it to
+compaction: the ingest store rotates at compaction start, folds exactly
+the sealed segments' batches into replica sets, flushes those
+(:func:`fsync_tree`), then commits ``snapshot.json`` naming them and the
+last sealed segment — one ``os.replace`` making the new sets live and
+the folded segments dead.  Segments at or below ``through_segment`` are
+deleted after the commit; a crash between commit and GC merely leaves
+stale segments that replay skips.
 
 Frame format (little-endian)::
 
@@ -59,7 +60,8 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.record import FIELD_NAMES
 
-__all__ = ["WriteAheadLog", "WalError", "KIND_APPEND", "wal_state_exists"]
+__all__ = ["WriteAheadLog", "WalError", "KIND_APPEND", "wal_state_exists",
+           "fsync_tree"]
 
 _HEADER = struct.Struct("<II")
 #: Sanity bound on one frame's body; a length field beyond it is treated
@@ -71,6 +73,9 @@ KIND_APPEND = 1
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
 _SNAPSHOT_META = "snapshot.json"
+#: ``snapshot.json`` layout version.  Format 1 named a raw
+#: ``snapshot-<k>.npz`` payload; format 2 is the JSON-only commit.
+_SNAPSHOT_FORMAT = 2
 
 
 def wal_state_exists(wal_dir: str) -> bool:
@@ -91,7 +96,27 @@ def wal_state_exists(wal_dir: str) -> bool:
 
 class WalError(RuntimeError):
     """Real WAL corruption: an intact-CRC frame that cannot be decoded,
-    or snapshot metadata naming files that do not exist."""
+    or commit metadata that is unreadable or in another format."""
+
+
+def _fsync_path(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def fsync_tree(root: str) -> None:
+    """Flush every file and directory under ``root``, and ``root``'s
+    entry in its parent, to stable storage — what an owner calls on a
+    replica set it is about to name in :meth:`WriteAheadLog.snapshot`,
+    whose segment GC deletes the only other copy of those records."""
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            _fsync_path(os.path.join(dirpath, name))
+        _fsync_path(dirpath)
+    _fsync_path(os.path.dirname(os.path.abspath(root)))
 
 
 def _encode_batch(dataset: Dataset) -> bytes:
@@ -137,7 +162,7 @@ class WriteAheadLog:
         # the previous process may have died mid-frame, and sealing
         # happens on replay — never append onto a possibly-torn tail.
         ids = self._segment_ids_unlocked()
-        self._current = max(max(ids, default=0), self._through_segment()) + 1
+        self._current = max(max(ids, default=0), self.snapshot_meta()[0]) + 1
 
     # -- paths -------------------------------------------------------------
 
@@ -147,15 +172,6 @@ class WriteAheadLog:
 
     def _meta_path(self) -> str:
         return os.path.join(self.dir, _SNAPSHOT_META)
-
-    def _through_segment(self) -> int:
-        """The committed snapshot's covered-segment id, without loading
-        the snapshot payload; 0 when no snapshot exists."""
-        try:
-            with open(self._meta_path(), "r", encoding="utf-8") as f:
-                return int(json.load(f)["through_segment"])
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
-            return 0
 
     def _segment_ids_unlocked(self) -> list[int]:
         ids = []
@@ -217,7 +233,7 @@ class WriteAheadLog:
 
         Returns the sealed segment's id — the value a subsequent
         :meth:`snapshot` passes as ``through_segment`` once every batch
-        up to the seal has been folded into the snapshot dataset.
+        up to the seal has been folded into the owner's replica sets.
         """
         with self._lock:
             sealed = self._current
@@ -235,74 +251,56 @@ class WriteAheadLog:
 
     # -- snapshot ----------------------------------------------------------
 
-    def snapshot(self, dataset: Dataset, through_segment: int,
+    def snapshot(self, through_segment: int,
                  extra: dict[str, Any] | None = None) -> None:
-        """Commit a folded snapshot covering segments <= ``through_segment``.
+        """Commit that segments <= ``through_segment`` are folded.
 
-        The ``.npz`` payload is written first, then ``snapshot.json`` is
-        replaced atomically — the single commit point for the snapshot,
-        the owner's ``extra`` metadata, and the segment GC that follows.
+        ``snapshot.json`` is replaced atomically — the single commit
+        point for ``through_segment``, the owner's ``extra`` metadata
+        (which names where the folded records live; the owner has
+        already flushed them) and the segment GC that follows.
         """
         with self._lock:
-            payload = f"snapshot-{through_segment:08d}.npz"
-            payload_path = os.path.join(self.dir, payload)
-            tmp = payload_path + ".tmp"
-            with open(tmp, "wb") as f:
-                np.savez(f, **{name: dataset.column(name)
-                               for name in FIELD_NAMES})
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, payload_path)
-
             meta = {
-                "file": payload,
+                "format": _SNAPSHOT_FORMAT,
                 "through_segment": int(through_segment),
-                "records": len(dataset),
                 "extra": extra or {},
             }
             meta_tmp = self._meta_path() + ".tmp"
             with open(meta_tmp, "w", encoding="utf-8") as f:
-                json.dump(meta, f, sort_keys=True)
+                f.write(json.dumps(meta, sort_keys=True))
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(meta_tmp, self._meta_path())
+            _fsync_path(self.dir)
 
-            # Post-commit GC: superseded snapshots and folded segments.
-            # A crash in here only leaves stale files that replay skips.
-            for name in os.listdir(self.dir):
-                if (name.startswith("snapshot-") and name.endswith(".npz")
-                        and name != payload):
-                    self._remove_quietly(os.path.join(self.dir, name))
+            # Post-commit GC of the folded segments.  A crash in here
+            # only leaves stale files that replay skips.
             for seg_id in self._segment_ids_unlocked():
                 if seg_id <= through_segment:
-                    self._remove_quietly(self._segment_path(seg_id))
+                    try:
+                        os.remove(self._segment_path(seg_id))
+                    except OSError:
+                        pass
         self._bump("repro_wal_snapshots_total")
 
-    @staticmethod
-    def _remove_quietly(path: str) -> None:
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-
-    def snapshot_meta(self) -> tuple[Dataset | None, int, dict[str, Any]]:
-        """The committed snapshot: ``(dataset, through_segment, extra)``.
-
-        ``(None, 0, {})`` when no snapshot has ever been committed.
-        """
+    def snapshot_meta(self) -> tuple[int, dict[str, Any]]:
+        """The committed ``(through_segment, extra)``; ``(0, {})`` when
+        nothing has ever been committed."""
         try:
             with open(self._meta_path(), "r", encoding="utf-8") as f:
                 meta = json.load(f)
         except FileNotFoundError:
-            return None, 0, {}
+            return 0, {}
         except ValueError as exc:
             raise WalError(f"snapshot.json is not valid JSON: {exc}") from exc
-        payload_path = os.path.join(self.dir, meta["file"])
-        if not os.path.exists(payload_path):
+        if meta.get("format") != _SNAPSHOT_FORMAT:
             raise WalError(
-                f"snapshot.json names missing payload {meta['file']!r}")
-        dataset = Dataset.from_npz(payload_path)
-        return dataset, int(meta["through_segment"]), meta.get("extra", {})
+                f"snapshot.json is format {meta.get('format', 1)!r} (format 1 "
+                f"kept a raw .npz snapshot beside the log); this version "
+                f"reads format {_SNAPSHOT_FORMAT} only — re-create the store "
+                f"from its source records")
+        return int(meta["through_segment"]), meta.get("extra", {})
 
     # -- replay ------------------------------------------------------------
 
@@ -343,11 +341,11 @@ class WriteAheadLog:
 
         Reads segments above the snapshot's ``through_segment``
         ascending, sealing torn tails in place.  The returned batches,
-        appended onto the snapshot dataset, reconstruct exactly the
-        acknowledged ingest state at the moment of the crash.
+        on top of the replica sets the commit names, reconstruct exactly
+        the acknowledged ingest state at the moment of the crash.
         """
         with self._lock:
-            through = self._through_segment()
+            through = self.snapshot_meta()[0]
             batches: list[Dataset] = []
             for seg_id in self._segment_ids_unlocked():
                 if seg_id <= through:

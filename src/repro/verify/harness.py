@@ -5,8 +5,9 @@ replicas (every partitioning x encoding combination) over one dataset
 and drives the same query boxes through every execution path the engine
 has — scalar ``query()``, batch ``execute_workload``, cold and warm
 ``PartitionCache`` reads, fault-injected reads with failover, and
-``IngestingBlotStore`` merged base+buffer reads — asserting every answer
-is bit-identical to the brute-force oracle.
+``IngestingBlotStore`` merged layer+buffer reads, in memory and through
+a durable close/reopen — asserting every answer is bit-identical to the
+brute-force oracle.
 
 The sweep doubles as the engine's conformance suite (tests) and as the
 work-horse behind ``repro verify-store`` (on-disk stores; see
@@ -15,6 +16,7 @@ work-horse behind ``repro verify-store`` (on-disk stores; see
 
 from __future__ import annotations
 
+import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -271,8 +273,9 @@ class DifferentialHarness:
                 cache.clear()
 
     def _run_ingest(self, report, boxes, oracles) -> None:
-        """Merged base+buffer reads: split the dataset, append the tail
-        in chunks, verify before and after compaction."""
+        """Merged layer+buffer reads: split the dataset, append the tail
+        in chunks, verify before and after compaction — then again
+        through a durable windowed store that is closed and reopened."""
         n = len(self._dataset)
         if n < 4:
             return
@@ -284,22 +287,45 @@ class DifferentialHarness:
             ReplicaSpec(self._schemes[0], self._encodings[0], name="ing-a"),
             ReplicaSpec(self._schemes[-1], self._encodings[-1], name="ing-b"),
         ]
-        store = IngestingBlotStore(base, specs)
         third = max(1, len(tail) // 3)
-        for lo in range(0, len(tail), third):
-            store.append(tail.take(np.arange(lo, min(lo + third, len(tail)))))
-        # The ingest oracle is the *full* dataset: base scans + buffer
+        chunks = [tail.take(np.arange(lo, min(lo + third, len(tail))))
+                  for lo in range(0, len(tail), third)]
+
+        # The ingest oracle is the *full* dataset: layer scans + buffer
         # filter must reconstruct it exactly, with no loss or double
         # counting at the compaction boundary.
-        for phase in ("buffered", "compacted"):
+        def check(store, phase):
             for spec in specs:
                 for i, (box, want) in enumerate(zip(boxes, oracles)):
                     got = store.query(box, replica=spec.name)
-                    self._check(report, "ingest",
-                                f"{spec.name}[{phase}]", i, box, want,
-                                got.records)
-            if phase == "buffered":
-                store.compact()
+                    self._check(report, "ingest", f"{spec.name}[{phase}]",
+                                i, box, want, got.records)
+
+        store = IngestingBlotStore(base, specs)
+        for chunk in chunks:
+            store.append(chunk)
+        check(store, "buffered")
+        store.compact()
+        check(store, "compacted")
+
+        # The durable shape: a quarter-span window puts the rollover
+        # inside the appended tail, so the compaction seals windows and
+        # rewrites the base on disk; the reopened store serves those
+        # layers plus a replayed-then-extended buffer.
+        t = ordered.column("t")
+        window = float(t[-1] - t[0]) / 4 or 1.0
+        with tempfile.TemporaryDirectory() as wal_dir:
+            store = IngestingBlotStore(base, specs, wal_dir=wal_dir,
+                                       window_seconds=window)
+            for chunk in chunks[:-1]:
+                store.append(chunk)
+            store.compact()
+            store.close()
+            store = IngestingBlotStore.open(wal_dir, specs,
+                                            window_seconds=window)
+            store.append(chunks[-1])
+            check(store, "reopened")
+            store.close()
 
 
 def verify_dataset(

@@ -242,9 +242,15 @@ class TestWalDurability:
         _, initial, _ = stream
         store = IngestingBlotStore(initial, wal_specs(),
                                    wal_dir=str(tmp_path / "wal"))
-        dataset, through, _ = store.wal.snapshot_meta()
+        through, committed = store.wal.snapshot_meta()
         assert through == 0
-        assert datasets_identical(canonical(dataset), canonical(initial))
+        assert committed["windows"] == []
+        assert committed["base"]["records"] == len(initial)
+        # The commit names a replica set, relative to the WAL directory,
+        # and any replica of it restores the initial load.
+        assert os.path.isdir(tmp_path / "wal" / committed["base"]["dir"])
+        assert datasets_identical(canonical(store.base.dataset),
+                                  canonical(initial))
 
     def test_constructing_over_existing_state_refuses(self, tmp_path,
                                                       stream):
@@ -485,6 +491,148 @@ class TestWindowedRollover:
                                            window_seconds=600.0)
         assert not os.path.exists(orphan)
         assert {w.root for w in reopened.windows} == committed
+
+
+def layer_dirs(wal_dir):
+    """Replica-set directories present under a WAL directory, relative."""
+    return sorted(
+        os.path.join(parent, name)
+        for parent in ("base", "windows")
+        if os.path.isdir(os.path.join(wal_dir, parent))
+        for name in os.listdir(os.path.join(wal_dir, parent)))
+
+
+def committed_dirs(store):
+    _, committed = store.wal.snapshot_meta()
+    return sorted(d["dir"] for d in
+                  [committed["base"], *committed["windows"]])
+
+
+class TestOneOnDiskShape:
+    """The base is a replica set on disk like every sealed window, and
+    ``open()`` is manifests + replay."""
+
+    def windowed(self, wal_dir, stream, n_appended=3):
+        full, initial, batches = stream
+        t = full.column("t")
+        store = IngestingBlotStore(
+            initial, wal_specs(), wal_dir=str(wal_dir),
+            window_seconds=float(t.max() - t.min()) / 4)
+        for batch in batches[:n_appended]:
+            store.append(batch)
+        store.compact()
+        return store
+
+    def assert_answers(self, store, current, universe, seed):
+        assert len(store) == len(current)
+        rng = np.random.default_rng(seed)
+        for box in [universe] + [random_box(universe, rng) for _ in range(4)]:
+            got = canonical(store.query(box).records)
+            assert datasets_identical(got,
+                                      canonical(current.filter_box(box)))
+            assert store.count(box)[0] == current.count_in_box(box)
+
+    def test_open_builds_nothing(self, tmp_path, stream, monkeypatch):
+        full, initial, batches = stream
+        store = self.windowed(tmp_path / "wal", stream)
+        assert len(store.windows) >= 2
+        store.append(batches[3])  # the WAL tail
+        del store  # crash
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("open() must not build a replica")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.storage.replica.build_replica", refuse)
+            patched.setattr("repro.storage.engine.build_replica", refuse)
+            patched.setattr(CompositeScheme, "build", refuse)
+            reopened = IngestingBlotStore.open(str(tmp_path / "wal"),
+                                               wal_specs())
+        assert reopened.buffered_records == len(batches[3])
+        self.assert_answers(reopened, full, full.bounding_box(), seed=41)
+        reopened.close()
+
+    def test_closed_directory_holds_one_shape(self, tmp_path, stream):
+        _, _, batches = stream
+        wal_dir = str(tmp_path / "wal")
+        store = self.windowed(wal_dir, stream)
+        store.append(batches[3])
+        store.compact()  # supersedes a second base
+        store.close()
+        assert sorted(os.listdir(wal_dir)) == [
+            "base", "snapshot.json", "windows"]  # tail folded: no segment
+        assert layer_dirs(wal_dir) == committed_dirs(store)
+        assert len(os.listdir(os.path.join(wal_dir, "base"))) == 1
+        assert not glob.glob(os.path.join(wal_dir, "**", "*.npz"),
+                             recursive=True)
+
+    def test_moved_wal_directory_reopens(self, tmp_path, stream,
+                                         monkeypatch):
+        full, _, batches = stream
+        monkeypatch.chdir(tmp_path)
+        store = self.windowed("a", stream)  # a relative spelling
+        assert len(store.windows) >= 2
+        store.append(batches[3])
+        del store
+        os.rename("a", "b")
+        reopened = IngestingBlotStore.open("b", wal_specs())
+        # The orphan collector ran at open() and took nothing committed.
+        assert layer_dirs("b") == committed_dirs(reopened)
+        assert len(reopened.windows) >= 2
+        self.assert_answers(reopened, full, full.bounding_box(), seed=43)
+        # ... nor does it from another working directory.
+        reopened.close()
+        monkeypatch.chdir(tmp_path / "b")
+        again = IngestingBlotStore.open(str(tmp_path / "b"), wal_specs())
+        self.assert_answers(again, full, full.bounding_box(), seed=43)
+        again.close()
+
+    def test_superseded_base_outlives_its_readers(self, tmp_path, stream):
+        _, initial, batches = stream
+        wal_dir = str(tmp_path / "wal")
+        store = IngestingBlotStore(initial, wal_specs(), wal_dir=wal_dir)
+        # A reader snapshots the serving state, has read nothing yet ...
+        layers, delta = store._read_state()
+        old_base = layers[-1]
+        store.append(batches[0])
+        store.compact()  # ... and the swap happens under it.
+        assert store.base is not old_base.store
+        assert os.path.isdir(old_base.root)
+        box = initial.bounding_box()
+        got = canonical(old_base.store.query(box).records)  # every unit
+        assert datasets_identical(got, canonical(initial))
+        # The next compaction (as close() and open() would) collects it.
+        store.append(batches[1])
+        store.compact()
+        assert not os.path.exists(old_base.root)
+        store.close()  # ... and close() the one that compaction superseded
+        assert layer_dirs(wal_dir) == committed_dirs(store)
+
+    def test_specs_given_to_open_apply_from_next_compaction(self, tmp_path,
+                                                            stream):
+        full, initial, batches = stream
+        store = IngestingBlotStore(initial, wal_specs(),
+                                   wal_dir=str(tmp_path / "wal"))
+        del store
+        other = [ReplicaSpec(CompositeScheme(KdTreePartitioner(4), 2),
+                             encoding_scheme_by_name("COL-GZIP"), name="new")]
+        reopened = IngestingBlotStore.open(str(tmp_path / "wal"), other)
+        assert reopened.base.replica_names() == ["kd", "row"]
+        reopened.append(batches[0])
+        reopened.compact()
+        assert reopened.base.replica_names() == ["new"]
+        current = Dataset.concat([initial, batches[0]])
+        self.assert_answers(reopened, current, full.bounding_box(), seed=47)
+
+    def test_pre_change_directory_refused(self, tmp_path):
+        from repro.storage.wal import WalError
+
+        os.makedirs(tmp_path / "wal")
+        with open(tmp_path / "wal" / "snapshot.json", "w") as f:
+            f.write('{"file": "snapshot-00000000.npz", "records": 10, '
+                    '"through_segment": 0, "extra": {"windows": []}}')
+        with pytest.raises(WalError, match="format"):
+            IngestingBlotStore.open(str(tmp_path / "wal"), wal_specs())
 
 
 class TestAntiEntropy:

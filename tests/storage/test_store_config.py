@@ -124,16 +124,10 @@ class TestHydration:
             a.close()
             b.close()
 
-    def test_segment_refs_not_reopenable_yet(self, config, tmp_path):
-        ref = ReplicaRef(manifest_path=config.replicas[0].manifest_path,
-                         store_root=str(tmp_path / "seg.blot"),
-                         store_kind="segment")
-        broken = dataclasses.replace(config, replicas=(ref,))
-        with pytest.raises(NotImplementedError, match="segment"):
-            hydrate_store(broken)
-
     def test_replica_ref_kind_validated(self):
-        with pytest.raises(ValueError, match="store_kind"):
+        """A ref is a manifest and a unit directory; the ``store_kind``
+        option (whose only other value could not be reopened) is gone."""
+        with pytest.raises(TypeError, match="store_kind"):
             ReplicaRef(manifest_path="m.json", store_root="units",
                        store_kind="tape")
 

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.data import Dataset, synthetic_shanghai_taxis
+from repro.data import synthetic_shanghai_taxis
 from repro.obs import MetricsRegistry
 from repro.storage.wal import (
     KIND_APPEND,
@@ -138,44 +138,30 @@ class TestSnapshot:
         wal.append(batches[1])
         sealed = wal.rotate()
         wal.append(batches[2])  # lands in the next segment, not folded
-        folded = Dataset.concat(batches[:2])
-        wal.snapshot(folded, through_segment=sealed,
-                     extra={"windows": [{"k": 1}]})
+        wal.snapshot(through_segment=sealed, extra={"windows": [{"k": 1}]})
         # Folded segments are gone; the live one survives.
         assert wal.segment_ids() == [sealed + 1]
-        dataset, through, extra = wal.snapshot_meta()
+        through, extra = wal.snapshot_meta()
         assert through == sealed
         assert extra == {"windows": [{"k": 1}]}
-        assert datasets_identical(dataset, folded)
         replayed = wal.replay()
         assert len(replayed) == 1
         assert datasets_identical(replayed[0], batches[2])
+        # The commit is JSON only: the log keeps records inside frames.
+        assert sorted(os.listdir(wal.dir)) == [
+            "snapshot.json", f"wal-{sealed + 1:08d}.log"]
 
-    def test_snapshot_supersedes_previous_payload(self, tmp_path, batches):
+    def test_pre_change_format_refused(self, tmp_path, batches):
+        """A directory whose ``snapshot.json`` names a raw ``.npz``
+        payload (format 1) is refused by name, not half-read."""
         wal = WriteAheadLog(tmp_path / "wal")
-        wal.append(batches[0])
-        wal.snapshot(batches[0], through_segment=wal.rotate())
-        wal.append(batches[1])
-        wal.snapshot(Dataset.concat(batches[:2]),
-                     through_segment=wal.rotate())
-        payloads = [n for n in os.listdir(wal.dir)
-                    if n.startswith("snapshot-") and n.endswith(".npz")]
-        assert len(payloads) == 1
-
-    def test_meta_naming_missing_payload_raises(self, tmp_path, batches):
-        wal = WriteAheadLog(tmp_path / "wal")
-        wal.append(batches[0])
-        wal.snapshot(batches[0], through_segment=wal.rotate())
-        _, _, _ = wal.snapshot_meta()
-        meta_path = os.path.join(wal.dir, "snapshot.json")
-        with open(meta_path, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-        meta["file"] = "snapshot-99999999.npz"
-        with open(meta_path, "w", encoding="utf-8") as f:
-            json.dump(meta, f)
-        with pytest.raises(WalError, match="missing payload"):
+        with open(os.path.join(wal.dir, "snapshot.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump({"file": "snapshot-00000001.npz", "records": 300,
+                       "through_segment": 1, "extra": {}}, f)
+        with pytest.raises(WalError, match="format 1"):
             wal.snapshot_meta()
 
     def test_no_snapshot_meta_is_empty(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal")
-        assert wal.snapshot_meta() == (None, 0, {})
+        assert wal.snapshot_meta() == (0, {})
