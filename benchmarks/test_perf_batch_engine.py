@@ -30,7 +30,6 @@ from repro.storage import BlotStore, ExecOptions, InMemoryStore
 from repro.workload import positioned_random_workload
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
-from benchmarks._trajectory import record as record_trajectory
 
 N_QUERIES = 1000
 
@@ -109,16 +108,6 @@ def test_route_batch_speedup(batch_store, workload, benchmark, capsys):
         "route_batch_seconds": batch_seconds,
         "route_speedup": speedup,
     })
-    # Wall-clock ratios swing with runner load, so the trajectory gate
-    # gives them a wide band; the >=5x floor below stays the hard gate.
-    record_trajectory(
-        "batch_engine.routing",
-        {"route_speedup": speedup,
-         "route_batch_seconds": batch_seconds},
-        directions={"route_speedup": "higher",
-                    "route_batch_seconds": "lower"},
-        tolerances={"route_speedup": 0.5, "route_batch_seconds": 1.0},
-    )
     assert speedup >= 5.0, f"batch routing only {speedup:.1f}x faster"
 
 
@@ -154,18 +143,6 @@ def test_cached_reexecution_reads_fewer_bytes(batch_store, workload, capsys):
         "first_pass_seconds": first.stats.seconds,
         "second_pass_seconds": second.stats.seconds,
     })
-    # Byte counts and hit rates are deterministic for a seeded store, so
-    # these ride the strict default regression band.  The byte metric is
-    # the saved fraction (not raw second-pass bytes, whose ideal value
-    # of 0 breaks multiplicative tolerance bands).
-    saved = 1.0 - second.stats.bytes_read / first.stats.bytes_read
-    record_trajectory(
-        "batch_engine.cache",
-        {"bytes_saved_fraction": saved,
-         "second_pass_hit_rate": second.stats.cache_hit_rate},
-        directions={"bytes_saved_fraction": "higher",
-                    "second_pass_hit_rate": "higher"},
-    )
 
 
 def test_execute_workload_golden_sample(batch_store, workload):

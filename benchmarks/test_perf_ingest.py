@@ -11,8 +11,7 @@ of magnitude above the median.
 This gate streams the identical batch sequence into both shapes at
 ``auto_compact_at`` scale and asserts the p99 append latency with
 background compaction is at least 10x lower than the synchronous
-baseline.  Results land in ``benchmarks/results/BENCH_ingest.json``
-and the trajectory file.
+baseline.  Results land in ``benchmarks/results/BENCH_ingest.json``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
-from benchmarks._trajectory import record as record_trajectory
 
 N_INITIAL = 6_000
 N_STREAM = 8_000
@@ -112,14 +110,6 @@ def test_background_compaction_unblocks_appends(taxi_sample, capsys):
             "p99_speedup": speedup,
         }, f, indent=2, sort_keys=True)
         f.write("\n")
-    # Tail-latency ratios swing with runner load: wide trajectory bands,
-    # with the 10x floor below as the hard gate.
-    record_trajectory(
-        "ingest.append_tail",
-        {"p99_speedup": speedup, "background_p99_ms": bg_p99 * 1e3},
-        directions={"p99_speedup": "higher", "background_p99_ms": "lower"},
-        tolerances={"p99_speedup": 0.5, "background_p99_ms": 1.0},
-    )
     assert speedup >= 10.0, (
         f"background compaction p99 only {speedup:.1f}x better than "
         f"synchronous ({sync_p99 * 1e3:.2f} ms vs {bg_p99 * 1e3:.2f} ms)")

@@ -12,7 +12,7 @@ worse than the incumbent on the capped objective.
 This gate times both solvers on the identical drifted instance
 (m=300 candidates, n=64 grouped queries) and asserts the warm solve is
 at least 3x faster.  Results land in
-``benchmarks/results/BENCH_reselect.json`` and the trajectory file.
+``benchmarks/results/BENCH_reselect.json``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core import local_search_select, warm_reselect
 from repro.core.problem import SelectionInstance
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
-from benchmarks._trajectory import record as record_trajectory
 
 M_REPLICAS = 300
 N_QUERIES = 64
@@ -104,12 +103,6 @@ def test_warm_reselect_beats_cold_solve(capsys):
             "cold_cost": float(cold.cost),
         }, f, indent=2, sort_keys=True)
         f.write("\n")
-    record_trajectory(
-        "reselect.warm_solve",
-        {"speedup": speedup, "warm_ms": warm_s * 1e3},
-        directions={"speedup": "higher", "warm_ms": "lower"},
-        tolerances={"speedup": 0.5, "warm_ms": 1.0},
-    )
     # The warm start is a floor: never worse than the incumbent.
     assert warm_cost <= incumbent_cost + 1e-9
     assert speedup >= 3.0, (

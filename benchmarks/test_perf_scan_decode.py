@@ -7,15 +7,13 @@ Three claims, the first asserted as a hard floor:
    codebase as the differential-fuzz referee) on a realistic
    delta-encoded column stream.
 2. The RLE batch decoder at least tracks its scalar reference on
-   run-heavy bytes (reported + trajectory-gated; both are O(runs), so
-   the ratio hovers near parity and only a real slowdown fails).
+   run-heavy bytes (both are O(runs), so the ratio hovers near parity
+   and only a real slowdown fails).
 3. The engine fast paths pay off end to end: a fully-contained
    ``count()`` answers from metadata orders of magnitude faster than
    scanning, and zone-pruned queries beat the full decode+filter scan.
 
-Results land in ``benchmarks/results/BENCH_scan_decode.json`` and the
-trajectory file (>20% regression on any gated metric fails
-``python benchmarks/_trajectory.py --check``).
+Results land in ``benchmarks/results/BENCH_scan_decode.json``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro.storage import BlotStore, InMemoryStore
 from repro.workload.query import Query
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
-from benchmarks._trajectory import record as record_trajectory
 
 N_VALUES = 300_000
 
@@ -99,17 +96,6 @@ def test_svarint_decode_speedup(capsys):
         "svarint_vectorized_seconds": fast_s,
         "svarint_speedup": speedup,
     })
-    record_trajectory(
-        "scan_decode.svarint",
-        {"svarint_speedup": speedup,
-         "svarint_vectorized_seconds": fast_s},
-        directions={"svarint_speedup": "higher",
-                    "svarint_vectorized_seconds": "lower"},
-        # Wall-clock ratios on shared runners get a wider band; the
-        # >=10x assert below is the hard floor.
-        tolerances={"svarint_speedup": 0.5,
-                    "svarint_vectorized_seconds": 1.0},
-    )
     assert speedup >= 10.0, f"vectorized decode only {speedup:.1f}x faster"
 
 
@@ -142,12 +128,6 @@ def test_rle_decode_speedup(capsys):
         "rle_vectorized_seconds": fast_s,
         "rle_speedup": speedup,
     })
-    record_trajectory(
-        "scan_decode.rle",
-        {"rle_speedup": speedup},
-        directions={"rle_speedup": "higher"},
-        tolerances={"rle_speedup": 0.5},
-    )
     # Both decoders are O(runs) and near parity on short runs; the gate
     # only guards against the vectorized path becoming outright slower.
     assert speedup > 0.5
@@ -193,15 +173,6 @@ def test_engine_fast_paths_pay_off(capsys):
         "pruned_sliver_seconds": sliver_s,
         "pruned_sliver_speedup": sliver_speedup,
     })
-    record_trajectory(
-        "scan_decode.engine",
-        {"metadata_count_speedup": count_speedup,
-         "pruned_sliver_speedup": sliver_speedup},
-        directions={"metadata_count_speedup": "higher",
-                    "pruned_sliver_speedup": "higher"},
-        tolerances={"metadata_count_speedup": 0.6,
-                    "pruned_sliver_speedup": 0.6},
-    )
     assert count_speedup > 10.0
     assert sliver_speedup > 1.0
 

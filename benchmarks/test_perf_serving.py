@@ -10,8 +10,7 @@ workers, identical store, identical queries) and asserts:
 1. batching actually coalesces — far fewer flushes than queries; and
 2. batched dispatch clears a throughput floor over naive dispatch.
 
-Results land in ``benchmarks/results/BENCH_serving.json`` and the
-trajectory file.
+Results land in ``benchmarks/results/BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.storage import materialize_store
 from repro.workload import positioned_random_workload
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
-from benchmarks._trajectory import record as record_trajectory
 
 N_QUERIES = 150
 
@@ -128,13 +126,5 @@ def test_batched_dispatch_beats_naive(served_config, serving_queries, capsys):
             "batched_flushes": batched_stats["batches_flushed"],
         }, f, indent=2, sort_keys=True)
         f.write("\n")
-    # Wall-clock ratios swing with runner load: wide trajectory bands,
-    # with the 1.5x floor below as the hard gate.
-    record_trajectory(
-        "serving.dispatch",
-        {"dispatch_speedup": speedup, "batched_qps": batched_qps},
-        directions={"dispatch_speedup": "higher", "batched_qps": "higher"},
-        tolerances={"dispatch_speedup": 0.5, "batched_qps": 1.0},
-    )
     assert speedup >= 1.5, (
         f"batched dispatch only {speedup:.2f}x naive throughput")

@@ -719,7 +719,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.storage import IngestConfig, hydrate_ingest_store
+    from repro.encoding import encoding_scheme_by_name
+    from repro.obs import Observability
+    from repro.storage import parse_scheme_spec
+    from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
     from repro.storage.wal import wal_state_exists
     from repro.verify.oracle import canonical, datasets_identical
 
@@ -740,27 +743,29 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     quiet = args.json
     data = _load_or_generate(args).sorted_by_time()
-    specs = tuple(
-        (scheme, encoding,
-         f"r{i}-{scheme.replace(':', '').replace('/', '-')}")
+    specs = [
+        ReplicaSpec(parse_scheme_spec(scheme),
+                    encoding_scheme_by_name(encoding),
+                    name=f"r{i}-{scheme.replace(':', '').replace('/', '-')}")
         for i, (scheme, encoding) in enumerate(zip(schemes, encodings))
-    )
-    config = IngestConfig(
-        wal_dir=args.wal_dir,
-        replica_specs=specs,
+    ]
+    settings = dict(
         auto_compact_at=args.auto_compact_at,
         background_compaction=not args.sync,
         window_seconds=args.window_seconds,
         fsync_wal=args.fsync,
-        observability=True,
+        observability=Observability.create(),
     )
     resuming = wal_state_exists(args.wal_dir)
     n_initial = max(1, len(data) // 2)
-    initial = data.take(np.arange(0, n_initial))
-    store = hydrate_ingest_store(config, initial=initial)
-    if resuming and not quiet:
-        print(f"resumed from {args.wal_dir}: {len(store):,} records "
-              f"({store.buffered_records:,} replayed into the buffer)")
+    if resuming:
+        store = IngestingBlotStore.open(args.wal_dir, specs, **settings)
+        if not quiet:
+            print(f"resumed from {args.wal_dir}: {len(store):,} records "
+                  f"({store.buffered_records:,} replayed into the buffer)")
+    else:
+        store = IngestingBlotStore(data.take(np.arange(0, n_initial)), specs,
+                                   wal_dir=args.wal_dir, **settings)
 
     appended = 0
     start = n_initial if not resuming else 0
@@ -807,7 +812,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"  sealed windows: {summary['windows']}, "
           f"wal segments live: {summary['wal_segments']}")
     if reports:
-        verdict = "OK" if not bad else f"{len(bad)} window(s) FAILED"
+        verdict = "OK" if not bad else f"{len(bad)} layer(s) FAILED"
         print(f"  anti-entropy sweep: {verdict}")
     print("  full-range query verified bit-equal against the logical "
           "dataset")

@@ -26,13 +26,14 @@ succeeds.  This module closes that loop:
    the full candidate cross product, with the incumbent's objective as
    a floor (local search only ever improves on its start).
 4. **Act online**: new replicas are built in the background and
-   installed before displaced ones are retired (readers never see an
-   empty set), with the install/retire window serialized under the
-   ingest tier's writer-preferring
-   :class:`~repro.storage.ReadWriteLock`; in-flight routing plans that
-   still name a retired replica fail over down their Eq. 6-7 ranking
-   inside the engine, so reads never block or truncate across the
-   transition.
+   registered before displaced ones are retired.  Each register and
+   each retire is one atomic publication of the store's serving set
+   (``BlotStore`` replaces its replica mapping by reference; reads take
+   no lock), so a racing reader routes against the old set, the
+   superset or the new set — never an empty or half-edited one — and a
+   ranking that still names a retired replica fails over down its
+   Eq. 6-7 order inside the engine: reads never block or truncate
+   across the transition.
 """
 
 from __future__ import annotations
@@ -377,12 +378,12 @@ class ReselectionController:
     workload and :func:`warm_reselect` from the incumbent.  A winning
     candidate set is applied *install-first*: new replicas are built
     (slow, off-lock), registered, and only then are displaced replicas
-    retired, the whole install/retire window serialized under a
-    writer-preferring :class:`~repro.storage.ReadWriteLock`.  The
-    engine's decoded-partition cache and zone memos for swapped/retired
-    replicas are invalidated by the store itself
-    (``retire_replica``/``swap_replica``), and stale routing plans fail
-    over inside the engine, so concurrent reads stay correct and
+    retired — each step one atomic publication of the store's serving
+    set, so a concurrent read sees the old set, the superset or the new
+    set and takes no lock.  The engine's decoded-partition cache and
+    zone memos for swapped/retired replicas are invalidated by the store
+    itself (``retire_replica``/``swap_replica``), and stale rankings
+    fail over inside the engine, so concurrent reads stay correct and
     non-blocking throughout.
 
     Every decision lands in :attr:`audit_log` (a bounded
@@ -408,8 +409,6 @@ class ReselectionController:
             raise ValueError("budget must be positive")
         if len(baseline) == 0:
             raise ValueError("baseline workload is empty")
-        from repro.storage import ReadWriteLock
-
         self.store = store
         self.advisor = advisor
         self.budget = float(budget)
@@ -424,7 +423,7 @@ class ReselectionController:
         self._build = build
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._gate = threading.Lock()        # one evaluation at a time
-        self._swap = ReadWriteLock()         # install/retire window
+        self._swap = threading.Lock()        # install/retire window
         self._next_eval = self.config.min_queries
         self._thread: threading.Thread | None = None
 
@@ -592,7 +591,7 @@ class ReselectionController:
             return self._decide(
                 "rejected", f"build of {name!r} failed: {exc}", common)
 
-        with self._swap.write_lock():
+        with self._swap:
             # Install-first: readers racing the swap always see a
             # superset of a valid serving set; retiring afterwards is
             # safe because the engine fails stale plans over.

@@ -350,23 +350,24 @@ class CostModel:
     def __init__(self, encoding_params: dict[str, EncodingCostParams]):
         if not encoding_params:
             raise ValueError("need parameters for at least one encoding scheme")
+        # Never mutated: update_params replaces the mapping under the
+        # lock, so a reader that loads it once needs none.
         self._params = dict(encoding_params)
         self._params_lock = threading.Lock()
 
     @property
     def encoding_names(self) -> list[str]:
-        with self._params_lock:
-            return sorted(self._params)
+        return sorted(self._params)
 
     def params_for(self, encoding_name: str) -> EncodingCostParams:
-        with self._params_lock:
-            try:
-                return self._params[encoding_name]
-            except KeyError:
-                raise KeyError(
-                    f"no cost parameters calibrated for encoding "
-                    f"{encoding_name!r}; have {sorted(self._params)}"
-                ) from None
+        params = self._params
+        try:
+            return params[encoding_name]
+        except KeyError:
+            raise KeyError(
+                f"no cost parameters calibrated for encoding "
+                f"{encoding_name!r}; have {sorted(params)}"
+            ) from None
 
     def update_params(self, encoding_name: str,
                       params: EncodingCostParams) -> EncodingCostParams:
@@ -376,23 +377,20 @@ class CostModel:
         The recalibration loop (Section V-B re-fit, see
         :mod:`repro.obs.recalibrate`) replaces ``ScanRate`` *and*
         ``ExtraTime`` together: :class:`EncodingCostParams` is a frozen
-        pair swapped in one assignment under the model's lock, so a
-        concurrent :meth:`query_cost` sees either the old calibration or
-        the new one, never a mix.  Unknown encodings raise ``KeyError``
-        rather than growing the model — recalibration corrects existing
-        constants, it does not invent coverage.
+        pair, and the update publishes a new name → pair mapping with one
+        assignment (updates serialize on the model's lock; readers take
+        none), so a concurrent :meth:`query_cost` sees either the old
+        calibration or the new one, never a mix.  Unknown encodings
+        raise ``KeyError`` rather than growing the model —
+        recalibration corrects existing constants, it does not invent
+        coverage.
         """
         if not isinstance(params, EncodingCostParams):
             raise TypeError(
                 f"params must be EncodingCostParams, got {type(params).__name__}")
         with self._params_lock:
-            if encoding_name not in self._params:
-                raise KeyError(
-                    f"no cost parameters calibrated for encoding "
-                    f"{encoding_name!r}; have {sorted(self._params)}"
-                )
-            old = self._params[encoding_name]
-            self._params[encoding_name] = params
+            old = self.params_for(encoding_name)
+            self._params = {**self._params, encoding_name: params}
             return old
 
     def scaled_rates(self, factor: float) -> "CostModel":
@@ -403,12 +401,10 @@ class CostModel:
         one calibrated against)."""
         if factor <= 0:
             raise ValueError("factor must be positive")
-        with self._params_lock:
-            params = dict(self._params)
         return CostModel({
             name: EncodingCostParams(scan_rate=p.scan_rate * factor,
                                      extra_time=p.extra_time)
-            for name, p in params.items()
+            for name, p in self._params.items()
         })
 
     def query_cost(self, query: AnyQuery, profile: ReplicaProfile) -> float:

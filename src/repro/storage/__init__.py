@@ -10,10 +10,8 @@ from repro.storage.cache import CacheStats, PartitionCache
 from repro.storage.config import (
     DEFAULT_COST_PARAMS,
     FaultSpec,
-    IngestConfig,
     ReplicaRef,
     StoreConfig,
-    hydrate_ingest_store,
     hydrate_store,
     materialize_store,
     parse_scheme_spec,
@@ -46,7 +44,6 @@ from repro.storage.recovery import (
 )
 from repro.storage.ingest import (
     IngestingBlotStore,
-    ReadWriteLock,
     ReplicaSpec,
     SealedWindow,
 )
@@ -77,10 +74,8 @@ __all__ = [
     "DEFAULT_EXEC_OPTIONS",
     "DegradedReadError",
     "FaultSpec",
-    "IngestConfig",
     "ReplicaRef",
     "StoreConfig",
-    "hydrate_ingest_store",
     "hydrate_store",
     "materialize_store",
     "parse_scheme_spec",
@@ -97,7 +92,6 @@ __all__ = [
     "LocalScanMeasurer",
     "PartitionCache",
     "PartitionReadError",
-    "ReadWriteLock",
     "ReplicaSpec",
     "SealedWindow",
     "WalError",

@@ -20,10 +20,10 @@ any process.  Two stores hydrated from one config answer every query
 bit-identically: replicas reopen from manifests with CRC-checked units,
 and the fault schedule is seed-deterministic.  Hydration reads no
 records: a store's record count and universe come from the manifests,
-and the raw dataset — a lossless ``.npz`` (CSV is accepted for
-pre-existing data) when the config names one, otherwise recovered from
-a replica, since diverse replicas share one logical view — is produced
-only when something asks for ``store.dataset``.
+and the raw dataset — a lossless ``.npz`` when the config names one,
+otherwise recovered from a replica, since diverse replicas share one
+logical view — is produced only when something asks for
+``store.dataset``.
 
 :func:`write_replica_set` is the write side: given a dataset and replica
 specs it lays units and manifests out under one root directory — the
@@ -100,10 +100,9 @@ class FaultSpec:
 class StoreConfig:
     """Everything needed to open one BLOT store, as picklable plain data.
 
-    - ``dataset_path``: the source records — ``.npz`` (lossless, the
-      preferred interchange written by :func:`materialize_store`) or
-      ``.csv`` — or ``None`` for a replica-only set, whose records are
-      recovered from a replica on demand.
+    - ``dataset_path``: the source records — the lossless ``.npz``
+      :func:`materialize_store` writes — or ``None`` for a replica-only
+      set, whose records are recovered from a replica on demand.
     - ``replicas``: one :class:`ReplicaRef` per stored replica.
     - ``cost_params``: Eq. 6 constants per encoding name as
       ``(name, scan_rate, extra_time)`` triples; empty means no cost
@@ -115,7 +114,6 @@ class StoreConfig:
 
     dataset_path: str | None
     replicas: tuple[ReplicaRef, ...] = ()
-    csv_has_header: bool = False
     cost_params: tuple[tuple[str, float, float], ...] = ()
     cache_bytes: int | None = None
     faults: FaultSpec | None = None
@@ -130,19 +128,14 @@ class StoreConfig:
     # -- hydration ---------------------------------------------------------
 
     def load_dataset(self) -> Dataset:
-        """The logical dataset: the dataset file when there is one
-        (format chosen by extension), else every unit of the first
-        replica decoded (:func:`~repro.storage.recovery.recover_dataset`,
-        time order)."""
+        """The logical dataset: the ``.npz`` dataset file when there is
+        one, else every unit of the first replica decoded
+        (:func:`~repro.storage.recovery.recover_dataset`, time order)."""
         if self.dataset_path is None:
             from repro.storage.recovery import recover_dataset
 
             return recover_dataset(self.replicas[0].open())
-        if self.dataset_path.endswith(".npz"):
-            return Dataset.from_npz(self.dataset_path)
-        from repro.data.csvio import dataset_from_csv
-
-        return dataset_from_csv(self.dataset_path, header=self.csv_has_header)
+        return Dataset.from_npz(self.dataset_path)
 
     def build_cost_model(self) -> CostModel | None:
         return cost_model_from_params(self.cost_params)
@@ -313,7 +306,6 @@ def store_config_to_dict(config: StoreConfig) -> dict:
             {"manifest_path": r.manifest_path, "store_root": r.store_root}
             for r in config.replicas
         ],
-        "csv_has_header": config.csv_has_header,
         "cost_params": [list(t) for t in config.cost_params],
         "cache_bytes": config.cache_bytes,
         "faults": None if config.faults is None else {
@@ -334,7 +326,6 @@ def store_config_from_dict(data: dict) -> StoreConfig:
         dataset_path=data["dataset_path"],
         replicas=tuple(ReplicaRef(r["manifest_path"], r["store_root"])
                        for r in data["replicas"]),
-        csv_has_header=bool(data.get("csv_has_header", False)),
         cost_params=tuple(
             (str(n), float(a), float(b)) for n, a, b in data["cost_params"]),
         cache_bytes=data.get("cache_bytes"),
@@ -350,13 +341,13 @@ def store_config_from_dict(data: dict) -> StoreConfig:
     )
 
 
-# -- ingesting-store hydration ----------------------------------------------
+# -- partitioning recipes as strings ----------------------------------------
 
 
 def parse_scheme_spec(spec: str):
     """Parse a plain-string partitioning recipe into a scheme object.
 
-    Grammar (the picklable description :class:`IngestConfig` carries)::
+    Grammar (what ``repro ingest --scheme`` takes)::
 
         grid:<nx>x<ny>            uniform spatial grid
         kd:<leaves>               equal-count k-d tree
@@ -387,81 +378,3 @@ def parse_scheme_spec(spec: str):
             raise ValueError(f"bad temporal suffix in {spec!r}")
         return CompositeScheme(spatial, int(slices))
     return spatial
-
-
-@dataclass(frozen=True, slots=True)
-class IngestConfig:
-    """Everything needed to host one always-on ingesting store, as
-    picklable plain data — the :class:`StoreConfig` analogue for the
-    write path, so the serve tier (or any other process) can hydrate an
-    :class:`~repro.storage.ingest.IngestingBlotStore` over a shared WAL
-    directory.
-
-    ``replica_specs`` are ``(scheme_spec, encoding_name, name)`` triples
-    where ``scheme_spec`` follows :func:`parse_scheme_spec`'s grammar;
-    ``cost_params`` mirror :class:`StoreConfig`.  Durable state lives
-    under ``wal_dir`` (WAL segments, the commit record, the base and
-    sealed-window replica sets); :func:`hydrate_ingest_store` resumes
-    from it when present.
-    """
-
-    wal_dir: str
-    replica_specs: tuple[tuple[str, str, str | None], ...]
-    cost_params: tuple[tuple[str, float, float], ...] = ()
-    auto_compact_at: int | None = None
-    background_compaction: bool = True
-    window_seconds: float | None = None
-    anti_entropy_interval: float | None = None
-    fsync_wal: bool = False
-    observability: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replica_specs",
-                           tuple(tuple(s) for s in self.replica_specs))
-        object.__setattr__(self, "cost_params", tuple(self.cost_params))
-        if not self.replica_specs:
-            raise ValueError("need at least one replica spec")
-
-    def build_specs(self) -> list:
-        from repro.encoding import encoding_scheme_by_name
-        from repro.storage.ingest import ReplicaSpec
-
-        return [
-            ReplicaSpec(parse_scheme_spec(scheme),
-                        encoding_scheme_by_name(encoding), name=name)
-            for scheme, encoding, name in self.replica_specs
-        ]
-
-
-def hydrate_ingest_store(config: IngestConfig, initial: Dataset | None = None):
-    """Open a live :class:`~repro.storage.ingest.IngestingBlotStore`
-    from plain data.
-
-    When ``config.wal_dir`` already holds WAL state (a snapshot or
-    segments from an earlier process), the store is recovered from it —
-    crash-safe resume, ``initial`` ignored.  Otherwise a fresh store is
-    created, which requires ``initial`` records.
-    """
-    from repro.storage.ingest import IngestingBlotStore
-    from repro.storage.wal import wal_state_exists
-
-    kwargs = dict(
-        cost_model=cost_model_from_params(config.cost_params),
-        auto_compact_at=config.auto_compact_at,
-        wal_dir=config.wal_dir,
-        fsync_wal=config.fsync_wal,
-        background_compaction=config.background_compaction,
-        window_seconds=config.window_seconds,
-        anti_entropy_interval=config.anti_entropy_interval,
-        observability=Observability.create() if config.observability else None,
-    )
-    specs = config.build_specs()
-    if wal_state_exists(config.wal_dir):
-        return IngestingBlotStore.open(config.wal_dir, specs, **{
-            k: v for k, v in kwargs.items() if k != "wal_dir"})
-    if initial is None:
-        raise ValueError(
-            f"{config.wal_dir!r} holds no WAL state and no initial dataset "
-            "was supplied; pass initial= for the first open"
-        )
-    return IngestingBlotStore(initial, specs, **kwargs)

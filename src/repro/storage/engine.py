@@ -46,11 +46,12 @@ un-instrumented path costs one ``None`` check per call
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.costmodel.model import CostModel, RoutingPlan
 from repro.data.dataset import Dataset
@@ -181,7 +182,12 @@ class BlotStore(ReadSurface):
             # set shares one record count and universe.
             self._dataset, self._load_dataset = None, dataset
             self._n_records = self._universe = None
-        self._replicas: dict[str, StoredReplica] = {}
+        # The serving set, never mutated: register / retire / swap build
+        # a new mapping under ``_replicas_lock`` and publish it with one
+        # assignment, and a read takes ``self._replicas`` into a local
+        # once, so it routes against exactly one published set.
+        self._replicas: Mapping[str, StoredReplica] = {}
+        self._replicas_lock = threading.Lock()
         self._cost_model = cost_model
         self._obs = observability
         metrics = observability.metrics if observability is not None else None
@@ -268,10 +274,7 @@ class BlotStore(ReadSurface):
         return list(self._replicas)
 
     def replica(self, name: str) -> StoredReplica:
-        try:
-            return self._replicas[name]
-        except KeyError:
-            raise KeyError(f"no replica named {name!r}; have {list(self._replicas)}") from None
+        return _named(self._replicas, name)
 
     def add_replica(
         self,
@@ -290,14 +293,15 @@ class BlotStore(ReadSurface):
         """Register an already-built replica (e.g. a mixed-encoding one
         from :func:`repro.storage.build_mixed_replica`, or a replica
         reopened from a manifest)."""
-        if replica.name in self._replicas:
-            raise ReplicaExists(f"replica {replica.name!r} already exists")
-        if self._universe is None:
-            self._n_records = int(replica.partitioning.counts.sum())
-            self._universe = replica.partitioning.universe
-        self._replicas[replica.name] = replica
-        if self._faults is not None:
-            replica.attach_fault_injector(self._faults)
+        with self._replicas_lock:
+            if replica.name in self._replicas:
+                raise ReplicaExists(f"replica {replica.name!r} already exists")
+            if self._universe is None:
+                self._n_records = int(replica.partitioning.counts.sum())
+                self._universe = replica.partitioning.universe
+            if self._faults is not None:
+                replica.attach_fault_injector(self._faults)
+            self._replicas = {**self._replicas, replica.name: replica}
         if self._obs is not None:
             self._obs.metrics.counter(
                 "repro_replica_changes_total",
@@ -311,17 +315,20 @@ class BlotStore(ReadSurface):
         ``route_workload`` recompute from the live set on every call);
         its decoded-partition cache entries and memoized zone bounds are
         invalidated so a later replica registered under the same name
-        can never be served another replica's stale partitions.  In-
-        flight batch plans that still assign queries to the retired
-        name fail over down each query's Eq. 6-7 ranking instead of
-        erroring.  Returns the retired replica (the caller owns the
-        underlying storage units and decides when to delete them).
+        can never be served another replica's stale partitions.  A read
+        that ranked its replicas before the retire — its own routing a
+        moment ago, or a caller's batch plan — fails over down each
+        query's Eq. 6-7 ranking instead of erroring.  Returns the
+        retired replica (the caller owns the underlying storage units
+        and decides when to delete them).
         """
-        stored = self.replica(name)  # KeyError early on unknown names
-        if len(self._replicas) == 1:
-            raise ValueError(
-                f"cannot retire {name!r}: it is the last replica")
-        del self._replicas[name]
+        with self._replicas_lock:
+            stored = self.replica(name)  # KeyError early on unknown names
+            if len(self._replicas) == 1:
+                raise ValueError(
+                    f"cannot retire {name!r}: it is the last replica")
+            self._replicas = {n: r for n, r in self._replicas.items()
+                              if n != name}
         self._forget_replica_state(name, op="retire")
         return stored
 
@@ -335,10 +342,11 @@ class BlotStore(ReadSurface):
         records in a different box, so a stale hit would silently serve
         the old replica's data.  Returns the displaced replica.
         """
-        old = self.replica(replica.name)
-        self._replicas[replica.name] = replica
-        if self._faults is not None:
-            replica.attach_fault_injector(self._faults)
+        with self._replicas_lock:
+            old = self.replica(replica.name)
+            if self._faults is not None:
+                replica.attach_fault_injector(self._faults)
+            self._replicas = {**self._replicas, replica.name: replica}
         self._forget_replica_state(replica.name, op="swap")
         return old
 
@@ -378,9 +386,14 @@ class BlotStore(ReadSurface):
         The head is what :meth:`route` returns; the tail is the failover
         order the engine walks when the assigned replica fails.
         """
-        if not self._replicas:
+        return self._ranked(query, self._replicas)
+
+    def _ranked(self, query: Query,
+                replicas: Mapping[str, StoredReplica]) -> list[str]:
+        """:meth:`route_ranked` over one published serving set."""
+        if not replicas:
             raise ValueError("no replicas registered")
-        names = sorted(self._replicas)
+        names = sorted(replicas)
         if len(names) == 1:
             return names
         if self._cost_model is None:
@@ -391,31 +404,33 @@ class BlotStore(ReadSurface):
         n = self._n_records
         scored = [
             (self._cost_model.query_cost(
-                query, self._replicas[name].profile(n_records=n)), name)
+                query, replicas[name].profile(n_records=n)), name)
             for name in names
         ]
         scored.sort()
         return [name for _, name in scored]
 
     def _candidates(
-        self, query: Query, replica: str | None, options: ExecOptions
+        self, query: Query, replica: str | None, options: ExecOptions,
+        replicas: Mapping[str, StoredReplica],
     ) -> list[str]:
-        """The replicas to try for one query, primary first.
+        """The replicas of ``replicas`` to try for one query, primary
+        first.
 
         With an explicit ``replica`` the pin wins the first slot; the
         rest of the ranking (cost order when a model exists, name order
         otherwise) follows as failover targets when enabled.
         """
         if replica is not None:
-            self.replica(replica)  # raise KeyError early on unknown names
-            if not options.failover or len(self._replicas) == 1:
+            _named(replicas, replica)  # raise KeyError early on unknown names
+            if not options.failover or len(replicas) == 1:
                 return [replica]
             if self._cost_model is not None:
-                ranked = self.route_ranked(query)
+                ranked = self._ranked(query, replicas)
             else:
-                ranked = sorted(self._replicas)
+                ranked = sorted(replicas)
             return [replica] + [n for n in ranked if n != replica]
-        ranked = self.route_ranked(query)
+        ranked = self._ranked(query, replicas)
         return ranked if options.failover else ranked[:1]
 
     def route_workload(
@@ -433,18 +448,22 @@ class BlotStore(ReadSurface):
         cost computation and uses none of its fields.
         """
         del options  # uniform surface; routing has no execution knobs
-        if not self._replicas:
+        return self._route_batch(workload, self._replicas)
+
+    def _route_batch(self, workload: Workload,
+                     replicas: Mapping[str, StoredReplica]) -> RoutingPlan:
+        """:meth:`route_workload` over one published serving set."""
+        if not replicas:
             raise ValueError("no replicas registered")
-        names = list(self._replicas)
-        if len(names) == 1:
-            return _pinned_plan(names[0], len(workload))
+        if len(replicas) == 1:
+            return _pinned_plan(next(iter(replicas)), len(workload))
         if self._cost_model is None:
             raise ValueError(
                 "multiple replicas but no cost model configured; "
                 "cannot route a workload"
             )
         n = self._n_records
-        profiles = [self._replicas[name].profile(n_records=n) for name in names]
+        profiles = [stored.profile(n_records=n) for stored in replicas.values()]
         return self._cost_model.route_batch(workload, profiles)
 
     def _rank(self, requests: list[ReadRequest], opts: ExecOptions, rec, root,
@@ -453,20 +472,25 @@ class BlotStore(ReadSurface):
         """The plan stage's routing half: each request's replica ranking
         (what its :class:`RankingWalk` walks), plus the batch's routing
         plan.  A ranking has length one when failover is off — that is
-        all a shard worker is."""
+        all a shard worker is.  Everything here reads one published
+        serving set; a replica retired after that is :meth:`_run`'s to
+        fail over."""
+        replicas = self._replicas
         if not batch:
             with rec.start("route", parent=root) as route_span:
-                candidates = self._candidates(requests[0].query, replica, opts)
+                candidates = self._candidates(requests[0].query, replica,
+                                              opts, replicas)
                 route_span.annotate(candidates=list(candidates))
             return [candidates], None
         if replica is not None:
             # Every query pinned, like query(replica=): the cost matrix
             # (hence the failover order) is only computed when a walk
             # could use it.
-            self.replica(replica)  # raise KeyError early on unknown names
-            if opts.failover and len(self._replicas) > 1:
-                routed = self.route_workload(
-                    Workload.unweighted([r.query for r in requests]))
+            _named(replicas, replica)  # raise KeyError early on unknown names
+            if opts.failover and len(replicas) > 1:
+                routed = self._route_batch(
+                    Workload.unweighted([r.query for r in requests]),
+                    replicas)
                 plan = replace(routed, assignments=np.full(
                     len(requests), routed.replica_names.index(replica),
                     dtype=np.intp))
@@ -474,8 +498,9 @@ class BlotStore(ReadSurface):
                 plan = _pinned_plan(replica, len(requests))
         elif plan is None:
             with rec.start("route", parent=root, batch=True):
-                plan = self.route_workload(
-                    Workload.unweighted([r.query for r in requests]))
+                plan = self._route_batch(
+                    Workload.unweighted([r.query for r in requests]),
+                    replicas)
         elif plan.n_queries != len(requests):
             raise ValueError(
                 f"plan covers {plan.n_queries} queries, "
@@ -588,6 +613,9 @@ class BlotStore(ReadSurface):
             pending = []
             for name in sorted(groups):
                 group = groups[name]
+                # Resolved against the *current* set, not the one the
+                # ranking was computed from: that is what turns a stale
+                # plan into a failover.
                 stored = self._replicas.get(name)
                 if stored is None:
                     # Retired between routing and serving (a plan that
@@ -632,15 +660,16 @@ class BlotStore(ReadSurface):
         if not opts.repair:
             return None
         attempts = read.walk.attempts
+        replicas = self._replicas
         target: StoredReplica | None = None
         for name, err in attempts:
-            if isinstance(err, PartitionReadError) and not err.replica_failed:
-                target = self.replica(name)
+            if (isinstance(err, PartitionReadError) and not err.replica_failed
+                    and name in replicas):  # not retired since it failed
+                target = replicas[name]
                 break
         if target is None:
             return None
-        sources = [self.replica(n) for n in sorted(self._replicas)
-                   if n != target.name]
+        sources = [replicas[n] for n in sorted(replicas) if n != target.name]
         # Each pass repairs the first failed unit the scan trips on; a
         # query involves finitely many partitions, so bound the loop.
         for _ in range(target.n_partitions + 1):
@@ -1087,6 +1116,7 @@ class BlotStore(ReadSurface):
             if getattr(acct, what):
                 m.counter(f"repro_{what}_total").inc(getattr(acct, what))
         stats_of = dict(served)
+        replicas = self._replicas
         for i, _ in served:
             obs.observe_query(requests[i].query)
         for name, idxs in by_replica.items():
@@ -1100,7 +1130,7 @@ class BlotStore(ReadSurface):
                 # Eq. 7 directly, one vectorized pass per replica — one
                 # scalar evaluation per query dominates the whole
                 # telemetry path on large batches.
-                stored = self._replicas.get(name)
+                stored = replicas.get(name)
                 if stored is None:
                     continue
                 try:
@@ -1116,7 +1146,7 @@ class BlotStore(ReadSurface):
         # on a bundle without the optional layers), then let reselection
         # and the checkpointer act if their schedules say so.
         for name in sorted(by_replica):
-            stored = self._replicas.get(name)
+            stored = replicas.get(name)
             if stored is not None:
                 obs.maybe_recalibrate(name, stored.encoding.name)
         obs.maybe_reselect()
@@ -1155,6 +1185,14 @@ class BlotStore(ReadSurface):
             degraded_cost_delta=float(delta),
             failed_replicas=tuple(sorted(acct.failed_replicas)),
         )
+
+
+def _named(replicas: Mapping[str, StoredReplica], name: str) -> StoredReplica:
+    try:
+        return replicas[name]
+    except KeyError:
+        raise KeyError(
+            f"no replica named {name!r}; have {list(replicas)}") from None
 
 
 def _pinned_plan(replica_name: str, n_queries: int) -> RoutingPlan:

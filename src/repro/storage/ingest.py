@@ -27,13 +27,22 @@ calibration only ever sees replica scan time.
 :meth:`compact` folds the buffer into a fresh base — the moment at which
 the replica advisor may also be re-consulted (:mod:`repro.core.reselect`).
 With ``background_compaction=True`` the fold runs on a worker thread:
-layers are written *off to the side* and swapped in under a read/write
-lock, so ``append()`` and ``query()`` never block on a rebuild, and a
+layers are written *off to the side* and published as a new serving
+state, so ``append()`` and ``query()`` never block on a rebuild, and a
 failed rebuild leaves the serving set untouched (the frozen batches
-return to the buffer).  Durability is the WAL's rotate → fold → snapshot
-cycle: the segment seal at compaction start bounds exactly the batches
-being folded, the new layers are flushed, and one ``snapshot.json``
-replace commits them together with the segment GC (``docs/ingest.md``).
+never left the buffer).
+
+Everything a read consults is one immutable :class:`_Serving` record.
+Writers (``append``, the compaction's freeze and swap) serialize on a
+plain mutex and publish the next record with a single reference
+assignment; a read loads the reference once and takes no lock, so it
+observes exactly one installed state and never waits on a writer — not
+on a WAL fsync, not on a swap.
+
+Durability is the WAL's rotate → fold → snapshot cycle: the segment seal
+at compaction start bounds exactly the batches being folded, the new
+layers are flushed, and one ``snapshot.json`` replace commits them
+together with the segment GC (``docs/ingest.md``).
 """
 
 from __future__ import annotations
@@ -43,8 +52,7 @@ import os
 import shutil
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +97,7 @@ class ReplicaSpec:
     name: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SealedWindow:
     """One layer: a replica set over the half-open time span
     ``[t_lo, t_hi)`` — unbounded for the base, the window still open.
@@ -112,50 +120,32 @@ class SealedWindow:
         return box.t_max >= self.t_lo and box.t_min < self.t_hi
 
 
-class ReadWriteLock:
-    """A writer-preferring shared/exclusive lock.
+@dataclass(frozen=True)
+class _Serving:
+    """One installed serving state: everything a read consults, as one
+    immutable value (see :meth:`IngestingBlotStore._install`).
 
-    Readers (query paths snapshotting the serving state) may hold it
-    concurrently; writers (append bookkeeping + WAL write, and the
-    compaction swap) are exclusive.  Writer preference keeps a steady
-    query stream from starving the swap."""
+    ``layers`` are the sealed windows oldest first with the open layer
+    — the base — last; ``delta`` the acknowledged batches in arrival
+    order; ``frozen`` how many leading batches of ``delta`` the running
+    compaction is folding (0 when none is).  Frozen batches stay in
+    ``delta`` until the swap drops them, so a reader never needs to know
+    a fold is in flight and a failed fold moves nothing back.
+    """
 
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
+    layers: tuple[SealedWindow, ...] = ()
+    delta: tuple[Dataset, ...] = ()
+    frozen: int = 0
 
-    @contextmanager
-    def read_lock(self):
-        with self._cond:
-            while self._writer or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+    @property
+    def delta_records(self) -> int:
+        return sum(len(d) for d in self.delta)
 
-    @contextmanager
-    def write_lock(self):
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._cond.wait()
-                self._writer = True
-            finally:
-                self._writers_waiting -= 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._writer = False
-                self._cond.notify_all()
+    @property
+    def live_records(self) -> int:
+        """Buffered records no compaction has claimed yet — what the
+        ``auto_compact_at`` threshold measures."""
+        return sum(len(d) for d in self.delta[self.frozen:])
 
 
 class IngestingBlotStore(ReadSurface):
@@ -176,10 +166,7 @@ class IngestingBlotStore(ReadSurface):
       records older than the open window are sealed into read-only
       on-disk replica sets (:class:`SealedWindow`), keeping the active
       rebuild bounded and giving the anti-entropy sweep (and future
-      re-encoding advisors) immutable units to work over;
-    - ``anti_entropy_interval``: run :meth:`anti_entropy` —
-      ``verify_store``'s CRC + majority-vote sweep over every sealed
-      window — whenever the (injectable) clock says it is due.
+      re-encoding advisors) immutable units to work over.
     """
 
     def __init__(
@@ -193,9 +180,7 @@ class IngestingBlotStore(ReadSurface):
         fsync_wal: bool = False,
         background_compaction: bool = False,
         window_seconds: float | None = None,
-        anti_entropy_interval: float | None = None,
         observability=None,
-        clock=time.monotonic,
     ):
         """``auto_compact_at`` triggers :meth:`compact` automatically once
         the live buffer holds that many records (None disables)."""
@@ -204,8 +189,7 @@ class IngestingBlotStore(ReadSurface):
                 "window_seconds needs wal_dir (sealed windows are "
                 "materialized on disk under it)")
         self._configure(replica_specs, cost_model, auto_compact_at,
-                        background_compaction, window_seconds,
-                        anti_entropy_interval, observability, clock)
+                        background_compaction, window_seconds, observability)
         if wal_dir is not None:
             if wal_state_exists(wal_dir):
                 raise ValueError(
@@ -214,14 +198,15 @@ class IngestingBlotStore(ReadSurface):
                 )
             self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
                                       metrics=self._metrics)
-        self._base = self._write_layer(initial, _BASE_PREFIX)
+        layers = (self._write_layer(initial, _BASE_PREFIX),)
         # Make the initial load durable immediately: open() after a
         # crash must never need the caller to re-supply it.
-        self._commit(0, self._base, [])
+        self._commit(0, layers)
+        self._install(_Serving(layers))
 
     def _configure(self, replica_specs, cost_model, auto_compact_at,
                    background_compaction, window_seconds,
-                   anti_entropy_interval, observability, clock) -> None:
+                   observability) -> None:
         """The settings and empty state ``__init__`` and :meth:`open`
         share."""
         if not replica_specs:
@@ -230,8 +215,6 @@ class IngestingBlotStore(ReadSurface):
             raise ValueError("auto_compact_at must be >= 1")
         if window_seconds is not None and window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if anti_entropy_interval is not None and anti_entropy_interval < 0:
-            raise ValueError("anti_entropy_interval must be >= 0")
         self._specs = list(replica_specs)
         if cost_model is None and len(self._specs) > 1:
             # Multi-replica routing needs Eq. 7 constants; an always-on
@@ -246,21 +229,16 @@ class IngestingBlotStore(ReadSurface):
         self._auto_compact_at = auto_compact_at
         self._background = bool(background_compaction)
         self._window_seconds = window_seconds
-        self._anti_entropy_interval = anti_entropy_interval
         self._obs = observability
         self._metrics = observability.metrics if observability else None
         self._tracer = (observability.tracer
                         if observability is not None else NULL_RECORDER)
-        self._clock = clock
-        self._last_anti_entropy: float | None = None
 
-        self._rw = ReadWriteLock()
+        self._state = _Serving()
+        self._write = threading.Lock()       # writers: append, freeze, swap
         self._compact_lock = threading.Lock()
         self._bg_guard = threading.Lock()
         self._bg_thread: threading.Thread | None = None
-        self._buffer: list[Dataset] = []
-        self._compacting: list[Dataset] = []
-        self._windows: list[SealedWindow] = []
         self._compactions = 0
         self._compaction_failures = 0
         self._last_compaction_error: str | None = None
@@ -280,9 +258,7 @@ class IngestingBlotStore(ReadSurface):
         fsync_wal: bool = False,
         background_compaction: bool = False,
         window_seconds: float | None = None,
-        anti_entropy_interval: float | None = None,
         observability=None,
-        clock=time.monotonic,
     ) -> "IngestingBlotStore":
         """Recover a store from its WAL directory after a restart/crash.
 
@@ -296,8 +272,7 @@ class IngestingBlotStore(ReadSurface):
         """
         self = cls.__new__(cls)
         self._configure(replica_specs, cost_model, auto_compact_at,
-                        background_compaction, window_seconds,
-                        anti_entropy_interval, observability, clock)
+                        background_compaction, window_seconds, observability)
         self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
                                   metrics=self._metrics)
         _, committed = self._wal.snapshot_meta()
@@ -306,15 +281,15 @@ class IngestingBlotStore(ReadSurface):
                 f"no committed snapshot under {wal_dir!r}; create the store "
                 "with IngestingBlotStore(initial, ..., wal_dir=...) first"
             )
-        self._base = self._open_layer(committed["base"])
-        self._windows = [self._open_layer(d) for d in committed["windows"]]
+        layers = tuple(self._open_layer(d) for d in
+                       [*committed["windows"], committed["base"]])
         self._seal_seq = max(int(layer.root.rpartition("-")[2])
-                             for layer in [self._base, *self._windows])
+                             for layer in layers)
+        self._install(_Serving(layers, tuple(self._wal.replay())))
         self._collect_orphans()
-        self._buffer = self._wal.replay()
         if self._metrics is not None:
             self._metrics.counter("repro_wal_replayed_records_total").inc(
-                sum(len(b) for b in self._buffer))
+                self._state.delta_records)
         return self
 
     # -- layers ------------------------------------------------------------
@@ -360,14 +335,15 @@ class IngestingBlotStore(ReadSurface):
             root=root, records=int(descriptor["records"]),
             config=config, store=store)
 
-    def _commit(self, through_segment: int, base: SealedWindow,
-                windows: list[SealedWindow]) -> None:
-        """Make ``base`` + ``windows`` the committed layers, and WAL
-        segments <= ``through_segment`` folded, in one atomic
-        ``snapshot.json`` replace.  Paths are stored relative to the WAL
-        directory, so the directory can be moved."""
+    def _commit(self, through_segment: int,
+                layers: tuple[SealedWindow, ...]) -> None:
+        """Make ``layers`` (sealed windows, then the base) the committed
+        ones, and WAL segments <= ``through_segment`` folded, in one
+        atomic ``snapshot.json`` replace.  Paths are stored relative to
+        the WAL directory, so the directory can be moved."""
         if self._wal is None:
             return
+        *windows, base = layers
 
         def describe(layer: SealedWindow, **span) -> dict:
             return {"dir": os.path.relpath(layer.root, self._wal.dir),
@@ -389,7 +365,7 @@ class IngestingBlotStore(ReadSurface):
         committed = self._wal.snapshot_meta()[1]
         keep = {os.path.join(self._wal.dir, d["dir"])
                 for d in [committed["base"], *committed["windows"]]}
-        keep.update(layer.root for layer in [self._base, *self._windows])
+        keep.update(layer.root for layer in self._state.layers)
         for prefix in (_BASE_PREFIX, _WINDOW_PREFIX):
             parent = os.path.join(self._wal.dir, os.path.dirname(prefix))
             for name in os.listdir(parent) if os.path.isdir(parent) else ():
@@ -399,16 +375,22 @@ class IngestingBlotStore(ReadSurface):
 
     # -- state ------------------------------------------------------------
 
+    def _install(self, state: _Serving) -> None:
+        """Publish ``state`` as the serving state — the only assignment
+        to it.  Callers hold ``_write`` (or own the store alone); readers
+        load ``self._state`` once per call and take no lock, so each sees
+        exactly one installed state."""
+        self._state = state
+
     @property
     def base(self) -> BlotStore:
         """The replica set over the active window's compacted data."""
-        return self._base.store
+        return self._state.layers[-1].store
 
     @property
     def windows(self) -> tuple[SealedWindow, ...]:
         """Sealed read-only time windows, oldest first."""
-        with self._rw.read_lock():
-            return tuple(self._windows)
+        return self._state.layers[:-1]
 
     @property
     def wal(self) -> WriteAheadLog | None:
@@ -416,27 +398,21 @@ class IngestingBlotStore(ReadSurface):
 
     @property
     def buffered_records(self) -> int:
-        """Records appended but not yet folded into replicas (the live
-        buffer plus any batches frozen by an in-flight compaction)."""
-        with self._rw.read_lock():
-            return self._delta_records_unlocked()
-
-    def _delta_records_unlocked(self) -> int:
-        return sum(len(d) for d in self._compacting) + \
-            sum(len(d) for d in self._buffer)
+        """Records appended but not yet folded into replicas (batches
+        frozen by an in-flight compaction included)."""
+        return self._state.delta_records
 
     def dataset(self) -> Dataset:
         """The full logical dataset (sealed windows + base + buffer),
         decoded from one replica of each on-disk layer."""
-        layers, delta = self._read_state()
+        state = self._state
         return Dataset.concat(
-            [layer.store.dataset for layer in layers] + delta)
+            [*(layer.store.dataset for layer in state.layers), *state.delta])
 
     def __len__(self) -> int:
-        with self._rw.read_lock():
-            return (sum(w.records for w in self._windows)
-                    + self._base.records
-                    + self._delta_records_unlocked())
+        state = self._state
+        return (sum(layer.records for layer in state.layers)
+                + state.delta_records)
 
     @property
     def compactions(self) -> int:
@@ -461,7 +437,7 @@ class IngestingBlotStore(ReadSurface):
         with self._compact_lock:
             if self._wal is not None:
                 self._wal.close()
-            for layer in [*self._windows, self._base]:
+            for layer in self._state.layers:
                 layer.store.close()
             self._collect_orphans()
 
@@ -477,25 +453,26 @@ class IngestingBlotStore(ReadSurface):
         if not len(records):
             return
         t0 = time.perf_counter()
-        with self._rw.write_lock():
+        with self._write:
             if self._wal is not None:
                 self._wal.append(records)
-            self._buffer.append(records)
-            live = sum(len(d) for d in self._buffer)
-            total = self._delta_records_unlocked()
+            state = self._state
+            state = replace(state, delta=state.delta + (records,))
+            self._install(state)
         if self._metrics is not None:
             self._metrics.counter("repro_ingest_appends_total").inc()
             self._metrics.counter("repro_ingest_records_total").inc(
                 len(records))
             self._metrics.histogram("repro_ingest_append_seconds").observe(
                 time.perf_counter() - t0)
-            self._metrics.gauge("repro_ingest_buffer_records").set(total)
-        if self._auto_compact_at is not None and live >= self._auto_compact_at:
+            self._metrics.gauge("repro_ingest_buffer_records").set(
+                state.delta_records)
+        if (self._auto_compact_at is not None
+                and state.live_records >= self._auto_compact_at):
             if self._background:
                 self._start_background()
             else:
                 self.compact()
-        self.maybe_anti_entropy()
 
     # -- compaction -------------------------------------------------------------
 
@@ -509,7 +486,7 @@ class IngestingBlotStore(ReadSurface):
         instead of rejoining the active set.  If an in-flight background
         compaction holds the lock, this waits for it and then folds
         whatever is left.  A failing rebuild raises and loses nothing:
-        the frozen batches return to the buffer.
+        the frozen batches never left the buffer.
         """
         with self._compact_lock:
             self._compact_once("sync")
@@ -541,11 +518,7 @@ class IngestingBlotStore(ReadSurface):
                     did = self._compact_once("background")
             except Exception:
                 return
-            if not did:
-                return
-            with self._rw.read_lock():
-                live = sum(len(d) for d in self._buffer)
-            if self._auto_compact_at is None or live < self._auto_compact_at:
+            if not did or self._state.live_records < self._auto_compact_at:
                 return
 
     def _compact_once(self, mode: str) -> bool:
@@ -555,23 +528,26 @@ class IngestingBlotStore(ReadSurface):
         # a whole compaction interval to finish: the base that swap
         # superseded (and anything a failed attempt left) can go now.
         self._collect_orphans()
-        with self._rw.write_lock():
-            if not self._buffer and not self._compacting:
+        with self._write:
+            state = self._state
+            if not state.delta:
                 return False
             # Seal the WAL segment *in the same critical section* that
             # freezes the buffer: the sealed segments then hold exactly
             # the frozen batches, which is what makes the snapshot's
             # through_segment GC safe.
             sealed_segment = self._wal.rotate() if self._wal else None
-            self._compacting = self._compacting + self._buffer
-            self._buffer = []
-            frozen = list(self._compacting)
+            state = replace(state, frozen=len(state.delta))
+            self._install(state)
+        # Layers only change here, under ``_compact_lock``: ``state`` stays
+        # the truth about them (and the frozen batches) for the whole fold.
+        *windows, base = state.layers
         t0 = time.perf_counter()
         try:
             with self._tracer.start("compact", kind="compact",
                                     mode=mode) as root:
                 merged = Dataset.concat(
-                    [self._base.store.dataset, *frozen]).sorted_by_time()
+                    [base.store.dataset, *state.delta]).sorted_by_time()
                 new_windows: list[SealedWindow] = []
                 active = merged
                 if self._window_seconds is not None:
@@ -580,24 +556,25 @@ class IngestingBlotStore(ReadSurface):
                 with self._tracer.start("rebuild", parent=root,
                                         records=len(active)):
                     new_base = self._write_layer(active, _BASE_PREFIX)
+                layers = (*windows, *new_windows, new_base)
                 with self._tracer.start("snapshot", parent=root):
-                    self._commit(sealed_segment, new_base,
-                                 self._windows + new_windows)
-                with self._rw.write_lock():
-                    self._base = new_base
-                    self._windows.extend(new_windows)
-                    self._compacting = []
+                    self._commit(sealed_segment, layers)
+                with self._write:
+                    # Appends since the freeze sit behind the frozen
+                    # batches: drop exactly those the new layers hold.
+                    swapped = _Serving(layers,
+                                       self._state.delta[state.frozen:])
+                    self._install(swapped)
                     self._compactions += 1
-                    buffered = self._delta_records_unlocked()
         except BaseException as exc:
             # Rebuild failed off to the side: the serving set was never
-            # touched; return the frozen batches to the head of the
-            # buffer (their WAL segments are still on disk — the
-            # snapshot that would have GC'd them never committed; the
-            # half-written layers go at the next collection).
-            with self._rw.write_lock():
-                self._compacting = []
-                self._buffer = frozen + self._buffer
+            # touched and the frozen batches never left the buffer, so
+            # un-freezing them is all there is to undo (their WAL
+            # segments are still on disk — the snapshot that would have
+            # GC'd them never committed; the half-written layers go at
+            # the next collection).
+            with self._write:
+                self._install(replace(self._state, frozen=0))
             self._compaction_failures += 1
             self._last_compaction_error = f"{type(exc).__name__}: {exc}"
             if self._metrics is not None:
@@ -615,9 +592,9 @@ class IngestingBlotStore(ReadSurface):
                 self._metrics.counter(
                     "repro_ingest_windows_sealed_total").inc(len(new_windows))
             self._metrics.gauge("repro_ingest_windows").set(
-                len(self._windows))
-            self._metrics.gauge("repro_ingest_buffer_records").set(buffered)
-        self.maybe_anti_entropy()
+                len(layers) - 1)
+            self._metrics.gauge("repro_ingest_buffer_records").set(
+                swapped.delta_records)
         return True
 
     def _seal_windows(
@@ -644,42 +621,29 @@ class IngestingBlotStore(ReadSurface):
 
     # -- anti-entropy -----------------------------------------------------------
 
-    def maybe_anti_entropy(self, force: bool = False):
-        """Run :meth:`anti_entropy` when the schedule says it is due
-        (``anti_entropy_interval`` seconds on the injectable clock), or
-        always with ``force=True``; returns the sweep reports or None."""
-        if self._anti_entropy_interval is None and not force:
-            return None
-        now = self._clock()
-        if not force and self._last_anti_entropy is not None and \
-                now - self._last_anti_entropy < self._anti_entropy_interval:
-            return None
-        self._last_anti_entropy = now
-        return self.anti_entropy()
-
     def anti_entropy(self, n_queries: int = 4, seed: int = 7) -> list:
-        """CRC + majority-vote sweep over every sealed window.
+        """CRC + majority-vote sweep over every on-disk layer — the
+        sealed windows and the base (an in-memory store has none).
 
-        Each window's on-disk units are verified with
+        Each layer's units are verified with
         :func:`repro.verify.verify_store`: per-unit CRCs against the
         manifests, cross-replica majority vote on the recovered content,
         and a small differential query sweep.  Returns one
-        :class:`~repro.verify.StoreVerification` per window and
-        publishes ``repro_antientropy_*`` counters.
+        :class:`~repro.verify.StoreVerification` per layer, oldest
+        window first and the base last, and publishes
+        ``repro_antientropy_*`` counters.
         """
         from repro.verify.diskcheck import verify_store
 
-        with self._rw.read_lock():
-            windows = list(self._windows)
-        self._last_anti_entropy = self._clock()
+        layers = [layer for layer in self._state.layers
+                  if layer.config is not None]
         reports = []
-        all_ok = True
         with self._tracer.start("anti-entropy", kind="anti-entropy",
-                                windows=len(windows)):
-            for w in windows:
+                                windows=len(layers)):
+            for layer in layers:
                 verification = verify_store(
-                    DirectoryStore(w.config.replicas[0].store_root),
-                    [ref.manifest_path for ref in w.config.replicas],
+                    DirectoryStore(layer.config.replicas[0].store_root),
+                    [ref.manifest_path for ref in layer.config.replicas],
                     n_queries=n_queries, seed=seed)
                 reports.append(verification)
                 if self._metrics is not None:
@@ -688,21 +652,13 @@ class IngestingBlotStore(ReadSurface):
                     if not verification.ok:
                         self._metrics.counter(
                             "repro_antientropy_failures_total").inc()
-                all_ok = all_ok and verification.ok
         if self._metrics is not None:
             self._metrics.counter("repro_antientropy_sweeps_total").inc()
             self._metrics.gauge("repro_antientropy_ok").set(
-                1.0 if all_ok else 0.0)
+                1.0 if all(r.ok for r in reports) else 0.0)
         return reports
 
     # -- reads ----------------------------------------------------------------
-
-    def _read_state(self) -> tuple[list[SealedWindow], list[Dataset]]:
-        """One instant's serving state: the layers (sealed windows oldest
-        first, the base last) and the delta batches."""
-        with self._rw.read_lock():
-            return ([*self._windows, self._base],
-                    self._compacting + self._buffer)
 
     def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
                  batch: bool, replica: str | None = None, plan=None):
@@ -722,7 +678,8 @@ class IngestingBlotStore(ReadSurface):
         ``buffer_bytes_scanned``).  A request any layer could not serve
         ends in that layer's :class:`DegradedReadError`.
         """
-        layers, delta = self._read_state()
+        state = self._state
+        layers, delta = state.layers, state.delta
         answers: list[list[QueryResult]] = [[] for _ in requests]
         errors: dict[int, DegradedReadError] = {}
         layer_stats: list[WorkloadStats] = []
@@ -743,7 +700,7 @@ class IngestingBlotStore(ReadSurface):
                 layer_stats.append(stats)
         plan = layer_plan
         delta_bytes = sum(d.binary_size_bytes() for d in delta)
-        delta_records = sum(len(d) for d in delta)
+        delta_records = state.delta_records
         buffered = self._scan_buffer(delta, requests, opts,
                                      records=delta_records, bytes=delta_bytes)
 
@@ -810,7 +767,8 @@ class IngestingBlotStore(ReadSurface):
         )
         return outcomes, plan, stats
 
-    def _scan_buffer(self, delta: list[Dataset], requests: list[ReadRequest],
+    def _scan_buffer(self, delta: tuple[Dataset, ...],
+                     requests: list[ReadRequest],
                      opts: ExecOptions, **span_attrs) -> list[tuple]:
         """Filter the delta buffer for every request: per request, the
         fold's answer over the buffered batches (a count, or the matching

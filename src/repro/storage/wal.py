@@ -15,8 +15,10 @@ frame whose header is short, whose body is short, or whose CRC fails
 marks the torn tail; everything before it is intact (length-prefixed
 frames cannot be re-synchronized past a bad one), the file is truncated
 back to the last intact frame boundary, and the next append starts
-clean.  A CRC-intact frame whose payload fails to decode is *not* a
-torn tail — that is real corruption and raises :class:`WalError`.
+clean.  A CRC-intact frame whose payload fails to decode, or whose kind
+byte this version does not write, is *not* a torn tail — that is real
+corruption (or a log written in another frame format) and raises
+:class:`WalError`; skipping it would silently drop acknowledged records.
 
 Layout under the WAL directory::
 
@@ -40,14 +42,15 @@ Frame format (little-endian)::
 
     [u32 body_len][u32 crc32(body)][body = 1 kind byte + payload]
 
-Kind ``APPEND`` carries one :class:`~repro.data.dataset.Dataset` batch
-as uncompressed ``.npz`` bytes — the same bit-exact interchange
-:meth:`Dataset.to_npz` uses for :class:`~repro.storage.StoreConfig`.
+Kind ``APPEND`` (2) carries one :class:`~repro.data.dataset.Dataset`
+batch as :func:`repro.encoding.rowbin.encode_rows` bytes — the packed,
+bit-exact row codec the ROW encodings already use.  Kind 1 was the same
+batch as an uncompressed ``.npz`` archive; no decoder for it is kept, so
+a log tail holding kind-1 frames is refused by name.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -55,10 +58,8 @@ import threading
 import zlib
 from typing import Any
 
-import numpy as np
-
 from repro.data.dataset import Dataset
-from repro.data.record import FIELD_NAMES
+from repro.encoding.rowbin import decode_rows, encode_rows
 
 __all__ = ["WriteAheadLog", "WalError", "KIND_APPEND", "wal_state_exists",
            "fsync_tree"]
@@ -68,7 +69,7 @@ _HEADER = struct.Struct("<II")
 #: as a torn/garbage tail, not an attempt to allocate gigabytes.
 _MAX_BODY = 1 << 31
 
-KIND_APPEND = 1
+KIND_APPEND = 2
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -119,25 +120,12 @@ def fsync_tree(root: str) -> None:
     _fsync_path(os.path.dirname(os.path.abspath(root)))
 
 
-def _encode_batch(dataset: Dataset) -> bytes:
-    buf = io.BytesIO()
-    np.savez(buf, **{name: dataset.column(name) for name in FIELD_NAMES})
-    return buf.getvalue()
-
-
-def _decode_batch(payload: bytes) -> Dataset:
-    try:
-        with np.load(io.BytesIO(payload)) as archive:
-            return Dataset({name: archive[name] for name in FIELD_NAMES})
-    except Exception as exc:
-        raise WalError(f"CRC-intact WAL frame failed to decode: {exc}") from exc
-
-
 class WriteAheadLog:
     """Append-only, CRC-framed, segment-rotated write-ahead log.
 
-    Thread-safe; the ingest store calls :meth:`append` under its write
-    lock anyway, but the internal lock keeps the WAL safe standalone.
+    Thread-safe; the ingest store calls :meth:`append` under its
+    writers' mutex anyway, but the internal lock keeps the WAL safe
+    standalone.
 
     ``fsync=True`` adds an ``os.fsync`` after every append — full
     power-loss durability at a per-batch syscall cost; the default
@@ -156,7 +144,7 @@ class WriteAheadLog:
         self.fsync = bool(fsync)
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._fh: io.BufferedWriter | None = None
+        self._fh = None  # the current segment, opened by the first append
         os.makedirs(self.dir, exist_ok=True)
         # Resume appends into a fresh segment above everything on disk:
         # the previous process may have died mid-frame, and sealing
@@ -208,14 +196,14 @@ class WriteAheadLog:
 
     # -- writing -----------------------------------------------------------
 
-    def append(self, dataset: Dataset, kind: int = KIND_APPEND) -> int:
+    def append(self, dataset: Dataset) -> int:
         """Durably log one batch; returns the frame's size in bytes.
 
         The frame is written and flushed before this returns, so a
         batch acknowledged to the caller is recoverable by
         :meth:`replay` after any process crash.
         """
-        body = bytes([kind]) + _encode_batch(dataset)
+        body = bytes([KIND_APPEND]) + encode_rows(dataset)
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
         with self._lock:
             if self._fh is None:
@@ -304,11 +292,11 @@ class WriteAheadLog:
 
     # -- replay ------------------------------------------------------------
 
-    def _read_segment(self, path: str, seal: bool = True) -> list[Dataset]:
+    def _read_segment(self, path: str) -> list[Dataset]:
         """Decode one segment's intact frames; truncate any torn tail."""
         batches: list[Dataset] = []
         try:
-            f = open(path, "r+b" if seal else "rb")
+            f = open(path, "r+b")
         except FileNotFoundError:
             return batches
         with f:
@@ -327,13 +315,21 @@ class WriteAheadLog:
                 if len(body) < length or zlib.crc32(body) != crc:
                     torn = True
                     break
-                if body[0] == KIND_APPEND:
-                    batches.append(_decode_batch(body[1:]))
+                if body[0] != KIND_APPEND:
+                    raise WalError(
+                        f"CRC-intact WAL frame of kind {body[0]} in {path!r}: "
+                        f"this version reads kind {KIND_APPEND} only (kind 1 "
+                        f"was the .npz frame) — compact the store with the "
+                        f"version that wrote it, or re-create it")
+                try:
+                    batches.append(decode_rows(body[1:]))
+                except ValueError as exc:
+                    raise WalError("CRC-intact WAL frame failed to decode: "
+                                   f"{exc}") from exc
                 good_end = f.tell()
             if torn:
                 self._bump("repro_wal_torn_tails_total")
-                if seal:
-                    f.truncate(good_end)
+                f.truncate(good_end)
         return batches
 
     def replay(self) -> list[Dataset]:

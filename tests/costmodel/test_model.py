@@ -122,6 +122,21 @@ class TestCostModel:
         with pytest.raises(KeyError, match="ROW-BROTLI"):
             model.query_cost(q, bad)
 
+    def test_update_params_publishes_a_new_mapping(self):
+        """Readers take no lock, so the mapping one already holds must
+        never change under it: an update replaces, it does not mutate."""
+        old = EncodingCostParams(scan_rate=10_000, extra_time=0.5)
+        new = EncodingCostParams(scan_rate=20_000, extra_time=0.1)
+        model = CostModel({"ROW-GZIP": old})
+        held = model._params
+        assert model.update_params("ROW-GZIP", new) == old
+        assert held == {"ROW-GZIP": old}
+        assert model.params_for("ROW-GZIP") == new
+        with pytest.raises(KeyError, match="ROW-BROTLI"):
+            model.update_params("ROW-BROTLI", new)
+        assert model.encoding_names == ["ROW-GZIP"]
+        assert model.params_for("ROW-GZIP") == new
+
     def test_query_cost_formula(self, model, profile):
         """Eq. 7 against a hand computation."""
         u = profile.universe

@@ -15,7 +15,12 @@ from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage import BlotStore, InMemoryStore, build_replica
+from repro.storage import (
+    BlotStore,
+    InMemoryStore,
+    StoredReplica,
+    build_replica,
+)
 from repro.workload import Query, Workload
 
 
@@ -156,3 +161,29 @@ class TestRetireReplica:
         store.retire_replica("cold")
         res = store.query(q)
         assert pairs(res.records) == pairs(ds.filter_box(q.box()))
+
+    @pytest.mark.parametrize("call", ["query", "execute_workload"])
+    def test_retire_landing_inside_routing_is_a_failover(
+            self, ds, store, monkeypatch, call):
+        """The interleaving a background reselection can produce: the
+        retire lands *between* routing's reads of the serving set.  The
+        read routed against one published set, so it fails over past the
+        retired replica — bit-equal, no bare ``KeyError``."""
+        q = mid_query(ds)
+        profile = StoredReplica.profile
+        retired = []
+
+        def profile_then_retire(replica, **kwargs):
+            if not retired:
+                victim = "hot" if replica.name == "cold" else "cold"
+                retired.append(store.retire_replica(victim).name)
+            return profile(replica, **kwargs)
+
+        monkeypatch.setattr(StoredReplica, "profile", profile_then_retire)
+        if call == "query":
+            answer = store.query(q)
+        else:
+            (answer,) = store.execute_workload(Workload([(q, 1.0)])).results
+        assert len(retired) == 1
+        assert store.replica_names() == [answer.stats.replica_name]
+        assert pairs(answer.records) == pairs(ds.filter_box(q.box()))

@@ -3,6 +3,8 @@ durability, background compaction, windowed rollover, anti-entropy)."""
 
 import glob
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.encoding import encoding_scheme_by_name
 from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
+from repro.storage.wal import WriteAheadLog
 from repro.verify.oracle import canonical, datasets_identical
 from repro.workload.query import Query
 
@@ -403,6 +406,179 @@ class TestBackgroundCompaction:
         assert store.compactions >= 1
 
 
+#: Bound on every cross-thread wait below: generous for a loaded box,
+#: finite so a reader that does block fails the test instead of hanging.
+WAIT_S = 20.0
+
+
+class TestPublishedState:
+    """The serving state is one immutable record swapped by reference:
+    a reader takes no lock, and every state ever installed holds exactly
+    the acknowledged records."""
+
+    def test_query_does_not_wait_on_an_append_inside_the_wal(
+            self, tmp_path, stream, monkeypatch):
+        full, initial, batches = stream
+        store = IngestingBlotStore(initial, wal_specs(),
+                                   wal_dir=str(tmp_path / "wal"))
+        box = full.bounding_box()
+        in_wal, release = threading.Event(), threading.Event()
+        wal_append = WriteAheadLog.append
+
+        def parked_append(wal, dataset):
+            in_wal.set()
+            assert release.wait(WAIT_S)
+            return wal_append(wal, dataset)
+
+        monkeypatch.setattr(WriteAheadLog, "append", parked_append)
+        writer = threading.Thread(target=store.append, args=(batches[0],))
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(store.query(box)), daemon=True)
+        writer.start()
+        try:
+            assert in_wal.wait(WAIT_S)
+            reader.start()
+            reader.join(WAIT_S)
+            assert not reader.is_alive(), \
+                "query() waited on an append parked inside the WAL write"
+            # Not yet durable, so not yet visible: the pre-append answer.
+            assert writer.is_alive()
+            assert datasets_identical(canonical(answers[0].records),
+                                      canonical(initial))
+            assert len(store) == len(initial)
+        finally:
+            release.set()
+            writer.join(WAIT_S)
+        assert not writer.is_alive()
+        got = canonical(store.query(box).records)
+        assert datasets_identical(
+            got, canonical(Dataset.concat([initial, batches[0]])))
+        store.close()
+
+    def test_every_installed_state_holds_exactly_the_acknowledged_records(
+            self, tmp_path, stream):
+        """The sweep over installed states: appends -> freeze (fold
+        paused) -> an append during the fold -> swap -> a fold that
+        raises -> a fold that succeeds, checked at *every* install."""
+        full, initial, _ = stream
+        rest = full.take(np.arange(len(initial), len(full)))
+        batches = [rest.take(np.arange(i * 500, (i + 1) * 500))
+                   for i in range(6)]
+        t = full.column("t")
+        store = IngestingBlotStore(
+            initial, wal_specs(), wal_dir=str(tmp_path / "wal"),
+            auto_compact_at=900, background_compaction=True,
+            window_seconds=float(t.max() - t.min()) / 4)
+
+        sent = [initial]     # acknowledged, or inside append() right now
+        installed = []       # (len(delta), frozen) per install, in order
+        violations = []      # collected: the worker swallows exceptions
+        install = store._install
+
+        def checked_install(state):
+            held = Dataset.concat(
+                [*(layer.store.dataset for layer in state.layers),
+                 *state.delta])
+            if not datasets_identical(canonical(held),
+                                      canonical(Dataset.concat(sent))):
+                violations.append((len(installed), "records"))
+            if not 0 <= state.frozen <= len(state.delta):
+                violations.append((len(installed), "frozen"))
+            installed.append((len(state.delta), state.frozen))
+            install(state)
+
+        fold = {"mode": "pass"}
+        paused, resume = threading.Event(), threading.Event()
+        write_layer = store._write_layer
+
+        def scripted_write_layer(*args, **kwargs):
+            if fold["mode"] == "raise":
+                raise RuntimeError("fold boom")
+            if fold["mode"] == "pause":
+                fold["mode"] = "pass"  # the fold's later layers run on
+                paused.set()
+                assert resume.wait(WAIT_S)
+            return write_layer(*args, **kwargs)
+
+        store._install = checked_install
+        store._write_layer = scripted_write_layer
+
+        def append(batch):
+            sent.append(batch)
+            store.append(batch)
+
+        def fold_finished():
+            store.wait_for_compaction(WAIT_S)
+            assert not store._bg_thread.is_alive()
+
+        fold["mode"] = "pause"
+        append(batches[0])
+        append(batches[1])               # crosses the threshold: freeze
+        assert paused.wait(WAIT_S)
+        append(batches[2])               # lands behind the frozen batches
+        resume.set()
+        fold_finished()                  # swap
+        assert (store.compactions, store.compaction_failures) == (1, 0)
+        assert len(store.windows) >= 1
+        fold["mode"] = "raise"
+        append(batches[3])               # freeze, fold raises, un-freeze
+        fold_finished()
+        assert (store.compactions, store.compaction_failures) == (1, 1)
+        fold["mode"] = "pass"
+        append(batches[4])               # freeze, swap
+        fold_finished()
+        assert (store.compactions, store.compaction_failures) == (2, 1)
+        append(batches[5])
+
+        assert installed == [
+            (1, 0), (2, 0),              # b0, b1
+            (2, 2), (3, 2), (1, 0),      # freeze, b2 beside the fold, swap
+            (2, 0), (2, 2), (2, 0),      # b3, freeze, failed fold
+            (3, 0), (3, 3), (0, 0),      # b4, freeze, swap
+            (1, 0),                      # b5
+        ]
+        assert violations == []
+        store.close()
+
+    def test_racing_appends_and_folds_lose_nothing(self, stream):
+        """Stress: more writers than cores, a short switch interval, and
+        no WAL, so no file I/O paces them.  A lost update on the
+        published state — append x append, or append x freeze/swap —
+        drops or doubles records (it does, in most runs, with the
+        writers' mutex taken out)."""
+        full, initial, _ = stream
+        rest = full.take(np.arange(len(initial), len(full)))
+        batches = [rest.take(np.arange(i * 10, (i + 1) * 10))
+                   for i in range(len(rest) // 10)]
+        store = IngestingBlotStore(initial, wal_specs(), auto_compact_at=400,
+                                   background_compaction=True)
+        n_writers = 8
+
+        def writer(k):
+            for batch in batches[k::n_writers]:
+                store.append(batch)
+
+        writers = [threading.Thread(target=writer, args=(k,))
+                   for k in range(n_writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(WAIT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in writers)
+        store.wait_for_compaction(WAIT_S)
+        assert store.compactions >= 1 and store.compaction_failures == 0
+        assert len(store) == len(full)
+        assert datasets_identical(canonical(store.dataset()),
+                                  canonical(full))
+        store.close()
+
+
 class TestWindowedRollover:
     def windowed_store(self, tmp_path, initial, window):
         return IngestingBlotStore(initial, wal_specs(),
@@ -592,8 +768,7 @@ class TestOneOnDiskShape:
         wal_dir = str(tmp_path / "wal")
         store = IngestingBlotStore(initial, wal_specs(), wal_dir=wal_dir)
         # A reader snapshots the serving state, has read nothing yet ...
-        layers, delta = store._read_state()
-        old_base = layers[-1]
+        old_base = store._state.layers[-1]
         store.append(batches[0])
         store.compact()  # ... and the swap happens under it.
         assert store.base is not old_base.store
@@ -652,34 +827,33 @@ class TestAntiEntropy:
     def test_sweep_passes_on_healthy_windows(self, tmp_path, stream):
         store = self.sealed_store(tmp_path, stream)
         reports = store.anti_entropy()
-        assert len(reports) == len(store.windows)
+        assert len(reports) == len(store.windows) + 1  # ... and the base
         assert all(r.ok for r in reports)
 
-    def test_sweep_catches_corrupted_unit(self, tmp_path, stream):
-        store = self.sealed_store(tmp_path, stream)
-        unit_files = glob.glob(os.path.join(
-            store.windows[0].root, "units", "**", "*"), recursive=True)
+    def test_in_memory_store_sweeps_nothing(self, stream):
+        _, initial, _ = stream
+        assert make_store(initial).anti_entropy() == []
+
+    def corrupt_a_unit(self, layer_root):
+        unit_files = glob.glob(os.path.join(layer_root, "units", "**", "*"),
+                               recursive=True)
         victim = next(p for p in unit_files
                       if os.path.isfile(p) and os.path.getsize(p) > 8)
         with open(victim, "r+b") as f:
             f.seek(4)
             f.write(b"\xde\xad\xbe\xef")
+
+    def test_sweep_catches_corrupted_unit(self, tmp_path, stream):
+        store = self.sealed_store(tmp_path, stream)
+        self.corrupt_a_unit(store.windows[0].root)
         reports = store.anti_entropy()
         assert not all(r.ok for r in reports)
 
-    def test_scheduled_by_injected_clock(self, stream):
-        _, initial, batches = stream
-        now = [0.0]
-        store = IngestingBlotStore(initial, wal_specs(),
-                                   anti_entropy_interval=100.0,
-                                   clock=lambda: now[0])
-        sweeps = []
-        store.anti_entropy = lambda *a, **k: sweeps.append(now[0]) or []
-        store.append(batches[0])   # first due sweep runs immediately
-        assert len(sweeps) == 1
-        now[0] = 50.0
-        store.append(batches[1])   # within the interval: no sweep
-        assert len(sweeps) == 1
-        now[0] = 150.0
-        store.append(batches[2])   # interval elapsed: due again
-        assert len(sweeps) == 2
+    def test_sweep_catches_corrupted_base_unit(self, tmp_path, stream):
+        """The base has the windows' on-disk shape and holds the newest
+        data: the sweep covers it, last."""
+        store = self.sealed_store(tmp_path, stream)
+        base = store.wal.snapshot_meta()[1]["base"]["dir"]
+        self.corrupt_a_unit(os.path.join(store.wal.dir, base))
+        reports = store.anti_entropy()
+        assert [r.ok for r in reports] == [True] * len(store.windows) + [False]

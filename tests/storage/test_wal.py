@@ -131,6 +131,21 @@ class TestTornTails:
             WriteAheadLog(tmp_path / "wal").replay()
 
 
+    def test_intact_crc_other_kind_raises_wal_error(self, tmp_path, batches):
+        """A frame of a kind this version does not write — kind 1 was
+        the ``.npz`` frame — is refused by name, never skipped: skipping
+        would drop an acknowledged batch."""
+        import zlib
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(batches[0])
+        wal.close()
+        body = bytes([1]) + b"PK\x03\x04 an earlier version's npz payload"
+        with open(only_segment_path(wal), "ab") as f:
+            f.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
+        with pytest.raises(WalError, match="kind 1"):
+            WriteAheadLog(tmp_path / "wal").replay()
+
+
 class TestSnapshot:
     def test_rotate_snapshot_gc_cycle(self, tmp_path, batches):
         wal = WriteAheadLog(tmp_path / "wal")
