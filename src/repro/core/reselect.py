@@ -377,7 +377,7 @@ class ReselectionController:
     past the threshold — rebuild the Eq. 1-5 instance for the observed
     workload and :func:`warm_reselect` from the incumbent.  A winning
     candidate set is applied *install-first*: new replicas are built
-    (slow, off-lock), registered, and only then are displaced replicas
+    (the slow part), registered, and only then are displaced replicas
     retired — each step one atomic publication of the store's serving
     set, so a concurrent read sees the old set, the superset or the new
     set and takes no lock.  The engine's decoded-partition cache and
@@ -423,7 +423,6 @@ class ReselectionController:
         self._build = build
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._gate = threading.Lock()        # one evaluation at a time
-        self._swap = threading.Lock()        # install/retire window
         self._next_eval = self.config.min_queries
         self._thread: threading.Thread | None = None
 
@@ -591,14 +590,14 @@ class ReselectionController:
             return self._decide(
                 "rejected", f"build of {name!r} failed: {exc}", common)
 
-        with self._swap:
-            # Install-first: readers racing the swap always see a
-            # superset of a valid serving set; retiring afterwards is
-            # safe because the engine fails stale plans over.
-            for replica in built:
-                self.store.register_replica(replica)
-            for name in to_retire:
-                self.store.retire_replica(name)
+        # Install-first (the caller holds ``_gate``, so applies never
+        # interleave): readers racing the swap always see a superset of
+        # a valid serving set; retiring afterwards is safe because the
+        # engine fails stale plans over.
+        for replica in built:
+            self.store.register_replica(replica)
+        for name in to_retire:
+            self.store.retire_replica(name)
 
         # New epoch: the observed workload becomes the baseline the
         # next drift measurement anchors on, and retired replicas'

@@ -8,7 +8,6 @@ from repro.errors import (
 )
 from repro.storage.cache import CacheStats, PartitionCache
 from repro.storage.config import (
-    DEFAULT_COST_PARAMS,
     FaultSpec,
     ReplicaRef,
     StoreConfig,
@@ -70,7 +69,6 @@ from repro.storage.unit import (
 __all__ = [
     "BlotStore",
     "CacheStats",
-    "DEFAULT_COST_PARAMS",
     "DEFAULT_EXEC_OPTIONS",
     "DegradedReadError",
     "FaultSpec",

@@ -28,9 +28,9 @@ logical view — is produced only when something asks for
 :func:`write_replica_set` is the write side: given a dataset and replica
 specs it lays units and manifests out under one root directory — the
 shape every layer of the ingest store has on disk.
-:func:`materialize_store` is that plus a raw ``dataset.npz`` and default
-cost constants — the one-call path the CLI, tests and CI use to stage a
-store that workers can rehydrate.
+:func:`materialize_store` is that plus a raw ``dataset.npz`` and cost
+rows measured from the written units — the one-call path the CLI, tests
+and CI use to stage a store that workers can rehydrate.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.costmodel.model import CostModel, EncodingCostParams
 from repro.data.dataset import Dataset
 from repro.obs import Observability
 from repro.storage.faults import FaultInjector
+from repro.storage.measure import measure_cost_params
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +170,10 @@ def hydrate_store(config: StoreConfig, replica_transform=None):
     return store
 
 
-#: Default Eq. 6 constants per encoding scheme, used by
-#: :func:`materialize_store` when the caller supplies none.  Fixed
-#: plausible values (heavier compression scans slower, costs more setup
-#: per partition) rather than a calibration run: every process hydrates
-#: the identical model, deterministically, with zero startup cost.
+#: The hand-written Eq. 6 table stores routed with before they measured
+#: their own rows.  Nothing in ``src/`` reads it: it stays only because
+#: ``benchmarks/e2e/build.py`` imports it to price the advisor, and goes
+#: when that import does.
 DEFAULT_COST_PARAMS = (
     ("ROW-PLAIN", 5.0e6, 0.0020),
     ("ROW-SNAPPY", 4.0e6, 0.0022),
@@ -198,19 +198,6 @@ def cost_model_from_params(
         name: EncodingCostParams(scan_rate=rate, extra_time=extra)
         for name, rate, extra in cost_params
     })
-
-
-def default_cost_params(encoding_names) -> tuple[tuple[str, float, float], ...]:
-    """The :data:`DEFAULT_COST_PARAMS` rows for ``encoding_names``,
-    sorted by name; ``ValueError`` when one has no default."""
-    missing = set(encoding_names) - {row[0] for row in DEFAULT_COST_PARAMS}
-    if missing:
-        raise ValueError(
-            f"no default cost params for encodings {sorted(missing)}; "
-            "pass cost_params= explicitly"
-        )
-    return tuple(sorted(row for row in DEFAULT_COST_PARAMS
-                        if row[0] in encoding_names))
 
 
 def _replica_ref(root: str, name: str) -> ReplicaRef:
@@ -271,19 +258,21 @@ def materialize_store(
     :class:`StoreConfig` describing it: :func:`write_replica_set` plus a
     lossless ``root/dataset.npz`` that keeps the caller's record order.
 
-    ``cost_params`` defaults to the :data:`DEFAULT_COST_PARAMS` entries
-    of the encodings used.
+    ``cost_params`` defaults to cost rows measured from the written
+    units (:func:`~repro.storage.measure.measure_cost_params`), one per
+    encoding used; the config carries them, so every process hydrating
+    it routes with the identical model and times nothing.
     """
-    replica_specs = list(replica_specs)
-    if cost_params is None:
-        cost_params = default_cost_params(
-            {spec[1].name for spec in replica_specs})
     os.makedirs(root, exist_ok=True)
     dataset_path = os.path.join(root, "dataset.npz")
     dataset.to_npz(dataset_path)
-    names = write_replica_set(dataset, replica_specs, root)
+    config = replica_set_config(
+        root, write_replica_set(dataset, replica_specs, root))
+    if cost_params is None:
+        cost_params = measure_cost_params(
+            [ref.open() for ref in config.replicas])
     return replace(
-        replica_set_config(root, names),
+        config,
         dataset_path=dataset_path,
         cost_params=cost_params,
         cache_bytes=cache_bytes,

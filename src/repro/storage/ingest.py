@@ -65,11 +65,11 @@ from repro.partition.base import PartitioningScheme
 from repro.storage.config import (
     StoreConfig,
     cost_model_from_params,
-    default_cost_params,
     replica_set_config,
     write_replica_set,
 )
 from repro.storage.engine import BlotStore, open_store
+from repro.storage.measure import measure_cost_params
 from repro.storage.options import ExecOptions
 from repro.storage.reads import (
     QueryResult,
@@ -79,6 +79,7 @@ from repro.storage.reads import (
     WorkloadStats,
 )
 from repro.obs import NULL_RECORDER
+from repro.storage.replica import StoredReplica, build_replica
 from repro.storage.unit import DirectoryStore, InMemoryStore
 from repro.storage.wal import WriteAheadLog, fsync_tree, wal_state_exists
 
@@ -183,7 +184,9 @@ class IngestingBlotStore(ReadSurface):
         observability=None,
     ):
         """``auto_compact_at`` triggers :meth:`compact` automatically once
-        the live buffer holds that many records (None disables)."""
+        the live buffer holds that many records (None disables).  Without
+        a ``cost_model`` the store routes with Eq. 6 rows it measures
+        from the units it writes (see :meth:`_calibrate`)."""
         if window_seconds is not None and wal_dir is None:
             raise ValueError(
                 "window_seconds needs wal_dir (sealed windows are "
@@ -216,16 +219,12 @@ class IngestingBlotStore(ReadSurface):
         if window_seconds is not None and window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         self._specs = list(replica_specs)
-        if cost_model is None and len(self._specs) > 1:
-            # Multi-replica routing needs Eq. 7 constants; an always-on
-            # store should not fail its first query for lack of them.
-            # (No default for some encoding: callers pin ``replica=``.)
-            try:
-                cost_model = cost_model_from_params(default_cost_params(
-                    {spec.encoding.name for spec in self._specs}))
-            except ValueError:
-                pass
         self._cost_model = cost_model
+        # The measured ``(encoding, scan_rate, extra_time)`` rows behind
+        # ``_cost_model``, committed with every snapshot; None when the
+        # caller's model wins and nothing is measured.
+        self._cost_params: tuple[tuple[str, float, float], ...] | None = (
+            () if cost_model is None else None)
         self._auto_compact_at = auto_compact_at
         self._background = bool(background_compaction)
         self._window_seconds = window_seconds
@@ -281,8 +280,15 @@ class IngestingBlotStore(ReadSurface):
                 f"no committed snapshot under {wal_dir!r}; create the store "
                 "with IngestingBlotStore(initial, ..., wal_dir=...) first"
             )
-        layers = tuple(self._open_layer(d) for d in
-                       [*committed["windows"], committed["base"]])
+        if self._cost_params is not None:
+            self._cost_params = tuple(
+                (str(name), float(rate), float(extra))
+                for name, rate, extra in committed.get("cost_params", ()))
+            self._cost_model = cost_model_from_params(self._cost_params)
+        # The base first: a snapshot committed without rows is measured
+        # from it, once (see _calibrate).
+        base = self._open_layer(committed["base"])
+        layers = (*map(self._open_layer, committed["windows"]), base)
         self._seal_seq = max(int(layer.root.rpartition("-")[2])
                              for layer in layers)
         self._install(_Serving(layers, tuple(self._wal.replay())))
@@ -302,11 +308,14 @@ class IngestingBlotStore(ReadSurface):
         when there is none — and open it for serving."""
         specs = [(s.scheme, s.encoding, s.name) for s in self._specs]
         if self._wal is None:
-            store = open_store(
-                dataset,
-                [(scheme, encoding, InMemoryStore(), name)
-                 for scheme, encoding, name in specs],
-                cost_model=self._cost_model, observability=self._obs)
+            universe = dataset.bounding_box()
+            replicas = [build_replica(dataset, scheme, encoding,
+                                      InMemoryStore(), name=name,
+                                      universe=universe)
+                        for scheme, encoding, name in specs]
+            self._calibrate(replicas)
+            store = open_store(dataset, replicas, cost_model=self._cost_model,
+                               observability=self._obs)
             return SealedWindow(t_lo, t_hi, None, len(dataset), None, store)
         self._seal_seq += 1
         rel = f"{prefix}{self._seal_seq:06d}"
@@ -325,8 +334,9 @@ class IngestingBlotStore(ReadSurface):
         live cost model and telemetry."""
         root = os.path.join(self._wal.dir, descriptor["dir"])
         config = replica_set_config(root, descriptor["replicas"])
-        store = open_store(config.load_dataset,
-                           [ref.open() for ref in config.replicas],
+        replicas = [ref.open() for ref in config.replicas]
+        self._calibrate(replicas)
+        store = open_store(config.load_dataset, replicas,
                            cost_model=self._cost_model,
                            observability=self._obs)
         return SealedWindow(
@@ -334,6 +344,29 @@ class IngestingBlotStore(ReadSurface):
             t_hi=float(descriptor.get("t_hi", math.inf)),
             root=root, records=int(descriptor["records"]),
             config=config, store=store)
+
+    def _calibrate(self, replicas: list[StoredReplica]) -> None:
+        """Give every encoding of a layer's replica set an Eq. 6 row.
+
+        Routing only has to choose within a layer of two or more
+        replicas; there, an encoding without a row is timed from the
+        layer's own freshly written units
+        (:func:`~repro.storage.measure.measure_cost_params`) and the
+        store's model is rebuilt with the new rows — layers opened
+        earlier keep the model they were opened with, which prices every
+        replica they hold.  A store given an explicit ``cost_model``
+        measures nothing.  The rows are committed with every snapshot, so
+        :meth:`open` reads them back and times nothing — unless the
+        snapshot predates them, when the base is measured once.
+        """
+        if self._cost_params is None or len(replicas) < 2:
+            return
+        have = {name for name, _, _ in self._cost_params}
+        missing = [r for r in replicas if r.encoding.name not in have]
+        if missing:
+            self._cost_params = tuple(sorted(
+                self._cost_params + measure_cost_params(missing)))
+            self._cost_model = cost_model_from_params(self._cost_params)
 
     def _commit(self, through_segment: int,
                 layers: tuple[SealedWindow, ...]) -> None:
@@ -350,10 +383,12 @@ class IngestingBlotStore(ReadSurface):
                     "records": layer.records,
                     "replicas": layer.store.replica_names(), **span}
 
-        self._wal.snapshot(through_segment, extra={
-            "base": describe(base),
-            "windows": [describe(w, t_lo=w.t_lo, t_hi=w.t_hi)
-                        for w in windows]})
+        extra = {"base": describe(base),
+                 "windows": [describe(w, t_lo=w.t_lo, t_hi=w.t_hi)
+                             for w in windows]}
+        if self._cost_params is not None:
+            extra["cost_params"] = [list(row) for row in self._cost_params]
+        self._wal.snapshot(through_segment, extra=extra)
 
     def _collect_orphans(self) -> None:
         """Delete every replica-set directory that ``snapshot.json`` does

@@ -15,6 +15,7 @@ from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, GridPartitioner, KdTreePartitioner
 from repro.serve import FleetSpec
 from repro.storage import materialize_store
+from tests.conftest import FIXED_COST_PARAMS
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,8 @@ def config(dataset, tmp_path_factory):
              encoding_scheme_by_name("COL-GZIP"), "kd-gzip"),
         ],
         str(root),
+        # Which replica is primary decides every failover count below.
+        cost_params=FIXED_COST_PARAMS,
     )
 
 

@@ -10,13 +10,31 @@ small because each worker pays a real interpreter start.
 
 import asyncio
 import dataclasses
+import multiprocessing
 
 from repro.serve import ShardServer
+from repro.storage import hydrate_store
 from repro.verify.oracle import canonical, datasets_identical
+
+
+def hydrated_cost_params(config):
+    """The Eq. 6 rows a store hydrated from ``config`` routes with."""
+    store = hydrate_store(config)
+    try:
+        model = store.cost_model
+        return tuple((name, model.params_for(name).scan_rate,
+                      model.params_for(name).extra_time)
+                     for name in model.encoding_names)
+    finally:
+        store.close()
 
 
 def test_spawn_workers_answer_bit_equal(config, queries, baseline):
     subset = queries[:6]
+    # A spawned process hydrates exactly the rows the config carries.
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        assert pool.apply(hydrated_cost_params, (config,)) == \
+            tuple(sorted(config.cost_params))
 
     async def go():
         async with ShardServer(config, n_shards=2,

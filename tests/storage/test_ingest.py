@@ -13,10 +13,12 @@ from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
+from repro.storage.config import cost_model_from_params
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
 from repro.storage.wal import WriteAheadLog
 from repro.verify.oracle import canonical, datasets_identical
 from repro.workload.query import Query
+from tests.conftest import FIXED_COST_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -330,6 +332,88 @@ class TestWalDurability:
         del store
         reopened = IngestingBlotStore.open(str(tmp_path / "wal"), wal_specs())
         assert reopened.buffered_records == len(batches[0])
+
+
+def model_rows(model):
+    """A cost model's rows in the ``snapshot.json`` form."""
+    return [[name, model.params_for(name).scan_rate,
+             model.params_for(name).extra_time]
+            for name in model.encoding_names]
+
+
+class TestMeasuredCostRows:
+    """Without a ``cost_model`` a multi-replica store routes with Eq. 6
+    rows timed from the units it writes and commits them with its
+    snapshot; ``open()`` reads them back instead of timing anything."""
+
+    def test_open_routes_with_the_committed_rows(self, tmp_path, stream,
+                                                 monkeypatch):
+        _, initial, _ = stream
+        wal_dir = str(tmp_path / "wal")
+        store = IngestingBlotStore(initial, wal_specs(), wal_dir=wal_dir)
+        rows = store.wal.snapshot_meta()[1]["cost_params"]
+        assert [name for name, _, _ in rows] == ["COL-GZIP", "ROW-PLAIN"]
+        assert model_rows(store.base.cost_model) == rows
+        store.close()
+
+        def no_timing(replicas):
+            raise AssertionError("open() timed storage units")
+
+        monkeypatch.setattr("repro.storage.ingest.measure_cost_params",
+                            no_timing)
+        reopened = IngestingBlotStore.open(wal_dir, wal_specs())
+        try:
+            assert model_rows(reopened.base.cost_model) == rows
+        finally:
+            reopened.close()
+
+    def test_snapshot_without_rows_is_measured_once_then_committed(
+            self, tmp_path, stream, monkeypatch):
+        from repro.storage.measure import measure_cost_params
+
+        _, initial, batches = stream
+        wal_dir = str(tmp_path / "wal")
+        IngestingBlotStore(initial, wal_specs(), wal_dir=wal_dir).close()
+        # What a version that did not measure committed: no rows.
+        wal = WriteAheadLog(wal_dir)
+        through, committed = wal.snapshot_meta()
+        del committed["cost_params"]
+        wal.snapshot(through, extra=committed)
+        wal.close()
+
+        timed = []
+
+        def counting(replicas):
+            timed.append(replicas)
+            return measure_cost_params(replicas)
+
+        monkeypatch.setattr("repro.storage.ingest.measure_cost_params",
+                            counting)
+        reopened = IngestingBlotStore.open(wal_dir, wal_specs())
+        try:
+            assert len(timed) == 1
+            assert all(r is reopened.base.replica(r.name) for r in timed[0])
+            rows = model_rows(reopened.base.cost_model)
+            assert [name for name, _, _ in rows] == ["COL-GZIP", "ROW-PLAIN"]
+            reopened.append(batches[0])
+            reopened.compact()
+            assert len(timed) == 1  # a covered encoding is never re-timed
+            assert reopened.wal.snapshot_meta()[1]["cost_params"] == rows
+        finally:
+            reopened.close()
+
+    def test_explicit_cost_model_wins(self, tmp_path, stream, monkeypatch):
+        _, initial, _ = stream
+        monkeypatch.setattr("repro.storage.ingest.measure_cost_params",
+                            lambda replicas: pytest.fail("timed units"))
+        model = cost_model_from_params(FIXED_COST_PARAMS)
+        store = IngestingBlotStore(initial, wal_specs(), model,
+                                   wal_dir=str(tmp_path / "wal"))
+        try:
+            assert store.base.cost_model is model
+            assert "cost_params" not in store.wal.snapshot_meta()[1]
+        finally:
+            store.close()
 
 
 class TestBackgroundCompaction:

@@ -1,10 +1,14 @@
 """Tests for the local wall-clock scan measurer and its calibration fit."""
 
+import numpy as np
 import pytest
 
 from repro.costmodel import calibrate_encoding, fit_cost_params, MeasurementPoint
 from repro.data import Dataset, synthetic_shanghai_taxis
-from repro.storage import LocalScanMeasurer
+from repro.encoding import encoding_scheme_by_name
+from repro.partition import GridPartitioner
+from repro.storage import InMemoryStore, LocalScanMeasurer, build_replica
+from repro.storage.measure import measure_cost_params
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +58,26 @@ class TestLocalScanMeasurer:
         plain = m("ROW-PLAIN", 4000, 3)
         lzma = m("ROW-LZMA2", 4000, 3)
         assert lzma > plain
+
+
+class TestMeasureCostParams:
+    def test_one_row_per_encoding_sorted(self, ds):
+        replicas = [
+            build_replica(ds, GridPartitioner(4, 4),
+                          encoding_scheme_by_name(name), InMemoryStore(),
+                          name=name)
+            for name in ("ROW-GZIP", "COL-GZIP")]
+        rows = measure_cost_params(replicas)
+        assert [name for name, _, _ in rows] == ["COL-GZIP", "ROW-GZIP"]
+        for _, scan_rate, extra_time in rows:
+            assert scan_rate > 0 and extra_time >= 0
+
+    def test_units_too_small_to_fit_charge_the_records(self, ds):
+        """One 10-record unit: the tiny unit is the same size, so no
+        slope can be fitted and every second goes to the records."""
+        replica = build_replica(ds.take(np.arange(10)), GridPartitioner(1, 1),
+                                encoding_scheme_by_name("ROW-PLAIN"),
+                                InMemoryStore())
+        [(name, scan_rate, extra_time)] = measure_cost_params([replica])
+        assert name == "ROW-PLAIN"
+        assert scan_rate > 0 and extra_time == 0.0
