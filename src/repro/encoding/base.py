@@ -118,8 +118,6 @@ class PartitionReader(Protocol):
 
     def zone(self, name: str) -> tuple[float, float] | None: ...
 
-    def disjoint_from(self, lo: tuple, hi: tuple) -> bool: ...
-
     def decode_column(self, name: str): ...
 
     def dataset(self) -> Dataset: ...
@@ -145,9 +143,6 @@ class EagerPartitionReader:
 
     def zone(self, name: str) -> tuple[float, float] | None:
         return None
-
-    def disjoint_from(self, lo: tuple, hi: tuple) -> bool:
-        return False
 
     def decode_column(self, name: str):
         return self.dataset().column(name)

@@ -410,18 +410,6 @@ class ColumnarBlob:
             return None
         return lo, hi
 
-    def disjoint_from(self, lo: tuple, hi: tuple) -> bool:
-        """True when the zone map proves no record can fall inside the
-        closed box ``[lo, hi]`` on (x, y, t).  False means "cannot tell"
-        — v1 blobs and NaN bounds never prune."""
-        if self._zones is None:
-            return False
-        for name, box_lo, box_hi in zip(("x", "y", "t"), lo, hi):
-            zone = self.zone(name)
-            if zone is not None and (zone[1] < box_lo or zone[0] > box_hi):
-                return True
-        return False
-
     def _decode_block(self, f, pos: int):
         t0 = time.perf_counter() if self._telemetry is not None else 0.0
         values, end, kind = _decode_column(f.name, f.dtype, self._data, pos, self._n)

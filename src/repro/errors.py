@@ -17,7 +17,7 @@ CLI) can catch them without import cycles:
 - :class:`DeadlineExceededError` — a request's propagated deadline
   expired before (or while) a shard served it;
 - :class:`SnapshotMergeError` — two per-process metric snapshots could
-  not be merged (mismatched histogram bounds or sketch resolution).
+  not be merged (mismatched sketch resolution).
 
 Import them from here, from ``repro`` or (the storage ones) from
 ``repro.storage``; the modules that raise them no longer re-export them.
@@ -160,10 +160,10 @@ class WorkerLostError(RuntimeError):
 
 
 class SnapshotMergeError(ValueError):
-    """Two per-process metric snapshots disagree on an instrument's
-    shape — histogram bucket bounds or quantile-sketch resolution — so
-    a bucket-wise merge would silently misbin observations.  Carries
-    the metric identity and both shapes for diagnosis."""
+    """Two per-process metric snapshots disagree on a quantile sketch's
+    resolution (``alpha``), so a bucket-wise merge would silently
+    misbin observations.  Carries the metric identity and both
+    resolutions for diagnosis."""
 
     def __init__(self, name: str, labels: dict, reason: str,
                  ours=None, theirs=None):

@@ -5,9 +5,9 @@ The paper's serving loop is *predict → route → scan → calibrate*
 measured scan times).  This package is the instrumentation of that
 loop:
 
-- :class:`MetricsRegistry` — thread-safe counters / gauges / histograms
-  (fixed bucket boundaries) that the engine, the decoded-partition
-  cache, the fault injector and the selection solvers publish into;
+- :class:`MetricsRegistry` — thread-safe counters / gauges / quantile
+  sketches that the engine, the decoded-partition cache, the fault
+  injector and the selection solvers publish into;
 - :class:`TraceRecorder` — per-query spans (``route`` →
   ``scan[partition]`` → ``decode`` / ``cache`` / ``retry`` /
   ``failover`` / ``repair``) with parent/child structure, retained in a
@@ -66,11 +66,9 @@ from repro.obs.distributed import (
 )
 from repro.obs.drift import DriftMonitor, DriftStatus, relative_error
 from repro.obs.metrics import (
-    DEFAULT_SECONDS_BUCKETS,
     SKETCH_QUANTILES,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     QuantileSketch,
 )
@@ -210,12 +208,10 @@ __all__ = [
     "CalibrationUpdate",
     "Checkpointer",
     "Counter",
-    "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_WINDOWS",
     "DriftMonitor",
     "DriftStatus",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NullTraceRecorder",

@@ -4,13 +4,12 @@ Each shard worker owns a private
 :class:`~repro.obs.MetricsRegistry`; the front door collects their
 :meth:`~repro.obs.MetricsRegistry.snapshot` dicts and merges them here
 into one fleet-wide view: counters and gauges sum per ``(name,
-labels)``, histograms merge bucket-wise, quantile sketches merge by
-summing their log-bucket counts (exact — the whole point of using a
-mergeable sketch) and re-reading the canonical quantiles from the
-merged state.
+labels)``, quantile sketches merge by summing their log-bucket counts
+(exact — the whole point of using a mergeable sketch) and re-reading
+the canonical quantiles from the merged state.
 
-Instruments that *cannot* merge — histogram bucket bounds or sketch
-``alpha`` differing across snapshots — raise
+Sketches that *cannot* merge — their ``alpha`` differs across
+snapshots, as it can when one comes from another build — raise
 :class:`~repro.errors.SnapshotMergeError` instead of silently
 misbinning observations.  (This module otherwise imports nothing from
 the wider package; ``repro.errors`` is itself dependency-free, so the
@@ -38,34 +37,6 @@ def _merge_scalars(all_entries) -> list[dict]:
                            "value": entry["value"]}
         else:
             slot["value"] += entry["value"]
-    return [merged[key] for key in sorted(merged)]
-
-
-def _merge_histograms(all_entries) -> list[dict]:
-    merged: dict[tuple, dict] = {}
-    for entry in all_entries:
-        key = _key(entry)
-        slot = merged.get(key)
-        if slot is None:
-            merged[key] = {
-                "name": entry["name"],
-                "labels": dict(entry["labels"]),
-                "count": entry["count"],
-                "sum": entry["sum"],
-                "buckets": [dict(b) for b in entry["buckets"]],
-            }
-            continue
-        slot["count"] += entry["count"]
-        slot["sum"] += entry["sum"]
-        theirs = {b["le"]: b["count"] for b in entry["buckets"]}
-        ours_bounds = {b["le"] for b in slot["buckets"]}
-        if set(theirs) != ours_bounds:
-            raise SnapshotMergeError(
-                entry["name"], entry["labels"],
-                "histogram bucket bounds differ across snapshots",
-                ours=sorted(ours_bounds), theirs=sorted(theirs))
-        for bucket in slot["buckets"]:
-            bucket["count"] += theirs[bucket["le"]]
     return [merged[key] for key in sorted(merged)]
 
 
@@ -121,16 +92,14 @@ def _merge_quantiles(all_entries) -> list[dict]:
 def merge_metric_snapshots(snapshots) -> dict:
     """Merge :meth:`MetricsRegistry.snapshot` dicts from many processes
     into one, deterministically ordered by ``(name, labels)``; raises
-    :class:`~repro.errors.SnapshotMergeError` when instrument shapes
-    disagree."""
+    :class:`~repro.errors.SnapshotMergeError` when two sketches of one
+    series disagree on ``alpha``."""
     snapshots = list(snapshots)
     return {
         "counters": _merge_scalars(
             e for s in snapshots for e in s.get("counters", ())),
         "gauges": _merge_scalars(
             e for s in snapshots for e in s.get("gauges", ())),
-        "histograms": _merge_histograms(
-            e for s in snapshots for e in s.get("histograms", ())),
         "quantiles": _merge_quantiles(
             e for s in snapshots for e in s.get("quantiles", ())),
     }

@@ -1,5 +1,5 @@
-"""A thread-safe metrics registry: counters, gauges, histograms,
-quantile sketches.
+"""A thread-safe metrics registry: counters, gauges and quantile
+sketches.
 
 The telemetry substrate of the engine (see ``docs/observability.md``).
 Every component that makes a runtime decision — the query engine, the
@@ -12,9 +12,10 @@ Design constraints:
 
 - **Thread-safe**: partition scans run on the engine's thread pool, so
   every mutation takes the instrument's lock.
-- **Deterministic shape**: histogram bucket boundaries are fixed at
-  creation (no adaptive/wall-clock-derived buckets), so two runs of the
-  same workload produce snapshots with identical structure.
+- **One latency instrument**: every measured duration goes into a
+  :class:`QuantileSketch` with the fixed resolution :data:`SKETCH_ALPHA`,
+  so any two snapshots of this build merge exactly, across threads and
+  processes.
 - **Pull-based export**: :meth:`MetricsRegistry.snapshot` returns plain
   data (JSON-safe), :meth:`MetricsRegistry.render_prometheus` the
   standard text exposition format.
@@ -22,17 +23,8 @@ Design constraints:
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
-
-#: Default histogram boundaries for second-valued observations: fixed,
-#: log-spaced, covering sub-millisecond cache hits up to multi-second
-#: degraded scans.  Observations above the last bound land in +Inf.
-DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 #: Canonical label encoding inside the registry: a sorted tuple of
 #: ``(key, value)`` pairs, hashable and order-independent.
@@ -96,6 +88,35 @@ METRIC_HELP: dict[str, str] = {
     "repro_slo_evaluations_total": "SLO burn-rate evaluations run.",
     "repro_slo_alerts_total":
         "SLO burn-rate alerts fired, by tenant and objective.",
+    "repro_replica_changes_total":
+        "Live replica registrations, retirements and swaps, by op.",
+    "repro_reselect_evaluations_total": "Online reselection evaluations run.",
+    "repro_reselect_divergence":
+        "Workload divergence at the last reselection evaluation.",
+    "repro_reselect_applied_total": "Replica reselections applied.",
+    "repro_reselect_rejected_total":
+        "Replica reselections rejected by the guards.",
+    "repro_ingest_appends_total": "Batches appended to an ingest store.",
+    "repro_ingest_records_total": "Records appended to an ingest store.",
+    "repro_ingest_append_seconds": "Seconds per ingest append call.",
+    "repro_ingest_buffer_records": "Records in the unsealed ingest buffer.",
+    "repro_ingest_compactions_total": "Ingest compactions committed, by mode.",
+    "repro_ingest_compaction_failures_total":
+        "Ingest compactions that raised, by mode.",
+    "repro_ingest_compaction_seconds": "Seconds per committed compaction.",
+    "repro_ingest_windows_sealed_total": "Time windows sealed by compaction.",
+    "repro_ingest_windows": "Sealed time windows currently served.",
+    "repro_wal_appends_total": "Frames appended to the write-ahead log.",
+    "repro_wal_bytes_total": "Bytes appended to the write-ahead log.",
+    "repro_wal_torn_tails_total": "Torn WAL tails truncated on replay.",
+    "repro_wal_replayed_batches_total": "WAL batches replayed on open.",
+    "repro_wal_replayed_records_total": "WAL records replayed on open.",
+    "repro_wal_snapshots_total": "WAL snapshots committed.",
+    "repro_antientropy_sweeps_total": "Anti-entropy sweeps run.",
+    "repro_antientropy_windows_total": "Layers checked by anti-entropy.",
+    "repro_antientropy_failures_total":
+        "Layers that failed an anti-entropy check.",
+    "repro_antientropy_ok": "1 when the last anti-entropy sweep passed.",
 }
 
 
@@ -173,77 +194,16 @@ class Gauge:
             return self._value
 
 
-class Histogram:
-    """A distribution over fixed, pre-declared bucket boundaries.
-
-    ``buckets`` are the *upper bounds* of each finite bucket, strictly
-    increasing; an implicit +Inf bucket catches the tail.  The rendered
-    counts are cumulative, matching the Prometheus exposition format.
-    """
-
-    __slots__ = ("name", "labels", "buckets", "_counts", "_sum", "_count",
-                 "_lock")
-
-    def __init__(self, name: str, labels: LabelSet = (),
-                 buckets: tuple[float, ...] = DEFAULT_SECONDS_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError("bucket bounds must be strictly increasing")
-        self.name = name
-        self.labels = labels
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +Inf tail
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        idx = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    def state(self) -> tuple[list[tuple[float, int]], float, int]:
-        """``(cumulative_buckets, sum, count)`` captured under one lock
-        acquisition, so the +Inf bucket always equals ``count`` and
-        ``sum`` belongs to the same set of observations — the
-        ``_sum``/``_count`` consistency the exposition format promises
-        scrapers."""
-        with self._lock:
-            counts = list(self._counts)
-            total_sum = self._sum
-            total_count = self._count
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets + (float("inf"),), counts):
-            running += n
-            out.append((bound, running))
-        return out, total_sum, total_count
-
-    def cumulative_counts(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` per bucket, +Inf last."""
-        return self.state()[0]
-
-
 #: Quantiles every sketch reports in snapshots and expositions.
 SKETCH_QUANTILES: tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: Default relative-error bound for quantile sketches: a reported p99
-#: is within 1% of the true value.
-DEFAULT_SKETCH_ALPHA = 0.01
+#: Relative-error bound of every quantile sketch: a reported p99 is
+#: within 1% of the true value.  Fixed, so every sketch this build
+#: writes merges with every other; snapshots still carry it, because a
+#: merge may meet a snapshot from another build.
+SKETCH_ALPHA = 0.01
+
+_LOG_GAMMA = math.log((1.0 + SKETCH_ALPHA) / (1.0 - SKETCH_ALPHA))
 
 #: Observations below this collapse into the sketch's zero bucket (the
 #: log mapping cannot represent 0).
@@ -276,27 +236,20 @@ class QuantileSketch:
     """Mergeable streaming quantiles over log-spaced buckets.
 
     DDSketch-style: a value lands in bucket ``ceil(log_gamma(v))`` with
-    ``gamma = (1+alpha)/(1-alpha)``, so any reported quantile is within
-    relative error ``alpha`` of the true order statistic.  Two sketches
-    with the same ``alpha`` merge *exactly* by summing bucket counts —
-    the property fixed-bound histograms lack at the tails and P² lacks
-    entirely — which is what lets per-worker latency sketches fold into
-    fleet-wide per-tenant p50/p95/p99 in :mod:`repro.obs.aggregate`.
+    ``gamma = (1+alpha)/(1-alpha)`` and ``alpha =``
+    :data:`SKETCH_ALPHA`, so any reported quantile is within relative
+    error ``alpha`` of the true order statistic.  Sketches merge
+    *exactly* by summing bucket counts — the property P² lacks — which
+    is what lets per-worker latency sketches fold into fleet-wide
+    percentiles in :mod:`repro.obs.aggregate`.
     """
 
-    __slots__ = ("name", "labels", "alpha", "_gamma", "_log_gamma",
-                 "_buckets", "_zero", "_count", "_sum", "_min", "_max",
-                 "_lock")
+    __slots__ = ("name", "labels", "_buckets", "_zero", "_count", "_sum",
+                 "_min", "_max", "_lock")
 
-    def __init__(self, name: str, labels: LabelSet = (),
-                 alpha: float = DEFAULT_SKETCH_ALPHA):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+    def __init__(self, name: str, labels: LabelSet = ()):
         self.name = name
         self.labels = labels
-        self.alpha = float(alpha)
-        self._gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
-        self._log_gamma = math.log(self._gamma)
         self._buckets: dict[int, int] = {}
         self._zero = 0
         self._count = 0
@@ -311,7 +264,7 @@ class QuantileSketch:
             raise ValueError("quantile sketches take non-negative values")
         idx = None
         if value >= _SKETCH_MIN_VALUE:
-            idx = math.ceil(math.log(value) / self._log_gamma)
+            idx = math.ceil(math.log(value) / _LOG_GAMMA)
         with self._lock:
             if idx is None:
                 self._zero += 1
@@ -334,11 +287,11 @@ class QuantileSketch:
 
     def quantile(self, q: float) -> float | None:
         """The value at quantile ``q`` (None when empty), within
-        relative error ``alpha``."""
+        relative error :data:`SKETCH_ALPHA`."""
         with self._lock:
             zero, buckets, count = self._zero, dict(self._buckets), \
                 self._count
-        return sketch_quantile(self.alpha, zero, buckets, count, q)
+        return sketch_quantile(SKETCH_ALPHA, zero, buckets, count, q)
 
     def state(self) -> dict:
         """The sketch as plain JSON-safe data: raw buckets (keyed by
@@ -349,7 +302,7 @@ class QuantileSketch:
                 self._count
             total_sum, lo, hi = self._sum, self._min, self._max
         return {
-            "alpha": self.alpha,
+            "alpha": SKETCH_ALPHA,
             "count": count,
             "sum": total_sum,
             "min": lo,
@@ -357,7 +310,7 @@ class QuantileSketch:
             "zero": zero,
             "buckets": {str(idx): n for idx, n in sorted(buckets.items())},
             "quantiles": {
-                str(q): sketch_quantile(self.alpha, zero, buckets, count, q)
+                str(q): sketch_quantile(SKETCH_ALPHA, zero, buckets, count, q)
                 for q in SKETCH_QUANTILES
             },
         }
@@ -377,8 +330,7 @@ class MetricsRegistry:
         self._types: dict[str, type] = {}
         self._lock = threading.Lock()
 
-    def _get(self, cls, name: str, labels: dict[str, str] | None,
-             **kwargs):
+    def _get(self, cls, name: str, labels: dict[str, str] | None):
         key = (name, _labelset(labels))
         # Lock-free fast path: the metrics dict only ever grows, and
         # dict.get is atomic under the GIL, so a hit needs no lock —
@@ -399,7 +351,7 @@ class MetricsRegistry:
                 raise TypeError(
                     f"metric {name!r} already registered as "
                     f"{declared.__name__}, not {cls.__name__}")
-            metric = cls(name, key[1], **kwargs)
+            metric = cls(name, key[1])
             self._metrics[key] = metric
             self._types[name] = cls
             return metric
@@ -410,17 +362,10 @@ class MetricsRegistry:
     def gauge(self, name: str, labels: dict[str, str] | None = None) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, labels: dict[str, str] | None = None,
-        buckets: tuple[float, ...] = DEFAULT_SECONDS_BUCKETS,
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
-
     def quantile_sketch(
         self, name: str, labels: dict[str, str] | None = None,
-        alpha: float = DEFAULT_SKETCH_ALPHA,
     ) -> QuantileSketch:
-        return self._get(QuantileSketch, name, labels, alpha=alpha)
+        return self._get(QuantileSketch, name, labels)
 
     def _sorted_metrics(self) -> list[object]:
         with self._lock:
@@ -445,7 +390,7 @@ class MetricsRegistry:
         """All instruments as plain JSON-safe data, deterministically
         ordered by ``(name, labels)``."""
         out: dict[str, list[dict]] = {"counters": [], "gauges": [],
-                                      "histograms": [], "quantiles": []}
+                                      "quantiles": []}
         for metric in self._sorted_metrics():
             labels = dict(metric.labels)
             if isinstance(metric, Counter):
@@ -456,16 +401,6 @@ class MetricsRegistry:
                 out["gauges"].append(
                     {"name": metric.name, "labels": labels,
                      "value": metric.value})
-            elif isinstance(metric, Histogram):
-                buckets, total_sum, total_count = metric.state()
-                out["histograms"].append({
-                    "name": metric.name, "labels": labels,
-                    "count": total_count, "sum": total_sum,
-                    "buckets": [
-                        {"le": bound, "count": n}
-                        for bound, n in buckets
-                    ],
-                })
             elif isinstance(metric, QuantileSketch):
                 out["quantiles"].append(
                     {"name": metric.name, "labels": labels,
@@ -484,10 +419,9 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """The standard Prometheus text exposition format: ``# HELP`` +
-        ``# TYPE`` per metric name, escaped label values, cumulative
-        histogram buckets ending in ``+Inf`` (always equal to
-        ``_count``, captured in the same lock acquisition as
-        ``_sum``)."""
+        ``# TYPE`` per metric name, escaped label values; a sketch
+        renders as a summary whose ``{quantile=...}``, ``_sum`` and
+        ``_count`` lines come from one lock acquisition."""
         lines: list[str] = []
         seen: set[str] = set()
         for metric in self._sorted_metrics():
@@ -501,21 +435,6 @@ class MetricsRegistry:
                 lines.append(
                     f"{metric.name}{_render_labels(metric.labels)} "
                     f"{_fmt(metric.value)}")
-            elif isinstance(metric, Histogram):
-                self._header(lines, seen, metric.name, "histogram")
-                buckets, total_sum, total_count = metric.state()
-                for bound, n in buckets:
-                    le = "+Inf" if bound == float("inf") else _fmt(bound)
-                    bucket_labels = metric.labels + (("le", le),)
-                    lines.append(
-                        f"{metric.name}_bucket{_render_labels(bucket_labels)}"
-                        f" {n}")
-                lines.append(
-                    f"{metric.name}_sum{_render_labels(metric.labels)} "
-                    f"{_fmt(total_sum)}")
-                lines.append(
-                    f"{metric.name}_count{_render_labels(metric.labels)} "
-                    f"{total_count}")
             elif isinstance(metric, QuantileSketch):
                 self._header(lines, seen, metric.name, "summary")
                 state = metric.state()

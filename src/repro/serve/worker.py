@@ -138,8 +138,7 @@ def serve_request(store, request: ShardRequest, shard_id: int,
 def _metrics_snapshot(store) -> dict:
     obs = store.observability
     if obs is None:
-        return {"counters": [], "gauges": [], "histograms": [],
-                "quantiles": []}
+        return {"counters": [], "gauges": [], "quantiles": []}
     return obs.metrics.snapshot()
 
 

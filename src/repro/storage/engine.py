@@ -34,7 +34,7 @@ is controlled uniformly by :class:`~repro.storage.options.ExecOptions`.
 
 The whole read path is instrumented: with an
 :class:`~repro.obs.Observability` bundle attached the engine publishes
-counters/histograms into its metrics registry, records (predicted
+counters/sketches into its metrics registry, records (predicted
 Eq. 7, measured) cost pairs into its drift monitor, and — per call,
 when ``ExecOptions.trace`` is set — collects ``route`` →
 ``scan[partition]`` → ``decode``/``cache``/``retry``/``failover``/
@@ -108,7 +108,7 @@ class _Accounting:
 
 class _DecodeTelemetry:
     """Per-column-block decode hook the engine hands to
-    :meth:`EncodingScheme.open`: one counter bump and one histogram
+    :meth:`EncodingScheme.open`: one counter bump and one sketch
     observation per column block actually decoded (metric objects are
     internally locked, so pool threads may call this concurrently)."""
 
@@ -116,7 +116,7 @@ class _DecodeTelemetry:
 
     def __init__(self, metrics) -> None:
         self._metrics = metrics
-        # Per-kind (counter, histogram) handles, resolved once: this
+        # Per-kind (counter, sketch) handles, resolved once: this
         # fires per column block, and registry lookups cost more than
         # the increment.  A racing first-miss resolves to the same
         # registry objects, so the benign overwrite is harmless.
@@ -128,7 +128,7 @@ class _DecodeTelemetry:
             pair = (
                 self._metrics.counter(
                     "repro_columns_decoded_total", labels={"kind": kind}),
-                self._metrics.histogram(
+                self._metrics.quantile_sketch(
                     "repro_decode_seconds", labels={"kind": kind}),
             )
             self._by_kind[kind] = pair
@@ -1085,7 +1085,7 @@ class BlotStore(ReadSurface):
                  plan: RoutingPlan | None, batch_seconds: float | None,
                  ) -> None:
         """Publish one call into the telemetry bundle: the counters, the
-        latency histogram of its shape, and one (predicted Eq. 7,
+        latency sketch of its shape, and one (predicted Eq. 7,
         measured seconds) drift pair per served request, for the replica
         that actually served it — the raw material of Section IV-B
         recalibration decisions."""
@@ -1108,10 +1108,10 @@ class BlotStore(ReadSurface):
             sum(s.partitions_involved for _, s in served))
         if batch:
             m.counter("repro_workloads_total").inc()
-            m.histogram("repro_workload_seconds").observe(batch_seconds)
+            m.quantile_sketch("repro_workload_seconds").observe(batch_seconds)
         else:
             for _, s in served:
-                m.histogram("repro_query_seconds").observe(s.seconds)
+                m.quantile_sketch("repro_query_seconds").observe(s.seconds)
         for what in ("retries", "failovers", "repairs"):
             if getattr(acct, what):
                 m.counter(f"repro_{what}_total").inc(getattr(acct, what))

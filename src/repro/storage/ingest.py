@@ -498,7 +498,8 @@ class IngestingBlotStore(ReadSurface):
             self._metrics.counter("repro_ingest_appends_total").inc()
             self._metrics.counter("repro_ingest_records_total").inc(
                 len(records))
-            self._metrics.histogram("repro_ingest_append_seconds").observe(
+            self._metrics.quantile_sketch(
+                "repro_ingest_append_seconds").observe(
                 time.perf_counter() - t0)
             self._metrics.gauge("repro_ingest_buffer_records").set(
                 state.delta_records)
@@ -620,7 +621,7 @@ class IngestingBlotStore(ReadSurface):
         if self._metrics is not None:
             self._metrics.counter("repro_ingest_compactions_total",
                                   labels={"mode": mode}).inc()
-            self._metrics.histogram(
+            self._metrics.quantile_sketch(
                 "repro_ingest_compaction_seconds").observe(
                 time.perf_counter() - t0)
             if new_windows:

@@ -64,7 +64,6 @@ class TestV1Golden:
         assert blob.version == 1
         assert not blob.lazy
         assert blob.zone("x") is None
-        assert not blob.disjoint_from((1e30, 1e30, 1e30), (1e30, 1e30, 1e30))
 
 
 class TestV2Container:
@@ -94,23 +93,10 @@ class TestV2Container:
             col = ds.column(name)
             assert lo == col.min() and hi == col.max()
 
-    def test_disjoint_from(self):
-        ds = sample_dataset()
-        blob = ColumnarBlob(encode_columns(ds))
-        x, y, t = ds.column("x"), ds.column("y"), ds.column("t")
-        # A box strictly above the data's x range is provably empty.
-        assert blob.disjoint_from(
-            (x.max() + 1.0, y.min(), t.min()),
-            (x.max() + 2.0, y.max(), t.max()))
-        # The full bounding box is not.
-        assert not blob.disjoint_from(
-            (x.min(), y.min(), t.min()), (x.max(), y.max(), t.max()))
-
     def test_empty_dataset_never_prunes(self):
         blob = ColumnarBlob(encode_columns(Dataset.empty()))
         assert blob.n_records == 0
         assert blob.zone("x") is None
-        assert not blob.disjoint_from((0, 0, 0), (1, 1, 1))
         assert len(blob.dataset()) == 0
 
     def test_memoryview_input(self):

@@ -7,9 +7,9 @@ from repro.obs import MetricsRegistry, merge_metric_snapshots
 from repro.obs.aggregate import merge_metric_snapshots as direct_import
 
 
-def snap(counters=(), gauges=(), histograms=(), quantiles=()):
+def snap(counters=(), gauges=(), quantiles=()):
     return {"counters": list(counters), "gauges": list(gauges),
-            "histograms": list(histograms), "quantiles": list(quantiles)}
+            "quantiles": list(quantiles)}
 
 
 def counter(name, value, **labels):
@@ -48,55 +48,31 @@ class TestMergeScalars:
 
     def test_empty_input(self):
         assert merge_metric_snapshots([]) == {
-            "counters": [], "gauges": [], "histograms": [],
-            "quantiles": []}
+            "counters": [], "gauges": [], "quantiles": []}
 
 
 class TestMergeHistograms:
-    def test_bucketwise_merge_of_real_snapshots(self):
-        regs = [MetricsRegistry(), MetricsRegistry()]
-        for i, reg in enumerate(regs):
-            hist = reg.histogram("scan_seconds", labels={"replica": "grid"})
-            hist.observe(0.01 * (i + 1))
-            hist.observe(5.0)
-        merged = merge_metric_snapshots([r.snapshot() for r in regs])
-        [entry] = merged["histograms"]
-        assert entry["count"] == 4
-        assert entry["sum"] == pytest.approx(0.01 + 0.02 + 10.0)
-        total_in_top = max(b["count"] for b in entry["buckets"])
-        assert total_in_top == 4  # +Inf bucket holds everything
+    """The quantile sketch is a log-bucketed histogram: bucket ``i``
+    covers ``(gamma**(i-1), gamma**i]`` with ``gamma`` fixed by
+    ``alpha``, so two sketches whose ``alpha`` differs have different
+    bucket boundaries and must not merge bucket-wise."""
 
     def test_mismatched_boundaries_raise_structured_error(self):
-        a = {"name": "h", "labels": {"replica": "grid"}, "count": 1,
-             "sum": 1.0, "buckets": [{"le": 1.0, "count": 1}]}
-        b = {"name": "h", "labels": {"replica": "grid"}, "count": 1,
-             "sum": 1.0, "buckets": [{"le": 2.0, "count": 1}]}
+        reg = MetricsRegistry()
+        reg.quantile_sketch("h", labels={"replica": "grid"}).observe(0.5)
+        ours = reg.snapshot()
+        theirs = reg.snapshot()
+        [entry] = theirs["quantiles"]
+        entry["alpha"] = 0.02  # same bucket index, other boundaries
         with pytest.raises(SnapshotMergeError) as exc_info:
-            merge_metric_snapshots([snap(histograms=[a]),
-                                    snap(histograms=[b])])
+            merge_metric_snapshots([ours, theirs])
         err = exc_info.value
         assert err.name == "h"
         assert err.labels == {"replica": "grid"}
-        assert err.ours == [1.0]
-        assert err.theirs == [2.0]
+        assert err.ours == 0.01
+        assert err.theirs == 0.02
+        assert "h" in str(err) and "grid" in str(err)
         assert isinstance(err, ValueError)  # pre-existing catches hold
-
-    def test_mismatched_bounds_message_names_the_series(self):
-        a = {"name": "h", "labels": {}, "count": 1, "sum": 1.0,
-             "buckets": [{"le": 1.0, "count": 1}]}
-        b = {"name": "h", "labels": {}, "count": 1, "sum": 1.0,
-             "buckets": [{"le": 2.0, "count": 1}]}
-        with pytest.raises(SnapshotMergeError, match="bucket bounds"):
-            merge_metric_snapshots([snap(histograms=[a]),
-                                    snap(histograms=[b])])
-
-    def test_inputs_not_mutated(self):
-        entry = {"name": "h", "labels": {}, "count": 1, "sum": 1.0,
-                 "buckets": [{"le": 1.0, "count": 1}]}
-        source = snap(histograms=[entry])
-        merge_metric_snapshots([source, source])
-        assert entry["count"] == 1
-        assert entry["buckets"][0]["count"] == 1
 
 
 class TestMergeQuantiles:
@@ -122,12 +98,31 @@ class TestMergeQuantiles:
         assert entry["max"] == want["max"]
 
     def test_alpha_mismatch_raises_structured_error(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.quantile_sketch("lat", alpha=0.01).observe(1.0)
-        b.quantile_sketch("lat", alpha=0.05).observe(1.0)
-        with pytest.raises(SnapshotMergeError, match="alpha"):
-            merge_metric_snapshots([a.snapshot(), b.snapshot()])
+        # One build writes one alpha; a snapshot from another build is
+        # the only way two can meet, so forge one by editing the dict.
+        reg = MetricsRegistry()
+        reg.quantile_sketch("lat", labels={"tenant": "a"}).observe(1.0)
+        ours = reg.snapshot()
+        theirs = reg.snapshot()
+        theirs["quantiles"][0]["alpha"] = 0.05
+        with pytest.raises(SnapshotMergeError, match="alpha") as exc_info:
+            merge_metric_snapshots([ours, theirs])
+        err = exc_info.value
+        assert err.name == "lat"
+        assert err.labels == {"tenant": "a"}
+        assert err.ours == 0.01
+        assert err.theirs == 0.05
+        assert isinstance(err, ValueError)  # pre-existing catches hold
+
+    def test_inputs_not_mutated(self):
+        reg = MetricsRegistry()
+        reg.quantile_sketch("lat").observe(1.0)
+        source = reg.snapshot()
+        [entry] = source["quantiles"]
+        buckets = dict(entry["buckets"])
+        merge_metric_snapshots([source, source])
+        assert entry["count"] == 1
+        assert entry["buckets"] == buckets
 
     def test_empty_sketch_merges_cleanly(self):
         a = MetricsRegistry()

@@ -202,7 +202,7 @@ class TestMetricsConsistency:
         assert m.counter_value("repro_queries_total",
                                labels={"path": "query"}) == 1
         assert m.counter_value("repro_bytes_read_total") == r.stats.bytes_read
-        assert obs.metrics.histogram("repro_query_seconds").count == 1
+        assert obs.metrics.quantile_sketch("repro_query_seconds").count == 1
 
     def test_failover_and_fault_counters(self, ds):
         obs = Observability.create()

@@ -5,8 +5,7 @@ import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, Histogram
+from repro.obs import MetricsRegistry, QuantileSketch
 
 
 class TestCounter:
@@ -61,7 +60,7 @@ class TestTypeSafety:
             reg.gauge("x")
         # ...even under different labels: a name means one thing.
         with pytest.raises(TypeError, match="already registered"):
-            reg.histogram("x", labels={"k": "v"})
+            reg.quantile_sketch("x", labels={"k": "v"})
 
     def test_counter_value_on_non_counter(self):
         reg = MetricsRegistry()
@@ -70,42 +69,12 @@ class TestTypeSafety:
             reg.counter_value("g")
 
 
-class TestHistogram:
-    def test_fixed_buckets_cumulative(self):
-        h = Histogram("lat", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.count == 5
-        assert h.sum == pytest.approx(56.05)
-        cum = h.cumulative_counts()
-        assert cum == [(0.1, 1), (1.0, 3), (10.0, 4), (float("inf"), 5)]
-
-    def test_boundary_lands_in_its_bucket(self):
-        # Prometheus buckets are "le": an observation equal to a bound
-        # belongs to that bound's bucket.
-        h = Histogram("lat", buckets=(1.0, 2.0))
-        h.observe(1.0)
-        assert h.cumulative_counts()[0] == (1.0, 1)
-
-    def test_bounds_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Histogram("bad", buckets=(1.0, 1.0))
-        with pytest.raises(ValueError, match="at least one"):
-            Histogram("bad", buckets=())
-
-    def test_default_buckets_are_seconds_scaled(self):
-        assert DEFAULT_SECONDS_BUCKETS[0] < 0.001
-        assert DEFAULT_SECONDS_BUCKETS[-1] >= 10.0
-        assert list(DEFAULT_SECONDS_BUCKETS) == sorted(DEFAULT_SECONDS_BUCKETS)
-
-
 class TestExport:
     def build(self):
         reg = MetricsRegistry()
         reg.counter("repro_queries_total", labels={"path": "query"}).inc(2)
         reg.gauge("repro_cache_resident_bytes").set(4096)
-        reg.histogram("repro_query_seconds",
-                      buckets=(0.01, 0.1)).observe(0.05)
+        reg.quantile_sketch("repro_query_seconds").observe(0.05)
         return reg
 
     def test_snapshot_is_json_safe_and_ordered(self):
@@ -114,9 +83,10 @@ class TestExport:
         assert [c["name"] for c in snap["counters"]] == ["repro_queries_total"]
         assert snap["counters"][0]["labels"] == {"path": "query"}
         assert snap["counters"][0]["value"] == 2
-        (hist,) = snap["histograms"]
-        assert hist["count"] == 1
-        assert hist["buckets"][-1]["count"] == 1
+        assert set(snap) == {"counters", "gauges", "quantiles"}
+        (sketch,) = snap["quantiles"]
+        assert sketch["count"] == 1
+        assert sum(sketch["buckets"].values()) == 1
 
     def test_prometheus_rendering(self):
         text = self.build().render_prometheus()
@@ -124,8 +94,8 @@ class TestExport:
         assert 'repro_queries_total{path="query"} 2' in text
         assert "# TYPE repro_cache_resident_bytes gauge" in text
         assert "repro_cache_resident_bytes 4096" in text
-        assert 'repro_query_seconds_bucket{le="0.01"} 0' in text
-        assert 'repro_query_seconds_bucket{le="+Inf"} 1' in text
+        assert "# TYPE repro_query_seconds summary" in text
+        assert 'repro_query_seconds{quantile="0.5"}' in text
         assert "repro_query_seconds_sum 0.05" in text
         assert "repro_query_seconds_count 1" in text
         assert text.endswith("\n")
@@ -214,18 +184,20 @@ class TestPrometheusExposition:
         assert text.count("# HELP repro_queries_total") == 1
         assert text.count("# TYPE repro_queries_total") == 1
 
-    def test_histogram_inf_bucket_and_sum_count_consistency(self):
+    def test_summary_sum_count_consistency(self):
         reg = MetricsRegistry()
-        h = reg.histogram("repro_query_seconds", buckets=(0.01, 0.1))
+        sketch = reg.quantile_sketch("repro_query_seconds")
         for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
+            sketch.observe(v)
         parsed = parse_exposition(reg.render_prometheus())
-        buckets = {k[1][0][1]: v for k, v in parsed.items()
-                   if k[0] == "repro_query_seconds_bucket"}
-        assert buckets == {"0.01": 1, "0.1": 2, "+Inf": 4}
-        # The exposition contract: +Inf bucket == _count, and _sum is
-        # from the same observation set.
-        assert parsed[("repro_query_seconds_count", ())] == buckets["+Inf"]
+        quantiles = {dict(k[1])["quantile"]: v for k, v in parsed.items()
+                     if k[0] == "repro_query_seconds"}
+        assert set(quantiles) == {"0.5", "0.95", "0.99"}
+        # The summary contract: quantile lines, _sum and _count come
+        # from one observation set.
+        assert quantiles["0.5"] == pytest.approx(0.05, rel=0.01)
+        assert quantiles["0.99"] == pytest.approx(5.0, rel=0.01)
+        assert parsed[("repro_query_seconds_count", ())] == 4
         assert parsed[("repro_query_seconds_sum", ())] == pytest.approx(5.555)
 
     def test_parser_roundtrip_matches_snapshot(self):
@@ -234,25 +206,25 @@ class TestPrometheusExposition:
                     labels={"path": NASTY_LABEL}).inc(2)
         reg.counter("repro_queries_total", labels={"path": "query"}).inc(5)
         reg.gauge("repro_cache_resident_bytes").set(-1.5)
-        h = reg.histogram("repro_query_seconds",
-                          labels={"replica": NASTY_LABEL},
-                          buckets=(0.01, 0.1))
-        h.observe(0.05)
-        h.observe(5.0)
+        sketch = reg.quantile_sketch("repro_query_seconds",
+                                     labels={"replica": NASTY_LABEL})
+        sketch.observe(0.05)
+        sketch.observe(5.0)
         parsed = parse_exposition(reg.render_prometheus())
         snap = reg.snapshot()
         for c in snap["counters"] + snap["gauges"]:
             key = (c["name"], tuple(sorted(c["labels"].items())))
             assert parsed[key] == c["value"]
-        for hist in snap["histograms"]:
-            base = sorted(hist["labels"].items())
-            assert parsed[(hist["name"] + "_sum",
-                           tuple(base))] == pytest.approx(hist["sum"])
-            assert parsed[(hist["name"] + "_count",
-                           tuple(base))] == hist["count"]
-            inf_key = (hist["name"] + "_bucket",
-                       tuple(sorted(base + [("le", "+Inf")])))
-            assert parsed[inf_key] == hist["count"]
+        for entry in snap["quantiles"]:
+            base = sorted(entry["labels"].items())
+            assert parsed[(entry["name"] + "_sum",
+                           tuple(base))] == pytest.approx(entry["sum"])
+            assert parsed[(entry["name"] + "_count",
+                           tuple(base))] == entry["count"]
+            for q, value in entry["quantiles"].items():
+                q_key = (entry["name"],
+                         tuple(sorted(base + [("quantile", q)])))
+                assert parsed[q_key] == pytest.approx(value)
 
 
 class TestThreadSafety:
@@ -262,7 +234,7 @@ class TestThreadSafety:
         def worker():
             for _ in range(1000):
                 reg.counter("n").inc()
-                reg.histogram("h", buckets=(0.5,)).observe(0.1)
+                reg.quantile_sketch("h").observe(0.1)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -270,19 +242,30 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert reg.counter("n").value == 8000
-        assert reg.histogram("h", buckets=(0.5,)).count == 8000
+        assert reg.quantile_sketch("h").count == 8000
 
 
 class TestQuantileSketch:
     def test_quantiles_within_relative_error(self):
         reg = MetricsRegistry()
-        sketch = reg.quantile_sketch("lat", alpha=0.01)
+        sketch = reg.quantile_sketch("lat")
         values = [i / 1000.0 for i in range(1, 1001)]  # 1ms..1s uniform
         for v in values:
             sketch.observe(v)
         for q, want in ((0.5, 0.5), (0.95, 0.95), (0.99, 0.99)):
             got = sketch.quantile(q)
             assert got == pytest.approx(want, rel=0.03)
+
+    def test_resolution_is_fixed(self):
+        # alpha is a module constant, not an option: every sketch one
+        # build writes merges with every other.
+        with pytest.raises(TypeError):
+            MetricsRegistry().quantile_sketch("lat", alpha=0.05)
+        with pytest.raises(TypeError):
+            QuantileSketch("lat", alpha=0.05)
+        sketch = MetricsRegistry().quantile_sketch("lat")
+        sketch.observe(1.0)
+        assert sketch.state()["alpha"] == 0.01
 
     def test_empty_sketch_reads_none(self):
         reg = MetricsRegistry()

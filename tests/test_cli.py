@@ -285,7 +285,8 @@ class TestStats:
         out = capsys.readouterr().out
         assert "# TYPE repro_workloads_total counter" in out
         assert "repro_workloads_total 1" in out
-        assert "repro_workload_seconds_bucket" in out
+        assert "# TYPE repro_workload_seconds summary" in out
+        assert 'repro_workload_seconds{quantile="0.5"}' in out
 
     def test_json_and_prom_are_exclusive(self, capsys):
         with pytest.raises(SystemExit):
