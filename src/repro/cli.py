@@ -708,14 +708,21 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     return 0 if not remaining else 1
 
 
+#: Seeded sub-boxes ``repro ingest`` checks besides the full range.
+_INGEST_SUB_BOXES = 8
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream a dataset into an always-on ingesting store.
 
     The store is durable under ``--wal-dir``: re-running with the same
     directory resumes from the WAL (crash-safe), which is also how the
-    recovery path is exercised from the command line.  Each appended
-    batch is verified queryable; the final summary reports compactions,
-    sealed windows and WAL traffic.
+    recovery path is exercised from the command line.  Every appended
+    record is verified queryable — a full-range box and seeded sub-boxes,
+    through ``query`` and ``count``, once right after the last append
+    (buffered batches skipped, taken whole and filtered) and once after
+    compaction; the final summary reports compactions, sealed windows
+    and WAL traffic.
     """
     import json
 
@@ -724,7 +731,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.storage import parse_scheme_spec
     from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
     from repro.storage.wal import wal_state_exists
-    from repro.verify.oracle import canonical, datasets_identical
+    from repro.verify.oracle import canonical, datasets_identical, random_boxes
 
     if args.batch_size < 1:
         print("--batch-size must be >= 1", file=sys.stderr)
@@ -774,16 +781,30 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                                             len(data))))
         store.append(batch)
         appended += len(batch)
-    store.wait_for_compaction()
 
-    # Every record ever acknowledged must come back bit-equal.
-    logical = store.dataset()  # decoded from one replica per layer
-    box = logical.bounding_box()
-    got = canonical(store.query(box).records)
-    want = canonical(logical.filter_box(box))
-    if not datasets_identical(got, want):
-        print("ingest verification FAILED: full-range query does not "
-              "match the logical dataset", file=sys.stderr)
+    def verified(phase: str) -> bool:
+        """Every record ever acknowledged must come back bit-equal."""
+        logical = store.dataset()  # decoded from one replica per layer
+        boxes = [logical.bounding_box(),
+                 *random_boxes(logical, _INGEST_SUB_BOXES, args.seed)]
+        for i, box in enumerate(boxes):
+            want = canonical(logical.filter_box(box))
+            got = canonical(store.query(box).records)
+            if (not datasets_identical(got, want)
+                    or store.count(box)[0] != len(want)):
+                print(f"ingest verification FAILED {phase}: box #{i} does "
+                      "not match the logical dataset", file=sys.stderr)
+                return False
+        return True
+
+    # Right after the last append the buffer still holds batches (a
+    # background fold leaves them there until its swap); after the wait,
+    # the compacted layers answer.
+    if not verified("after the last append"):
+        store.close()
+        return 1
+    store.wait_for_compaction()
+    if not verified("after compaction"):
         store.close()
         return 1
 
@@ -814,8 +835,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if reports:
         verdict = "OK" if not bad else f"{len(bad)} layer(s) FAILED"
         print(f"  anti-entropy sweep: {verdict}")
-    print("  full-range query verified bit-equal against the logical "
-          "dataset")
+    print(f"  full-range and {_INGEST_SUB_BOXES} sub-box reads (query + "
+          "count) verified bit-equal against the logical dataset")
     return 0 if not bad else 1
 
 

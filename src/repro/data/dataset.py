@@ -133,12 +133,8 @@ class Dataset:
 
     def mask_box(self, box: Box3) -> np.ndarray:
         """Boolean mask of records contained by ``box``."""
-        x, y, t = self._columns["x"], self._columns["y"], self._columns["t"]
-        return (
-            (x >= box.x_min) & (x <= box.x_max)
-            & (y >= box.y_min) & (y <= box.y_max)
-            & (t >= box.t_min) & (t <= box.t_max)
-        )
+        return box_mask(self._columns["x"], self._columns["y"],
+                        self._columns["t"], box)
 
     def count_in_box(self, box: Box3) -> int:
         """Number of records contained by ``box`` without materializing them."""
@@ -206,3 +202,14 @@ class Dataset:
         probe = min(self._length, 2048)
         rendered = render_csv_rows(self.head(probe))
         return int(round(len(rendered) / probe * self._length))
+
+
+def box_mask(x: np.ndarray, y: np.ndarray, t: np.ndarray,
+             box: Box3) -> np.ndarray:
+    """Boolean mask of the points ``(x, y, t)`` contained by ``box``
+    (closed bounds; a NaN coordinate is never contained)."""
+    return (
+        (x >= box.x_min) & (x <= box.x_max)
+        & (y >= box.y_min) & (y <= box.y_max)
+        & (t >= box.t_min) & (t <= box.t_max)
+    )

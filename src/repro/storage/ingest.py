@@ -19,10 +19,14 @@ of the records — and ``snapshot.json`` names the live ones, so
 nothing is partitioned, encoded or lost.  Without one the store is the
 same stack with a single in-memory base.
 
-Queries merge the layers' scans and a brute-force filter of the buffer
-(small by construction), whose time and bytes are accounted separately
-(``QueryStats.buffer_seconds`` / ``buffer_bytes_scanned``) so Eq. 7
-calibration only ever sees replica scan time.
+Queries merge the layers' scans and a filter of the buffer.  The buffer
+keeps every batch's exact (x, y, t) bounds, computed once when the batch
+is published, so a read applies the engine's zone-bound rule to it: a
+batch its box misses is skipped, one it contains is taken whole, and the
+rest are filtered in one pass.  The buffer's time and bytes are
+accounted separately (``QueryStats.buffer_seconds`` /
+``buffer_bytes_scanned``) so Eq. 7 calibration only ever sees replica
+scan time.
 
 :meth:`compact` folds the buffer into a fresh base — the moment at which
 the replica advisor may also be re-consulted (:mod:`repro.core.reselect`).
@@ -57,7 +61,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.costmodel.model import CostModel
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, box_mask
+from repro.data.record import FIELDS
 from repro.encoding.base import EncodingScheme
 from repro.errors import DegradedReadError
 from repro.geometry import Box3
@@ -87,6 +92,10 @@ from repro.storage.wal import WriteAheadLog, fsync_tree, wal_state_exists
 #: ``<prefix><seq>``; one sequence numbers both kinds.
 _BASE_PREFIX = os.path.join("base", "base-")
 _WINDOW_PREFIX = os.path.join("windows", "window-")
+
+#: ``Dataset.binary_size_bytes()`` of one record: the schema fixes every
+#: column's dtype, so a batch's bytes are its records times this.
+_RECORD_BYTES = sum(f.dtype.itemsize for f in FIELDS)
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,116 @@ class SealedWindow:
         return box.t_max >= self.t_lo and box.t_min < self.t_hi
 
 
+def _bounds(batch: Dataset) -> list[list[float]]:
+    """``[[x, y, t] minima, [x, y, t] maxima]`` of a non-empty batch.
+    ``np.min``/``np.max`` propagate a NaN coordinate into its bounds."""
+    xyt = [batch.column(name) for name in ("x", "y", "t")]
+    return [[np.min(c) for c in xyt], [np.max(c) for c in xyt]]
+
+
+@dataclass(frozen=True, eq=False)
+class _Delta:
+    """The delta buffer as one immutable value, indexed like storage
+    units are: the acknowledged batches in arrival order, each batch's
+    exact (x, y, t) bounds — ``bounds[i]`` is :func:`_bounds` of batch
+    ``i`` — and ``offsets``, the running record total before each batch
+    and after the last.  Every state transition builds it through
+    :meth:`of`, :meth:`appended` and :meth:`after`, so the bounds and
+    totals cannot fall out of line with the batches.
+
+    A read sorts the batches with one comparison against its closed box
+    (:meth:`_classify`): missed, contained, or to be filtered.  A NaN
+    bound compares false both ways, so it neither skips its batch nor
+    proves it contained.
+    """
+
+    batches: tuple[Dataset, ...]
+    bounds: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, batches: list[Dataset]) -> "_Delta":
+        bounds = [_bounds(b) for b in batches]
+        return cls(tuple(batches),
+                   np.array(bounds, dtype=np.float64).reshape(-1, 2, 3),
+                   np.cumsum([0, *map(len, batches)], dtype=np.int64))
+
+    def appended(self, batch: Dataset, bounds) -> "_Delta":
+        """The buffer with ``batch`` — whose :func:`_bounds` are
+        ``bounds`` — published last."""
+        return _Delta(self.batches + (batch,),
+                      np.concatenate([self.bounds, [bounds]]),
+                      np.append(self.offsets, self.records + len(batch)))
+
+    def after(self, n: int) -> "_Delta":
+        """The buffer without its first ``n`` batches."""
+        return _Delta(self.batches[n:], self.bounds[n:],
+                      self.offsets[n:] - self.offsets[n])
+
+    def __len__(self) -> int:
+        return len(self.batches)
+
+    def __iter__(self):
+        return iter(self.batches)
+
+    @property
+    def records(self) -> int:
+        return int(self.offsets[-1])
+
+    def _records_of(self, idx: np.ndarray) -> int:
+        return int((self.offsets[idx + 1] - self.offsets[idx]).sum())
+
+    def _classify(self, box: Box3) -> tuple[np.ndarray, np.ndarray]:
+        """Per batch: does ``box`` meet its bounds, does it contain them."""
+        lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        q_lo = np.array((box.x_min, box.y_min, box.t_min))
+        q_hi = np.array((box.x_max, box.y_max, box.t_max))
+        meets = ~((hi < q_lo) | (lo > q_hi)).any(axis=1)
+        inside = ((lo >= q_lo) & (hi <= q_hi)).all(axis=1)
+        return meets, inside
+
+    def _mask(self, idx: np.ndarray, box: Box3) -> np.ndarray:
+        """One mask over the concatenated x/y/t of batches ``idx``."""
+        return box_mask(*(np.concatenate(
+            [self.batches[i].column(name) for i in idx])
+            for name in ("x", "y", "t")), box)
+
+    def count(self, box: Box3) -> tuple[int, int]:
+        """Records in ``box`` and records scanned: a contained batch
+        counts its length, as metadata."""
+        meets, inside = self._classify(box)
+        masked = np.flatnonzero(meets & ~inside)
+        n = self._records_of(np.flatnonzero(inside))
+        if masked.size:
+            n += int(self._mask(masked, box).sum())
+        return n, self._records_of(masked)
+
+    def filter(self, box: Box3) -> tuple[list[Dataset], int]:
+        """The records in ``box``, in arrival order, and records scanned:
+        a contained batch is scanned and taken whole."""
+        meets, inside = self._classify(box)
+        hit = np.flatnonzero(meets)
+        scanned = self._records_of(hit)
+        masked = hit[~inside[hit]]
+        if not masked.size:
+            return [self.batches[i] for i in hit], scanned
+        # Split the one mask back into per-batch slices, then take once
+        # per column over the batches that kept a row.
+        sizes = self.offsets[masked + 1] - self.offsets[masked]
+        slices = iter(np.split(self._mask(masked, box),
+                               np.cumsum(sizes)[:-1]))
+        pieces, keep = [], []
+        for i, whole in zip(hit.tolist(), inside[hit].tolist()):
+            batch = self.batches[i]
+            rows = np.ones(len(batch), dtype=bool) if whole else next(slices)
+            if rows.any():
+                pieces.append(batch)
+                keep.append(rows)
+        if not pieces:
+            return [], scanned
+        return [Dataset.concat(pieces).take(np.concatenate(keep))], scanned
+
+
 @dataclass(frozen=True)
 class _Serving:
     """One installed serving state: everything a read consults, as one
@@ -128,25 +247,22 @@ class _Serving:
 
     ``layers`` are the sealed windows oldest first with the open layer
     — the base — last; ``delta`` the acknowledged batches in arrival
-    order; ``frozen`` how many leading batches of ``delta`` the running
-    compaction is folding (0 when none is).  Frozen batches stay in
-    ``delta`` until the swap drops them, so a reader never needs to know
-    a fold is in flight and a failed fold moves nothing back.
+    order with their bounds (:class:`_Delta`); ``frozen`` how many
+    leading batches of ``delta`` the running compaction is folding (0
+    when none is).  Frozen batches stay in ``delta`` until the swap
+    drops them, so a reader never needs to know a fold is in flight and
+    a failed fold moves nothing back.
     """
 
     layers: tuple[SealedWindow, ...] = ()
-    delta: tuple[Dataset, ...] = ()
+    delta: _Delta = _Delta.of([])
     frozen: int = 0
-
-    @property
-    def delta_records(self) -> int:
-        return sum(len(d) for d in self.delta)
 
     @property
     def live_records(self) -> int:
         """Buffered records no compaction has claimed yet — what the
         ``auto_compact_at`` threshold measures."""
-        return sum(len(d) for d in self.delta[self.frozen:])
+        return self.delta.records - int(self.delta.offsets[self.frozen])
 
 
 class IngestingBlotStore(ReadSurface):
@@ -291,11 +407,11 @@ class IngestingBlotStore(ReadSurface):
         layers = (*map(self._open_layer, committed["windows"]), base)
         self._seal_seq = max(int(layer.root.rpartition("-")[2])
                              for layer in layers)
-        self._install(_Serving(layers, tuple(self._wal.replay())))
+        self._install(_Serving(layers, _Delta.of(self._wal.replay())))
         self._collect_orphans()
         if self._metrics is not None:
             self._metrics.counter("repro_wal_replayed_records_total").inc(
-                self._state.delta_records)
+                self._state.delta.records)
         return self
 
     # -- layers ------------------------------------------------------------
@@ -435,7 +551,7 @@ class IngestingBlotStore(ReadSurface):
     def buffered_records(self) -> int:
         """Records appended but not yet folded into replicas (batches
         frozen by an in-flight compaction included)."""
-        return self._state.delta_records
+        return self._state.delta.records
 
     def dataset(self) -> Dataset:
         """The full logical dataset (sealed windows + base + buffer),
@@ -447,7 +563,7 @@ class IngestingBlotStore(ReadSurface):
     def __len__(self) -> int:
         state = self._state
         return (sum(layer.records for layer in state.layers)
-                + state.delta_records)
+                + state.delta.records)
 
     @property
     def compactions(self) -> int:
@@ -488,11 +604,13 @@ class IngestingBlotStore(ReadSurface):
         if not len(records):
             return
         t0 = time.perf_counter()
+        # Outside the writers' mutex, so no writer waits on it.
+        bounds = _bounds(records)
         with self._write:
             if self._wal is not None:
                 self._wal.append(records)
             state = self._state
-            state = replace(state, delta=state.delta + (records,))
+            state = replace(state, delta=state.delta.appended(records, bounds))
             self._install(state)
         if self._metrics is not None:
             self._metrics.counter("repro_ingest_appends_total").inc()
@@ -502,7 +620,7 @@ class IngestingBlotStore(ReadSurface):
                 "repro_ingest_append_seconds").observe(
                 time.perf_counter() - t0)
             self._metrics.gauge("repro_ingest_buffer_records").set(
-                state.delta_records)
+                state.delta.records)
         if (self._auto_compact_at is not None
                 and state.live_records >= self._auto_compact_at):
             if self._background:
@@ -599,7 +717,7 @@ class IngestingBlotStore(ReadSurface):
                     # Appends since the freeze sit behind the frozen
                     # batches: drop exactly those the new layers hold.
                     swapped = _Serving(layers,
-                                       self._state.delta[state.frozen:])
+                                       self._state.delta.after(state.frozen))
                     self._install(swapped)
                     self._compactions += 1
         except BaseException as exc:
@@ -630,7 +748,7 @@ class IngestingBlotStore(ReadSurface):
             self._metrics.gauge("repro_ingest_windows").set(
                 len(layers) - 1)
             self._metrics.gauge("repro_ingest_buffer_records").set(
-                swapped.delta_records)
+                swapped.delta.records)
         return True
 
     def _seal_windows(
@@ -701,9 +819,10 @@ class IngestingBlotStore(ReadSurface):
         """The single read entry (see
         :class:`~repro.storage.reads.ReadSurface`), fanned over the
         layers: each one answers the requests whose range reaches its
-        time span (the base: all of them, so it takes the caller's
-        ``plan``), and the delta buffer — a layer whose decode is the
-        identity — is filtered brute force.
+        time span (the base: all of them, even none, so it takes the
+        caller's ``plan`` and returns the routing plan), and the delta
+        buffer — a layer whose decode is the identity — is filtered by
+        its batches' bounds (:meth:`_scan_buffer`).
 
         Per request the layers merge in the order sealed windows (oldest
         first), base, buffer, so a raw :class:`Box3` is matched against
@@ -711,22 +830,24 @@ class IngestingBlotStore(ReadSurface):
         :meth:`dataset` up to record order.  Stats sum the replica
         scans, keeping the base's serving replica; the buffer filter is
         accounted separately (``buffer_seconds`` /
-        ``buffer_bytes_scanned``).  A request any layer could not serve
-        ends in that layer's :class:`DegradedReadError`.
+        ``buffer_bytes_scanned``, the bytes of the batches it scanned).
+        A request any layer could not serve ends in that layer's
+        :class:`DegradedReadError`.
         """
         state = self._state
         layers, delta = state.layers, state.delta
+        base = layers[-1]
         answers: list[list[QueryResult]] = [[] for _ in requests]
         errors: dict[int, DegradedReadError] = {}
         layer_stats: list[WorkloadStats] = []
         for layer in layers:
             idxs = [i for i, r in enumerate(requests)
-                    if layer.intersects(r.box)]
-            if not idxs:
+                    if layer is base or layer.intersects(r.box)]
+            if not idxs and layer is not base:
                 continue
             outcomes, layer_plan, stats = layer.store._execute(
                 [requests[i] for i in idxs], opts, batch=batch,
-                replica=replica, plan=plan if layer is layers[-1] else None)
+                replica=replica, plan=plan if layer is base else None)
             for i, outcome in zip(idxs, outcomes):
                 if isinstance(outcome, DegradedReadError):
                     errors.setdefault(i, outcome)
@@ -735,19 +856,16 @@ class IngestingBlotStore(ReadSurface):
             if stats is not None:
                 layer_stats.append(stats)
         plan = layer_plan
-        delta_bytes = sum(d.binary_size_bytes() for d in delta)
-        delta_records = state.delta_records
-        buffered = self._scan_buffer(delta, requests, opts,
-                                     records=delta_records, bytes=delta_bytes)
+        buffered = self._scan_buffer(delta, requests, opts)
 
-        total_records = sum(layer.records for layer in layers) + delta_records
+        total_records = sum(layer.records for layer in layers) + delta.records
         outcomes: list = []
         for i, request in enumerate(requests):
             if i in errors:
                 outcomes.append(errors[i])
                 continue
             found = answers[i]
-            matched, buffer_seconds = buffered[i]
+            matched, scanned, buffer_seconds = buffered[i]
             if request.count:
                 merged = returned = sum(r.records for r in found) + matched
             else:
@@ -760,7 +878,7 @@ class IngestingBlotStore(ReadSurface):
                 replica_name=parts[-1].replica_name,  # the base's
                 partitions_involved=sum(p.partitions_involved for p in parts),
                 records_scanned=sum(p.records_scanned for p in parts)
-                + delta_records,
+                + scanned,
                 records_returned=returned,
                 bytes_read=sum(p.bytes_read for p in parts),
                 seconds=sum(p.seconds for p in parts),
@@ -768,7 +886,7 @@ class IngestingBlotStore(ReadSurface):
                 retries=sum(p.retries for p in parts),
                 failovers=sum(p.failovers for p in parts),
                 buffer_seconds=buffer_seconds,
-                buffer_bytes_scanned=delta_bytes,
+                buffer_bytes_scanned=scanned * _RECORD_BYTES,
             )))
         if not batch:
             return outcomes, None, None
@@ -781,12 +899,12 @@ class IngestingBlotStore(ReadSurface):
             for name, n in s.per_replica_queries.items():
                 per_replica[name] = per_replica.get(name, 0) + n
         served = [o.stats for o in outcomes if isinstance(o, QueryResult)]
+        buffer_scanned = sum(scanned for _, scanned, _ in buffered)
         stats = WorkloadStats(
             n_queries=len(requests),
             seconds=total("seconds"),
             bytes_read=total("bytes_read"),
-            records_scanned=total("records_scanned")
-            + len(requests) * delta_records,
+            records_scanned=total("records_scanned") + buffer_scanned,
             records_returned=sum(s.records_returned for s in served),
             partitions_decoded=total("partitions_decoded"),
             cache_hits=total("cache_hits"),
@@ -798,33 +916,35 @@ class IngestingBlotStore(ReadSurface):
             degraded_cost_delta=total("degraded_cost_delta"),
             failed_replicas=tuple(dict.fromkeys(
                 name for s in layer_stats for name in s.failed_replicas)),
-            buffer_seconds=sum(seconds for _, seconds in buffered),
-            buffer_bytes_scanned=len(requests) * delta_bytes,
+            buffer_seconds=sum((seconds for *_, seconds in buffered), 0.0),
+            buffer_bytes_scanned=buffer_scanned * _RECORD_BYTES,
         )
         return outcomes, plan, stats
 
-    def _scan_buffer(self, delta: tuple[Dataset, ...],
-                     requests: list[ReadRequest],
-                     opts: ExecOptions, **span_attrs) -> list[tuple]:
-        """Filter the delta buffer for every request: per request, the
-        fold's answer over the buffered batches (a count, or the matching
-        records batch by batch) and the seconds that took."""
+    def _scan_buffer(self, delta: _Delta, requests: list[ReadRequest],
+                     opts: ExecOptions) -> list[tuple]:
+        """Filter the delta buffer for every request by its batches'
+        bounds — the zone-bound rule the engine applies to storage units:
+        a batch the box misses is skipped, one it contains answers
+        unmasked, the rest are filtered in one pass
+        (:meth:`_Delta.count` / :meth:`_Delta.filter`).  Per request:
+        the fold's answer over the buffered batches (a count, or the
+        matching records in arrival order), the records of the batches
+        scanned, and the seconds that took."""
         if not delta:
-            return [(0 if r.count else [], 0.0) for r in requests]
+            return [(0 if r.count else [], 0, 0.0) for r in requests]
         # The buffer filter is engine work too: give it a span that joins
         # the caller's trace (remote context included), so a stitched
-        # request tree shows time spent in the unindexed delta alongside
-        # the replica scans.
+        # request tree shows time spent in the delta alongside the
+        # replica scans.
         tracer = self._tracer if opts.trace else NULL_RECORDER
         out = []
         with tracer.start("buffer_scan", context=opts.trace_context,
                           batches=len(delta), requests=len(requests),
-                          **span_attrs):
+                          records=delta.records):
             for request in requests:
                 t0 = time.perf_counter()
-                if request.count:
-                    matched = sum(d.count_in_box(request.box) for d in delta)
-                else:
-                    matched = [d.filter_box(request.box) for d in delta]
-                out.append((matched, time.perf_counter() - t0))
+                fold = delta.count if request.count else delta.filter
+                matched, scanned = fold(request.box)
+                out.append((matched, scanned, time.perf_counter() - t0))
         return out

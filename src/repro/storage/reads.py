@@ -44,7 +44,8 @@ class QueryStats:
     failovers: int = 0
     #: Ingest-path delta-buffer accounting, kept OUT of ``seconds`` /
     #: ``bytes_read`` so Eq. 7 calibration over measured replica scans
-    #: never sees the brute-force buffer filter.  Zero on plain
+    #: never sees the buffer filter; the bytes are those of the buffered
+    #: batches the request scanned.  Zero on plain
     #: :class:`BlotStore` reads; only
     #: :class:`~repro.storage.ingest.IngestingBlotStore` sets them.
     buffer_seconds: float = 0.0

@@ -17,6 +17,7 @@ work-horse behind ``repro verify-store`` (on-disk stores; see
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -274,8 +275,11 @@ class DifferentialHarness:
 
     def _run_ingest(self, report, boxes, oracles) -> None:
         """Merged layer+buffer reads: split the dataset, append the tail
-        in chunks, verify before and after compaction — then again
-        through a durable windowed store that is closed and reopened."""
+        in chunks (one out of time order), verify before and after
+        compaction — then again through a durable windowed store that is
+        closed and reopened.  Before compaction both folds also answer
+        boxes whose faces sit exactly on a chunk's bounds, where the
+        buffer decides to skip, take whole or filter a batch."""
         n = len(self._dataset)
         if n < 4:
             return
@@ -291,20 +295,39 @@ class DifferentialHarness:
         chunks = [tail.take(np.arange(lo, min(lo + third, len(tail))))
                   for lo in range(0, len(tail), third)]
 
+        # Per chunk: its bounding box, and the universe cut to end at
+        # (start at) the chunk's min (max) on one axis.
+        u = self._dataset.bounding_box()
+        edges = []
+        for chunk in chunks:
+            c = chunk.bounding_box()
+            edges.append(c)
+            for lo, hi in (("x_min", "x_max"), ("y_min", "y_max"),
+                           ("t_min", "t_max")):
+                edges += [replace(u, **{hi: getattr(c, lo)}),
+                          replace(u, **{lo: getattr(c, hi)})]
+        edge_oracles = [oracle_answer(self._dataset, box) for box in edges]
+
         # The ingest oracle is the *full* dataset: layer scans + buffer
         # filter must reconstruct it exactly, with no loss or double
         # counting at the compaction boundary.
-        def check(store, phase):
+        def check(store, phase, boxes=boxes, oracles=oracles, count=False):
             for spec in specs:
                 for i, (box, want) in enumerate(zip(boxes, oracles)):
                     got = store.query(box, replica=spec.name)
                     self._check(report, "ingest", f"{spec.name}[{phase}]",
                                 i, box, want, got.records)
+                    if count:
+                        n, _ = store.count(box, replica=spec.name)
+                        self._check_count(report, "ingest",
+                                          f"{spec.name}[{phase}]", i, box,
+                                          len(want), n)
 
         store = IngestingBlotStore(base, specs)
-        for chunk in chunks:
+        for chunk in [*chunks[1:], chunks[0]]:
             store.append(chunk)
-        check(store, "buffered")
+        check(store, "buffered", count=True)
+        check(store, "buffered-edges", edges, edge_oracles, count=True)
         store.compact()
         check(store, "compacted")
 

@@ -17,7 +17,7 @@ from repro.storage.config import cost_model_from_params
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
 from repro.storage.wal import WriteAheadLog
 from repro.verify.oracle import canonical, datasets_identical
-from repro.workload.query import Query
+from repro.workload.query import Query, Workload
 from tests.conftest import FIXED_COST_PARAMS
 
 
@@ -41,6 +41,15 @@ def make_store(initial):
 def result_key(records):
     return sorted(zip(records.column("oid").tolist(),
                       records.column("t").tolist()))
+
+
+def scanned_batches(batches, box, count=False):
+    """The buffered batches a read of ``box`` scans, from each batch's
+    bounding box: every batch the closed box meets — for the counting
+    fold, less those it contains (answered from their length)."""
+    return [b for b in batches
+            if box.intersects(b.bounding_box())
+            and not (count and box.contains_box(b.bounding_box()))]
 
 
 def random_box(universe, rng, frac=0.4):
@@ -117,8 +126,10 @@ class TestIngest:
         store = make_store(initial)
         store.append(batches[0])
         box = random_box(full.bounding_box(), np.random.default_rng(2))
+        base_scanned = store.base.query(box).stats.records_scanned
         stats = store.query(box).stats
-        assert stats.records_scanned >= len(batches[0])
+        assert stats.records_scanned == base_scanned + sum(
+            map(len, scanned_batches(batches[:1], box)))
         assert stats.total_records == len(store)
 
     def test_auto_compaction_triggers(self, stream):
@@ -155,7 +166,8 @@ class TestIngest:
         store.append(batches[0])
         stats = store.query(box).stats
         assert stats.buffer_seconds > 0.0
-        assert stats.buffer_bytes_scanned == batches[0].binary_size_bytes()
+        assert stats.buffer_bytes_scanned == sum(
+            b.binary_size_bytes() for b in scanned_batches(batches[:1], box))
         # bytes_read counts replica unit fetches only, never buffer bytes.
         assert stats.bytes_read <= clean.bytes_read
 
@@ -205,10 +217,14 @@ class TestBufferAwareReads:
             current = Dataset.concat([current, batch])
         assert store.buffered_records > 0
         for box in self.probe_boxes(full):
+            base_scanned = store.base.count(box)[1].records_scanned
             n, stats = store.count(box)
             assert n == current.count_in_box(box)
-            assert stats.records_scanned >= store.buffered_records
-            assert stats.buffer_bytes_scanned > 0
+            scanned = scanned_batches(batches[:2], box, count=True)
+            assert stats.records_scanned == base_scanned + sum(
+                map(len, scanned))
+            assert stats.buffer_bytes_scanned == sum(
+                b.binary_size_bytes() for b in scanned)
 
     def test_execute_workload_matches_query_mid_buffer(self, stream):
         full, initial, batches = stream
@@ -236,10 +252,103 @@ class TestBufferAwareReads:
         clean = store.execute_workload(workload).stats
         store.append(batches[0])
         dirty = store.execute_workload(workload).stats
+        scanned = [b for q, _ in workload
+                   for b in scanned_batches(batches[:1], q.box())]
         assert clean.buffer_bytes_scanned == 0
-        assert dirty.buffer_bytes_scanned == \
-            3 * batches[0].binary_size_bytes()
-        assert dirty.records_scanned >= clean.records_scanned
+        assert dirty.buffer_bytes_scanned == sum(
+            b.binary_size_bytes() for b in scanned)
+        assert dirty.records_scanned == clean.records_scanned + sum(
+            map(len, scanned))
+
+    def test_empty_workload_gets_the_base_empty_result(self, stream):
+        _, initial, batches = stream
+        store = make_store(initial)
+        store.append(batches[0])
+        empty = Workload.unweighted([])
+        want = store.base.execute_each(empty)
+        for run in (store.execute_each, store.execute_workload):
+            got = run(empty)
+            assert got.results == ()
+            assert got.plan.replica_names == want.plan.replica_names
+            assert len(got.plan.assignments) == 0
+            assert (got.stats.n_queries, got.stats.records_scanned,
+                    got.stats.buffer_bytes_scanned) == (0, 0, 0)
+
+
+class TestBufferBounds:
+    """Each buffered batch's exact (x, y, t) bounds decide whether a read
+    skips it, takes it whole or filters it — with closed faces, and a
+    NaN bound deciding nothing."""
+
+    def test_time_range_missing_every_batch_scans_no_buffer(self, stream):
+        full, initial, batches = stream
+        store = make_store(initial)
+        for batch in batches[:2]:
+            store.append(batch)
+        current = Dataset.concat([initial, *batches[:2]])
+        u = full.bounding_box()
+        first = min(float(b.column("t").min()) for b in batches[:2])
+        box = Box3(u.x_min, u.x_max, u.y_min, u.y_max,
+                   u.t_min, float(np.nextafter(first, -np.inf)))
+        want = canonical(current.filter_box(box))
+        assert len(want) > 0
+        got = store.query(box)
+        assert datasets_identical(canonical(got.records), want)
+        assert got.stats.buffer_bytes_scanned == 0
+        assert got.stats.records_scanned == \
+            store.base.query(box).stats.records_scanned
+        n, stats = store.count(box)
+        assert n == len(want)
+        assert stats.buffer_bytes_scanned == 0
+        assert stats.records_scanned == \
+            store.base.count(box)[1].records_scanned
+
+    def test_nan_coordinate_batch_reads_like_the_oracle(self, stream):
+        full, initial, batches = stream
+        cols = batches[0].columns
+        x = cols["x"].copy()
+        x[::97] = np.nan
+        cols["x"] = x
+        batch = Dataset(cols)
+        store = make_store(initial)
+        store.append(batch)
+        store.append(batches[1])
+        current = Dataset.concat([initial, batch, batches[1]])
+        # Would contain the batch if its NaN were ignored.
+        finite = batch.take(~np.isnan(x)).bounding_box()
+        rng = np.random.default_rng(5)
+        boxes = [finite, full.bounding_box(),
+                 *(random_box(full.bounding_box(), rng) for _ in range(4))]
+        for box in boxes:
+            want = canonical(current.filter_box(box))
+            assert datasets_identical(canonical(store.query(box).records),
+                                      want)
+            assert store.count(box)[0] == len(want)
+
+    def test_signed_zero_batch_reads_like_the_oracle(self, stream):
+        """Faces on ``0.0`` and ``-0.0`` hold both zeros (they compare
+        equal), and the records come back bit-equal in arrival order."""
+        _, initial, batches = stream
+        cols = batches[0].columns
+        i = np.arange(len(batches[0]))
+        cols["x"] = np.where(i % 2 == 0, -0.0, 0.0)
+        cols["y"] = np.where(i % 3 == 0, 0.0, -0.0)
+        batch = Dataset(cols)
+        store = make_store(initial)
+        store.append(batch)
+        t = batch.column("t")
+        t_lo, t_hi = float(t.min()), float(t.max())
+        boxes = [Box3(0.0, 0.0, 0.0, 0.0, t_lo, t_hi),
+                 Box3(-0.0, -0.0, -0.0, -0.0, t_lo, t_hi),
+                 Box3(-1.0, -0.0, 0.0, 1.0, t_lo, t_lo),
+                 Box3(0.0, 1.0, -1.0, -0.0, t_hi, t_hi)]
+        for box in boxes:
+            want = batch.filter_box(box)  # the base holds nothing at 0, 0
+            assert len(want) > 0
+            got = store.query(box).records
+            assert all(got.column(name).tobytes()
+                       == want.column(name).tobytes() for name in cols)
+            assert store.count(box)[0] == len(want)
 
 
 class TestWalDurability:
