@@ -100,7 +100,6 @@ from repro.partition import (
     GridPartitioner,
     KdTreePartitioner,
     PartitionIndex,
-    QuadtreePartitioner,
     TemporalSlicer,
     paper_partitioning_schemes,
     small_partitioning_schemes,
@@ -183,7 +182,6 @@ __all__ = [
     "Observability",
     "PartitionIndex",
     "Point3",
-    "QuadtreePartitioner",
     "Query",
     "Recalibrator",
     "ReplicaExists",

@@ -18,12 +18,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.placement import ClusterPlacement
 from repro.cluster.spec import EnvironmentSpec, TaskTimeModel
 from repro.geometry import Box3
-from repro.storage.replica import StoredReplica
 from repro.workload.query import Query
 
 
@@ -113,7 +110,7 @@ class LocalityScheduler:
             base = (
                 self.time_model.extra_seconds()
                 + self.time_model.scan_seconds(
-                    replica.encoding_for(pid).name, n_records)
+                    replica.encoding.name, n_records)
             )
             best: tuple[float, float, int, float] | None = None
             for node, pool in slots.items():
@@ -164,8 +161,7 @@ def estimate_recovery_seconds(
             if key is None:
                 continue
             n_records = float(source.partitioning.counts[int(pid)])
-            total += model.scan_seconds(
-                source.encoding_for(int(pid)).name, n_records)
+            total += model.scan_seconds(source.encoding.name, n_records)
             total += source.store.size(key) / network_bandwidth
         total += model.spec.unit_lookup_seconds
     return total

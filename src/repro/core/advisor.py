@@ -30,7 +30,6 @@ from repro.costmodel.model import CostModel, ReplicaProfile, expected_partitions
 from repro.costmodel.storage_size import estimate_replica_storage
 from repro.data.dataset import Dataset
 from repro.encoding.base import EncodingScheme
-from repro.encoding.rowbin import ROW_BYTES
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
 from repro.workload.query import Workload
@@ -181,7 +180,7 @@ class ReplicaAdvisor:
         partitioning) and shared by the encodings on that partitioning.
         ``skew_aware=True`` replaces the ``Np·|D|/|P|`` scan term with the
         partition-size-weighted expectation — use it when candidate
-        schemes include skewed layouts (uniform grids, quadtrees).
+        schemes include skewed layouts (uniform grids).
         """
         n_part = len(self._partitionings)
         n_enc = len(self._encodings)

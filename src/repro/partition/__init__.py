@@ -2,8 +2,8 @@
 
 The paper's candidate layouts partition space with an equal-count k-d
 tree and refine each spatial cell into equi-depth temporal slices; this
-package also provides uniform grids and adaptive quadtrees for
-illustrations and ablations, plus the global partitioning index.
+package also provides uniform grids for illustrations and ablations,
+plus the global partitioning index.
 """
 
 from repro.partition.base import Partitioning, PartitioningScheme, check_partitioning
@@ -15,7 +15,6 @@ from repro.partition.composite import (
 from repro.partition.grid import GridPartitioner
 from repro.partition.index import PartitionIndex
 from repro.partition.kdtree import KdTreePartitioner
-from repro.partition.quadtree import QuadtreePartitioner
 from repro.partition.temporal import TemporalSlicer, equi_depth_boundaries, slice_labels
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "PartitionIndex",
     "Partitioning",
     "PartitioningScheme",
-    "QuadtreePartitioner",
     "TemporalSlicer",
     "check_partitioning",
     "equi_depth_boundaries",

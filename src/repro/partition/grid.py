@@ -1,8 +1,8 @@
 """Uniform grid partitioning.
 
 Not used by the paper's candidate set (which is k-d tree based) but needed
-for the Figure 2 partitioning-tradeoff illustration, the quadtree
-comparison and several tests: a plain ``nx x ny x nt`` equal-*extent* grid
+for the Figure 2 partitioning-tradeoff illustration and several tests: a
+plain ``nx x ny x nt`` equal-*extent* grid
 whose partitions are generally *skewed* in record count.
 """
 

@@ -38,14 +38,9 @@ from repro.serve.protocol import (
     TraceResponse,
     concat_payloads,
     dataset_to_payload,
-    payload_to_dataset,
 )
 from repro.serve.server import WORKER_MODES, ShardServer
-from repro.serve.worker import (
-    open_shard_store,
-    serve_request,
-    shard_worker_main,
-)
+from repro.serve.worker import shard_worker_main
 
 __all__ = [
     "AdmissionController",
@@ -67,9 +62,6 @@ __all__ = [
     "concat_payloads",
     "dataset_to_payload",
     "fleet_queries",
-    "open_shard_store",
-    "payload_to_dataset",
     "run_fleet",
-    "serve_request",
     "shard_worker_main",
 ]

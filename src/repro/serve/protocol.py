@@ -26,14 +26,14 @@ def dataset_to_payload(dataset: Dataset) -> dict[str, np.ndarray]:
     return dataset.columns
 
 
-def payload_to_dataset(payload: dict[str, np.ndarray]) -> Dataset:
+def _payload_to_dataset(payload: dict[str, np.ndarray]) -> Dataset:
     """Rebuild a dataset from a :func:`dataset_to_payload` dict."""
     return Dataset({name: payload[name] for name in FIELD_NAMES})
 
 
 def concat_payloads(payloads) -> Dataset:
     """Union the per-shard partial results of one query (shard order)."""
-    return Dataset.concat(payload_to_dataset(p) for p in payloads)
+    return Dataset.concat(_payload_to_dataset(p) for p in payloads)
 
 
 @dataclass(frozen=True, slots=True)

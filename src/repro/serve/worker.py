@@ -55,7 +55,7 @@ from repro.storage.options import ExecOptions
 from repro.workload.query import Workload
 
 
-def open_shard_store(config: StoreConfig, assignment, shard_id: int):
+def _open_shard_store(config: StoreConfig, assignment, shard_id: int):
     """Hydrate this shard's view of the store: every replica reopened
     from its manifest, unit keys masked to the shard's owned set."""
     return hydrate_store(
@@ -75,7 +75,7 @@ def _recorder_of(store):
     return obs.tracer if obs is not None else NULL_RECORDER
 
 
-def serve_request(store, request: ShardRequest, shard_id: int,
+def _serve_request(store, request: ShardRequest, shard_id: int,
                   options: ExecOptions) -> ShardResponse:
     """Answer one batched request against this shard's masked store.
 
@@ -163,7 +163,7 @@ def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
     door learns a worker died."""
     opts = _worker_options(options)
     with requests, responses:
-        store = open_shard_store(config, assignment, shard_id)
+        store = _open_shard_store(config, assignment, shard_id)
         try:
             responses.send(Ready(shard_id))
             while True:
@@ -187,6 +187,6 @@ def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
                     ))
                 else:
                     responses.send(
-                        serve_request(store, message, shard_id, opts))
+                        _serve_request(store, message, shard_id, opts))
         finally:
             store.close()

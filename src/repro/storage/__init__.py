@@ -35,7 +35,6 @@ from repro.storage.reads import (
 )
 from repro.storage.recovery import (
     RecoveryError,
-    rebuild_replica,
     recover_dataset,
     repair_partition,
     repair_partition_any,
@@ -46,12 +45,7 @@ from repro.storage.ingest import (
     ReplicaSpec,
     SealedWindow,
 )
-from repro.storage.replica import (
-    StoredReplica,
-    build_mixed_replica,
-    build_replica,
-    temperature_policy,
-)
+from repro.storage.replica import StoredReplica, build_replica
 from repro.storage.wal import (
     WalError,
     WriteAheadLog,
@@ -61,7 +55,6 @@ from repro.storage.unit import (
     DirectoryStore,
     DuplicateUnit,
     InMemoryStore,
-    SegmentFileStore,
     UnitNotFound,
     UnitStore,
 )
@@ -99,19 +92,15 @@ __all__ = [
     "QueryStats",
     "RecoveryError",
     "ReplicaExists",
-    "SegmentFileStore",
     "StoredReplica",
     "UnitNotFound",
     "UnitStore",
     "WorkloadResult",
     "WorkloadStats",
     "build_manifest",
-    "build_mixed_replica",
     "build_replica",
-    "temperature_policy",
     "load_replica",
     "open_store",
-    "rebuild_replica",
     "recover_dataset",
     "repair_partition",
     "repair_partition_any",

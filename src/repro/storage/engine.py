@@ -290,9 +290,8 @@ class BlotStore(ReadSurface):
         return self.register_replica(replica)
 
     def register_replica(self, replica: StoredReplica) -> StoredReplica:
-        """Register an already-built replica (e.g. a mixed-encoding one
-        from :func:`repro.storage.build_mixed_replica`, or a replica
-        reopened from a manifest)."""
+        """Register an already-built replica (e.g. one reopened from a
+        manifest)."""
         with self._replicas_lock:
             if replica.name in self._replicas:
                 raise ReplicaExists(f"replica {replica.name!r} already exists")
@@ -929,8 +928,8 @@ class BlotStore(ReadSurface):
                 return 0, 0, self._evaluate(reader, asks, contained, pruned)[0]
 
         def work(decode_span):
-            blob = self._get_blob(stored.store, key)
-            reader = stored.encoding_for(pid).open(blob, self._decode_tel)
+            blob = stored.store.get_view(key)
+            reader = stored.encoding.open(blob, self._decode_tel)
             zones = ((reader.zone("x"), reader.zone("y"), reader.zone("t"))
                      if reader.lazy else None)
             self._zone_info[slot] = zones
@@ -1024,14 +1023,6 @@ class BlotStore(ReadSurface):
                     consulted = "rows"
             answers.append((scanned, matched, time.perf_counter() - t0))
         return answers, consulted
-
-    @staticmethod
-    def _get_blob(store: UnitStore, key: str):
-        """Fetch one unit's bytes, zero-copy when the backend supports
-        views (all built-in stores do; third-party stores fall back to
-        ``get``)."""
-        get_view = getattr(store, "get_view", None)
-        return get_view(key) if get_view is not None else store.get(key)
 
     def _read_unit(self, stored: StoredReplica, pid: int,
                    options: ExecOptions, rec, parent, work):

@@ -37,7 +37,6 @@ def build_manifest(replica: StoredReplica) -> dict:
             "bytes": len(blob),
             "crc32": zlib.crc32(blob) & 0xFFFFFFFF,
             "records": int(replica.partitioning.counts[pid]),
-            "encoding": replica.encoding_for(pid).name,
         })
     return {
         "format_version": _FORMAT_VERSION,
@@ -79,23 +78,20 @@ def load_replica(manifest: dict | str, store: UnitStore) -> StoredReplica:
     unit_keys = tuple(
         None if unit is None else unit["key"] for unit in manifest["units"]
     )
-    default = encoding_scheme_by_name(manifest["encoding"])
-    per_unit_names = [
-        default.name if unit is None else unit.get("encoding", default.name)
-        for unit in manifest["units"]
-    ]
-    partition_encodings = None
-    if any(name != default.name for name in per_unit_names):
-        partition_encodings = tuple(
-            encoding_scheme_by_name(name) for name in per_unit_names
-        )
+    encoding = encoding_scheme_by_name(manifest["encoding"])
+    for pid, unit in enumerate(manifest["units"]):
+        named = (unit or {}).get("encoding", encoding.name)
+        if named != encoding.name:
+            raise ValueError(
+                f"replica {manifest['name']!r} partition {pid} names encoding "
+                f"{named!r}, the manifest's is {encoding.name!r}"
+            )
     return StoredReplica(
         name=manifest["name"],
         partitioning=partitioning,
-        encoding=default,
+        encoding=encoding,
         store=store,
         unit_keys=unit_keys,
-        partition_encodings=partition_encodings,
     )
 
 
@@ -105,21 +101,20 @@ def verify_replica(replica: StoredReplica, manifest: dict) -> list[int]:
     A unit is damaged when it is missing from the store, its CRC-32 does
     not match the manifest, or its size changed.  Decoding is *not*
     attempted — CRC covers bit flips far more cheaply.  The sweep reads
-    through :meth:`UnitStore.get_view` when the store provides it, so
-    file-backed stores checksum straight out of the page cache instead of
-    copying every blob onto the heap.
+    through :meth:`UnitStore.get_view`, so file-backed stores checksum
+    straight out of the page cache instead of copying every blob onto the
+    heap.
     """
     if manifest["name"] != replica.name:
         raise ValueError(
             f"manifest is for {manifest['name']!r}, replica is {replica.name!r}"
         )
-    read = getattr(replica.store, "get_view", replica.store.get)
     damaged = []
     for pid, unit in enumerate(manifest["units"]):
         if unit is None:
             continue
         try:
-            blob = read(unit["key"])
+            blob = replica.store.get_view(unit["key"])
         except UnitNotFound:
             damaged.append(pid)
             continue

@@ -77,20 +77,18 @@ def measure_cost_params(replicas) -> tuple[tuple[str, float, float], ...]:
     """
     units: dict[str, list] = {}
     for replica in replicas:
-        for pid, key in enumerate(replica.unit_keys):
+        for key in replica.unit_keys:
             if key is not None:
-                encoding = replica.encoding_for(pid)
-                units.setdefault(encoding.name, []).append(
-                    (encoding, replica.store, key))
+                units.setdefault(replica.encoding.name, []).append(
+                    (replica.encoding, replica.store, key))
     rows = []
     for name, found in sorted(units.items()):
         n = min(len(found), CALIBRATION_UNITS)
         points = []
         for i in range(n):
             encoding, store, key = found[i * len(found) // n]
-            get = getattr(store, "get_view", store.get)
             seconds, records = _best_of(
-                lambda: encoding.open(get(key)).dataset())
+                lambda: encoding.open(store.get_view(key)).dataset())
             points.append(MeasurementPoint(len(records), seconds))
         tiny = records.take(np.arange(min(TINY_UNIT_RECORDS, len(records))))
         blob = memoryview(encoding.encode(tiny))

@@ -5,9 +5,10 @@ the diversity of physical data organizations, diverse replicas can
 recover each other when failures occur because they share the same
 logical view of the data."  This module makes that concrete:
 
-- :func:`recover_dataset` — rebuild the logical dataset from any replica;
-- :func:`rebuild_replica` — recreate a totally lost replica (new
-  partitioning + encoding) from any surviving one;
+- :func:`recover_dataset` — rebuild the logical dataset from any replica
+  (a totally lost replica is then rebuilt from it with
+  :func:`~repro.storage.replica.build_replica`, under any partitioning
+  and encoding);
 - :func:`repair_partition` — the cheap path: a single damaged storage
   unit is restored by running *one range query* (the unit's box) against
   a surviving diverse replica, instead of re-reading everything.
@@ -29,9 +30,8 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.geometry import Box3, boxes_intersect_mask
-from repro.partition.base import Partitioning, PartitioningScheme
-from repro.storage.replica import StoredReplica, build_replica
-from repro.storage.unit import UnitStore
+from repro.partition.base import Partitioning
+from repro.storage.replica import StoredReplica
 
 _EDGE_EPS = 1e-12
 #: A partition face is recognized as lying on the universe boundary when
@@ -121,27 +121,6 @@ def recover_dataset(replica: StoredReplica) -> Dataset:
     return Dataset.concat(parts).sorted_by_time()
 
 
-def rebuild_replica(
-    source: StoredReplica,
-    scheme: PartitioningScheme,
-    encoding,
-    store: UnitStore,
-    name: str | None = None,
-) -> StoredReplica:
-    """Recreate a lost replica from a surviving one (total-loss path).
-
-    The new replica may use any partitioning/encoding — recovery and
-    reorganization are the same operation under diverse replication.
-    """
-    dataset = recover_dataset(source)
-    if len(dataset) == 0:
-        raise RecoveryError("source replica holds no records")
-    return build_replica(
-        dataset, scheme, encoding, store, name=name,
-        universe=source.partitioning.universe,
-    )
-
-
 def repair_partition(
     damaged: StoredReplica,
     partition_id: int,
@@ -184,7 +163,7 @@ def repair_partition(
                 f"partition {partition_id} has no unit key but {expected} records"
             )
         return 0
-    blob = damaged.encoding_for(partition_id).encode(recovered.sorted_by_time())
+    blob = damaged.encoding.encode(recovered.sorted_by_time())
     try:
         damaged.store.delete(key)
     except KeyError:

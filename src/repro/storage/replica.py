@@ -27,12 +27,7 @@ class StoredReplica:
 
     ``unit_keys[i]`` addresses the storage unit holding data partition
     ``i``; partitions with zero records have no unit (key ``None``).
-
-    ``partition_encodings``, when set, gives each partition its own
-    encoding scheme — the generalization the paper notes under
-    Definition 4 ("BLOT systems that allow a separate encoding scheme for
-    each partition"); ``encoding`` then serves as the default/majority
-    scheme for cost-model purposes.
+    Every unit is encoded by the one ``encoding``.
     """
 
     name: str
@@ -40,19 +35,12 @@ class StoredReplica:
     encoding: EncodingScheme
     store: UnitStore
     unit_keys: tuple[str | None, ...]
-    partition_encodings: tuple[EncodingScheme, ...] | None = None
     index: PartitionIndex = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.unit_keys) != self.partitioning.n_partitions:
             raise ValueError(
                 f"{len(self.unit_keys)} unit keys for "
-                f"{self.partitioning.n_partitions} partitions"
-            )
-        if self.partition_encodings is not None and \
-                len(self.partition_encodings) != self.partitioning.n_partitions:
-            raise ValueError(
-                f"{len(self.partition_encodings)} partition encodings for "
                 f"{self.partitioning.n_partitions} partitions"
             )
         object.__setattr__(
@@ -66,16 +54,6 @@ class StoredReplica:
     @property
     def n_partitions(self) -> int:
         return self.partitioning.n_partitions
-
-    @property
-    def is_mixed_encoding(self) -> bool:
-        return self.partition_encodings is not None
-
-    def encoding_for(self, partition_id: int) -> EncodingScheme:
-        """The encoding scheme of one partition."""
-        if self.partition_encodings is not None:
-            return self.partition_encodings[partition_id]
-        return self.encoding
 
     def storage_bytes(self) -> int:
         """``Storage(r)``: total bytes of all encoded partitions."""
@@ -102,7 +80,7 @@ class StoredReplica:
         injector = self.fault_injector  # type: ignore[attr-defined]
         if injector is not None:
             injector.on_read(self.name, partition_id)
-        return self.encoding_for(partition_id).decode(self.store.get(key))
+        return self.encoding.decode(self.store.get(key))
 
     def involved_partitions(self, query_box: Box3) -> np.ndarray:
         """Partitions whose range intersects the query range."""
@@ -155,82 +133,6 @@ def build_replica(
     """
     partitioning = scheme.build(dataset, universe)
     replica_name = name or f"{scheme.name}/{encoding.name}"
-    keys = _write_partitions(
-        dataset, partitioning, store, replica_name,
-        lambda pid, part: encoding,
-    )
-    return StoredReplica(
-        name=replica_name,
-        partitioning=partitioning,
-        encoding=encoding,
-        store=store,
-        unit_keys=keys,
-    )
-
-
-def build_mixed_replica(
-    dataset: Dataset,
-    scheme: PartitioningScheme,
-    policy,
-    store: UnitStore,
-    name: str | None = None,
-    universe: Box3 | None = None,
-) -> StoredReplica:
-    """Build a replica whose partitions choose their own encoding.
-
-    ``policy(partition_id, box, n_records) -> EncodingScheme`` picks the
-    scheme per partition — e.g. :func:`temperature_policy` keeps hot
-    (large) partitions in a fast codec and cold ones heavily compressed.
-    The replica's default ``encoding`` is the policy's majority choice.
-    """
-    partitioning = scheme.build(dataset, universe)
-    chosen: list[EncodingScheme] = []
-    for pid in range(partitioning.n_partitions):
-        box = Box3(*partitioning.box_array[pid])
-        chosen.append(policy(pid, box, int(partitioning.counts[pid])))
-    majority = max(
-        {s.name: s for s in chosen}.values(),
-        key=lambda s: sum(1 for c in chosen if c.name == s.name),
-    )
-    replica_name = name or f"{scheme.name}/mixed"
-    keys = _write_partitions(
-        dataset, partitioning, store, replica_name,
-        lambda pid, part: chosen[pid],
-    )
-    return StoredReplica(
-        name=replica_name,
-        partitioning=partitioning,
-        encoding=majority,
-        store=store,
-        unit_keys=keys,
-        partition_encodings=tuple(chosen),
-    )
-
-
-def temperature_policy(
-    partitioning_counts,
-    hot_encoding: EncodingScheme,
-    cold_encoding: EncodingScheme,
-    hot_fraction: float = 0.25,
-):
-    """A per-partition encoding policy: the ``hot_fraction`` most
-    populated partitions get ``hot_encoding`` (fast scans where the data
-    concentrates), the rest get ``cold_encoding`` (dense storage)."""
-    import numpy as np
-
-    counts = np.asarray(partitioning_counts)
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in [0, 1]")
-    n_hot = int(round(len(counts) * hot_fraction))
-    hot_ids = set(np.argsort(counts)[::-1][:n_hot].tolist())
-
-    def policy(pid: int, box: Box3, n_records: int) -> EncodingScheme:
-        return hot_encoding if pid in hot_ids else cold_encoding
-
-    return policy
-
-
-def _write_partitions(dataset, partitioning, store, replica_name, encoding_of):
     keys: list[str | None] = []
     for pid in range(partitioning.n_partitions):
         part = partitioning.records_of(dataset, pid)
@@ -238,6 +140,12 @@ def _write_partitions(dataset, partitioning, store, replica_name, encoding_of):
             keys.append(None)
             continue
         key = f"{replica_name}/part-{pid:06d}"
-        store.put(key, encoding_of(pid, part).encode(part.sorted_by_time()))
+        store.put(key, encoding.encode(part.sorted_by_time()))
         keys.append(key)
-    return tuple(keys)
+    return StoredReplica(
+        name=replica_name,
+        partitioning=partitioning,
+        encoding=encoding,
+        store=store,
+        unit_keys=tuple(keys),
+    )

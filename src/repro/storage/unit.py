@@ -3,13 +3,11 @@
 A BLOT partition is stored in a *storage unit* "optimized for sequential
 read: an object stored in Amazon S3, a file on HDFS, a segment of a file
 on a local file system" (Section II-B).  This module provides the
-key-value store abstraction and three backends mirroring those options:
+key-value store abstraction and two backends:
 
-- :class:`InMemoryStore`   — dict-backed, for tests and simulations;
-- :class:`DirectoryStore`  — one file per unit in a local directory
-  (the "file on HDFS" shape);
-- :class:`SegmentFileStore`— all units appended to one large file with an
-  offset table (the "segment of a file" shape).
+- :class:`InMemoryStore`  — dict-backed, for tests and simulations;
+- :class:`DirectoryStore` — one file per unit in a local directory
+  (the "file on HDFS" shape).
 
 Every backend also serves **zero-copy reads**: :meth:`UnitStore.get_view`
 returns a ``memoryview`` over the stored bytes — a view of the in-memory
@@ -191,102 +189,3 @@ class DirectoryStore:
 
     def total_bytes(self) -> int:
         return sum(self.size(k) for k in self.keys())
-
-
-class SegmentFileStore:
-    """All units appended to a single file; an in-memory offset table maps
-    keys to ``(offset, length)`` segments.
-
-    Mirrors the local-filesystem deployment where a partition is "a
-    segment of a file": sequential within a unit, one seek per unit.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._segments: dict[str, tuple[int, int]] = {}
-        # Truncate/create the backing file.
-        with open(path, "wb"):
-            pass
-        self._end = 0
-        self._live_bytes = 0
-        self._map: mmap.mmap | None = None
-        self._map_size = 0
-        self._lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        # The offset table is plain data; the mmap and its lock are live
-        # handles that the unpickling process rebuilds lazily.
-        return {"path": self.path, "segments": dict(self._segments),
-                "end": self._end, "live_bytes": self._live_bytes}
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = state["path"]
-        self._segments = dict(state["segments"])
-        self._end = state["end"]
-        self._live_bytes = state["live_bytes"]
-        self._map = None
-        self._map_size = 0
-        self._lock = threading.Lock()
-
-    def put(self, key: str, blob: bytes) -> None:
-        if key in self._segments:
-            raise DuplicateUnit(f"unit {key!r} already stored")
-        with open(self.path, "ab") as f:
-            f.write(blob)
-        self._segments[key] = (self._end, len(blob))
-        self._end += len(blob)
-        self._live_bytes += len(blob)
-
-    def get(self, key: str) -> bytes:
-        try:
-            offset, length = self._segments[key]
-        except KeyError:
-            raise UnitNotFound(key) from None
-        with open(self.path, "rb") as f:
-            f.seek(offset)
-            return f.read(length)
-
-    def get_view(self, key: str) -> memoryview:
-        """Zero-copy read: a slice of a whole-file read-only mmap.
-
-        The map is remapped lazily when appends have grown the file past
-        the mapped size; the superseded map object is simply dropped —
-        any outstanding views keep it alive until released.
-        """
-        try:
-            offset, length = self._segments[key]
-        except KeyError:
-            raise UnitNotFound(key) from None
-        if length == 0:
-            return memoryview(b"")
-        with self._lock:
-            if self._map is None or offset + length > self._map_size:
-                with open(self.path, "rb") as f:
-                    size = os.fstat(f.fileno()).st_size
-                    if offset + length > size:
-                        raise UnitNotFound(key)
-                    self._map = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-                    self._map_size = size
-            return memoryview(self._map)[offset:offset + length]
-
-    def size(self, key: str) -> int:
-        try:
-            return self._segments[key][1]
-        except KeyError:
-            raise UnitNotFound(key) from None
-
-    def delete(self, key: str) -> None:
-        """Drop the segment from the offset table.  The bytes stay in the
-        backing file (log-structured; compaction is out of scope) but no
-        longer count toward :meth:`total_bytes`."""
-        try:
-            _, length = self._segments.pop(key)
-        except KeyError:
-            raise UnitNotFound(key) from None
-        self._live_bytes -= length
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._segments)
-
-    def total_bytes(self) -> int:
-        return self._live_bytes

@@ -15,7 +15,6 @@ from repro.partition import (
     CompositeScheme,
     GridPartitioner,
     KdTreePartitioner,
-    QuadtreePartitioner,
     check_partitioning,
 )
 from repro.storage.recovery import canonical_mask
@@ -47,7 +46,6 @@ def schemes():
     return [
         KdTreePartitioner(4),
         GridPartitioner(2, 2),
-        QuadtreePartitioner(4),
         CompositeScheme(KdTreePartitioner(2), 2),
     ]
 

@@ -19,7 +19,6 @@ from repro.partition import (
     CompositeScheme,
     GridPartitioner,
     KdTreePartitioner,
-    QuadtreePartitioner,
     TemporalSlicer,
 )
 from repro.storage.recovery import canonical_mask
@@ -27,7 +26,6 @@ from repro.storage.recovery import canonical_mask
 SCHEMES = [
     KdTreePartitioner(16),
     GridPartitioner(4, 3, 2),
-    QuadtreePartitioner(13),
     TemporalSlicer(8),
     CompositeScheme(KdTreePartitioner(8), 4),
 ]

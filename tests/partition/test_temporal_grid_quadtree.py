@@ -1,4 +1,4 @@
-"""Tests for temporal slicing, uniform grids and quadtrees."""
+"""Tests for temporal slicing and uniform grids."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.geometry import Box3
 from repro.partition import (
     GridPartitioner,
-    QuadtreePartitioner,
     TemporalSlicer,
     check_partitioning,
     equi_depth_boundaries,
@@ -108,37 +107,3 @@ class TestGrid:
         bb = ds.bounding_box()
         q = Box3(bb.x_min, bb.x_min + 1e-9, bb.y_min, bb.y_min + 1e-9, bb.t_min, bb.t_max)
         assert len(p.involved(q)) == 1
-
-
-class TestQuadtree:
-    def test_leaf_count_form(self):
-        with pytest.raises(ValueError):
-            QuadtreePartitioner(5)
-        QuadtreePartitioner(1)
-        QuadtreePartitioner(4)
-        QuadtreePartitioner(13)
-
-    def test_invariants(self, ds):
-        p = QuadtreePartitioner(13).build(ds)
-        check_partitioning(p, ds)
-
-    def test_partition_count(self, ds):
-        assert QuadtreePartitioner(10).build(ds).n_partitions == 10
-
-    def test_adaptive_splits_hotspots(self, ds):
-        p = QuadtreePartitioner(16).build(ds)
-        # The quadtree should refine dense areas: smallest leaf area far
-        # smaller than largest.
-        areas = (p.box_array[:, 1] - p.box_array[:, 0]) * (
-            p.box_array[:, 3] - p.box_array[:, 2]
-        )
-        assert areas.min() < areas.max() / 8
-
-    def test_less_skewed_than_grid(self, ds):
-        quad = QuadtreePartitioner(16).build(ds)
-        grid = GridPartitioner(4, 4, 1).build(ds)
-        assert quad.skew() < grid.skew()
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            QuadtreePartitioner(4).build(Dataset.empty())

@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+import repro.serve.protocol as protocol_module
+import repro.serve.worker as worker_module
 from repro.cluster.placement import assign_shards
 from repro.drills import run_serve_drill, run_slo_drill
 from repro.errors import DegradedReadError, OverloadError, QuotaExceededError
@@ -22,9 +24,6 @@ from repro.serve import (
     ShardRequest,
     ShardServer,
     TenantQuotas,
-    open_shard_store,
-    payload_to_dataset,
-    serve_request,
     shard_worker_main,
 )
 from repro.storage import ExecOptions, FaultSpec, hydrate_store
@@ -161,7 +160,7 @@ class TestWorkerExecutesEachRequestOnce:
     def test_healthy_units_read_once_under_a_partition_fault(
             self, config, queries):
         faulty, assignment, dead = one_dead_unit(config, queries)
-        store = open_shard_store(faulty, assignment, 0)
+        store = worker_module._open_shard_store(faulty, assignment, 0)
         try:
             grid = store.replica("grid-plain")
             involved = [set(grid.involved_partitions(q.box()).tolist())
@@ -171,7 +170,7 @@ class TestWorkerExecutesEachRequestOnce:
             request = ShardRequest(
                 request_id=1, replica="grid-plain",
                 tasks=tuple(QueryTask(i, q) for i, q in enumerate(queries)))
-            response = serve_request(store, request, 0, self.OPTS)
+            response = worker_module._serve_request(store, request, 0, self.OPTS)
 
             # Nothing was executed twice: every owned unit of the request
             # was read at most once, the dead one included (the parent
@@ -201,7 +200,8 @@ class TestWorkerExecutesEachRequestOnce:
             for i, payload in response.results.items():
                 want = store.query(queries[i], replica="grid-plain",
                                    options=self.OPTS).records
-                assert datasets_identical(payload_to_dataset(payload), want)
+                assert datasets_identical(
+                    protocol_module._payload_to_dataset(payload), want)
         finally:
             store.close()
 

@@ -67,7 +67,7 @@ class TestWorkerLoss:
         async def go():
             async with ShardServer(config, n_shards=2) as server:
                 await server.query(queries[0])
-                monkeypatch.setattr(worker_module, "serve_request", die)
+                monkeypatch.setattr(worker_module, "_serve_request", die)
                 with pytest.raises(WorkerLostError) as lost:
                     await asyncio.wait_for(server.query(queries[1]),
                                            LOSS_TIMEOUT_S)
@@ -85,14 +85,14 @@ class TestReadyHandshake:
     def test_start_returns_with_every_shard_hydrated(self, config,
                                                      monkeypatch):
         hydrated = []
-        real_open = worker_module.open_shard_store
+        real_open = worker_module._open_shard_store
 
         def recording_open(config, assignment, shard_id):
             store = real_open(config, assignment, shard_id)
             hydrated.append(shard_id)
             return store
 
-        monkeypatch.setattr(worker_module, "open_shard_store",
+        monkeypatch.setattr(worker_module, "_open_shard_store",
                             recording_open)
 
         async def go():
@@ -107,14 +107,14 @@ class TestReadyHandshake:
     @dying_thread
     def test_worker_dying_while_hydrating_fails_start(self, config,
                                                       monkeypatch):
-        real_open = worker_module.open_shard_store
+        real_open = worker_module._open_shard_store
 
         def flaky_open(config, assignment, shard_id):
             if shard_id == 1:
                 raise SystemExit
             return real_open(config, assignment, shard_id)
 
-        monkeypatch.setattr(worker_module, "open_shard_store", flaky_open)
+        monkeypatch.setattr(worker_module, "_open_shard_store", flaky_open)
         threads_before = threading.active_count()
 
         async def go():

@@ -14,7 +14,6 @@ from repro.storage import (
     build_manifest,
     build_replica,
     load_replica,
-    rebuild_replica,
     recover_dataset,
     repair_partition,
     repair_replica,
@@ -90,6 +89,25 @@ class TestManifest:
         with pytest.raises(ValueError, match="version"):
             load_replica(manifest, a.store)
 
+    def test_unit_naming_another_encoding_refused(self, replicas):
+        """A replica has one encoding: a manifest whose unit entry names a
+        different one is refused, not reopened as a mixed replica."""
+        a, _ = replicas
+        manifest = build_manifest(a)
+        pid = next(i for i, unit in enumerate(manifest["units"]) if unit)
+        manifest["units"][pid]["encoding"] = "ROW-PLAIN"
+        with pytest.raises(ValueError, match=f"'a' partition {pid} .*ROW-PLAIN"):
+            load_replica(manifest, a.store)
+
+    def test_unit_naming_the_manifest_encoding_accepted(self, replicas):
+        a, _ = replicas
+        manifest = build_manifest(a)
+        for unit in manifest["units"]:
+            if unit is not None:
+                assert "encoding" not in unit
+                unit["encoding"] = "COL-GZIP"
+        assert load_replica(manifest, a.store).encoding.name == "COL-GZIP"
+
     def test_verify_clean(self, replicas):
         a, _ = replicas
         assert verify_replica(a, build_manifest(a)) == []
@@ -115,9 +133,10 @@ class TestRecoverDataset:
 
     def test_rebuild_total_loss(self, ds, replicas):
         a, _ = replicas
-        rebuilt = rebuild_replica(
-            a, CompositeScheme(KdTreePartitioner(16), 2),
+        rebuilt = build_replica(
+            recover_dataset(a), CompositeScheme(KdTreePartitioner(16), 2),
             encoding_scheme_by_name("ROW-PLAIN"), InMemoryStore(), name="c",
+            universe=a.partitioning.universe,
         )
         assert recover_dataset(rebuilt) == recover_dataset(a)
         assert rebuilt.n_partitions == 32

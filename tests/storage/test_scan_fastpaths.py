@@ -143,39 +143,3 @@ class TestCacheInteraction:
         store.query(box)
         totals = counter_totals(obs)
         assert totals.get("repro_columns_skipped_total", 0) == 0
-
-
-class TestStoresWithoutGetView:
-    def test_minimal_store_still_works(self, ds):
-        """A UnitStore lacking get_view (third-party implementations)
-        falls back to get() transparently."""
-
-        class MinimalStore:
-            def __init__(self):
-                self._d = {}
-
-            def put(self, key, blob):
-                self._d[key] = bytes(blob)
-
-            def get(self, key):
-                return self._d[key]
-
-            def size(self, key):
-                return len(self._d[key])
-
-            def delete(self, key):
-                del self._d[key]
-
-            def keys(self):
-                return iter(self._d)
-
-            def total_bytes(self):
-                return sum(len(b) for b in self._d.values())
-
-        store = BlotStore(ds)
-        store.add_replica(CompositeScheme(KdTreePartitioner(8), 2),
-                          encoding_scheme_by_name("COL-GZIP"),
-                          MinimalStore(), name="m")
-        bb = ds.bounding_box()
-        res = store.query(bb)
-        assert len(res.records) == len(ds)

@@ -26,7 +26,7 @@ from repro.storage import (
     materialize_store,
     open_store,
 )
-from repro.storage.unit import DirectoryStore, SegmentFileStore
+from repro.storage.unit import DirectoryStore
 from repro.verify.oracle import canonical, datasets_identical
 from repro.workload import Query, positioned_random_workload
 from tests.conftest import FIXED_COST_PARAMS
@@ -79,12 +79,6 @@ class TestPicklability:
         clone = pickle.loads(pickle.dumps(store))
         assert sorted(clone.keys()) == keys
         assert clone.get(keys[0]) == store.get(keys[0])
-
-    def test_segment_store_survives_pickle(self, tmp_path):
-        store = SegmentFileStore(str(tmp_path / "seg.blot"))
-        store.put("a", b"payload-bytes")
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.get("a") == b"payload-bytes"
 
 
 class TestHydration:

@@ -1,4 +1,4 @@
-"""Tests for the three storage-unit backends."""
+"""Tests for the two storage-unit backends."""
 
 import pytest
 
@@ -6,26 +6,15 @@ from repro.storage import (
     DirectoryStore,
     DuplicateUnit,
     InMemoryStore,
-    SegmentFileStore,
     UnitNotFound,
 )
 
 
-def make_stores(tmp_path):
-    return [
-        InMemoryStore(),
-        DirectoryStore(str(tmp_path / "dir")),
-        SegmentFileStore(str(tmp_path / "segments.bin")),
-    ]
-
-
-@pytest.fixture(params=["memory", "directory", "segment"])
+@pytest.fixture(params=["memory", "directory"])
 def store(request, tmp_path):
     if request.param == "memory":
         return InMemoryStore()
-    if request.param == "directory":
-        return DirectoryStore(str(tmp_path / "dir"))
-    return SegmentFileStore(str(tmp_path / "segments.bin"))
+    return DirectoryStore(str(tmp_path / "dir"))
 
 
 class TestUnitStoreContract:
@@ -76,18 +65,6 @@ class TestDirectoryStoreSpecifics:
         assert DirectoryStore(root).get("a") == b"persist"
 
 
-class TestSegmentFileStoreSpecifics:
-    def test_single_backing_file(self, tmp_path):
-        path = str(tmp_path / "seg.bin")
-        store = SegmentFileStore(path)
-        store.put("a", b"aaa")
-        store.put("b", b"bbbb")
-        import os
-        assert os.path.getsize(path) == 7
-        assert store.get("a") == b"aaa"
-        assert store.get("b") == b"bbbb"
-
-
 class TestGetView:
     """Zero-copy reads: get_view must return a read-only memoryview with
     the same bytes as get(), on every backend and edge case."""
@@ -108,7 +85,7 @@ class TestGetView:
 
     def test_views_after_growth(self, store):
         """Views taken before later puts stay valid, and new keys are
-        readable (the segment store remaps lazily as the file grows)."""
+        readable."""
         store.put("first", b"0123456789")
         early = store.get_view("first")
         for i in range(5):
@@ -146,12 +123,3 @@ class TestRunningTotals:
         assert store.total_bytes() == 7
         store.delete("b")
         assert store.total_bytes() == 0
-
-    def test_segment_total_excludes_deleted(self, tmp_path):
-        store = SegmentFileStore(str(tmp_path / "seg.bin"))
-        store.put("a", b"x" * 10)
-        store.put("b", b"y" * 5)
-        assert store.total_bytes() == 15
-        store.delete("a")
-        # Log-structured: bytes stay in the file but leave the total.
-        assert store.total_bytes() == 5
