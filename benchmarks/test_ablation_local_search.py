@@ -12,8 +12,6 @@ greedy-to-optimal gap over the sweep.
 
 import time
 
-import pytest
-
 from repro import branch_and_bound_select, greedy_select, local_search_select
 
 from benchmarks._instances import paper_budget, paper_grid_instance

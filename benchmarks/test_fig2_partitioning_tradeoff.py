@@ -20,7 +20,6 @@ layout minimizes estimated cost.
 import pytest
 
 from repro import (
-    Box3,
     CompositeScheme,
     GridPartitioner,
     KdTreePartitioner,

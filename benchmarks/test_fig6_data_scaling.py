@@ -23,7 +23,6 @@ stay below 1.3 at every scale (the paper's headline claim); per-scale
 re-selected MIP stays within ~5% of ideal everywhere.
 """
 
-import numpy as np
 import pytest
 
 from repro import branch_and_bound_select, greedy_select

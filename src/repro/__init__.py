@@ -99,7 +99,6 @@ from repro.partition import (
     CompositeScheme,
     GridPartitioner,
     KdTreePartitioner,
-    PartitionIndex,
     TemporalSlicer,
     paper_partitioning_schemes,
     small_partitioning_schemes,
@@ -180,7 +179,6 @@ __all__ = [
     "LOCAL_HADOOP",
     "MetricsRegistry",
     "Observability",
-    "PartitionIndex",
     "Point3",
     "Query",
     "Recalibrator",

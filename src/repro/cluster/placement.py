@@ -28,11 +28,11 @@ This module provides:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace as dataclasses_replace
+from dataclasses import dataclass, replace as dataclasses_replace
 
 import numpy as np
 
-from repro.geometry import Box3, boxes_intersect_mask
+from repro.geometry import Box3
 from repro.storage.recovery import repair_partition
 from repro.storage.replica import StoredReplica
 

@@ -12,8 +12,6 @@ budgets, closes most of the gap to the exact optimum at polynomial cost
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.greedy import greedy_select
 from repro.core.problem import Selection, SelectionInstance
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.problem import SelectionInstance
 from repro.costmodel.model import CostModel, ReplicaProfile
 from repro.geometry import Box3, boxes_intersect_mask, centroid_range
-from repro.workload.query import AnyQuery, GroupedQuery, Query, Workload
+from repro.workload.query import AnyQuery, Query, Workload
 
 
 @dataclass(frozen=True)

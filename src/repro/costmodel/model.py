@@ -409,8 +409,12 @@ class CostModel:
 
     def query_cost(self, query: AnyQuery, profile: ReplicaProfile) -> float:
         """Eq. 7: expected seconds to evaluate ``query`` on ``profile``."""
+        return self.involved_cost(expected_partitions(profile, query), profile)
+
+    def involved_cost(self, np_q: float, profile: ReplicaProfile) -> float:
+        """Eq. 7 for a query whose ``Np(q, r)`` is already counted — the
+        engine counts it from the intersect mask it then plans from."""
         params = self.params_for(profile.encoding_name)
-        np_q = expected_partitions(profile, query)
         scan = np_q * profile.records_per_partition / params.scan_rate
         return scan + np_q * params.extra_time
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.geometry import Box3, centroid_range
-from repro.workload.query import AnyQuery, GroupedQuery, Query
+from repro.workload.query import AnyQuery, Query
 
 
 class Histogram3D:

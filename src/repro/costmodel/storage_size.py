@@ -8,11 +8,8 @@ small sample of D."
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.dataset import Dataset
 from repro.encoding import ROW_BYTES, EncodingScheme, measure_compression_ratio
-from repro.partition.base import PartitioningScheme
 
 
 def measure_encoding_ratios(

@@ -21,7 +21,7 @@ compression ratios) — and those are faithfully reproduced; see DESIGN.md §2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

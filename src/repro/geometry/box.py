@@ -250,6 +250,20 @@ def boxes_intersect_mask(box_array: np.ndarray, query: Box3) -> np.ndarray:
     )
 
 
+def boxes_within_mask(box_array: np.ndarray, query: Box3) -> np.ndarray:
+    """Boolean mask of which boxes in the array lie entirely inside
+    ``query`` (closed intervals, :meth:`Box3.contains_box` per row)."""
+    b = np.asarray(box_array, dtype=np.float64)
+    return (
+        (b[:, 0] >= query.x_min)
+        & (b[:, 1] <= query.x_max)
+        & (b[:, 2] >= query.y_min)
+        & (b[:, 3] <= query.y_max)
+        & (b[:, 4] >= query.t_min)
+        & (b[:, 5] <= query.t_max)
+    )
+
+
 def boxes_intersect_count(box_array: np.ndarray, query: Box3) -> int:
     """Exact ``Np(q, r)`` for a *positioned* query: the number of partition
     boxes whose range intersects the query range."""

@@ -239,4 +239,5 @@ __all__ = [
     "stitch_files",
     "stitch_traces",
     "validate_report",
+    "validate_trace_tree",
 ]

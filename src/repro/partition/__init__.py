@@ -2,8 +2,10 @@
 
 The paper's candidate layouts partition space with an equal-count k-d
 tree and refine each spatial cell into equi-depth temporal slices; this
-package also provides uniform grids for illustrations and ablations,
-plus the global partitioning index.
+package also provides uniform grids for illustrations and ablations.
+A realized :class:`Partitioning` answers the paper's range -> involved
+partitions lookup itself (:meth:`Partitioning.involved`, one
+vectorized pass over its box array).
 """
 
 from repro.partition.base import Partitioning, PartitioningScheme, check_partitioning
@@ -13,7 +15,6 @@ from repro.partition.composite import (
     small_partitioning_schemes,
 )
 from repro.partition.grid import GridPartitioner
-from repro.partition.index import PartitionIndex
 from repro.partition.kdtree import KdTreePartitioner
 from repro.partition.temporal import TemporalSlicer, equi_depth_boundaries, slice_labels
 
@@ -21,7 +22,6 @@ __all__ = [
     "CompositeScheme",
     "GridPartitioner",
     "KdTreePartitioner",
-    "PartitionIndex",
     "Partitioning",
     "PartitioningScheme",
     "TemporalSlicer",

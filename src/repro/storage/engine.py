@@ -2,11 +2,11 @@
 
 ``BlotStore`` manages the diverse replicas of one dataset and processes
 range queries by the paper's three-step mechanism: find involved
-partitions via the partitioning index, read + decode each one, filter the
-records by the query range.  When several replicas exist and a
-:class:`~repro.costmodel.CostModel` is configured, each query is routed
-to the replica with the lowest estimated cost (Figure 2's "replica
-selection at query time").
+partitions (the box-intersection pass that also counts Eq. 7's ``Np``),
+read + decode each one, filter the records by the query range.  When
+several replicas exist and a :class:`~repro.costmodel.CostModel` is
+configured, each query is routed to the replica with the lowest
+estimated cost (Figure 2's "replica selection at query time").
 
 There is **one read pipeline** — plan → fetch → decode → filter → fold
 (``docs/query_engine.md``) — and the public reads
@@ -57,7 +57,8 @@ from repro.costmodel.model import CostModel, RoutingPlan
 from repro.data.dataset import Dataset
 from repro.data.record import FIELDS
 from repro.encoding.base import EagerPartitionReader, EncodingScheme
-from repro.geometry import Box3
+from repro.geometry import Box3, boxes_intersect_mask
+from repro.geometry.box import boxes_within_mask
 from repro.obs import Observability
 from repro.obs.trace import NULL_RECORDER
 from repro.partition.base import PartitioningScheme
@@ -138,11 +139,14 @@ class _DecodeTelemetry:
 
 @dataclass(slots=True)
 class _Read:
-    """A request in flight: its slot in the call and its failover walk."""
+    """A request in flight: its slot in the call, its failover walk and
+    the intersect masks its routing priced it with, if it was routed on
+    exactly its own box (see :meth:`BlotStore._ranked`)."""
 
     index: int
     request: ReadRequest
     walk: RankingWalk
+    routed: dict[str, tuple[StoredReplica, np.ndarray]] | None = None
 
 
 class BlotStore(ReadSurface):
@@ -387,9 +391,12 @@ class BlotStore(ReadSurface):
         """
         return self._ranked(query, self._replicas)
 
-    def _ranked(self, query: Query,
-                replicas: Mapping[str, StoredReplica]) -> list[str]:
-        """:meth:`route_ranked` over one published serving set."""
+    def _ranked(self, query: Query, replicas: Mapping[str, StoredReplica],
+                masks: dict | None = None) -> list[str]:
+        """:meth:`route_ranked` over one published serving set.  ``Np`` is
+        counted from each replica's intersect mask, which ``masks`` (when
+        given) receives as ``name -> (replica object, mask)`` for
+        :meth:`_plan`."""
         if not replicas:
             raise ValueError("no replicas registered")
         names = sorted(replicas)
@@ -401,20 +408,26 @@ class BlotStore(ReadSurface):
                 "pass replica= to query() or construct BlotStore with a cost model"
             )
         n = self._n_records
-        scored = [
-            (self._cost_model.query_cost(
-                query, replicas[name].profile(n_records=n)), name)
-            for name in names
-        ]
+        model = self._cost_model
+        box = query.box()
+        scored = []
+        for name in names:
+            stored = replicas[name]
+            profile = stored.profile(n_records=n)
+            mask = boxes_intersect_mask(profile.box_array, box)
+            scored.append((model.involved_cost(
+                float(np.count_nonzero(mask)), profile), name))
+            if masks is not None:
+                masks[name] = (stored, mask)
         scored.sort()
         return [name for _, name in scored]
 
     def _candidates(
         self, query: Query, replica: str | None, options: ExecOptions,
-        replicas: Mapping[str, StoredReplica],
+        replicas: Mapping[str, StoredReplica], masks: dict | None = None,
     ) -> list[str]:
         """The replicas of ``replicas`` to try for one query, primary
-        first.
+        first (``masks`` as in :meth:`_ranked`).
 
         With an explicit ``replica`` the pin wins the first slot; the
         rest of the ranking (cost order when a model exists, name order
@@ -425,11 +438,11 @@ class BlotStore(ReadSurface):
             if not options.failover or len(replicas) == 1:
                 return [replica]
             if self._cost_model is not None:
-                ranked = self._ranked(query, replicas)
+                ranked = self._ranked(query, replicas, masks)
             else:
                 ranked = sorted(replicas)
             return [replica] + [n for n in ranked if n != replica]
-        ranked = self._ranked(query, replicas)
+        ranked = self._ranked(query, replicas, masks)
         return ranked if options.failover else ranked[:1]
 
     def route_workload(
@@ -467,20 +480,26 @@ class BlotStore(ReadSurface):
 
     def _rank(self, requests: list[ReadRequest], opts: ExecOptions, rec, root,
               batch: bool, replica: str | None, plan: RoutingPlan | None,
-              ) -> tuple[list[list[str]], RoutingPlan | None]:
-        """The plan stage's routing half: each request's replica ranking
-        (what its :class:`RankingWalk` walks), plus the batch's routing
-        plan.  A ranking has length one when failover is off — that is
-        all a shard worker is.  Everything here reads one published
+              ) -> tuple[list[_Read], RoutingPlan | None]:
+        """The plan stage's routing half: one :class:`_Read` per request,
+        walking its replica ranking, plus the batch's routing plan.  A
+        ranking has length one when failover is off — that is all a
+        shard worker is.  A routed scalar read keeps its intersect
+        masks for :meth:`_plan`.  Everything here reads one published
         serving set; a replica retired after that is :meth:`_run`'s to
         fail over."""
         replicas = self._replicas
         if not batch:
+            request = requests[0]
+            # The masks are of ``query.box()``: a raw box that sits an
+            # ulp off it is planned on its own bounds instead.
+            masks = {} if request.box == request.query.box() else None
             with rec.start("route", parent=root) as route_span:
-                candidates = self._candidates(requests[0].query, replica,
-                                              opts, replicas)
+                candidates = self._candidates(request.query, replica,
+                                              opts, replicas, masks)
                 route_span.annotate(candidates=list(candidates))
-            return [candidates], None
+            return [_Read(0, request, RankingWalk(candidates),
+                          masks or None)], None
         if replica is not None:
             # Every query pinned, like query(replica=): the cost matrix
             # (hence the failover order) is only computed when a walk
@@ -507,9 +526,13 @@ class BlotStore(ReadSurface):
             )
         assigned = plan.assigned_names()
         if not opts.failover or len(plan.replica_names) == 1:
-            return [[name] for name in assigned], plan
-        return [[name] + [n for n in plan.ranking_for(i) if n != name]
-                for i, name in enumerate(assigned)], plan
+            rankings = [[name] for name in assigned]
+        else:
+            rankings = [[name] + [n for n in plan.ranking_for(i) if n != name]
+                        for i, name in enumerate(assigned)]
+        return [_Read(i, request, RankingWalk(ranking))
+                for i, (request, ranking)
+                in enumerate(zip(requests, rankings))], plan
 
     # -- the read pipeline: plan -> fetch -> decode -> filter -> fold ----------
 
@@ -573,11 +596,8 @@ class BlotStore(ReadSurface):
                              q_width=q.width, q_height=q.height,
                              q_duration=q.duration, q_x=q.x, q_y=q.y, q_t=q.t)
         with root:
-            rankings, plan = self._rank(requests, opts, rec, root, batch,
-                                        replica, plan)
-            reads = [_Read(i, request, RankingWalk(ranking))
-                     for i, (request, ranking)
-                     in enumerate(zip(requests, rankings))]
+            reads, plan = self._rank(requests, opts, rec, root, batch,
+                                     replica, plan)
             outcomes = self._run(reads, opts, acct, rec, root, batch)
             served = [(i, o.stats) for i, o in enumerate(outcomes)
                       if isinstance(o, QueryResult)]
@@ -695,7 +715,7 @@ class BlotStore(ReadSurface):
                 self._cache.invalidate((target.name, result.partition_id))
         return None
 
-    def _plan(self, stored: StoredReplica, request: ReadRequest,
+    def _plan(self, stored: StoredReplica, read: _Read,
               ) -> tuple[list[int], list[bool], int, int]:
         """Plan stage for one request on one replica: the partitions to
         read, whether the query box *contains* each (canonical placement
@@ -703,16 +723,26 @@ class BlotStore(ReadSurface):
         skipped), the ``partitions_involved`` figure, and the records
         answered without reading anything.
 
+        The involved partitions come from ``read.routed`` when routing
+        priced this very replica object (a replica swapped in under the
+        same name is planned on its own boxes), else from one
+        intersection pass.
+
         The records fold reads every involved partition.  The counting
         fold short-circuits here: a contained partition contributes its
         metadata record count, so only boundary partitions — intersected
         but not contained — go on to be read.
         """
+        request = read.request
         box = request.box
-        involved = stored.involved_partitions(box).tolist()
-        keys, boxes = stored.unit_keys, stored.partitioning.box_array
-        inside = [keys[pid] is not None
-                  and box.contains_box(Box3(*boxes[pid])) for pid in involved]
+        hit = read.routed.get(stored.name) if read.routed else None
+        ids = (np.flatnonzero(hit[1]) if hit is not None and hit[0] is stored
+               else stored.involved_partitions(box))
+        keys = stored.unit_keys
+        within = boxes_within_mask(stored.partitioning.box_array[ids], box)
+        involved = ids.tolist()
+        inside = [whole and keys[pid] is not None
+                  for pid, whole in zip(involved, within.tolist())]
         if not request.count:
             return involved, inside, len(involved), 0
         # Fail fast even when the count needs no boundary decodes:
@@ -755,7 +785,7 @@ class BlotStore(ReadSurface):
         for k, read in enumerate(reads):
             try:
                 pids, inside, n_involved, from_metadata = self._plan(
-                    stored, read.request)
+                    stored, read)
             except PartitionReadError as err:
                 failed[k] = err
                 self._note_read_failure(err, acct)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import synthetic_shanghai_taxis
-from repro.geometry import Box3
 from repro.costmodel import (
     CostModel,
     EncodingCostParams,

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.data import Dataset, dataset_from_csv, dataset_to_csv, synthetic_shanghai_taxis
+from repro.data import dataset_from_csv, dataset_to_csv, synthetic_shanghai_taxis
 from repro.data.csvio import render_csv_rows
 
 

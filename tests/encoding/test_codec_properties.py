@@ -9,7 +9,6 @@ paths must detect when they do not apply and fall back losslessly).
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

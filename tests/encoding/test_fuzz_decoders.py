@@ -9,7 +9,6 @@ deeper in the stack with an unrelated exception.
 
 import zlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

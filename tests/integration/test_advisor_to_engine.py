@@ -12,7 +12,6 @@ import pytest
 from repro.cluster import cost_model_for, make_cluster, position_query
 from repro.core import AdvisorConfig, ReplicaAdvisor
 from repro.data import synthetic_shanghai_taxis
-from repro.encoding import encoding_scheme_by_name
 from repro.partition import small_partitioning_schemes
 from repro.storage import BlotStore, InMemoryStore
 from repro.workload import paper_workload

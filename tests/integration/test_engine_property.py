@@ -6,7 +6,6 @@ different partitionings and encodings; results must always equal a naive
 filter of the raw dataset.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -13,7 +13,6 @@ import pytest
 
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
-from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage import BlotStore, ExecOptions, InMemoryStore, repair_partition
 from repro.workload import Query

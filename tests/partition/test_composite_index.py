@@ -1,5 +1,5 @@
 """Tests for composite schemes, the paper's 25-scheme grid, and the
-partition index."""
+range -> involved-partitions lookup."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import synthetic_shanghai_taxis
+from repro.encoding import encoding_scheme_by_name
 from repro.geometry import Box3, boxes_intersect_count
 from repro.partition import (
     CompositeScheme,
     KdTreePartitioner,
-    PartitionIndex,
     Partitioning,
     check_partitioning,
     paper_partitioning_schemes,
     small_partitioning_schemes,
 )
+from repro.storage import InMemoryStore, build_replica
 
 
 @pytest.fixture(scope="module")
@@ -95,18 +96,27 @@ class TestPartitioningContainer:
         assert len(p.involved(ds.bounding_box())) == p.n_partitions
 
 
+def brute_force_involved(partitioning, query):
+    """The oracle: ``Box3.intersects`` on every partition box, in id order."""
+    return np.array([pid for pid, b in enumerate(partitioning.boxes())
+                     if b.intersects(query)], dtype=np.intp)
+
+
 class TestPartitionIndex:
+    """The paper's global partition index (Section II-B) is the box
+    array itself: ``StoredReplica.involved_partitions`` is one
+    vectorized intersection pass over it."""
+
     @pytest.fixture(scope="class")
     def built(self, ds):
-        p = CompositeScheme(KdTreePartitioner(16), 8).build(ds)
-        return p, PartitionIndex(p.box_array, p.universe, resolution=8)
+        return build_replica(ds, CompositeScheme(KdTreePartitioner(16), 8),
+                             encoding_scheme_by_name("ROW-PLAIN"),
+                             InMemoryStore())
 
     def test_len(self, built):
-        p, idx = built
-        assert len(idx) == p.n_partitions
+        assert len(built.partitioning.box_array) == built.n_partitions == 128
 
     def test_matches_linear_scan(self, built, ds):
-        p, idx = built
         bb = ds.bounding_box()
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -120,44 +130,30 @@ class TestPartitionIndex:
                 bb.height * rng.uniform(0, 0.5),
                 bb.duration * rng.uniform(0, 0.5),
             )
-            assert np.array_equal(idx.involved(q), p.involved(q))
+            assert np.array_equal(built.involved_partitions(q),
+                                  brute_force_involved(built.partitioning, q))
 
     def test_count_involved(self, built, ds):
-        p, idx = built
-        bb = ds.bounding_box()
-        assert idx.count_involved(bb) == p.n_partitions
-
-    def test_resolution_one_degenerates(self, built, ds):
-        p, _ = built
-        idx = PartitionIndex(p.box_array, p.universe, resolution=1)
-        bb = ds.bounding_box()
-        q = Box3.from_center_size(bb.centroid, 0.01, 0.01, 60.0)
-        assert np.array_equal(idx.involved(q), p.involved(q))
-
-    def test_invalid_resolution(self, built):
-        p, _ = built
-        with pytest.raises(ValueError):
-            PartitionIndex(p.box_array, p.universe, resolution=0)
-
-    def test_invalid_shape(self, built):
-        p, _ = built
-        with pytest.raises(ValueError):
-            PartitionIndex(np.zeros((3, 4)), p.universe)
-
-    def test_memory_accounting(self, built):
-        _, idx = built
-        assert idx.memory_bytes() > 0
+        assert built.involved_partitions(ds.bounding_box()).tolist() == list(
+            range(built.n_partitions))
 
     @settings(max_examples=25, deadline=None)
     @given(
         cx=st.floats(120.0, 122.0), cy=st.floats(30.0, 32.0),
         w=st.floats(0.0, 2.0), h=st.floats(0.0, 2.0), frac=st.floats(0.0, 1.0),
+        snap=st.integers(0, 127),
     )
-    def test_property_index_exact(self, built, cx, cy, w, h, frac):
-        p, idx = built
-        u = p.universe
+    def test_property_index_exact(self, built, cx, cy, w, h, frac, snap):
+        u = built.partitioning.universe
         q = Box3.from_center_size(
             (cx, cy, u.t_min + frac * u.duration), w, h, u.duration * frac,
         )
-        assert np.array_equal(idx.involved(q), p.involved(q))
-        assert idx.count_involved(q) == boxes_intersect_count(p.box_array, q)
+        # Put one face exactly on a partition's edge: closed boxes touch.
+        edge = built.partitioning.box_array[snap]
+        q = Box3(edge[1], max(edge[1], q.x_max), q.y_min, q.y_max,
+                 q.t_min, q.t_max)
+        involved = built.involved_partitions(q)
+        assert np.array_equal(involved,
+                              brute_force_involved(built.partitioning, q))
+        assert involved.size == boxes_intersect_count(
+            built.partitioning.box_array, q)

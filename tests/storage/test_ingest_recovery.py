@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.data import Dataset, synthetic_shanghai_taxis
+from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec

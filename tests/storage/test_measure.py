@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.costmodel import calibrate_encoding, fit_cost_params, MeasurementPoint
+from repro.costmodel import calibrate_encoding
 from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import GridPartitioner

@@ -6,7 +6,6 @@ reopens the store from the manifests alone — then queries, verifies and
 repairs against it.
 """
 
-import numpy as np
 import pytest
 
 from repro.costmodel import CostModel, EncodingCostParams

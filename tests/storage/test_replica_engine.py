@@ -6,7 +6,6 @@ import pytest
 from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
-from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage import BlotStore, InMemoryStore, ReplicaExists, build_replica
 from repro.workload import Query
