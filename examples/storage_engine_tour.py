@@ -65,7 +65,7 @@ def figure2_section(data) -> None:
     query = Box3.from_center_size((c.x, c.y, c.t), bb.width * 0.3,
                                   bb.height * 0.3, bb.duration)
     enc = encoding_scheme_by_name("ROW-PLAIN")
-    print(f"  query: 30% x 30% of space, full time range")
+    print("  query: 30% x 30% of space, full time range")
     print(f"  {'layout':12s} {'Np':>5s} {'S (scanned)':>12s}")
     for scheme in (GridPartitioner(2, 2, 1), GridPartitioner(4, 2, 1),
                    GridPartitioner(8, 8, 1),

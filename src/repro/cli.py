@@ -414,12 +414,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         obs.maybe_checkpoint(force=True)  # the "before" point of trends
     rec = None
     if args.recalibrate:
-        # The CLI routes on simulated-cluster constants but measures
-        # local in-process scans, so the honest correction can be
-        # orders of magnitude: no step clamp here.
-        rec = obs.attach_recalibrator(
-            model, min_samples=args.min_samples, max_step_factor=None,
-            dry_run=args.dry_run, timeseries=ts)
+        rec = obs.attach_recalibrator(model, dry_run=args.dry_run,
+                                      timeseries=ts)
 
     opts = _exec_options(args, trace=True)
     try:
@@ -1375,14 +1371,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "serving (deliberate mis-calibration; 4 = the "
                         "paper's drift scenario)")
     p.add_argument("--recalibrate", action="store_true",
-                   help="attach the auto-recalibrator: flagged replicas "
-                        "re-fit Section V-B from measured scan spans and "
-                        "hot-swap the routing constants")
+                   help="attach the auto-recalibrator: a flagged "
+                        "replica's stored units are re-timed and Eq. 6 "
+                        "refitted (the writer's Section V-B procedure), "
+                        "and the routing constants hot-swapped")
     p.add_argument("--dry-run", action="store_true",
                    help="with --recalibrate, audit proposed updates "
                         "without applying them")
-    p.add_argument("--min-samples", type=int, default=8,
-                   help="scan measurements required before an update")
     p.add_argument("--timeseries", default=None, metavar="PATH",
                    help="persist snapshots + calibration audit to this "
                         "JSONL history file (survives restarts)")

@@ -5,18 +5,25 @@ containing 20 partitions", where partition sizes are equal within a set
 and differ across sets, then fits Eq. 6 by linear regression: the slope
 is ``1/ScanRate`` and the intercept is ``ExtraTime``.  This module holds
 the environment-agnostic pieces: the measurement plan and the
-least-squares fit; the environment-specific measurement runners live in
-:mod:`repro.cluster` (simulated clusters) and :mod:`repro.storage`
-(local wall-clock).
+least-squares fit; the simulated-cluster runners live in
+:mod:`repro.cluster`.
+
+:func:`measure_cost_params` is the same regression run on a real store:
+it times units that were just written, so the rows a store routes with
+describe the very units it serves.  Writers call it when a replica set
+is stored, and :class:`~repro.obs.Recalibrator` calls it again on a
+replica whose drift is flagged.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.costmodel.model import EncodingCostParams
+from repro.data.dataset import Dataset
 
 #: Partition sizes (records) of the paper-style measurement plan; five
 #: sizes spanning the "hundreds of KB to several MB" storage-unit regime
@@ -122,3 +129,77 @@ def calibrate_encoding(
         points=fit.points,
         r_squared=fit.r_squared,
     )
+
+
+#: Written units timed per encoding, evenly spaced over its stored units.
+CALIBRATION_UNITS = 8
+#: Timed runs per unit; the fastest counts (first touches and scheduler
+#: noise only ever add time).
+CALIBRATION_REPEATS = 3
+#: Records in the tiny unit that pins ``ExtraTime``: with ~250-record
+#: units at the fine end, 16 keeps a >= 15x size spread to regress over.
+TINY_UNIT_RECORDS = 16
+
+
+def _best_of(scan) -> tuple[float, Dataset]:
+    """The fastest of :data:`CALIBRATION_REPEATS` runs of ``scan()``,
+    and what it returned."""
+    best = float("inf")
+    for _ in range(CALIBRATION_REPEATS):
+        t0 = time.perf_counter()
+        records = scan()
+        best = min(best, time.perf_counter() - t0)
+    return best, records
+
+
+def _fit(points: list[MeasurementPoint]) -> EncodingCostParams:
+    """Eq. 6 over ``points``; when the sizes are too alike for timer
+    noise to leave a positive slope (a store of a few records per unit),
+    every second is charged to the records instead."""
+    try:
+        return fit_cost_params(points).params
+    except ValueError:
+        records = sum(p.partition_records for p in points)
+        seconds = sum(p.seconds for p in points)
+        return EncodingCostParams(scan_rate=records / max(seconds, 1e-9),
+                                  extra_time=0.0)
+
+
+def measure_cost_params(replicas) -> tuple[tuple[str, float, float], ...]:
+    """Fit Eq. 6 per encoding from replicas that have just been written:
+    ``(encoding name, scan_rate, extra_time)`` rows, sorted by name — the
+    plain-data form :class:`~repro.storage.StoreConfig` carries.
+
+    For each encoding this times what a contained scan pays per unit —
+    ``get_view`` + ``encoding.open`` + full decode, best of
+    :data:`CALIBRATION_REPEATS` — on :data:`CALIBRATION_UNITS` evenly
+    spaced written units, plus one tiny unit of the same encoding
+    encoded from the first :data:`TINY_UNIT_RECORDS` records of a timed
+    one, and regresses seconds on records
+    (:func:`~repro.costmodel.calibrate.fit_cost_params`, Section V-B).
+    The tiny unit pins the intercept: the units of one equal-count
+    replica are all about one size, too alike to separate per-record
+    from per-unit cost.
+    """
+    units: dict[str, list] = {}
+    for replica in replicas:
+        for key in replica.unit_keys:
+            if key is not None:
+                units.setdefault(replica.encoding.name, []).append(
+                    (replica.encoding, replica.store, key))
+    rows = []
+    for name, found in sorted(units.items()):
+        n = min(len(found), CALIBRATION_UNITS)
+        points = []
+        for i in range(n):
+            encoding, store, key = found[i * len(found) // n]
+            seconds, records = _best_of(
+                lambda: encoding.open(store.get_view(key)).dataset())
+            points.append(MeasurementPoint(len(records), seconds))
+        tiny = records.take(np.arange(min(TINY_UNIT_RECORDS, len(records))))
+        blob = memoryview(encoding.encode(tiny))
+        seconds, _ = _best_of(lambda: encoding.open(blob).dataset())
+        points.append(MeasurementPoint(len(tiny), seconds))
+        params = _fit(points)
+        rows.append((name, params.scan_rate, params.extra_time))
+    return tuple(rows)

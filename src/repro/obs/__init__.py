@@ -17,10 +17,11 @@ loop:
 - :class:`TimeseriesStore` / :class:`Checkpointer` — append-only
   on-disk JSONL history of registry + drift snapshots, so telemetry
   survives restarts (see :mod:`repro.obs.timeseries`);
-- :class:`Recalibrator` — acts on a drift flag: harvests measured scan
-  spans, re-runs the Section V-B regression, and hot-swaps the
-  replica's ``ScanRate``/``ExtraTime`` behind guards, with a full
-  audit trail (see :mod:`repro.obs.recalibrate`);
+- :class:`Recalibrator` — acts on a drift flag: re-times the flagged
+  replica's stored units with the writer's Section V-B procedure and
+  hot-swaps its encoding's ``ScanRate``/``ExtraTime`` (or, in dry-run
+  mode, only audits them), with a full audit trail (see
+  :mod:`repro.obs.recalibrate`);
 - :func:`build_report` / :func:`render_report_text` /
   :func:`validate_report` — the ``repro report`` operational summary
   (see :mod:`repro.obs.report`).
@@ -138,8 +139,7 @@ class Observability:
     def attach_recalibrator(self, cost_model, **guards) -> Recalibrator:
         """Build and attach a :class:`Recalibrator` wired to this
         bundle's drift monitor, tracer and registry.  ``guards`` are
-        forwarded (``min_samples``, ``max_step_factor``, ``dry_run``,
-        ``timeseries``)."""
+        forwarded (``dry_run``, ``timeseries``)."""
         self.recalibrator = Recalibrator(
             cost_model, self.drift, self.tracer,
             metrics=self.metrics, **guards)
@@ -174,14 +174,12 @@ class Observability:
         if self.reselector is not None:
             self.reselector.maybe_reselect()
 
-    def maybe_recalibrate(self, replica_name: str,
-                          encoding_name: str) -> "CalibrationUpdate | None":
+    def maybe_recalibrate(self, replica) -> "CalibrationUpdate | None":
         """Engine hook: give the recalibrator (when attached) a chance
-        to act on ``replica_name``'s drift flag.  No-op without one."""
+        to act on ``replica``'s drift flag.  No-op without one."""
         if self.recalibrator is None:
             return None
-        return self.recalibrator.maybe_recalibrate(replica_name,
-                                                   encoding_name)
+        return self.recalibrator.maybe_recalibrate(replica)
 
     def maybe_checkpoint(self, force: bool = False) -> int | None:
         """Engine hook: persist a snapshot if the schedule says so."""

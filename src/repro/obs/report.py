@@ -378,15 +378,14 @@ def render_report_text(report: dict) -> str:
                 f"    [{entry['action']}] {entry['replica']}"
                 f"/{entry['encoding']}: {entry['reason']}")
         else:
-            clamp = " (clamped)" if entry["clamped"] else ""
             lines.append(
                 f"    [{entry['action']}] {entry['replica']}"
-                f"/{entry['encoding']} ({entry['mode']}): "
+                f"/{entry['encoding']}: "
                 f"ScanRate {entry['old_scan_rate']:.4g} -> "
                 f"{entry['new_scan_rate']:.4g}, "
                 f"ExtraTime {entry['old_extra_time']:.4g} -> "
                 f"{entry['new_extra_time']:.4g}, "
-                f"n={entry['n_samples']}{clamp}")
+                f"n={entry['n_samples']}")
 
     rs = report.get("reselection")
     if rs is not None and (rs["evaluations"] or rs["audit"]):

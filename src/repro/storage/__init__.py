@@ -26,7 +26,6 @@ from repro.storage.manifest import (
     save_manifest,
     verify_replica,
 )
-from repro.storage.measure import LocalScanMeasurer
 from repro.storage.reads import (
     QueryResult,
     QueryStats,
@@ -80,7 +79,6 @@ __all__ = [
     "InMemoryStore",
     "IngestingBlotStore",
     "InjectedFault",
-    "LocalScanMeasurer",
     "PartitionCache",
     "PartitionReadError",
     "ReplicaSpec",

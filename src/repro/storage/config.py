@@ -38,11 +38,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from repro.costmodel.calibrate import measure_cost_params
 from repro.costmodel.model import CostModel, EncodingCostParams
 from repro.data.dataset import Dataset
 from repro.obs import Observability
 from repro.storage.faults import FaultInjector
-from repro.storage.measure import measure_cost_params
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,7 +259,7 @@ def materialize_store(
     lossless ``root/dataset.npz`` that keeps the caller's record order.
 
     ``cost_params`` defaults to cost rows measured from the written
-    units (:func:`~repro.storage.measure.measure_cost_params`), one per
+    units (:func:`~repro.costmodel.calibrate.measure_cost_params`), one per
     encoding used; the config carries them, so every process hydrating
     it routes with the identical model and times nothing.
     """

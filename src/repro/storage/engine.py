@@ -1169,7 +1169,7 @@ class BlotStore(ReadSurface):
         for name in sorted(by_replica):
             stored = replicas.get(name)
             if stored is not None:
-                obs.maybe_recalibrate(name, stored.encoding.name)
+                obs.maybe_recalibrate(stored)
         obs.maybe_reselect()
         obs.maybe_checkpoint()
 

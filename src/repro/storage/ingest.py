@@ -60,6 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.costmodel.calibrate import measure_cost_params
 from repro.costmodel.model import CostModel
 from repro.data.dataset import Dataset, box_mask
 from repro.data.record import FIELDS
@@ -74,7 +75,6 @@ from repro.storage.config import (
     write_replica_set,
 )
 from repro.storage.engine import BlotStore, open_store
-from repro.storage.measure import measure_cost_params
 from repro.storage.options import ExecOptions
 from repro.storage.reads import (
     QueryResult,
@@ -467,7 +467,7 @@ class IngestingBlotStore(ReadSurface):
         Routing only has to choose within a layer of two or more
         replicas; there, an encoding without a row is timed from the
         layer's own freshly written units
-        (:func:`~repro.storage.measure.measure_cost_params`) and the
+        (:func:`~repro.costmodel.calibrate.measure_cost_params`) and the
         store's model is rebuilt with the new rows — layers opened
         earlier keep the model they were opened with, which prices every
         replica they hold.  A store given an explicit ``cost_model``

@@ -9,11 +9,12 @@ router picks the cheapest estimate.
 import numpy as np
 import pytest
 
-from repro.costmodel import CostModel, EncodingCostParams, calibrate_encoding
+from repro.costmodel import CostModel, EncodingCostParams
+from repro.costmodel.calibrate import measure_cost_params
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage import BlotStore, InMemoryStore, LocalScanMeasurer
+from repro.storage import BlotStore, InMemoryStore, build_replica
 from repro.workload import Query, positioned_random_workload
 
 #: Fixed Eq. 6 rows in which a unit's setup costs as much as decoding
@@ -31,28 +32,29 @@ def ds():
 
 
 @pytest.fixture(scope="module")
-def cost_model(ds):
-    measurer = LocalScanMeasurer(ds)
-    params = {}
-    for name in ("ROW-PLAIN", "COL-GZIP", "COL-LZMA2"):
-        fit = calibrate_encoding(name, measurer, sizes=(500, 2000, 6000),
-                                 partitions_per_set=3)
-        params[name] = fit.params
-    return CostModel(params)
+def replicas(ds):
+    layouts = (("coarse-plain", KdTreePartitioner(4), 2, "ROW-PLAIN"),
+               ("mid-gzip", KdTreePartitioner(16), 4, "COL-GZIP"),
+               ("fine-lzma", KdTreePartitioner(64), 8, "COL-LZMA2"))
+    return [build_replica(ds, CompositeScheme(spatial, slices),
+                          encoding_scheme_by_name(encoding), InMemoryStore(),
+                          name=name)
+            for name, spatial, slices, encoding in layouts]
 
 
 @pytest.fixture(scope="module")
-def store(ds, cost_model):
+def cost_model(replicas):
+    """Eq. 6 rows timed on the three replicas' written units."""
+    return CostModel({
+        name: EncodingCostParams(scan_rate=scan_rate, extra_time=extra_time)
+        for name, scan_rate, extra_time in measure_cost_params(replicas)})
+
+
+@pytest.fixture(scope="module")
+def store(ds, cost_model, replicas):
     store = BlotStore(ds, cost_model=cost_model)
-    store.add_replica(CompositeScheme(KdTreePartitioner(4), 2),
-                      encoding_scheme_by_name("ROW-PLAIN"), InMemoryStore(),
-                      name="coarse-plain")
-    store.add_replica(CompositeScheme(KdTreePartitioner(16), 4),
-                      encoding_scheme_by_name("COL-GZIP"), InMemoryStore(),
-                      name="mid-gzip")
-    store.add_replica(CompositeScheme(KdTreePartitioner(64), 8),
-                      encoding_scheme_by_name("COL-LZMA2"), InMemoryStore(),
-                      name="fine-lzma")
+    for replica in replicas:
+        store.register_replica(replica)
     return store
 
 

@@ -1,24 +1,25 @@
 """The closed-telemetry-loop acceptance test.
 
 Inject a 4x-stale ``ScanRate``, run a seeded workload, and assert the
-:class:`~repro.obs.Recalibrator` restores the fitted constant to within
-10% of truth, the drift flag clears, and the full applied-update audit
-trail appears in both the ``repro report`` output and the on-disk
-timeseries store after a simulated restart.
+:class:`~repro.obs.Recalibrator` restores the constant, the drift flag
+clears, and the full applied-update audit trail appears in both the
+``repro report`` output and the on-disk timeseries store after a
+simulated restart.
 
 Two variants:
 
-- a deterministic one, where scan spans are synthesized on a manual
-  clock to follow Eq. 6 exactly (the fit must recover truth almost
-  perfectly, so the 10% band is generous);
+- a deterministic one, where the re-time of the flagged replica's units
+  is stubbed to return the true constants, so the swap must restore
+  truth exactly;
 - a live-engine one, where a :class:`BlotStore` serves a real seeded
-  workload and the engine's own telemetry hooks drive the loop
-  (rescale mode: equal-count kd partitions leave the regression
-  ill-conditioned, so the constants move by the measured scale factor).
+  workload with tracing off and the engine's own telemetry hooks drive
+  the loop: the recalibrator re-times the replica's stored units, so it
+  needs no scan spans.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
-import pytest
 
 from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
@@ -55,11 +56,18 @@ class ManualClock:
         return self.t
 
 
-def test_deterministic_closed_loop(tmp_path):
+def test_deterministic_closed_loop(tmp_path, monkeypatch):
     truth = EncodingCostParams(scan_rate=TRUE_RATE, extra_time=TRUE_EXTRA)
     stale = EncodingCostParams(scan_rate=TRUE_RATE / STALE_FACTOR,
                                extra_time=TRUE_EXTRA)
     model = CostModel({ENCODING: stale})
+    monkeypatch.setattr(
+        "repro.obs.recalibrate.measure_cost_params",
+        lambda replicas: ((ENCODING, truth.scan_rate, truth.extra_time),))
+    replica = SimpleNamespace(name=REPLICA,
+                              encoding=SimpleNamespace(name=ENCODING),
+                              store=None,
+                              unit_keys=tuple(f"u{i}" for i in range(32)))
     clock = ManualClock()
     obs = Observability(metrics=MetricsRegistry(),
                         tracer=TraceRecorder(clock=clock),
@@ -67,34 +75,27 @@ def test_deterministic_closed_loop(tmp_path):
     history = tmp_path / "history.jsonl"
     ts = TimeseriesStore(str(history), retention=None)
     obs.attach_checkpointer(ts, interval_seconds=0.0, clock=ManualClock())
-    obs.attach_recalibrator(model, min_samples=4, timeseries=ts)
+    obs.attach_recalibrator(model, timeseries=ts)
 
-    # A seeded "workload": partition sizes drawn wide enough for the
-    # Section V-B fit, scan durations following Eq. 6 with the TRUE
-    # constants, drift pairs comparing the stale prediction to truth.
+    # A seeded "workload": drift pairs comparing the stale prediction
+    # to scan seconds that follow Eq. 6 with the TRUE constants.
     obs.maybe_checkpoint(force=True)
     rng = np.random.default_rng(17)
     flagged_at = None
     for n in rng.integers(2_000, 60_000, size=12):
         n = int(n)
-        measured = truth.partition_cost(n)
-        handle = obs.tracer.start("scan", replica=REPLICA, records=n,
-                                  bytes=n * 16)
-        clock.advance(measured)
-        handle.finish()
         obs.drift.record(REPLICA, model.params_for(ENCODING)
-                         .partition_cost(n), measured)
+                         .partition_cost(n), truth.partition_cost(n))
         if flagged_at is None and obs.drift.status(REPLICA).flagged:
             flagged_at = obs.drift.recorded
         # The engine hook: give the recalibrator a chance after each query.
-        obs.maybe_recalibrate(REPLICA, ENCODING)
+        obs.maybe_recalibrate(replica)
 
     assert flagged_at is not None, "a 4x-stale model must trip the monitor"
 
-    # 1. The fitted constant is back within 10% of truth.
+    # 1. The re-timed constants are live in the routing model.
     fitted = model.params_for(ENCODING)
-    assert fitted.scan_rate == pytest.approx(TRUE_RATE, rel=0.10)
-    assert fitted.extra_time == pytest.approx(TRUE_EXTRA, rel=0.10)
+    assert fitted == truth
 
     # 2. The drift flag cleared, and stays down under the fixed model.
     assert obs.drift.status(REPLICA).flagged is False
@@ -104,7 +105,7 @@ def test_deterministic_closed_loop(tmp_path):
     assert obs.drift.status(REPLICA).flagged is False
 
     applied = [u for u in obs.recalibrator.audit_log if u.action == "applied"]
-    assert len(applied) == 1 and applied[0].mode == "fit"
+    assert len(applied) == 1 and applied[0].n_samples == 9
     obs.maybe_checkpoint(force=True)
 
     # 3. The audit trail survives a simulated restart: a fresh process
@@ -124,14 +125,11 @@ def test_deterministic_closed_loop(tmp_path):
     assert report["recalibration"]["applied"] == 1
     assert report["drift"]["flagged"] == []
     text = render_report_text(report)
-    assert f"[applied] {REPLICA}/{ENCODING} (fit)" in text
+    assert f"[applied] {REPLICA}/{ENCODING}: ScanRate" in text
 
 
 def test_live_engine_closed_loop(tmp_path):
     ds = synthetic_shanghai_taxis(4000, seed=23, num_taxis=16)
-    # EncodingCostParams tuned so the local wall-clock measurements sit
-    # within the default 32x step budget of the stale prediction; the
-    # 4x staleness then dominates the drift signal.
     model = CostModel({ENCODING: EncodingCostParams(scan_rate=8e6,
                                                     extra_time=0.0)})
     stale = EncodingCostParams(scan_rate=8e6 * STALE_FACTOR, extra_time=0.0)
@@ -140,8 +138,7 @@ def test_live_engine_closed_loop(tmp_path):
     obs = Observability.create(drift_min_samples=5)
     ts = TimeseriesStore(str(tmp_path / "history.jsonl"), retention=None)
     obs.attach_checkpointer(ts, interval_seconds=0.0)
-    obs.attach_recalibrator(model, min_samples=4, max_step_factor=None,
-                            timeseries=ts)
+    obs.attach_recalibrator(model, timeseries=ts)
 
     store = BlotStore(ds, cost_model=model, observability=obs)
     store.add_replica(CompositeScheme(KdTreePartitioner(8), 4),
@@ -150,15 +147,19 @@ def test_live_engine_closed_loop(tmp_path):
     rng = np.random.default_rng(7)
     workload = positioned_random_workload(ds.bounding_box(), 30, rng,
                                           max_fraction=0.4)
-    store.execute_workload(workload, options=ExecOptions(trace=True))
+    # Tracing off: there are no scan spans to learn from, only the
+    # replica's stored units.
+    store.execute_workload(workload, options=ExecOptions(trace=False))
 
     applied = obs.metrics.counter_value("repro_recalib_applied_total")
     assert applied >= 1, "engine hooks never closed the loop"
     report = build_report(obs, timeseries=ts, recalibrator=obs.recalibrator)
     assert any(e["action"] == "applied"
                for e in report["recalibration"]["audit"])
-    # The correction moved the constants toward the wall-clock truth, so
-    # the refreshed window judges the new model and the flag stays down.
+    assert model.params_for(ENCODING) != stale
+    assert not any(span.name == "scan" for span in obs.tracer.spans())
+    # The applied update dropped the stale-model pairs (hysteresis), so
+    # the flag is down.
     assert report["drift"]["flagged"] == []
 
 

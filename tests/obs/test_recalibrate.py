@@ -1,10 +1,22 @@
-"""Tests for drift-triggered auto-recalibration (the Section V-B loop)."""
+"""Tests for drift-triggered auto-recalibration (the Section V-B loop).
+
+The guard tests stub ``repro.obs.recalibrate.measure_cost_params`` so
+they stay deterministic; :class:`TestRetime` runs the real procedure on
+a real replica.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.costmodel import CostModel, EncodingCostParams
+from repro.costmodel.calibrate import CALIBRATION_UNITS
+from repro.data import synthetic_shanghai_taxis
+from repro.encoding import encoding_scheme_by_name
 from repro.obs import DriftMonitor, MetricsRegistry, Recalibrator, TraceRecorder
 from repro.obs.timeseries import TimeseriesStore
+from repro.partition import GridPartitioner
+from repro.storage import InMemoryStore, build_replica
 
 REPLICA = "kd8/ROW-PLAIN"
 ENCODING = "ROW-PLAIN"
@@ -13,31 +25,39 @@ TRUE_RATE = 50_000.0
 TRUE_EXTRA = 0.02
 
 
-class ManualClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def advance(self, dt):
-        self.t += dt
-
-    def __call__(self):
-        return self.t
-
-
 def make_model(scan_rate=TRUE_RATE / 4, extra_time=TRUE_EXTRA):
     """A serving model whose ScanRate is 4x stale by default."""
     return CostModel({ENCODING: EncodingCostParams(scan_rate=scan_rate,
                                                    extra_time=extra_time)})
 
 
-def synth_scan_spans(tracer, clock, sizes, rate=TRUE_RATE, extra=TRUE_EXTRA,
-                     replica=REPLICA):
-    """Finished scan spans whose durations follow Eq. 6 exactly."""
-    for n in sizes:
-        handle = tracer.start("scan", replica=replica, records=n,
-                              bytes=n * 16)
-        clock.advance(n / rate + extra)
-        handle.finish()
+def fake_replica(n_units=12):
+    """The duck-typed surface the recalibrator reads: name, encoding,
+    store and unit keys (None marks an empty partition)."""
+    return SimpleNamespace(name=REPLICA, encoding=SimpleNamespace(name=ENCODING),
+                           store=InMemoryStore(),
+                           unit_keys=tuple(f"u{i}" for i in range(n_units)))
+
+
+@pytest.fixture
+def retime(monkeypatch):
+    """Stub the re-time: returns the true row and records each call."""
+    calls = []
+
+    def measure(replicas):
+        calls.append(list(replicas))
+        return ((ENCODING, TRUE_RATE, TRUE_EXTRA),)
+
+    monkeypatch.setattr("repro.obs.recalibrate.measure_cost_params", measure)
+    return calls
+
+
+@pytest.fixture
+def failing_retime(monkeypatch):
+    def measure(replicas):
+        raise OSError("unit u3 unreadable")
+
+    monkeypatch.setattr("repro.obs.recalibrate.measure_cost_params", measure)
 
 
 def flag_drift(drift, replica=REPLICA, n=5, predicted=1.0, measured=4.0):
@@ -46,186 +66,156 @@ def flag_drift(drift, replica=REPLICA, n=5, predicted=1.0, measured=4.0):
     assert drift.status(replica).flagged
 
 
-def make_recalibrator(model, drift, tracer, **kwargs):
-    kwargs.setdefault("min_samples", 4)
-    return Recalibrator(model, drift, tracer,
+def make_recalibrator(model, drift, tracer=None, **kwargs):
+    return Recalibrator(model, drift, tracer or TraceRecorder(),
                         metrics=MetricsRegistry(), **kwargs)
 
 
 class TestGuards:
-    def test_constructor_validation(self):
-        model, drift, tracer = make_model(), DriftMonitor(), TraceRecorder()
-        with pytest.raises(ValueError, match="min_samples"):
-            Recalibrator(model, drift, tracer, min_samples=1)
-        with pytest.raises(ValueError, match="max_step_factor"):
-            Recalibrator(model, drift, tracer, max_step_factor=1.0)
+    def test_unflagged_replica_is_left_alone(self, retime):
+        rec = make_recalibrator(make_model(), DriftMonitor())
+        assert rec.maybe_recalibrate(fake_replica()) is None
+        assert len(rec.audit_log) == 0 and retime == []
 
-    def test_unflagged_replica_is_left_alone(self):
-        rec = make_recalibrator(make_model(), DriftMonitor(), TraceRecorder())
-        assert rec.maybe_recalibrate(REPLICA, ENCODING) is None
-        assert len(rec.audit_log) == 0
-
-    def test_force_bypasses_the_flag(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [1000, 2000, 5000, 10_000])
-        rec = make_recalibrator(make_model(), DriftMonitor(), tracer)
-        update = rec.maybe_recalibrate(REPLICA, ENCODING, force=True)
-        assert update is not None and update.action == "applied"
-
-    def test_insufficient_samples_is_a_counted_rejection(self):
+    def test_insufficient_samples_is_a_counted_rejection(self, retime):
+        """A replica with no stored units has nothing to time."""
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
-        rec = make_recalibrator(model, drift, TraceRecorder())
+        rec = make_recalibrator(model, drift)
         old = model.params_for(ENCODING)
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
-        assert update.action == "rejected"
-        assert "insufficient scan measurements" in update.reason
+        replica = fake_replica()
+        replica.unit_keys = (None, None)
+        update = rec.maybe_recalibrate(replica)
+        assert update.action == "rejected" and update.n_samples == 0
+        assert "no stored units" in update.reason
         assert rec.metrics.counter_value("repro_recalib_rejected_total") == 1
         assert model.params_for(ENCODING) == old  # untouched
+        assert retime == []
 
-    def test_cooldown_after_rejection(self):
+    def test_cooldown_after_rejection(self, failing_retime):
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
-        rec = make_recalibrator(model, drift, TraceRecorder())
-        assert rec.maybe_recalibrate(REPLICA, ENCODING).action == "rejected"
-        # Still flagged, but on cooldown: no retry until min_samples new
-        # drift pairs arrive.
-        assert rec.maybe_recalibrate(REPLICA, ENCODING) is None
-        for _ in range(rec.min_samples):
+        rec = make_recalibrator(model, drift)
+        assert rec.maybe_recalibrate(fake_replica()).action == "rejected"
+        # Still flagged, but on cooldown: no retry until the drift
+        # monitor's min_samples new pairs arrive.
+        assert rec.maybe_recalibrate(fake_replica()) is None
+        for _ in range(drift.min_samples - 1):
             drift.record(REPLICA, 1.0, 4.0)
-        assert rec.maybe_recalibrate(REPLICA, ENCODING) is not None
+        assert rec.maybe_recalibrate(fake_replica()) is None
+        drift.record(REPLICA, 1.0, 4.0)
+        assert rec.maybe_recalibrate(fake_replica()) is not None
 
 
 class TestFitMode:
-    def test_recovers_the_true_constants(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [1000, 2000, 5000, 10_000, 20_000])
+    def test_recovers_the_true_constants(self, retime):
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
-        rec = make_recalibrator(model, drift, tracer)
+        rec = make_recalibrator(model, drift)
+        replica = fake_replica(n_units=12)
 
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
-        assert update.action == "applied" and update.mode == "fit"
-        assert update.new_scan_rate == pytest.approx(TRUE_RATE, rel=1e-3)
-        assert update.new_extra_time == pytest.approx(TRUE_EXTRA, rel=1e-3)
-        assert update.r_squared == pytest.approx(1.0, abs=1e-6)
-        assert update.n_samples == 5 and update.clamped is False
+        update = rec.maybe_recalibrate(replica)
+        assert retime == [[replica]]  # the flagged replica's own units
+        assert update.action == "applied"
+        assert update.new_scan_rate == TRUE_RATE
+        assert update.new_extra_time == TRUE_EXTRA
+        # Sampled units plus the tiny unit.
+        assert update.n_samples == CALIBRATION_UNITS + 1
         # The swap is live in the routing model...
-        assert model.params_for(ENCODING).scan_rate == update.new_scan_rate
+        assert model.params_for(ENCODING) == EncodingCostParams(
+            scan_rate=TRUE_RATE, extra_time=TRUE_EXTRA)
         # ...the flag dropped (hysteresis), and the applied counter moved.
         assert drift.status(REPLICA).flagged is False
         assert rec.metrics.counter_value("repro_recalib_applied_total") == 1
 
-    def test_nonpositive_slope_rejects_without_touching_the_model(self):
-        # Larger partitions measured *faster*: the Section V-B fit slope
-        # is negative and calibrate.py raises; satellite guarantee —
-        # caught, counted, model untouched.
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        for n, seconds in [(1000, 2.0), (2000, 1.5), (5000, 1.0),
-                           (10_000, 0.5)]:
-            handle = tracer.start("scan", replica=REPLICA, records=n,
-                                  bytes=n * 16)
-            clock.advance(seconds)
-            handle.finish()
+    def test_a_failed_retime_rejects_without_touching_the_model(
+            self, failing_retime):
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
-        rec = make_recalibrator(model, drift, tracer)
+        rec = make_recalibrator(model, drift)
         old = model.params_for(ENCODING)
 
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
-        assert update.action == "rejected"
-        assert "non-positive" in update.reason
+        update = rec.maybe_recalibrate(fake_replica(n_units=3))
+        assert update.action == "rejected" and update.n_samples == 4
+        assert "unit u3 unreadable" in update.reason
         assert update.new_scan_rate is None
         assert model.params_for(ENCODING) == old
+        assert drift.status(REPLICA).flagged is True
         assert rec.metrics.counter_value("repro_recalib_rejected_total") == 1
         assert rec.metrics.counter_value("repro_recalib_applied_total") == 0
 
-    def test_clamp_bounds_the_step(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [1000, 2000, 5000, 10_000])
-        # 100x stale: the honest fix exceeds a 2x step budget.
-        model = make_model(scan_rate=TRUE_RATE / 100)
-        drift = DriftMonitor()
-        flag_drift(drift)
-        rec = make_recalibrator(model, drift, tracer, max_step_factor=2.0)
-
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
-        assert update.action == "applied" and update.clamped is True
-        assert update.new_scan_rate == pytest.approx(
-            update.old_scan_rate * 2.0)
-
-    def test_dry_run_audits_without_applying(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [1000, 2000, 5000, 10_000])
+    def test_dry_run_audits_without_applying(self, retime):
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
-        rec = make_recalibrator(model, drift, tracer, dry_run=True)
+        rec = make_recalibrator(model, drift, dry_run=True)
         old = model.params_for(ENCODING)
 
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
+        update = rec.maybe_recalibrate(fake_replica())
         assert update.action == "dry-run"
-        assert update.new_scan_rate == pytest.approx(TRUE_RATE, rel=1e-3)
+        assert update.new_scan_rate == TRUE_RATE
         assert model.params_for(ENCODING) == old
         assert drift.status(REPLICA).flagged is True  # nothing was fixed
         assert rec.metrics.counter_value("repro_recalib_applied_total") == 0
         # Cooldown stops the hook from auditing the same proposal per call.
-        assert rec.maybe_recalibrate(REPLICA, ENCODING) is None
+        assert rec.maybe_recalibrate(fake_replica()) is None
+        assert len(retime) == 1
 
 
-class TestRescaleMode:
-    def test_equal_sizes_fall_back_to_rescale(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [4000] * 6)  # spread 1.0 < 1.5
+class TestRetime:
+    """The real procedure, on a real replica, with no scan spans at all."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return synthetic_shanghai_taxis(3000, seed=41, num_taxis=12)
+
+    @staticmethod
+    def build(ds, partitioner):
+        return build_replica(ds, partitioner,
+                             encoding_scheme_by_name(ENCODING),
+                             InMemoryStore(), name=REPLICA)
+
+    def test_times_the_flagged_replicas_own_units(self, ds):
+        replica = self.build(ds, GridPartitioner(4, 4))
         model, drift = make_model(), DriftMonitor()
-        flag_drift(drift, predicted=1.0, measured=4.0)
+        flag_drift(drift)
+        tracer = TraceRecorder()
         rec = make_recalibrator(model, drift, tracer)
+
+        update = rec.maybe_recalibrate(replica)
+        assert update.action == "applied"
+        assert update.n_samples == CALIBRATION_UNITS + 1
+        assert model.params_for(ENCODING) == EncodingCostParams(
+            scan_rate=update.new_scan_rate,
+            extra_time=update.new_extra_time)
+        assert drift.status(REPLICA).flagged is False
+        # The attempt is the only span: units were timed, not spans read.
+        (span,) = tracer.spans()
+        assert span.name == "bg_recalibrate"
+        assert span.attrs["action"] == "applied"
+
+    def test_an_unreadable_unit_is_a_rejection(self, ds):
+        broken = self.build(ds, GridPartitioner(2, 2))
+        broken.store.delete(next(k for k in broken.unit_keys
+                                 if k is not None))
+        model, drift = make_model(), DriftMonitor()
+        flag_drift(drift)
+        rec = make_recalibrator(model, drift)
         old = model.params_for(ENCODING)
 
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
-        assert update.action == "applied" and update.mode == "rescale"
-        assert update.r_squared is None
-        # scale factor = mean measured / mean predicted = 4.
-        assert update.new_scan_rate == pytest.approx(old.scan_rate / 4.0)
-        assert update.new_extra_time == pytest.approx(old.extra_time * 4.0)
-        assert drift.status(REPLICA).flagged is False
-
-
-class TestHarvest:
-    def test_harvest_filters_unusable_spans(self):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        rec = make_recalibrator(make_model(), DriftMonitor(), tracer)
-
-        synth_scan_spans(tracer, clock, [1000, 2000])  # usable
-        tracer.start("route", replica=REPLICA)  # wrong name, unfinished
-        synth_scan_spans(tracer, clock, [3000], replica="other")  # wrong replica
-        hit = tracer.start("scan", replica=REPLICA, records=500, bytes=0)
-        hit.finish()  # cache hit: scanned nothing
-        open_scan = tracer.start("scan", replica=REPLICA, records=9, bytes=9)
-        del open_scan  # never finished
-
-        points = rec.harvest_points(REPLICA)
-        assert [p.partition_records for p in points] == [1000, 2000]
-        assert all(p.seconds > 0 for p in points)
+        update = rec.maybe_recalibrate(broken)
+        assert update.action == "rejected"
+        assert update.reason.startswith("re-timing failed")
+        assert model.params_for(ENCODING) == old
 
 
 class TestAuditTrail:
-    def test_every_decision_lands_in_the_timeseries(self, tmp_path):
-        clock = ManualClock()
-        tracer = TraceRecorder(clock=clock)
-        synth_scan_spans(tracer, clock, [1000, 2000, 5000, 10_000])
+    def test_every_decision_lands_in_the_timeseries(self, tmp_path, retime):
         model, drift = make_model(), DriftMonitor()
         flag_drift(drift)
         ts = TimeseriesStore(str(tmp_path / "h.jsonl"), retention=None)
-        rec = make_recalibrator(model, drift, tracer, timeseries=ts)
+        rec = make_recalibrator(model, drift, timeseries=ts)
 
-        update = rec.maybe_recalibrate(REPLICA, ENCODING)
+        update = rec.maybe_recalibrate(fake_replica())
         assert rec.audit_dicts() == [update.to_dict()]
         (entry,) = ts.entries("calibration")
         assert entry["data"] == update.to_dict()

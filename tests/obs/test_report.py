@@ -97,20 +97,20 @@ class TestRenderText:
         report = build_report(obs)
         report["recalibration"]["audit"] = [
             {"action": "applied", "replica": "a", "encoding": "ROW-PLAIN",
-             "mode": "fit", "reason": None,
+             "reason": None,
              "old_scan_rate": 1e4, "old_extra_time": 0.01,
              "new_scan_rate": 4e4, "new_extra_time": 0.02,
-             "n_samples": 12, "r_squared": 0.99, "clamped": True},
+             "n_samples": 9},
             {"action": "rejected", "replica": "b", "encoding": "COL-GZIP",
-             "mode": None, "reason": "insufficient scan measurements",
+             "reason": "no stored units to re-time",
              "old_scan_rate": 1e4, "old_extra_time": 0.01,
              "new_scan_rate": None, "new_extra_time": None,
-             "n_samples": 1, "r_squared": None, "clamped": False},
+             "n_samples": 0},
         ]
         text = render_report_text(report)
-        assert "[applied] a/ROW-PLAIN (fit)" in text
-        assert "ScanRate 1e+04 -> 4e+04" in text and "(clamped)" in text
-        assert "[rejected] b/COL-GZIP: insufficient scan measurements" in text
+        assert "[applied] a/ROW-PLAIN: ScanRate 1e+04 -> 4e+04" in text
+        assert "n=9" in text
+        assert "[rejected] b/COL-GZIP: no stored units to re-time" in text
 
 
 class TestValidateReport:

@@ -1,6 +1,7 @@
 """Tests for the on-disk telemetry history (timeseries + checkpointer)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -147,7 +148,10 @@ class TestCheckpointer:
     def test_observability_hooks_are_noops_without_attachment(self):
         obs = self.make_obs()
         assert obs.maybe_checkpoint() is None
-        assert obs.maybe_recalibrate("r", "ROW-PLAIN") is None
+        replica = SimpleNamespace(name="r",
+                                  encoding=SimpleNamespace(name="ROW-PLAIN"),
+                                  store=None, unit_keys=("u0",))
+        assert obs.maybe_recalibrate(replica) is None
 
     def test_attach_checkpointer_via_bundle(self, tmp_path):
         obs = self.make_obs()

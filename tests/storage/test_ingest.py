@@ -478,7 +478,7 @@ class TestMeasuredCostRows:
 
     def test_snapshot_without_rows_is_measured_once_then_committed(
             self, tmp_path, stream, monkeypatch):
-        from repro.storage.measure import measure_cost_params
+        from repro.costmodel.calibrate import measure_cost_params
 
         _, initial, batches = stream
         wal_dir = str(tmp_path / "wal")

@@ -341,7 +341,7 @@ class TestReport:
         from repro.obs import validate_report
 
         assert main(["report", *WORKLOAD_ARGS, "--stale-factor", "4",
-                     "--recalibrate", "--min-samples", "4", "--json"]) == 0
+                     "--recalibrate", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         validate_report(report)
         assert report["recalibration"]["applied"] >= 1
@@ -354,8 +354,7 @@ class TestReport:
         import json
 
         assert main(["report", *WORKLOAD_ARGS, "--stale-factor", "4",
-                     "--recalibrate", "--dry-run", "--min-samples", "4",
-                     "--json"]) == 0
+                     "--recalibrate", "--dry-run", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["recalibration"]["applied"] == 0
         actions = {e["action"] for e in report["recalibration"]["audit"]}

@@ -1,18 +1,23 @@
-"""No module under ``src/repro`` imports a name it never uses.
+"""No module the CI lint job checks imports a name it never uses, or
+writes an f-string without a placeholder.
 
-This is the pyflakes F401 rule the CI lint job runs (``ruff check``),
-checked here with the standard library's ``ast`` so a Tier-1 run
-catches it too.  A module-level import counts as used when its bound
-name appears as a name anywhere in the module, inside a string
-annotation, or in ``__all__``.  Package ``__init__.py`` files are
-skipped: they import in order to re-export.
+These are the pyflakes F401 and F541 rules the CI lint job runs
+(``ruff check src tests benchmarks examples``), checked here with the
+standard library's ``ast`` so a Tier-1 run catches them too.  A
+module-level import counts as used when its bound name appears as a
+name anywhere in the module, inside a string annotation, or in
+``__all__``.  Package ``__init__.py`` files are skipped: they import in
+order to re-export.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TREES = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks",
+         ROOT / "examples")
+MODULES = sorted(p for tree in TREES for p in tree.rglob("*.py")
+                 if p.name != "__init__.py")
 
 
 def module_imports(tree: ast.Module):
@@ -68,6 +73,20 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def placeholder_free_fstrings(source: str) -> list[str]:
+    """Lines of f-strings with no ``{...}`` field.  A format spec
+    (``.2f`` in ``f"{x:.2f}"``) is itself an f-string node without
+    fields, so specs are skipped."""
+    tree = ast.parse(source)
+    specs = {id(node.format_spec) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue)}
+    return [f"line {node.lineno}: f-string without placeholders"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue)
+                        for v in node.values)]
+
+
 class TestChecker:
     def test_flags_an_unused_import(self):
         assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [
@@ -86,7 +105,22 @@ class TestChecker:
             "line 1: np"]
 
 
+    def test_flags_an_fstring_without_placeholders(self):
+        source = ('a = f"plain"\n'
+                  'b = f"{a:>8s} {len(a):.2f}"\n'
+                  'c = f"x" f"{a}"\n')
+        assert placeholder_free_fstrings(source) == [
+            "line 1: f-string without placeholders"]
+
+
+def offenders(check) -> list[str]:
+    return [f"{path.relative_to(ROOT)} {hit}" for path in MODULES
+            for hit in check(path.read_text(encoding="utf-8"))]
+
+
 def test_no_unused_module_imports():
-    offenders = [f"{path.relative_to(SRC)} {hit}" for path in MODULES
-                 for hit in unused_imports(path.read_text(encoding="utf-8"))]
-    assert offenders == []
+    assert offenders(unused_imports) == []
+
+
+def test_no_placeholder_free_fstrings():
+    assert offenders(placeholder_free_fstrings) == []
