@@ -380,9 +380,9 @@ class ReselectionController:
     (the slow part), registered, and only then are displaced replicas
     retired — each step one atomic publication of the store's serving
     set, so a concurrent read sees the old set, the superset or the new
-    set and takes no lock.  The engine's decoded-partition cache and
-    zone memos for swapped/retired replicas are invalidated by the store
-    itself (``retire_replica``/``swap_replica``), and stale rankings
+    set and takes no lock.  The engine keys its decoded-partition cache
+    and zone memos by replica object, so a read still scanning a
+    retired replica cannot leak into its successor, and stale rankings
     fail over inside the engine, so concurrent reads stay correct and
     non-blocking throughout.
 

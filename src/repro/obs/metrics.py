@@ -89,7 +89,7 @@ METRIC_HELP: dict[str, str] = {
     "repro_slo_alerts_total":
         "SLO burn-rate alerts fired, by tenant and objective.",
     "repro_replica_changes_total":
-        "Live replica registrations, retirements and swaps, by op.",
+        "Live replica registrations and retirements, by op.",
     "repro_reselect_evaluations_total": "Online reselection evaluations run.",
     "repro_reselect_divergence":
         "Workload divergence at the last reselection evaluation.",

@@ -4,7 +4,7 @@ Range queries over a workload overlap heavily — consecutive queries often
 touch the same hot partitions — yet the three-step query mechanism
 (Section II-D) re-reads and re-decodes every involved partition from its
 storage unit each time.  :class:`PartitionCache` keeps recently decoded
-partitions in memory, keyed by ``(replica_name, partition_id)`` and
+partitions in memory, keyed by ``(replica serial, partition_id)`` and
 bounded by the *decoded* size of the cached records, so an overlapping
 workload decodes each hot partition once.
 
@@ -15,8 +15,8 @@ parallel partition scans can consult it concurrently.
 
 Accounting invariant: every entry that ever entered the cache left it
 through exactly one of eviction (budget pressure), invalidation
-(explicit drop — a failed read, a repair, ``clear()``) or is still
-resident, so
+(explicit drop — a failed read, a repair, a retire, ``clear()``) or is
+still resident, so
 
     entries == inserts - evictions - invalidations
 
@@ -40,8 +40,9 @@ from repro.data.dataset import Dataset
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.obs.metrics import MetricsRegistry
 
-#: Cache key: ``(replica_name, partition_id)``.
-CacheKey = tuple[str, int]
+#: Cache key: ``(StoredReplica.serial, partition_id)``.  The serial names
+#: one replica object, so a replica rebuilt under an old name misses.
+CacheKey = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +51,9 @@ class CacheStats:
 
     ``inserts`` counts distinct-key insertions; refreshing a resident
     key is not an insert.  ``invalidations`` counts entries dropped by
-    :meth:`PartitionCache.invalidate`, ``invalidate_replica`` and
-    ``clear`` — so ``entries`` always reconciles:
+    :meth:`PartitionCache.invalidate`, ``invalidate_replica`` (a failed
+    replica, a retired one) and ``clear`` — so ``entries`` always
+    reconciles:
     ``entries == inserts - evictions - invalidations``.
     """
 
@@ -190,11 +192,12 @@ class PartitionCache:
                 self._m_bytes.set(self._current_bytes)
             return True
 
-    def invalidate_replica(self, replica_name: str) -> int:
-        """Drop every cached partition of one replica (e.g. after repair);
-        returns the number of entries removed."""
+    def invalidate_replica(self, serial: int) -> int:
+        """Drop every cached partition of the replica with ``serial``
+        (e.g. after an outage or a retire); returns the number of
+        entries removed."""
         with self._lock:
-            stale = [k for k in self._entries if k[0] == replica_name]
+            stale = [k for k in self._entries if k[0] == serial]
             for key in stale:
                 _, nbytes = self._entries.pop(key)
                 self._current_bytes -= nbytes

@@ -186,7 +186,7 @@ class BlotStore(ReadSurface):
             # set shares one record count and universe.
             self._dataset, self._load_dataset = None, dataset
             self._n_records = self._universe = None
-        # The serving set, never mutated: register / retire / swap build
+        # The serving set, never mutated: register / retire build
         # a new mapping under ``_replicas_lock`` and publish it with one
         # assignment, and a read takes ``self._replicas`` into a local
         # once, so it routes against exactly one published set.
@@ -202,15 +202,6 @@ class BlotStore(ReadSurface):
             fault_injector.bind_metrics(metrics)
         self._decode_tel = (_DecodeTelemetry(metrics)
                             if metrics is not None else None)
-        # Zone-map memo: (replica, pid) -> ((x, y, t) zones, or None for
-        # formats without zone maps), recorded whenever a blob is opened.
-        # Zones describe the partition's logical content, which is
-        # immutable for a *given* replica (repair restores identical
-        # records), so entries only invalidate when the replica itself is
-        # retired or swapped (a rebuilt same-name replica partitions the
-        # data differently).  Single-key dict ops are atomic under the
-        # GIL.
-        self._zone_info: dict[tuple[str, int], tuple | None] = {}
         # Hot-path counter handles by name (see _bump).
         self._counter_memo: dict[str, object] = {}
         self._pool: ThreadPoolExecutor | None = None
@@ -315,15 +306,15 @@ class BlotStore(ReadSurface):
         """Hot-remove a replica from the serving set.
 
         The replica drops out of routing immediately (``route`` /
-        ``route_workload`` recompute from the live set on every call);
-        its decoded-partition cache entries and memoized zone bounds are
-        invalidated so a later replica registered under the same name
-        can never be served another replica's stale partitions.  A read
-        that ranked its replicas before the retire — its own routing a
-        moment ago, or a caller's batch plan — fails over down each
-        query's Eq. 6-7 ranking instead of erroring.  Returns the
-        retired replica (the caller owns the underlying storage units
-        and decides when to delete them).
+        ``route_workload`` recompute from the live set on every call),
+        and its decoded-partition cache entries are dropped to reclaim
+        memory.  Read memos are keyed by the replica object, so a
+        replica later registered under the same name never sees this
+        one's.  A read that ranked its replicas before the retire — its
+        own routing a moment ago, or a caller's batch plan — fails over
+        down each query's Eq. 6-7 ranking instead of erroring.  Returns
+        the retired replica (the caller owns the underlying storage
+        units and decides when to delete them).
         """
         with self._replicas_lock:
             stored = self.replica(name)  # KeyError early on unknown names
@@ -332,38 +323,13 @@ class BlotStore(ReadSurface):
                     f"cannot retire {name!r}: it is the last replica")
             self._replicas = {n: r for n, r in self._replicas.items()
                               if n != name}
-        self._forget_replica_state(name, op="retire")
-        return stored
-
-    def swap_replica(self, replica: StoredReplica) -> StoredReplica:
-        """Atomically replace the same-name replica with a rebuilt one.
-
-        The satellite bugfix this codifies: a rebuild under an existing
-        name MUST evict that name's decoded-partition cache entries and
-        zone-memo rows — both are keyed ``(replica_name, pid)``, and the
-        rebuilt replica's partition ``pid`` generally holds different
-        records in a different box, so a stale hit would silently serve
-        the old replica's data.  Returns the displaced replica.
-        """
-        with self._replicas_lock:
-            old = self.replica(replica.name)
-            if self._faults is not None:
-                replica.attach_fault_injector(self._faults)
-            self._replicas = {**self._replicas, replica.name: replica}
-        self._forget_replica_state(replica.name, op="swap")
-        return old
-
-    def _forget_replica_state(self, name: str, op: str) -> None:
-        """Drop every piece of memoized per-replica read state: cache
-        entries and zone-memo rows keyed on ``(name, pid)``."""
         if self._cache is not None:
-            self._cache.invalidate_replica(name)
-        for key in [k for k in self._zone_info if k[0] == name]:
-            self._zone_info.pop(key, None)
+            self._cache.invalidate_replica(stored.serial)
         if self._obs is not None:
             self._obs.metrics.counter(
                 "repro_replica_changes_total",
-                labels={"op": op, "replica": name}).inc()
+                labels={"op": "retire", "replica": name}).inc()
+        return stored
 
     def total_storage_bytes(self) -> int:
         """``Storage(R)`` over all registered replicas (Definition 5)."""
@@ -712,7 +678,7 @@ class BlotStore(ReadSurface):
             if self._faults is not None:
                 self._faults.heal_partition(target.name, result.partition_id)
             if self._cache is not None:
-                self._cache.invalidate((target.name, result.partition_id))
+                self._cache.invalidate((target.serial, result.partition_id))
         return None
 
     def _plan(self, stored: StoredReplica, read: _Read,
@@ -724,8 +690,8 @@ class BlotStore(ReadSurface):
         answered without reading anything.
 
         The involved partitions come from ``read.routed`` when routing
-        priced this very replica object (a replica swapped in under the
-        same name is planned on its own boxes), else from one
+        priced this very replica object (a replica re-registered under
+        the same name is planned on its own boxes), else from one
         intersection pass.
 
         The records fold reads every involved partition.  The counting
@@ -788,7 +754,7 @@ class BlotStore(ReadSurface):
                     stored, read)
             except PartitionReadError as err:
                 failed[k] = err
-                self._note_read_failure(err, acct)
+                self._note_read_failure(stored, err, acct)
                 pids, inside, n_involved, from_metadata = (), (), 0, 0
             plans.append((n_involved, from_metadata))
             for pid, whole in zip(pids, inside):
@@ -833,7 +799,7 @@ class BlotStore(ReadSurface):
                 continue
             if isinstance(outcome, PartitionReadError):
                 acct.retries += outcome.attempts - 1
-                self._note_read_failure(outcome, acct)
+                self._note_read_failure(stored, outcome, acct)
                 continue
             nbytes, retries, answers = outcome
             acct.bytes_read += nbytes
@@ -901,19 +867,20 @@ class BlotStore(ReadSurface):
             fault = InjectedFault(stored.name, pid, scope="replica")
             raise PartitionReadError(stored.name, pid, fault) from fault
 
-    def _note_read_failure(self, err: PartitionReadError,
+    def _note_read_failure(self, stored: StoredReplica,
+                           err: PartitionReadError,
                            acct: _Accounting) -> None:
-        """Invalidate the cache entries a failed read makes suspect — the
-        whole replica on a replica-level outage, the single unit
-        otherwise — and remember replicas observed down."""
+        """Invalidate the cache entries a failed read of ``stored`` makes
+        suspect — the whole replica on a replica-level outage, the single
+        unit otherwise — and remember replicas observed down."""
         if err.replica_failed:
             acct.failed_replicas.add(err.replica_name)
         if self._cache is None:
             return
         if err.replica_failed:
-            self._cache.invalidate_replica(err.replica_name)
+            self._cache.invalidate_replica(stored.serial)
         elif err.partition_id is not None:
-            self._cache.invalidate((err.replica_name, err.partition_id))
+            self._cache.invalidate((stored.serial, err.partition_id))
 
     def _scan_unit(self, stored: StoredReplica, pid: int,
                    asks: list[ReadRequest], contained: list[bool],
@@ -941,10 +908,10 @@ class BlotStore(ReadSurface):
         if key is None:
             return None
         self._check_replica_up(stored, pid)
-        slot = (stored.name, pid)
+        slot = (stored.serial, pid)
         use_cache = self._cache is not None and opts.use_cache
         if use_cache:
-            pruned = self._pruned(self._zone_info.get(slot), asks, contained)
+            pruned = self._pruned(stored.zone_memo.get(pid), asks, contained)
             if all(pruned):
                 self._bump("repro_partitions_pruned_total", len(asks))
                 rec.event("prune", parent=scan_span, source="zone-memo")
@@ -962,7 +929,7 @@ class BlotStore(ReadSurface):
             reader = stored.encoding.open(blob, self._decode_tel)
             zones = ((reader.zone("x"), reader.zone("y"), reader.zone("t"))
                      if reader.lazy else None)
-            self._zone_info[slot] = zones
+            stored.zone_memo[pid] = zones
             answers, consulted = self._evaluate(
                 reader, asks, contained, self._pruned(zones, asks, contained))
             full = None

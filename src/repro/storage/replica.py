@@ -8,6 +8,7 @@ order the columnar delta encodings exploit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.geometry import Box3
 from repro.partition.base import Partitioning, PartitioningScheme
 from repro.storage.unit import UnitStore
 
+_SERIALS = itertools.count()
+
 
 @dataclass(frozen=True)
 class StoredReplica:
@@ -27,6 +30,14 @@ class StoredReplica:
     ``unit_keys[i]`` addresses the storage unit holding data partition
     ``i``; partitions with zero records have no unit (key ``None``).
     Every unit is encoded by the one ``encoding``.
+
+    Each object carries a process-unique ``serial`` and a ``zone_memo``
+    (``pid -> (x, y, t) zones``, or None for formats without zone maps).
+    The engine keys its read memos by them, so what one replica object
+    decoded is never served for another, even one under the same name.
+    Zones describe a partition's records, which a repair restores
+    unchanged, so the zone memo is never invalidated; concurrent scans
+    only get and set single keys, which the GIL keeps atomic.
     """
 
     name: str
@@ -42,6 +53,8 @@ class StoredReplica:
                 f"{self.partitioning.n_partitions} partitions"
             )
         object.__setattr__(self, "_profile_cache", {})
+        object.__setattr__(self, "serial", next(_SERIALS))
+        object.__setattr__(self, "zone_memo", {})
         object.__setattr__(self, "fault_injector", None)
 
     @property

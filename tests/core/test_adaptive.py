@@ -6,32 +6,18 @@ ids stay stable."""
 import numpy as np
 import pytest
 
-from repro.cluster import cost_model_for, make_cluster
-from repro.core import AdvisorConfig, QueryLogger, ReplicaAdvisor
+from repro.core import QueryLogger
 from repro.data import synthetic_shanghai_taxis
-from repro.encoding import paper_encoding_schemes
-from repro.partition import small_partitioning_schemes
 from repro.workload import Query
 
 
 @pytest.fixture(scope="module")
-def advisor():
-    sample = synthetic_shanghai_taxis(5000, seed=67, num_taxis=16)
-    cluster = make_cluster("amazon-s3-emr", seed=23)
-    model = cost_model_for(
-        cluster, [s.name for s in paper_encoding_schemes()],
-        sizes=(5_000, 50_000, 200_000),
-    )
-    return ReplicaAdvisor(
-        sample,
-        small_partitioning_schemes((4, 16, 64, 256), (4, 16, 64)),
-        paper_encoding_schemes(),
-        model,
-        AdvisorConfig(n_records=65_000_000),
-    )
+def universe():
+    return synthetic_shanghai_taxis(5000, seed=67,
+                                    num_taxis=16).bounding_box()
 
 
-def queries_of_fraction(universe, frac, n, rng, weight_jitter=False):
+def queries_of_fraction(universe, frac, n, rng):
     out = []
     for _ in range(n):
         w, h, t = universe.width * frac, universe.height * frac, universe.duration * frac
@@ -49,30 +35,30 @@ class TestQueryLogger:
         with pytest.raises(ValueError, match="empty"):
             QueryLogger().to_workload()
 
-    def test_grouping_by_extent(self, advisor):
+    def test_grouping_by_extent(self, universe):
         log = QueryLogger()
         rng = np.random.default_rng(0)
-        for q in queries_of_fraction(advisor.universe, 0.1, 5, rng):
+        for q in queries_of_fraction(universe, 0.1, 5, rng):
             log.record(q)
-        for q in queries_of_fraction(advisor.universe, 0.4, 3, rng):
+        for q in queries_of_fraction(universe, 0.4, 3, rng):
             log.record(q)
         w = log.to_workload()
         assert len(w) == 2
         assert sorted(w.weights()) == [3.0, 5.0]
 
-    def test_clustering_caps_size(self, advisor):
+    def test_clustering_caps_size(self, universe):
         log = QueryLogger()
         rng = np.random.default_rng(1)
         for i in range(40):
             frac = 0.01 * (i + 1)
-            log.record(queries_of_fraction(advisor.universe, frac, 1, rng)[0])
+            log.record(queries_of_fraction(universe, frac, 1, rng)[0])
         w = log.to_workload(max_grouped_queries=8, rng=np.random.default_rng(2))
         assert len(w) == 8
         assert w.total_weight() == pytest.approx(40.0)
 
-    def test_clear(self, advisor):
+    def test_clear(self, universe):
         log = QueryLogger()
-        log.record(queries_of_fraction(advisor.universe, 0.1, 1,
+        log.record(queries_of_fraction(universe, 0.1, 1,
                                        np.random.default_rng(0))[0])
         assert len(log) == 1
         log.clear()

@@ -1,12 +1,18 @@
-"""Hot replica retire/swap: memoized read state must not survive.
+"""Hot replica retire + re-register: read memos must not cross replicas.
 
 The regression this file pins: the decoded-partition cache and the
-zone-prune memo are both keyed ``(replica_name, pid)``, and before the
-fix nothing evicted either when a replica was rebuilt under its old
-name.  A rebuilt replica generally partitions the dataset differently,
-so a stale hit pairs the *old* replica's partition contents with the
-*new* replica's partition boxes — silently wrong query results.
+zone-prune memo used to be keyed ``(replica_name, pid)`` and kept valid
+by evicting a name's keys when it was retired.  A read that was still
+scanning the retired replica then wrote its partitions back under the
+name, and a replica re-registered under that name — which generally
+partitions the dataset differently — was served the old replica's
+partition contents or pruned by its zone bounds: silently wrong
+answers.  The memos now belong to the replica object
+(``StoredReplica.serial`` / ``zone_memo``), so a late writer can only
+write where no live replica reads.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +26,12 @@ from repro.storage import (
     InMemoryStore,
     StoredReplica,
     build_replica,
+)
+from repro.verify import (
+    datasets_identical,
+    edge_pinned_boxes,
+    oracle_answer,
+    random_boxes,
 )
 from repro.workload import Query, Workload
 
@@ -59,50 +71,157 @@ def pairs(records):
     return sorted(zip(records.column("oid"), records.column("t")))
 
 
-class TestSwapReplica:
-    def test_swap_invalidates_cache_and_zone_memo(self, ds, store):
+def rebuild(ds, old, leaves, slices):
+    """``old``'s name and encoding over a different kd partitioning."""
+    return build_replica(
+        ds, CompositeScheme(KdTreePartitioner(leaves), slices),
+        old.encoding, InMemoryStore(), name=old.name)
+
+
+def reregister(store, rebuilt):
+    """Replace the same-name replica: retire it, register ``rebuilt``."""
+    old = store.retire_replica(rebuilt.name)
+    store.register_replica(rebuilt)
+    return old
+
+
+def holds_nothing_of(store, old):
+    """The retired replica object has no decoded partition cached."""
+    cache = store.partition_cache
+    return all(cache.get((old.serial, pid)) is None
+               for pid in range(old.n_partitions))
+
+
+class TestReregisterReplica:
+    def test_rebuilt_replica_misses_the_cache(self, ds, store):
         q = mid_query(ds)
         store.query(q, replica="hot")                    # populate
         warm = store.query(q, replica="hot")
         assert warm.stats.bytes_read == 0                # served from cache
-        assert any(k[0] == "hot" for k in store._zone_info)
 
-        rebuilt = build_replica(
-            ds, CompositeScheme(KdTreePartitioner(16), 2),
-            encoding_scheme_by_name("COL-GZIP"), InMemoryStore(),
-            name="hot")
-        displaced = store.swap_replica(rebuilt)
+        rebuilt = rebuild(ds, store.replica("hot"), 16, 2)
+        displaced = reregister(store, rebuilt)
         assert displaced.n_partitions == 8               # the old KD4xT2
+        assert rebuilt.serial != displaced.serial
+        assert holds_nothing_of(store, displaced)
 
-        # Every (hot, pid) cache entry and zone-memo row is gone...
-        assert store.partition_cache.get(("hot", 0)) is None
-        assert store.partition_cache.stats().invalidations > 0
-        assert not any(k[0] == "hot" for k in store._zone_info)
-
-        # ...so the next read misses the cache, re-fetches the rebuilt
-        # replica's units, and stays bit-equal to the oracle.
+        # The rebuilt replica misses the cache, fetches its own units,
+        # and stays bit-equal to the oracle.
         res = store.query(q, replica="hot")
         assert res.stats.bytes_read > 0
-        assert pairs(res.records) == pairs(ds.filter_box(q.box()))
+        assert datasets_identical(res.records, oracle_answer(ds, q.box()))
 
-    def test_swap_unknown_name_rejected(self, ds, store):
-        stranger = build_replica(
-            ds, CompositeScheme(KdTreePartitioner(4), 2),
-            encoding_scheme_by_name("COL-GZIP"), InMemoryStore(),
-            name="never-registered")
-        with pytest.raises(KeyError):
-            store.swap_replica(stranger)
-
-    def test_other_replicas_cache_survives_a_swap(self, ds, store):
+    def test_other_replicas_cache_survives(self, ds, store):
         q = mid_query(ds)
         store.query(q, replica="cold")
-        rebuilt = build_replica(
-            ds, CompositeScheme(KdTreePartitioner(16), 2),
-            encoding_scheme_by_name("COL-GZIP"), InMemoryStore(),
-            name="hot")
-        store.swap_replica(rebuilt)
+        reregister(store, rebuild(ds, store.replica("hot"), 16, 2))
         warm = store.query(q, replica="cold")
         assert warm.stats.bytes_read == 0                # still cached
+
+    def test_a_replaced_copy_is_a_new_replica_object(self, ds, store):
+        """A shard's masked view (``dataclasses.replace``) may hold other
+        units: it gets its own serial and an empty zone memo."""
+        hot = store.replica("hot")
+        store.query(mid_query(ds), replica="hot")
+        assert hot.zone_memo
+        copy = replace(hot, unit_keys=hot.unit_keys)
+        assert copy.serial != hot.serial
+        assert copy.zone_memo == {}
+
+
+def reregister_on_first_fetch(monkeypatch, store, ds, names, leaves,
+                              slices):
+    """Wrap the unit stores of the ``names`` replicas: the first unit
+    fetch from one of them retires that replica and registers a rebuild
+    of it under the same name, then returns the fetched unit — so the
+    read that fetched it goes on decoding the retired replica.  Returns
+    the list the ``(old, rebuilt)`` pair is appended to."""
+    fired = []
+    for name in names:
+        old = store.replica(name)
+        get_view = old.store.get_view
+
+        def fetch(key, old=old, get_view=get_view):
+            if not fired:
+                rebuilt = rebuild(ds, old, leaves, slices)
+                assert rebuilt.n_partitions != old.n_partitions
+                fired.append((reregister(store, rebuilt), rebuilt))
+            return get_view(key)
+
+        monkeypatch.setattr(old.store, "get_view", fetch)
+    return fired
+
+
+def read_in_flight(store, call, q, replica):
+    """One read of ``q`` through ``call``: (records or count) — pinned
+    to ``replica`` unless that is None."""
+    if call == "query":
+        return store.query(q, replica=replica).records
+    if call == "count":
+        return store.count(q, replica=replica)[0]
+    workload = Workload([(q, 1.0)])
+    plan = store.route_workload(workload)
+    if replica is not None:
+        plan = replace(plan, assignments=np.full(
+            1, plan.replica_names.index(replica), dtype=np.intp))
+    (result,) = store.execute_workload(workload, plan=plan).results
+    return result.records
+
+
+def assert_oracle_equal(ds, q, got):
+    want = oracle_answer(ds, q.box())
+    if isinstance(got, int):
+        assert got == len(want)
+    else:
+        assert datasets_identical(got, want)
+
+
+def assert_reads_after_oracle_equal(ds, store, name, seed):
+    """Every box of a random + partition-face-pinned set, read pinned to
+    ``name``: a stale cache hit *or* a stale zone-memo prune shows."""
+    rebuilt = store.replica(name)
+    boxes = random_boxes(ds, 24, seed)
+    boxes += edge_pinned_boxes(ds, rebuilt.partitioning.boxes())
+    for box in boxes:
+        got = store.query(box, replica=name).records
+        assert datasets_identical(got, oracle_answer(ds, box)), box
+
+
+CALLS = ("query", "count", "execute_workload")
+
+
+class TestReregisterDuringARead:
+    """A retire + re-register landing *inside* a read's unit fetch: the
+    in-flight read finishes on the replica it was planned on, and every
+    read after it sees only the rebuilt replica."""
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_pinned_read(self, ds, store, monkeypatch, call):
+        """``hot`` rebuilt with more partitions inside a pinned read:
+        the read and every read after it are oracle-equal."""
+        fired = reregister_on_first_fetch(monkeypatch, store, ds, ["hot"],
+                                          16, 2)
+        q = mid_query(ds)
+        assert_oracle_equal(ds, q, read_in_flight(store, call, q, "hot"))
+        (_, rebuilt), = fired
+        assert store.replica("hot") is rebuilt
+        assert_reads_after_oracle_equal(ds, store, "hot", seed=7)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_routed_read(self, ds, store, monkeypatch, call):
+        """Whichever replica a routed read is served by is rebuilt
+        under its name with a different partitioning mid-read."""
+        fired = reregister_on_first_fetch(monkeypatch, store, ds,
+                                          ["hot", "cold"], 2, 8)
+        q = mid_query(ds, frac=0.6)
+        assert_oracle_equal(ds, q, read_in_flight(store, call, q, None))
+        (old, rebuilt), = fired
+        assert store.replica(old.name) is rebuilt
+        assert_reads_after_oracle_equal(ds, store, old.name, seed=11)
+        # Routed reads over the new set agree too.
+        for box in random_boxes(ds, 8, 13):
+            got = store.query(box).records
+            assert datasets_identical(got, oracle_answer(ds, box))
 
 
 class TestRetireReplica:
@@ -112,11 +231,10 @@ class TestRetireReplica:
         retired = store.retire_replica("cold")
         assert retired.name == "cold"
         assert store.replica_names() == ["hot"]
-        assert store.partition_cache.get(("cold", 0)) is None
-        assert not any(k[0] == "cold" for k in store._zone_info)
+        assert holds_nothing_of(store, retired)
         # Reads keep working against the survivor.
         res = store.query(q)
-        assert pairs(res.records) == pairs(ds.filter_box(q.box()))
+        assert datasets_identical(res.records, oracle_answer(ds, q.box()))
 
     def test_cannot_retire_last_replica(self, store):
         store.retire_replica("cold")

@@ -27,13 +27,17 @@ def assert_conserved(cache):
     assert s.entries == s.inserts - s.evictions - s.invalidations
 
 
+# Keys are ``(StoredReplica.serial, partition_id)``; serials 0, 1 and 2
+# stand for three replicas.
+
+
 class TestPartitionCache:
     def test_miss_then_hit(self):
         cache = PartitionCache(10_000)
-        assert cache.get(("r", 0)) is None
+        assert cache.get((0, 0)) is None
         ds = dataset_of(5)
-        cache.put(("r", 0), ds)
-        assert cache.get(("r", 0)) is ds
+        cache.put((0, 0), ds)
+        assert cache.get((0, 0)) is ds
         s = cache.stats()
         assert (s.hits, s.misses) == (1, 1)
         assert s.hit_rate == 0.5
@@ -41,25 +45,25 @@ class TestPartitionCache:
 
     def test_keys_namespaced_by_replica(self):
         cache = PartitionCache(10_000)
-        cache.put(("a", 7), dataset_of(3))
-        assert cache.get(("b", 7)) is None
+        cache.put((1, 7), dataset_of(3))
+        assert cache.get((2, 7)) is None
 
     def test_lru_eviction_order(self):
         cache = PartitionCache(3 * ROW_BYTES)
-        cache.put(("r", 0), dataset_of(1))
-        cache.put(("r", 1), dataset_of(1))
-        cache.put(("r", 2), dataset_of(1))
-        cache.get(("r", 0))  # refresh 0: 1 is now least recently used
-        cache.put(("r", 3), dataset_of(1))
-        assert cache.get(("r", 1)) is None
-        assert cache.get(("r", 0)) is not None
-        assert cache.get(("r", 3)) is not None
+        cache.put((0, 0), dataset_of(1))
+        cache.put((0, 1), dataset_of(1))
+        cache.put((0, 2), dataset_of(1))
+        cache.get((0, 0))  # refresh 0: 1 is now least recently used
+        cache.put((0, 3), dataset_of(1))
+        assert cache.get((0, 1)) is None
+        assert cache.get((0, 0)) is not None
+        assert cache.get((0, 3)) is not None
         assert cache.stats().evictions == 1
 
     def test_byte_budget_respected(self):
         cache = PartitionCache(10 * ROW_BYTES)
         for pid in range(50):
-            cache.put(("r", pid), dataset_of(2))
+            cache.put((0, pid), dataset_of(2))
         s = cache.stats()
         assert s.current_bytes <= cache.capacity_bytes
         assert s.entries == 5
@@ -69,17 +73,17 @@ class TestPartitionCache:
 
     def test_oversized_entry_not_cached(self):
         cache = PartitionCache(ROW_BYTES)
-        cache.put(("r", 0), dataset_of(100))
+        cache.put((0, 0), dataset_of(100))
         assert len(cache) == 0
-        assert cache.get(("r", 0)) is None
+        assert cache.get((0, 0)) is None
         # A rejected put is not an insert: conservation still holds.
         assert cache.stats().inserts == 0
         assert_conserved(cache)
 
     def test_reinsert_replaces_bytes(self):
         cache = PartitionCache(100 * ROW_BYTES)
-        cache.put(("r", 0), dataset_of(10))
-        cache.put(("r", 0), dataset_of(20))
+        cache.put((0, 0), dataset_of(10))
+        cache.put((0, 0), dataset_of(20))
         assert cache.stats().current_bytes == dataset_of(20).binary_size_bytes()
         assert len(cache) == 1
         # Refreshing a resident key is not a second insert.
@@ -88,19 +92,19 @@ class TestPartitionCache:
 
     def test_invalidate_replica(self):
         cache = PartitionCache(100 * ROW_BYTES)
-        cache.put(("a", 0), dataset_of(1))
-        cache.put(("a", 1), dataset_of(1))
-        cache.put(("b", 0), dataset_of(1))
-        assert cache.invalidate_replica("a") == 2
-        assert cache.get(("b", 0)) is not None
-        assert cache.get(("a", 0)) is None
+        cache.put((1, 0), dataset_of(1))
+        cache.put((1, 1), dataset_of(1))
+        cache.put((2, 0), dataset_of(1))
+        assert cache.invalidate_replica(1) == 2
+        assert cache.get((2, 0)) is not None
+        assert cache.get((1, 0)) is None
         assert cache.stats().invalidations == 2
         assert_conserved(cache)
 
     def test_clear_keeps_counters(self):
         cache = PartitionCache(100 * ROW_BYTES)
-        cache.put(("r", 0), dataset_of(1))
-        cache.get(("r", 0))
+        cache.put((0, 0), dataset_of(1))
+        cache.get((0, 0))
         cache.clear()
         s = cache.stats()
         assert s.entries == 0 and s.current_bytes == 0
@@ -120,7 +124,7 @@ class TestPartitionCache:
         def worker(base):
             try:
                 for i in range(200):
-                    key = ("r", (base + i) % 30)
+                    key = (0, (base + i) % 30)
                     if cache.get(key) is None:
                         cache.put(key, dataset_of(1))
             except Exception as exc:  # pragma: no cover
@@ -140,11 +144,11 @@ class TestPartitionCache:
     def test_conservation_through_every_drop_path(self):
         cache = PartitionCache(5 * ROW_BYTES)
         for pid in range(8):          # 3 evictions
-            cache.put(("a", pid), dataset_of(1))
-        cache.put(("b", 0), dataset_of(1))   # evicts one more
-        cache.invalidate(("a", 7))            # 1 invalidation
-        cache.invalidate(("a", 7))            # no-op: already gone
-        cache.invalidate_replica("b")         # 1 invalidation
+            cache.put((1, pid), dataset_of(1))
+        cache.put((2, 0), dataset_of(1))   # evicts one more
+        cache.invalidate((1, 7))            # 1 invalidation
+        cache.invalidate((1, 7))            # no-op: already gone
+        cache.invalidate_replica(2)         # 1 invalidation
         assert_conserved(cache)
         cache.clear()                         # the rest become invalidations
         s = cache.stats()
@@ -159,10 +163,10 @@ class TestPartitionCache:
         metrics = MetricsRegistry()
         cache = PartitionCache(5 * ROW_BYTES, metrics=metrics)
         for pid in range(8):
-            cache.put(("r", pid), dataset_of(1))
-        cache.get(("r", 7))
-        cache.get(("r", 0))   # evicted: a miss
-        cache.invalidate(("r", 7))
+            cache.put((0, pid), dataset_of(1))
+        cache.get((0, 7))
+        cache.get((0, 0))   # evicted: a miss
+        cache.invalidate((0, 7))
         s = cache.stats()
         assert metrics.counter_value("repro_cache_hits_total") == s.hits
         assert metrics.counter_value("repro_cache_misses_total") == s.misses
@@ -175,9 +179,9 @@ class TestPartitionCache:
         from repro.obs import MetricsRegistry
 
         cache = PartitionCache(100 * ROW_BYTES)
-        cache.put(("r", 0), dataset_of(1))
-        cache.get(("r", 0))
-        cache.get(("r", 1))
+        cache.put((0, 0), dataset_of(1))
+        cache.get((0, 0))
+        cache.get((0, 1))
         metrics = MetricsRegistry()
         cache.bind_metrics(metrics)
         assert metrics.counter_value("repro_cache_hits_total") == 1

@@ -1,8 +1,8 @@
 """The plan stage reads a routed request's involved partitions off the
 intersect masks its Eq. 7 ranking priced it with.  These tests fail if
-that memo is wrong: stale after a same-name swap, reused for a box it
-was not computed on, or out of step with a brute-force sweep of the
-replica's partition boxes.
+that memo is wrong: stale after a same-name re-register, reused for a
+box it was not computed on, or out of step with a brute-force sweep of
+the replica's partition boxes.
 """
 
 import numpy as np
@@ -160,7 +160,7 @@ class TestPlanMatchesBruteForce:
 
 class TestMemoIsKeyedByReplicaObject:
     def test_swap_between_routing_and_scan_plans_on_new_boxes(self, ds):
-        """A read routed on a replica that ``swap_replica`` replaces
+        """A read routed on a replica that is retired and re-registered
         (same name, new partitioning) before its scan must be planned on
         the new replica's boxes — a memo keyed by name would hand it
         the old replica's partition ids."""
@@ -182,7 +182,8 @@ class TestMemoIsKeyedByReplicaObject:
                 encoding_scheme_by_name("ROW-PLAIN"), InMemoryStore(),
                 name=name)
             assert new.n_partitions != old.n_partitions
-            store.swap_replica(new)
+            store.retire_replica(name)
+            store.register_replica(new)
             swapped["old"], swapped["new"] = old, new
             return reads, plan
 

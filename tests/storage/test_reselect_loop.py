@@ -51,8 +51,7 @@ class TestDriftReselectSwapLoop:
             ds, 7, cache_bytes=1 << 25,
             config=ReselectionConfig(min_queries=MIN_QUERIES))
         store, controller = scenario.store, scenario.controller
-        # Probes were bit-equal after the baseline phase and after the
-        # swap (cache was invalidated for any retired replica).
+        # Probes were bit-equal after the baseline phase and the swap.
         assert verified
         applied = [u for u in controller.audit_log if u.action == "applied"]
         assert applied, (
@@ -114,7 +113,8 @@ class TestDriftReselectSwapLoop:
         cannot be added alongside the incumbent — the apply path must
         install it first and then retire the displaced replica."""
         store, controller, obs, bb = make_loop(ds, copies=1)
-        incumbent = list(store.replica_names())
+        incumbent = {name: store.replica(name)
+                     for name in store.replica_names()}
         rng = np.random.default_rng(13)
         probes, oracles = probe_set(ds, rng, n=2, frac=0.2)
         for _ in range(MIN_QUERIES):
@@ -127,10 +127,12 @@ class TestDriftReselectSwapLoop:
         assert update.candidate_cost < update.incumbent_cost
         serving = store.replica_names()
         assert not set(serving) & set(update.retired)
-        # Retired replicas' memoized read state must be gone...
+        # Retired replicas' cached partitions are freed...
+        cache = store.partition_cache
         for name in update.retired:
-            assert store.partition_cache.get((name, 0)) is None
-            assert not any(k[0] == name for k in store._zone_info)
+            old = incumbent[name]
+            assert all(cache.get((old.serial, pid)) is None
+                       for pid in range(old.n_partitions))
         # ...and reads against the survivor set stay bit-equal.
         assert probes_bit_equal(store, probes, oracles)
         store.close()
