@@ -19,9 +19,11 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
+import numpy as np
+
 from repro.data.dataset import Dataset
-from repro.encoding.columnar import ColumnarBlob, decode_columns, encode_columns
-from repro.encoding.rowbin import decode_rows, encode_rows
+from repro.encoding.columnar import ColumnarBlob, decode_columns, encode_column_groups
+from repro.encoding.rowbin import decode_rows, encode_row_groups
 from repro.encoding.snappy import snappy_compress, snappy_decompress
 
 
@@ -94,10 +96,11 @@ class Lzma2Compression:
         return lzma.decompress(data, format=lzma.FORMAT_XZ)
 
 
-#: Layout name -> (encode, decode) over Datasets.
-_LAYOUTS: dict[str, tuple[Callable[[Dataset], bytes], Callable[[bytes], Dataset]]] = {
-    "ROW": (encode_rows, decode_rows),
-    "COL": (encode_columns, decode_columns),
+#: Layout name -> (encode groups, decode one blob).
+_LAYOUTS: dict[str, tuple[Callable[[Dataset, np.ndarray], list[bytes]],
+                          Callable[[bytes], Dataset]]] = {
+    "ROW": (encode_row_groups, decode_rows),
+    "COL": (encode_column_groups, decode_columns),
 }
 
 
@@ -177,9 +180,28 @@ class EncodingScheme:
         return self.layout == "COL"
 
     def encode(self, partition: Dataset) -> bytes:
-        """Physical bytes for one data partition."""
+        """Physical bytes for one data partition (the one-group case of
+        :meth:`encode_groups`)."""
+        return self.encode_groups(partition, (0, len(partition)))[0]
+
+    def encode_groups(self, dataset: Dataset, bounds) -> list[bytes]:
+        """Physical bytes of each group ``dataset[bounds[g]:bounds[g + 1]]``.
+
+        ``bounds`` starts at 0, ends at ``len(dataset)`` and never
+        decreases (a group may be empty).  A unit's bytes depend only on
+        its records: each entry equals :meth:`encode` of its group alone.
+        The layout runs once over all groups; compression is one call per
+        group.
+        """
+        edges = np.asarray(bounds, dtype=np.int64)
+        if (edges.ndim != 1 or edges.size < 2 or edges[0] != 0
+                or edges[-1] != len(dataset) or np.any(np.diff(edges) < 0)):
+            raise ValueError(
+                f"group bounds must run from 0 to {len(dataset)} "
+                f"without decreasing")
         encode, _ = _LAYOUTS[self.layout]
-        return self.compressor.compress(encode(partition))
+        compress = self.compressor.compress
+        return [compress(blob) for blob in encode(dataset, edges)]
 
     def decode(self, blob: bytes) -> Dataset:
         """Recover the partition's records from its physical bytes."""

@@ -45,18 +45,18 @@ vectorized varint/RLE kernels and accepts any buffer (``bytes``,
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.record import FIELDS
-from repro.encoding.rle import rle_decode_array, rle_encode_bytes
+from repro.encoding.rle import rle_decode_array, rle_encode_groups
 from repro.encoding.varint import (
     decode_svarint_np,
     decode_uvarint,
-    encode_svarint_array,
     encode_uvarint,
+    uvarint_stream,
+    zigzag_encode_np,
 )
 
 _MAGIC = b"BCOL"
@@ -95,13 +95,30 @@ _N_COLS = len(FIELDS)
 _ZONE_BYTES = _N_COLS * 2 * 8  # (min, max) float64 per column
 
 
-def _encode_int_delta(values: np.ndarray, out: bytearray) -> None:
+def _int_delta_groups(values: np.ndarray, bounds: np.ndarray) -> list[bytes]:
+    """Zigzag-varint deltas of each group ``values[bounds[g]:bounds[g+1]]``
+    from one pass over all groups: the delta restarts at every group
+    start, so a group's bytes are one slice of the batch emit."""
     v = values.astype(np.int64)
     deltas = np.empty_like(v)
-    if v.size:
-        deltas[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=deltas[1:])
-    encode_svarint_array(deltas, out)
+    np.subtract(v[1:], v[:-1], out=deltas[1:])
+    starts = bounds[:-1][bounds[:-1] < v.size]
+    deltas[starts] = v[starts]
+    encoded, offsets = uvarint_stream(zigzag_encode_np(deltas))
+    return _cut(encoded.tobytes(), offsets[bounds])
+
+
+def _cut(blob: bytes, edges: np.ndarray) -> list[bytes]:
+    """``blob`` split at ``edges`` (``len(edges) - 1`` pieces)."""
+    e = edges.tolist()
+    return [blob[lo:hi] for lo, hi in zip(e[:-1], e[1:])]
+
+
+def _every(ok: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per group: does ``ok`` hold for all of its values (True when empty)."""
+    failed = np.zeros(ok.size + 1, dtype=np.int64)
+    np.cumsum(~ok, out=failed[1:])
+    return failed[bounds[1:]] == failed[bounds[:-1]]
 
 
 def _decode_int_delta(
@@ -115,35 +132,42 @@ _PLANE_RAW = 0
 _PLANE_RLE = 1
 
 
-def _encode_xor_float(values: np.ndarray, out: bytearray) -> None:
-    if values.dtype == np.float64:
-        bits = values.view(np.uint64)
-        width = 8
-    elif values.dtype == np.float32:
-        bits = values.view(np.uint32)
-        width = 4
-    else:
+def _xor_float_groups(values: np.ndarray, bounds: np.ndarray) -> list[bytes]:
+    """XOR-float payload of each group, from one pass: the XOR with the
+    previous value restarts at every group start, and every byte plane of
+    every group is RLE-packed by one grouped call."""
+    if values.dtype not in (np.float64, np.float32):
         raise ValueError(f"XOR float encoding expects float column, got {values.dtype}")
+    width = values.dtype.itemsize
+    bits = values.view(f"u{width}")
+    n = bits.size
     xored = np.empty_like(bits)
-    if bits.size:
-        xored[0] = bits[0]
-        np.bitwise_xor(bits[1:], bits[:-1], out=xored[1:])
-    # Shuffle filter: transpose the (n, width) byte matrix so each output
-    # plane holds one byte of significance across all values.
-    planes = (
-        xored.astype(f"<u{width}").view(np.uint8).reshape(-1, width).T
-        if bits.size
-        else np.empty((width, 0), dtype=np.uint8)
-    )
-    for plane in planes:
-        raw = plane.tobytes()
-        packed = rle_encode_bytes(raw)
-        if len(packed) < len(raw):
-            out.append(_PLANE_RLE)
-            out += packed
-        else:
-            out.append(_PLANE_RAW)
-            out += raw
+    np.bitwise_xor(bits[1:], bits[:-1], out=xored[1:])
+    starts = bounds[:-1][bounds[:-1] < n]
+    xored[starts] = bits[starts]
+    # Shuffle filter: transpose the (n, width) byte matrix so each plane
+    # holds one byte of significance across all values; plane k of group
+    # g is flat[k * n + lo:k * n + hi].
+    flat = np.ascontiguousarray(
+        xored.astype(f"<u{width}").view(np.uint8).reshape(n, width).T).reshape(-1)
+    pieces = np.concatenate(
+        [np.add.outer(np.arange(width) * n, bounds[:-1]).reshape(-1), [width * n]])
+    packed = rle_encode_groups(flat, pieces)
+    raw = _cut(flat.tobytes(), pieces)
+    groups = len(bounds) - 1
+    payloads = []
+    for g in range(groups):
+        out = bytearray()
+        for k in range(width):
+            p, r = packed[k * groups + g], raw[k * groups + g]
+            if len(p) < len(r):
+                out.append(_PLANE_RLE)
+                out += p
+            else:
+                out.append(_PLANE_RAW)
+                out += r
+        payloads.append(bytes(out))
+    return payloads
 
 
 def _decode_xor_float(
@@ -181,63 +205,80 @@ def _decode_xor_float(
     return bits.astype(np.uint32).view(np.float32), pos
 
 
-def _scaled_fixed_point(values: np.ndarray, exponent: int) -> np.ndarray | None:
-    """Return int64 fixed-point mantissas when ``values * 10^exponent``
-    round-trips the column bit-for-bit, else None."""
-    if values.size == 0:
-        return np.empty(0, dtype=np.int64)
+def _scaled_fixed_point(
+    values: np.ndarray, exponent: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per value: the int64 fixed-point mantissa of ``values * 10^exponent``
+    and whether it round-trips the value bit-for-bit."""
     scale = 10.0 ** exponent
-    as64 = values.astype(np.float64)
-    if not np.all(np.isfinite(as64)):
-        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.round(as64 * scale)
-    # Stay below 2**52 so int64 -> float64 in the decoder is exact (this
-    # also rejects overflowed non-finite products).
-    if not np.all(np.abs(scaled) < 2**52):
-        return None
-    mantissas = scaled.astype(np.int64)
+        scaled = np.round(values.astype(np.float64) * scale)
+        # Stay below 2**52 so int64 -> float64 in the decoder is exact
+        # (this also rejects non-finite values and overflowed products).
+        exact = np.abs(scaled) < 2**52
+        mantissas = scaled.astype(np.int64)
+        back = (mantissas.astype(np.float64) / scale).astype(values.dtype)
     # Emulate the decoder exactly (int64 mantissas, not the float
-    # intermediate) and compare raw bytes: ``==`` would let -0.0 slip
+    # intermediate) and compare raw bits: ``==`` would let -0.0 slip
     # through and come back as +0.0, breaking bit-identical replicas.
-    back = (mantissas.astype(np.float64) / scale).astype(values.dtype)
-    if back.tobytes() != values.tobytes():
-        return None
-    return mantissas
+    bits = f"u{values.dtype.itemsize}"
+    exact &= back.view(bits) == values.view(bits)
+    return mantissas, exact
 
 
-def _encode_column(name: str, values: np.ndarray, out: bytearray) -> None:
-    """Append one column block: kind byte + payload."""
+def _column_groups(name: str, values: np.ndarray,
+                   bounds: np.ndarray) -> list[bytes]:
+    """One column block (kind byte + payload) per group.  Each group
+    takes the kind a lone encode of it would; every check and every kind
+    runs once, over all the groups it applies to."""
     dtype = values.dtype
     if dtype == np.uint8:
-        out.append(_KIND_RLE)
-        out += rle_encode_bytes(values)
-        return
+        head = bytes([_KIND_RLE])
+        return [head + b for b in rle_encode_groups(values, bounds)]
     if np.issubdtype(dtype, np.integer):
-        out.append(_KIND_SVARINT_DELTA)
-        _encode_int_delta(values, out)
-        return
+        head = bytes([_KIND_SVARINT_DELTA])
+        return [head + b for b in _int_delta_groups(values, bounds)]
+    blocks: list[bytes | None] = [None] * (len(bounds) - 1)
     # Float columns: prefer exact numeric deltas when every value is an
     # integral number representable in int64 (e.g. whole-second timestamps).
-    if dtype == np.float64 and values.size and np.all(values == np.floor(values)) \
-            and np.all(np.abs(values) < 2**62):
-        as_int = values.astype(np.int64)
+    if dtype == np.float64:
+        with np.errstate(invalid="ignore"):
+            as_int = values.astype(np.int64)
         # Bit-exact guard: the int64 round-trip drops the sign of -0.0,
-        # so only take this path when the raw bytes survive it.
-        if as_int.astype(np.float64).tobytes() == values.tobytes():
-            out.append(_KIND_IVARINT_DELTA)
-            _encode_int_delta(as_int, out)
-            return
+        # so only take this path when the raw bits survive it.
+        exact = ((values == np.floor(values)) & (np.abs(values) < 2**62)
+                 & (as_int.astype(np.float64).view(np.uint64)
+                    == values.view(np.uint64)))
+        _fill(blocks, bounds, _every(exact, bounds) & (np.diff(bounds) > 0),
+              bytes([_KIND_IVARINT_DELTA]), as_int, _int_delta_groups)
     exponent = _SCALE_HINTS.get(name)
     if exponent is not None:
-        mantissas = _scaled_fixed_point(values, exponent)
-        if mantissas is not None:
-            out.append(_KIND_SCALED_DELTA)
-            out.append(exponent)
-            _encode_int_delta(mantissas, out)
-            return
-    out.append(_KIND_XOR_FLOAT)
-    _encode_xor_float(values, out)
+        mantissas, exact = _scaled_fixed_point(values, exponent)
+        _fill(blocks, bounds, _every(exact, bounds),
+              bytes([_KIND_SCALED_DELTA, exponent]), mantissas,
+              _int_delta_groups)
+    _fill(blocks, bounds, np.ones(len(blocks), dtype=bool),
+          bytes([_KIND_XOR_FLOAT]), values, _xor_float_groups)
+    return blocks
+
+
+def _fill(blocks: list, bounds: np.ndarray, take: np.ndarray, head: bytes,
+          values: np.ndarray, encode) -> None:
+    """Give each group in ``take`` that has no block yet the block
+    ``head`` + ``encode`` of its ``values``, encoding those groups in one
+    call."""
+    take = take & np.array([b is None for b in blocks], dtype=bool)
+    if not take.any():
+        return
+    sizes = np.diff(bounds)
+    if not take.all():
+        values = values[np.repeat(take, sizes)]
+        sizes = sizes[take]
+    sub_bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=sub_bounds[1:])
+    for g, payload in zip(np.flatnonzero(take).tolist(),
+                          encode(values, sub_bounds)):
+        blocks[g] = head + payload
 
 
 def _decode_column(
@@ -274,52 +315,64 @@ def _decode_column(
     raise ValueError(f"unknown column block kind {kind} for column {name!r}")
 
 
-def _zone_map(dataset: Dataset) -> np.ndarray:
-    """Per-column (min, max) as a ``(n_cols, 2)`` float64 array.
+def _zone_maps(dataset: Dataset, bounds: np.ndarray) -> np.ndarray:
+    """Per group, per column (min, max) as a ``(groups, n_cols, 2)``
+    float64 array.
 
-    NaN bounds mean "unknown — never prune": empty partitions and all-NaN
-    float columns get them, and ``nanmin``/``nanmax`` keep a mixed
-    NaN/valid column's bounds tight over the valid values (rows with NaN
-    coordinates never match a box mask, so pruning on the valid range is
-    safe).
+    NaN bounds mean "unknown — never prune": empty groups and all-NaN
+    float columns get them, and the NaN-skipping ``fmin``/``fmax`` keep a
+    mixed NaN/valid column's bounds tight over the valid values (rows
+    with NaN coordinates never match a box mask, so pruning on the valid
+    range is safe).  ``np.nanmin`` is an ``fmin`` reduction, so one
+    ``reduceat`` over the non-empty groups gives each group's exact bounds.
     """
-    zones = np.full((_N_COLS, 2), np.nan, dtype=np.float64)
-    if len(dataset) == 0:
+    zones = np.full((len(bounds) - 1, _N_COLS, 2), np.nan, dtype=np.float64)
+    filled = np.flatnonzero(np.diff(bounds))
+    if filled.size == 0:
         return zones
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        for i, f in enumerate(FIELDS):
-            col = dataset.column(f.name)
-            if np.issubdtype(col.dtype, np.floating):
-                zones[i, 0] = np.nanmin(col)
-                zones[i, 1] = np.nanmax(col)
-            else:
-                zones[i, 0] = col.min()
-                zones[i, 1] = col.max()
+    starts = bounds[filled]
+    for i, f in enumerate(FIELDS):
+        col = dataset.column(f.name)
+        floating = np.issubdtype(col.dtype, np.floating)
+        lo, hi = (np.fmin, np.fmax) if floating else (np.minimum, np.maximum)
+        zones[filled, i, 0] = lo.reduceat(col, starts)
+        zones[filled, i, 1] = hi.reduceat(col, starts)
     return zones
+
+
+def encode_column_groups(dataset: Dataset, bounds: np.ndarray) -> list[bytes]:
+    """The v2 blob of each group ``dataset[bounds[g]:bounds[g + 1]]``.
+
+    ``bounds`` starts at 0, ends at ``len(dataset)`` and never decreases.
+    A group's blob depends only on its records — it equals
+    :func:`encode_columns` of the group alone — but every column is laid
+    out for all groups in one vectorized pass.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    columns = [_column_groups(f.name, dataset.column(f.name), bounds)
+               for f in FIELDS]
+    zones = _zone_maps(dataset, bounds)
+    blobs = []
+    for g, size in enumerate(np.diff(bounds).tolist()):
+        blocks = [column[g] for column in columns]
+        head = bytearray(_MAGIC)
+        head.append(_VERSION_V2)
+        encode_uvarint(size, head)
+        head += zones[g].tobytes()
+        for block in blocks:
+            encode_uvarint(len(block), head)
+        blobs.append(b"".join([head, *blocks]))
+    return blobs
 
 
 def encode_columns(dataset: Dataset) -> bytes:
     """Serialize a dataset in column-major order with per-column
-    encodings, in the v2 container (zone map + column directory).
-    The v1 layout is read-only: :class:`ColumnarBlob` still decodes
-    stores written before the directory existed.
+    encodings, in the v2 container (zone map + column directory): the
+    one-group case of :func:`encode_column_groups`.  The v1 layout is
+    read-only: :class:`ColumnarBlob` still decodes stores written before
+    the directory existed.
     """
-    out = bytearray()
-    out += _MAGIC
-    out.append(_VERSION_V2)
-    encode_uvarint(len(dataset), out)
-    body = bytearray()
-    lengths = []
-    for f in FIELDS:
-        start = len(body)
-        _encode_column(f.name, dataset.column(f.name), body)
-        lengths.append(len(body) - start)
-    out += _zone_map(dataset).tobytes()
-    for length in lengths:
-        encode_uvarint(length, out)
-    out += body
-    return bytes(out)
+    return encode_column_groups(dataset, np.array([0, len(dataset)]))[0]
 
 
 class ColumnarBlob:

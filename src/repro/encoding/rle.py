@@ -18,11 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.varint import (
-    _uvarint_byte_widths,
-    decode_uvarint,
-    encode_uvarint,
-)
+from repro.encoding.varint import decode_uvarint, encode_uvarint, uvarint_stream
 
 #: Absolute cap on decoded output when the caller does not know the
 #: expected size.  Run lengths are 64-bit varints, so corrupted input
@@ -37,39 +33,47 @@ def rle_encode_bytes(values: bytes | np.ndarray) -> bytes:
         arr = np.ascontiguousarray(values)
     else:
         arr = np.frombuffer(bytes(values), dtype=np.uint8)
-    out = bytearray()
-    if arr.size == 0:
-        encode_uvarint(0, out)
-        return bytes(out)
-    # Boundaries where the value changes.
-    change = np.flatnonzero(np.diff(arr)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [arr.size]))
-    n_runs = starts.shape[0]
-    encode_uvarint(n_runs, out)
-    run_values = arr[starts]
-    run_lengths = (ends - starts).astype(np.uint64)
+    return rle_encode_groups(arr, np.array([0, arr.size]))[0]
+
+
+def rle_encode_groups(values: np.ndarray, bounds: np.ndarray) -> list[bytes]:
+    """One RLE block per group ``values[bounds[i]:bounds[i + 1]]``.
+
+    ``bounds`` starts at 0, ends at ``len(values)`` and never decreases.
+    All groups share one pass: runs break where the value changes and at
+    every group start, every run serializes as its value byte plus its
+    varint length, and a group's block is its run count followed by the
+    slice of run records that fall inside it.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.uint8)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    n = arr.size
+    breaks = np.empty(n, dtype=bool)
+    if n:
+        breaks[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=breaks[1:])
+        breaks[bounds[bounds < n]] = True
+    starts = np.flatnonzero(breaks)
+    run_lengths = np.diff(starts, append=n).astype(np.uint64)
     # Each run serializes as 1 value byte + its varint run length.
-    vwidths = _uvarint_byte_widths(run_lengths)
-    rec_lengths = vwidths + 1
-    rec_starts = np.empty(n_runs, dtype=np.int64)
-    rec_starts[0] = 0
-    np.cumsum(rec_lengths[:-1], out=rec_starts[1:])
-    body = np.empty(int(rec_lengths.sum()), dtype=np.uint8)
-    body[rec_starts] = run_values
-    # Scatter the varint bytes: for each run, 7-bit chunks LSB-first.
-    total_vbytes = int(vwidths.sum())
-    v0 = np.empty(n_runs, dtype=np.int64)
-    v0[0] = 0
-    np.cumsum(vwidths[:-1], out=v0[1:])
-    within = np.arange(total_vbytes, dtype=np.int64) - np.repeat(v0, vwidths)
-    run_id = np.repeat(np.arange(n_runs, dtype=np.int64), vwidths)
-    positions = rec_starts[run_id] + 1 + within
-    chunks = (run_lengths[run_id] >> (within * 7).view(np.uint64)) & np.uint64(0x7F)
-    encoded = chunks.astype(np.uint8)
-    encoded[within < vwidths[run_id] - 1] |= 0x80
-    body[positions] = encoded
-    return bytes(out) + body.tobytes()
+    encoded, vstarts = uvarint_stream(run_lengths)
+    vwidths = np.diff(vstarts)
+    rec_starts = vstarts + np.arange(starts.size + 1)
+    body = np.empty(int(rec_starts[-1]), dtype=np.uint8)
+    body[rec_starts[:-1]] = arr[starts]
+    value_id = np.repeat(np.arange(starts.size), vwidths)
+    body[np.arange(encoded.size) + value_id + 1] = encoded
+    body = body.tobytes()
+    # Group g holds runs [first[g], first[g + 1]).
+    first = np.searchsorted(starts, bounds).tolist()
+    counts, cstarts = uvarint_stream(np.diff(first).astype(np.uint64))
+    counts = counts.tobytes()
+    cstarts = cstarts.tolist()
+    rec = rec_starts.tolist()
+    return [
+        counts[cstarts[g]:cstarts[g + 1]] + body[rec[first[g]]:rec[first[g + 1]]]
+        for g in range(len(first) - 1)
+    ]
 
 
 def rle_decode_array(

@@ -23,14 +23,25 @@ _ROW_DTYPE = np.dtype([(f.name, f.dtype.newbyteorder("<")) for f in FIELDS])
 ROW_BYTES = _ROW_DTYPE.itemsize
 
 
-def encode_rows(dataset: Dataset) -> bytes:
-    """Serialize a dataset as a packed row-major binary blob."""
-    n = len(dataset)
-    rows = np.empty(n, dtype=_ROW_DTYPE)
+def encode_row_groups(dataset: Dataset, bounds: np.ndarray) -> list[bytes]:
+    """The row blob of each group ``dataset[bounds[g]:bounds[g + 1]]``
+    (``bounds`` starts at 0, ends at ``len(dataset)``, never decreases),
+    sliced out of one structured array packed for all groups."""
+    rows = np.empty(len(dataset), dtype=_ROW_DTYPE)
     for f in FIELDS:
         rows[f.name] = dataset.column(f.name)
-    header = _MAGIC + bytes([_VERSION]) + n.to_bytes(8, "little")
-    return header + rows.tobytes()
+    edges = np.asarray(bounds).tolist()
+    return [
+        _MAGIC + bytes([_VERSION]) + (hi - lo).to_bytes(8, "little")
+        + rows[lo:hi].tobytes()
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+
+
+def encode_rows(dataset: Dataset) -> bytes:
+    """Serialize a dataset as a packed row-major binary blob (the
+    one-group case of :func:`encode_row_groups`)."""
+    return encode_row_groups(dataset, [0, len(dataset)])[0]
 
 
 def decode_rows(data: bytes) -> Dataset:

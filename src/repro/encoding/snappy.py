@@ -18,6 +18,10 @@ path); the decompressor accepts the full format including tag ``11``.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.encoding.varint import decode_uvarint, encode_uvarint
 
 _MIN_MATCH = 4
@@ -27,10 +31,19 @@ _HASH_SIZE = 1 << _HASH_BITS
 _HASH_MULT = 0x1E35A7BD
 
 
-def _hash4(data: bytes, i: int) -> int:
-    """Hash the 4 bytes at ``i`` into the match table index."""
-    v = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16) | (data[i + 3] << 24)
-    return ((v * _HASH_MULT) & 0xFFFFFFFF) >> (32 - _HASH_BITS)
+def _hash4_all(data: bytes) -> array:
+    """The match-table index of every 4-byte window of ``data``: entry
+    ``i`` hashes ``data[i:i + 4]`` read little-endian.  Computed in one
+    numpy pass (uint32 arithmetic wraps exactly like ``& 0xFFFFFFFF``)
+    and held as a compact ``array('H')`` the match loop indexes."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    v = b[:-3].astype(np.uint32)
+    v |= b[1:-2].astype(np.uint32) << 8
+    v |= b[2:-1].astype(np.uint32) << 16
+    v |= b[3:].astype(np.uint32) << 24
+    v *= np.uint32(_HASH_MULT)
+    v >>= 32 - _HASH_BITS
+    return array("H", v.astype(np.uint16).tobytes())
 
 
 def _emit_literal(data: bytes, start: int, end: int, out: bytearray) -> None:
@@ -88,12 +101,13 @@ def snappy_compress(data: bytes) -> bytes:
         _emit_literal(data, 0, n, out)
         return bytes(out)
 
+    hashes = _hash4_all(data)
     table = [-1] * _HASH_SIZE
     literal_start = 0
     i = 0
     limit = n - _MIN_MATCH
     while i <= limit:
-        h = _hash4(data, i)
+        h = hashes[i]
         candidate = table[h]
         table[h] = i
         if (
@@ -117,7 +131,7 @@ def snappy_compress(data: bytes) -> bytes:
             j = i + 1
             step = 1 if match_len < 16 else 4
             while j < min(end, limit):
-                table[_hash4(data, j)] = j
+                table[hashes[j]] = j
                 j += step
             i = end
             literal_start = end

@@ -252,22 +252,30 @@ def _uvarint_byte_widths(values: np.ndarray) -> np.ndarray:
     return widths
 
 
-def _emit_uvarints(values: np.ndarray, out: bytearray) -> None:
-    """Append the LEB128 bytes of a ``uint64`` array to ``out``."""
+def uvarint_stream(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LEB128 bytes of a ``uint64`` array and where each value sits.
+
+    Returns ``(encoded, starts)``: a ``uint8`` array and ``n + 1`` byte
+    offsets, value ``i`` being ``encoded[starts[i]:starts[i + 1]]`` — so
+    any run of consecutive values can be cut out of one batch emit.
+    """
     n = values.shape[0]
-    if n == 0:
-        return
     widths = _uvarint_byte_widths(values)
-    total = int(widths.sum())
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    np.cumsum(widths[:-1], out=starts[1:])
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(widths, out=starts[1:])
+    total = int(starts[-1])
     value_id = np.repeat(np.arange(n, dtype=np.int64), widths)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, widths)
+    offsets = np.arange(total, dtype=np.int64) - starts[:-1][value_id]
     chunks = values[value_id] >> (offsets * 7).view(np.uint64).astype(np.uint64)
     encoded = (chunks & np.uint64(0x7F)).astype(np.uint8)
     encoded[offsets < widths[value_id] - 1] |= 0x80
-    out += encoded.tobytes()
+    return encoded, starts
+
+
+def _emit_uvarints(values: np.ndarray, out: bytearray) -> None:
+    """Append the LEB128 bytes of a ``uint64`` array to ``out``."""
+    if values.shape[0]:
+        out += uvarint_stream(values)[0].tobytes()
 
 
 def encode_uvarint_array(values: np.ndarray | list[int], out: bytearray) -> None:

@@ -69,8 +69,7 @@ class Partitioning:
         counts: np.ndarray,
     ) -> "Partitioning":
         """Reconstruct a partitioning from persisted geometry + counts
-        (no per-record labels; :meth:`partition_indices`/:meth:`records_of`
-        are unavailable on such an instance)."""
+        (no per-record labels)."""
         return Partitioning(
             scheme_name=scheme_name,
             universe=universe,
@@ -91,14 +90,6 @@ class Partitioning:
         """Ids of partitions whose range intersects the query range —
         the partitions a BLOT system must scan (Section II-D)."""
         return np.flatnonzero(boxes_intersect_mask(self.box_array, query))
-
-    def partition_indices(self, partition_id: int) -> np.ndarray:
-        """Record indices belonging to one partition."""
-        return np.flatnonzero(self.labels == partition_id)
-
-    def records_of(self, dataset: Dataset, partition_id: int) -> Dataset:
-        """The data partition ``d_i = D(p_i)`` of the source dataset."""
-        return dataset.take(self.partition_indices(partition_id))
 
     def skew(self) -> float:
         """Max/mean partition size — 1.0 means perfectly non-skewed, the

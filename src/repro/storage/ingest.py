@@ -51,11 +51,13 @@ together with the segment GC (``docs/ingest.md``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import shutil
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -350,6 +352,9 @@ class IngestingBlotStore(ReadSurface):
                         if observability is not None else NULL_RECORDER)
 
         self._state = _Serving()
+        # Layers an in-flight read holds, by read token (see _reading).
+        self._readers: dict[int, tuple[SealedWindow, ...]] = {}
+        self._read_tokens = itertools.count()
         self._write = threading.Lock()       # writers: append, freeze, swap
         self._compact_lock = threading.Lock()
         self._bg_guard = threading.Lock()
@@ -508,8 +513,9 @@ class IngestingBlotStore(ReadSurface):
 
     def _collect_orphans(self) -> None:
         """Delete every replica-set directory that ``snapshot.json`` does
-        not name and this store does not serve: what a crashed or failed
-        compaction wrote but never committed, and superseded bases.
+        not name, this store does not serve and no in-flight read holds:
+        what a crashed or failed compaction wrote but never committed,
+        and superseded bases once their last reader is done.
         Callers hold ``_compact_lock`` (or own the store alone)."""
         if self._wal is None:
             return
@@ -517,6 +523,8 @@ class IngestingBlotStore(ReadSurface):
         keep = {os.path.join(self._wal.dir, d["dir"])
                 for d in [committed["base"], *committed["windows"]]}
         keep.update(layer.root for layer in self._state.layers)
+        for layers in tuple(self._readers.values()):
+            keep.update(layer.root for layer in layers)
         for prefix in (_BASE_PREFIX, _WINDOW_PREFIX):
             parent = os.path.join(self._wal.dir, os.path.dirname(prefix))
             for name in os.listdir(parent) if os.path.isdir(parent) else ():
@@ -525,6 +533,25 @@ class IngestingBlotStore(ReadSurface):
                     shutil.rmtree(path, ignore_errors=True)
 
     # -- state ------------------------------------------------------------
+
+    @contextmanager
+    def _reading(self):
+        """The serving state, held against :meth:`_collect_orphans` until
+        the block exits.  Its layers are registered first and the state
+        re-taken if a swap replaced them meanwhile: a collection that ran
+        before the registration may already have taken them, one that
+        runs after it keeps them.  No lock: a dict store and pop, which
+        the GIL keeps atomic."""
+        token = next(self._read_tokens)
+        state = self._state
+        self._readers[token] = state.layers
+        while self._state.layers is not state.layers:
+            state = self._state
+            self._readers[token] = state.layers
+        try:
+            yield state
+        finally:
+            del self._readers[token]
 
     def _install(self, state: _Serving) -> None:
         """Publish ``state`` as the serving state — the only assignment
@@ -556,9 +583,10 @@ class IngestingBlotStore(ReadSurface):
     def dataset(self) -> Dataset:
         """The full logical dataset (sealed windows + base + buffer),
         decoded from one replica of each on-disk layer."""
-        state = self._state
-        return Dataset.concat(
-            [*(layer.store.dataset for layer in state.layers), *state.delta])
+        with self._reading() as state:
+            return Dataset.concat(
+                [*(layer.store.dataset for layer in state.layers),
+                 *state.delta])
 
     def __len__(self) -> int:
         state = self._state
@@ -678,9 +706,8 @@ class IngestingBlotStore(ReadSurface):
     def _compact_once(self, mode: str) -> bool:
         """One rotate → fold → snapshot → swap cycle.  Caller holds
         ``_compact_lock`` (compactions are single-flight)."""
-        # A reader that took its state before the *previous* swap has had
-        # a whole compaction interval to finish: the base that swap
-        # superseded (and anything a failed attempt left) can go now.
+        # The base the previous swap superseded (and anything a failed
+        # attempt left) can go now, unless a read still holds it.
         self._collect_orphans()
         with self._write:
             state = self._state
@@ -834,27 +861,27 @@ class IngestingBlotStore(ReadSurface):
         A request any layer could not serve ends in that layer's
         :class:`DegradedReadError`.
         """
-        state = self._state
-        layers, delta = state.layers, state.delta
-        base = layers[-1]
-        answers: list[list[QueryResult]] = [[] for _ in requests]
-        errors: dict[int, DegradedReadError] = {}
-        layer_stats: list[WorkloadStats] = []
-        for layer in layers:
-            idxs = [i for i, r in enumerate(requests)
-                    if layer is base or layer.intersects(r.box)]
-            if not idxs and layer is not base:
-                continue
-            outcomes, layer_plan, stats = layer.store._execute(
-                [requests[i] for i in idxs], opts, batch=batch,
-                replica=replica, plan=plan if layer is base else None)
-            for i, outcome in zip(idxs, outcomes):
-                if isinstance(outcome, DegradedReadError):
-                    errors.setdefault(i, outcome)
-                else:
-                    answers[i].append(outcome)
-            if stats is not None:
-                layer_stats.append(stats)
+        with self._reading() as state:
+            layers, delta = state.layers, state.delta
+            base = layers[-1]
+            answers: list[list[QueryResult]] = [[] for _ in requests]
+            errors: dict[int, DegradedReadError] = {}
+            layer_stats: list[WorkloadStats] = []
+            for layer in layers:
+                idxs = [i for i, r in enumerate(requests)
+                        if layer is base or layer.intersects(r.box)]
+                if not idxs and layer is not base:
+                    continue
+                outcomes, layer_plan, stats = layer.store._execute(
+                    [requests[i] for i in idxs], opts, batch=batch,
+                    replica=replica, plan=plan if layer is base else None)
+                for i, outcome in zip(idxs, outcomes):
+                    if isinstance(outcome, DegradedReadError):
+                        errors.setdefault(i, outcome)
+                    else:
+                        answers[i].append(outcome)
+                if stats is not None:
+                    layer_stats.append(stats)
         plan = layer_plan
         buffered = self._scan_buffer(delta, requests, opts)
 

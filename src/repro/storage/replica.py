@@ -22,6 +22,12 @@ from repro.storage.unit import UnitStore
 
 _SERIALS = itertools.count()
 
+#: Records per :meth:`EncodingScheme.encode_groups` call in
+#: :func:`build_replica`: large enough to spread the per-call numpy
+#: overhead over many small partitions, small enough that a chunk's
+#: column copies stay a few hundred KiB.
+_CHUNK_RECORDS = 1 << 14
+
 
 @dataclass(frozen=True)
 class StoredReplica:
@@ -137,19 +143,39 @@ def build_replica(
     ``encoding`` and persist the units into ``store``.
 
     Records inside each partition are sorted by (t, oid) before encoding.
-    Unit keys are ``<replica-name>/part-<id>``.
+    Unit keys are ``<replica-name>/part-<id>``.  One stable sort orders
+    the records by partition, then (t, oid) — each partition's records
+    come out exactly as ``sorted_by_time`` orders them — and runs of
+    consecutive partitions are encoded together, about
+    ``_CHUNK_RECORDS`` records at a time.
     """
     partitioning = scheme.build(dataset, universe)
     replica_name = name or f"{scheme.name}/{encoding.name}"
-    keys: list[str | None] = []
-    for pid in range(partitioning.n_partitions):
-        part = partitioning.records_of(dataset, pid)
-        if len(part) == 0:
-            keys.append(None)
-            continue
-        key = f"{replica_name}/part-{pid:06d}"
-        store.put(key, encoding.encode(part.sorted_by_time()))
-        keys.append(key)
+    # Labels in the narrowest unsigned type: numpy sorts 8- and 16-bit
+    # keys by radix, several times faster than int64.
+    labels = partitioning.labels.astype(
+        np.min_scalar_type(partitioning.n_partitions))
+    order = np.lexsort((dataset.column("oid"), dataset.column("t"), labels))
+    counts = partitioning.counts
+    pids = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[pids]
+    starts = ends - counts[pids]
+    keys: list[str | None] = [None] * partitioning.n_partitions
+    i = 0
+    while i < pids.size:
+        # The partitions that end within one chunk of this one's start;
+        # a partition larger than a chunk is encoded on its own.
+        j = max(i + 1, int(np.searchsorted(
+            ends, starts[i] + _CHUNK_RECORDS, side="right")))
+        lo = int(starts[i])
+        chunk = dataset.take(order[lo:int(ends[j - 1])])
+        bounds = np.concatenate(([0], ends[i:j] - lo))
+        for pid, blob in zip(pids[i:j].tolist(),
+                             encoding.encode_groups(chunk, bounds)):
+            key = f"{replica_name}/part-{pid:06d}"
+            store.put(key, blob)
+            keys[pid] = key
+        i = j
     return StoredReplica(
         name=replica_name,
         partitioning=partitioning,

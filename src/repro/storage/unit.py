@@ -126,10 +126,14 @@ class DirectoryStore:
 
     def put(self, key: str, blob: bytes) -> None:
         path = self._path(key)
-        if os.path.exists(path):
-            raise DuplicateUnit(f"unit {key!r} already stored")
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as f:
+        # "x" creates the file or fails: no window between a check and the
+        # write in which a second writer could overwrite the unit.
+        try:
+            f = open(path, "xb")
+        except FileExistsError:
+            raise DuplicateUnit(f"unit {key!r} already stored") from None
+        with f:
             f.write(blob)
 
     def get(self, key: str) -> bytes:

@@ -3,16 +3,20 @@
 Hypothesis generates datasets with extreme values — NaN, ±inf, huge
 magnitudes, negative zero, empty columns — and every encoding scheme must
 round-trip them (the columnar codec's fixed-point and integral-delta fast
-paths must detect when they do not apply and fall back losslessly).
+paths must detect when they do not apply and fall back losslessly).  The
+grouped encoder must give every group exactly the bytes a lone encode of
+it gives, whichever fast path each group takes.
 """
 
+import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Dataset
+from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.data.record import FIELDS
 from repro.encoding import (
     all_encoding_schemes,
@@ -20,6 +24,7 @@ from repro.encoding import (
     decode_rows,
     encode_columns,
     encode_rows,
+    encoding_scheme_by_name,
 )
 
 _FLOAT64 = st.one_of(
@@ -61,6 +66,47 @@ def datasets(draw, max_size=40):
     return Dataset(cols)
 
 
+#: Values that take the columnar fast paths: integral float64 (the
+#: integral-delta kind) and decimals at each column's scale hint (the
+#: fixed-point kind).  Mixed with the adversarial values above, small
+#: groups land on every kind and large ones mostly fall back to XOR.
+_HINTED = {"x": 6, "y": 6, "speed": 1, "heading": 1, "odometer": 2}
+
+
+def _column_values(name, dtype):
+    wild = _FLOAT64 if dtype == np.float64 else _FLOAT32
+    integral = st.integers(-2**53, 2**53).map(float)
+    if name in _HINTED:
+        scale = 10 ** _HINTED[name]
+        tame = st.integers(-10**9, 10**9).map(lambda k: k / scale)
+    else:
+        tame = st.one_of(integral, st.sampled_from([2.0**62, 1.5e9 + 0.25]))
+    return st.one_of(tame, tame, integral, wild)
+
+
+@st.composite
+def grouped(draw, max_size=24):
+    """A dataset mixing fast-path and fallback values, plus group bounds:
+    random cuts (empty groups included) or one record per group."""
+    n = draw(st.integers(0, max_size))
+    cols = {}
+    for f in FIELDS:
+        if f.name == "occupied":
+            values = st.integers(0, 2)
+        elif np.issubdtype(f.dtype, np.integer):
+            values = st.integers(-2**31, 2**31 - 1)
+        else:
+            values = _column_values(f.name, f.dtype)
+        cols[f.name] = np.array(
+            draw(st.lists(values, min_size=n, max_size=n)), dtype=f.dtype)
+    if draw(st.booleans()):
+        bounds = list(range(n + 1)) if n else [0, 0]
+    else:
+        cuts = draw(st.lists(st.integers(0, n), max_size=6))
+        bounds = [0, *sorted(cuts), n]
+    return Dataset(cols), bounds
+
+
 def columns_bit_equal(a: Dataset, b: Dataset) -> bool:
     """Strict bitwise equality per column: NaN == NaN, and -0.0 != +0.0.
 
@@ -92,6 +138,50 @@ class TestAdversarialRoundtrips:
         for scheme in all_encoding_schemes():
             assert columns_bit_equal(scheme.decode(scheme.encode(ds)), ds), \
                 scheme.name
+
+
+class TestEncodeGroups:
+    @settings(max_examples=30, deadline=None)
+    @given(case=grouped())
+    def test_groups_equal_lone_encodes(self, case):
+        ds, bounds = case
+        for scheme in all_encoding_schemes():
+            alone = [scheme.encode(ds.take(np.arange(lo, hi)))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])]
+            assert scheme.encode_groups(ds, bounds) == alone, scheme.name
+
+    def test_empty_dataset(self):
+        empty = Dataset.empty()
+        for scheme in all_encoding_schemes():
+            assert scheme.encode_groups(empty, [0, 0]) == [scheme.encode(empty)]
+            assert scheme.encode_groups(empty, [0, 0, 0]) == \
+                [scheme.encode(empty)] * 2
+
+    def test_bounds_must_cover_the_dataset(self):
+        ds = synthetic_shanghai_taxis(10, seed=1, num_taxis=2)
+        scheme = encoding_scheme_by_name("COL-PLAIN")
+        for bad in ([1, 10], [0, 9], [0, 6, 4, 10], [0]):
+            with pytest.raises(ValueError, match="bounds"):
+                scheme.encode_groups(ds, bad)
+
+
+class TestSnappyPins:
+    """The SHA-256 of both Snappy encodings of one seeded 20k-record
+    sample, pinned when the match loop still hashed each window in
+    Python: the numpy window hashes must choose the same matches."""
+
+    PINS = {
+        "ROW-SNAPPY":
+            "940da9aa117074e7d96610484f0cd21ae32b3bbc9dc0ef66b4db73bd99e51282",
+        "COL-SNAPPY":
+            "c4b21f88a50c9cc1722fcbe1ec5a9f898e058d56725e65fdf29aa3c9fbef63bc",
+    }
+
+    def test_snappy_bytes_pinned(self):
+        ds = synthetic_shanghai_taxis(20_000, seed=17).sorted_by_time()
+        for name, digest in self.PINS.items():
+            blob = encoding_scheme_by_name(name).encode(ds)
+            assert hashlib.sha256(blob).hexdigest() == digest, name
 
 
 class TestSpecificHazards:

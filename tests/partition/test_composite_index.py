@@ -79,9 +79,13 @@ class TestPartitioningContainer:
                          np.zeros(1, dtype=np.int64))
 
     def test_records_of_matches_labels(self, ds):
+        # Every record lands in exactly one partition, and the counts are
+        # the per-partition tallies of the labels.
         p = CompositeScheme(KdTreePartitioner(4), 2).build(ds)
-        total = sum(len(p.records_of(ds, i)) for i in range(p.n_partitions))
-        assert total == len(ds)
+        assert p.labels.shape == (len(ds),)
+        assert p.counts.sum() == len(ds)
+        np.testing.assert_array_equal(
+            p.counts, np.bincount(p.labels, minlength=p.n_partitions))
 
     def test_involved_small_query(self, ds):
         p = CompositeScheme(KdTreePartitioner(4), 4).build(ds)

@@ -976,6 +976,41 @@ class TestOneOnDiskShape:
         store.close()  # ... and close() the one that compaction superseded
         assert layer_dirs(wal_dir) == committed_dirs(store)
 
+    def test_read_in_flight_holds_its_base_across_compactions(
+            self, tmp_path, stream, monkeypatch):
+        # However fast compactions come, a read that took its state
+        # before them keeps its base until it is done.
+        _, initial, batches = stream
+        store = IngestingBlotStore(initial, wal_specs(),
+                                   wal_dir=str(tmp_path / "wal"))
+        old_base = store._state.layers[-1]
+        started, go = threading.Event(), threading.Event()
+        execute = old_base.store._execute
+
+        def paused(*args, **kwargs):
+            started.set()
+            go.wait(30)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(old_base.store, "_execute", paused)
+        box = initial.bounding_box()
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(store.query(box).records))
+        reader.start()
+        assert started.wait(30)
+        for batch in batches[:2]:
+            store.append(batch)
+            store.compact()  # the second collects what the first superseded
+        assert os.path.isdir(old_base.root)
+        go.set()
+        reader.join(30)
+        assert datasets_identical(canonical(got[0]),
+                                  canonical(initial.filter_box(box)))
+        store.compact()  # nothing buffered: it only collects
+        assert not os.path.exists(old_base.root)
+        store.close()
+
     def test_specs_given_to_open_apply_from_next_compaction(self, tmp_path,
                                                             stream):
         full, initial, batches = stream

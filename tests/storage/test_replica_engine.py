@@ -73,6 +73,34 @@ class TestBuildReplica:
                 replica.store, replica.unit_keys[:-1],
             )
 
+    @pytest.mark.parametrize("encoding", ["COL-PLAIN", "ROW-PLAIN", "COL-GZIP"])
+    def test_units_equal_each_partition_encoded_alone(self, encoding):
+        # Four timestamps and three taxis: (t, oid) ties everywhere, so
+        # the in-partition order rests on the sort being stable, and the
+        # equi-depth time cuts collapse, leaving partitions empty.  40k
+        # records span several encode chunks.
+        rng = np.random.default_rng(5)
+        n = 40_000
+        base = synthetic_shanghai_taxis(n, seed=5, num_taxis=12)
+        cols = base.columns
+        cols["t"] = 1.2e9 + rng.integers(0, 4, n) * 30.0
+        cols["oid"] = rng.integers(0, 3, n).astype(np.int32)
+        cols["speed"] = np.arange(n, dtype=np.float32)  # order witness
+        data = Dataset(cols)
+        scheme = CompositeScheme(KdTreePartitioner(8), 8)
+        enc = encoding_scheme_by_name(encoding)
+        built = build_replica(data, scheme, enc, InMemoryStore())
+        labels = built.partitioning.labels
+        empty = 0
+        for pid, key in enumerate(built.unit_keys):
+            part = data.take(np.flatnonzero(labels == pid))
+            if len(part) == 0:
+                assert key is None
+                empty += 1
+                continue
+            assert built.store.get(key) == enc.encode(part.sorted_by_time())
+        assert empty > 0
+
 
 class TestQueryProcessing:
     @pytest.fixture(scope="class")

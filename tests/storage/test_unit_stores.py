@@ -1,5 +1,7 @@
 """Tests for the two storage-unit backends."""
 
+from unittest import mock
+
 import pytest
 
 from repro.storage import (
@@ -63,6 +65,17 @@ class TestDirectoryStoreSpecifics:
         root = str(tmp_path / "dir")
         DirectoryStore(root).put("a", b"persist")
         assert DirectoryStore(root).get("a") == b"persist"
+
+    def test_put_never_overwrites_when_the_check_races(self, tmp_path):
+        # A second writer that passed an existence check before the first
+        # writer's file appeared must still be refused, not overwrite it.
+        store = DirectoryStore(str(tmp_path / "dir"))
+        store.put("replica/part-000001", b"first")
+        with mock.patch("repro.storage.unit.os.path.exists",
+                        return_value=False):
+            with pytest.raises(DuplicateUnit):
+                store.put("replica/part-000001", b"second")
+        assert store.get("replica/part-000001") == b"first"
 
 
 class TestGetView:
