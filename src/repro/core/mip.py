@@ -18,12 +18,15 @@ and ``"scipy"`` — the HiGHS MILP solver on the explicit matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.bnb import branch_and_bound_select
 from repro.core.problem import Selection, SelectionInstance
+
+if TYPE_CHECKING:  # scipy is imported where the matrices are built
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ def build_mip(
     """
     if constraint_form not in ("aggregated", "per-query"):
         raise ValueError(f"unknown constraint form {constraint_form!r}")
+    from scipy import sparse
+
     n, m = instance.n_queries, instance.n_replicas
     weights = instance.weights
     costs = instance.costs

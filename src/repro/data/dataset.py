@@ -99,12 +99,12 @@ class Dataset:
         return Record(*(self._columns[name][i].item() for name in FIELD_NAMES))
 
     def __eq__(self, other: object) -> bool:
+        """Equal when every column holds the same bytes in the same order,
+        so a NaN equals itself and ``-0.0`` differs from ``0.0``."""
         if not isinstance(other, Dataset):
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        return all(
-            np.array_equal(self._columns[name], other._columns[name])
+        return len(self) == len(other) and all(
+            self._columns[name].tobytes() == other._columns[name].tobytes()
             for name in FIELD_NAMES
         )
 

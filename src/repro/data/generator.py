@@ -17,15 +17,27 @@ so this module simulates an equivalent fleet:
 Only the aggregate properties matter to the experiments — record count,
 bounding box, spatio-temporal skew and per-column entropy (which drives
 compression ratios) — and those are faithfully reproduced; see DESIGN.md §2.
+
+Draw order is the reproducibility contract.  Each taxi draws from its own
+child ``default_rng`` seeded from the fleet seed, and every draw happens
+in the scalar simulation order: each destination, speed and dwell as the
+taxi reaches it, and one ``standard_normal`` block per leg or dwell for
+its fixes' noise (``Generator.normal(loc, scale, n)`` is ``loc + scale * z``
+over the same stream).  Columns are assembled only afterwards, in one
+vectorized fill per taxi, so a seed yields the same bytes however that
+assembly is organised; ``tests/data/test_generator_pins.py`` holds it.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.data.record import FIELD_NAMES, FIELDS
 from repro.geometry import Box3
 
 #: 2007-11-01 00:00:00 UTC, the start of the paper's observation window.
@@ -87,18 +99,6 @@ class FleetConfig:
         )
 
 
-@dataclass
-class _TaxiState:
-    """Mutable per-taxi simulation state."""
-
-    x: float
-    y: float
-    clock: float
-    occupied: int = 0
-    trip_id: int = 0
-    odometer: float = 0.0
-
-
 class TaxiFleetGenerator:
     """Simulates a fleet of taxis and emits a :class:`Dataset`.
 
@@ -108,22 +108,40 @@ class TaxiFleetGenerator:
     def __init__(self, config: FleetConfig | None = None):
         self.config = config or FleetConfig()
 
-    # -- public API -----------------------------------------------------
-
     def generate(self) -> Dataset:
         """Simulate every taxi over the configured window."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        parts = []
+        cdf: list[float] = []
+        if cfg.background_probability < 1:  # a hotspot can be drawn
+            weights = np.array([h.weight for h in cfg.hotspots])
+            if not (weights.size and np.all(weights >= 0) and weights.sum() > 0):
+                raise ValueError("hotspot weights must be non-negative with a positive sum")
+            # The cdf ``Generator.choice(p=weights / sum)`` builds.
+            p_cdf = (weights / weights.sum()).cumsum()
+            cdf = (p_cdf / p_cdf[-1]).tolist()
+        # A taxi logs at most one fix per cadence tick of the window.
+        per_taxi = max(0, math.ceil(cfg.duration / cfg.sample_interval) + 2)
+        out = {f.name: np.empty(cfg.num_taxis * per_taxi, f.dtype) for f in FIELDS}
+        filled = 0
         for oid in range(cfg.num_taxis):
             taxi_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
-            parts.append(self._simulate_taxi(oid, taxi_rng))
-        dataset = Dataset.concat(parts).sorted_by_time()
-        return quantize_like_gps_logger(dataset)
+            segments, counts, noise = self._simulate(taxi_rng, cdf)
+            if not counts:
+                continue
+            taxi = self._fill(oid, segments, counts, noise)
+            end = filled + len(taxi)
+            for name, col in out.items():
+                col[filled:end] = taxi.column(name)
+            filled = end
+        order = np.lexsort((out["oid"][:filled], out["t"][:filled]))
+        for name in FIELD_NAMES:  # one column at a time, so one spare copy
+            out[name] = out[name][:filled][order]
+        return Dataset(out)
 
-    # -- destination sampling ------------------------------------------------
-
-    def _sample_destination(self, rng: np.random.Generator) -> tuple[float, float]:
+    def _sample_destination(
+        self, rng: np.random.Generator, cdf: list[float]
+    ) -> tuple[float, float]:
         """Draw a trip destination from the hotspot mixture."""
         cfg = self.config
         if rng.random() < cfg.background_probability:
@@ -131,160 +149,144 @@ class TaxiFleetGenerator:
                 rng.uniform(cfg.x_min, cfg.x_max),
                 rng.uniform(cfg.y_min, cfg.y_max),
             )
-        weights = np.array([h.weight for h in cfg.hotspots])
-        h = cfg.hotspots[rng.choice(len(cfg.hotspots), p=weights / weights.sum())]
-        x = float(np.clip(rng.normal(h.x, h.sigma), cfg.x_min, cfg.x_max))
-        y = float(np.clip(rng.normal(h.y, h.sigma), cfg.y_min, cfg.y_max))
+        h = cfg.hotspots[bisect.bisect_right(cdf, rng.random())]
+        x = min(max(rng.normal(h.x, h.sigma), cfg.x_min), cfg.x_max)
+        y = min(max(rng.normal(h.y, h.sigma), cfg.y_min), cfg.y_max)
         return x, y
 
-    def _sample_cruise_target(
-        self, state: _TaxiState, rng: np.random.Generator
-    ) -> tuple[float, float]:
-        """Short empty-cruise hop around the current position."""
-        cfg = self.config
-        x = float(np.clip(state.x + rng.uniform(-1, 1) * cfg.cruise_radius_deg,
-                          cfg.x_min, cfg.x_max))
-        y = float(np.clip(state.y + rng.uniform(-1, 1) * cfg.cruise_radius_deg,
-                          cfg.y_min, cfg.y_max))
-        return x, y
+    def _simulate(
+        self, rng: np.random.Generator, cdf: list[float]
+    ) -> tuple[list[tuple], list[int], list[np.ndarray]]:
+        """Run one taxi's scalar simulation, making every draw in order.
 
-    # -- per-taxi simulation ---------------------------------------------------
-
-    def _simulate_taxi(self, oid: int, rng: np.random.Generator) -> Dataset:
+        Passenger trips (to a hotspot-mixture destination) alternate with
+        empty cruising hops; each drive is two axis-aligned legs (x first,
+        then y) followed by a dwell at the waypoint.  A leg or dwell that
+        logs fixes becomes one segment row of scalars (laid out as
+        :meth:`_fill` unpacks it), its fix count and its block of
+        standard-normal draws: x, y, speed and heading noise for a leg, x
+        and y noise for a dwell.
+        """
         cfg = self.config
-        end_time = cfg.start_time + cfg.duration
-        state = _TaxiState(
-            *self._sample_destination(rng),
-            clock=cfg.start_time + float(rng.uniform(0, cfg.sample_interval)),
-        )
-        chunks: list[dict[str, np.ndarray]] = []
-        while state.clock < end_time:
-            if state.occupied:
-                dest = self._sample_destination(rng)
+        iv, end_time = cfg.sample_interval, cfg.start_time + cfg.duration
+        x, y = self._sample_destination(rng, cdf)
+        clock = cfg.start_time + float(rng.uniform(0, iv))
+        occupied = trip_id = 0
+        odometer = 0.0
+        segments: list[tuple] = []
+        counts: list[int] = []
+        noise: list[np.ndarray] = []
+        filled = drawn = 0
+        while clock < end_time:
+            if occupied:
+                dest_x, dest_y = self._sample_destination(rng, cdf)
                 lo, hi = cfg.occupied_speed_kmh
             else:
-                dest = self._sample_cruise_target(state, rng)
+                r = cfg.cruise_radius_deg
+                dest_x = min(max(x + rng.uniform(-1, 1) * r, cfg.x_min), cfg.x_max)
+                dest_y = min(max(y + rng.uniform(-1, 1) * r, cfg.y_min), cfg.y_max)
                 lo, hi = cfg.cruise_speed_kmh
             speed_kmh = float(rng.uniform(lo, hi))
-            self._drive_manhattan(oid, state, dest, speed_kmh, end_time, rng, chunks)
-            if state.clock >= end_time:
+            for leg_x, leg_y, on_x in ((dest_x, y, True), (dest_x, dest_y, False)):
+                if clock >= end_time:
+                    break
+                dx, dy = leg_x - x, leg_y - y
+                dist_km = abs(dx * _KM_PER_DEG_LON) + abs(dy * _KM_PER_DEG_LAT)
+                if dist_km < 1e-9:
+                    continue
+                leg_seconds = dist_km / speed_kmh * 3600.0
+                t1 = min(clock + leg_seconds, end_time)
+                first, n = _cadence(clock, t1, iv)
+                if n:
+                    if on_x:
+                        heading = 90.0 if leg_x >= x else 270.0
+                    else:
+                        heading = 0.0 if leg_y >= y else 180.0
+                    # GPS fixes wander a couple of metres around the true path.
+                    noise.append(rng.standard_normal(4 * n))
+                    segments.append((
+                        first, (first + iv) - first, filled, clock, leg_seconds,
+                        x, dx, y, dy, odometer, dist_km, speed_kmh, 1.5,
+                        heading, 4.0, occupied, trip_id, drawn - filled, n, 2 * n, 3 * n,
+                    ))
+                    counts.append(n)
+                    filled, drawn = filled + n, drawn + 4 * n
+                travelled = min(1.0, (t1 - clock) / leg_seconds)
+                odometer += dist_km * travelled
+                x += dx * travelled
+                y += dy * travelled
+                clock = t1
+            if clock >= end_time:
                 break
-            self._dwell(oid, state, end_time, rng, chunks)
+            dwell = float(rng.exponential(cfg.mean_dwell_seconds))
+            t1 = min(clock + dwell, end_time)
+            first, n = _cadence(clock, t1, iv)
+            if n:
+                # Stationary GPS fixes still wander by a couple of metres;
+                # perfectly identical coordinates would be unrealistic (and
+                # would create irreducible ties for equal-count partitioners).
+                noise.append(rng.standard_normal(2 * n))
+                segments.append((
+                    first, (first + iv) - first, filled, clock, 1.0,
+                    x, 0.0, y, 0.0, odometer, 0.0, 0.0, 0.0,
+                    0.0, 0.0, occupied, trip_id, drawn - filled, n, 0, 0,
+                ))
+                counts.append(n)
+                filled, drawn = filled + n, drawn + 2 * n
+            clock = t1
             # Passenger handoff at the waypoint: pickups start a new trip.
-            if state.occupied:
-                state.occupied = 0
+            if occupied:
+                occupied = 0
             else:
-                state.occupied = 1
-                state.trip_id += 1
-        return _chunks_to_dataset(chunks)
+                occupied = 1
+                trip_id += 1
+        return segments, counts, noise
 
-    def _drive_manhattan(
+    def _fill(
         self,
         oid: int,
-        state: _TaxiState,
-        dest: tuple[float, float],
-        speed_kmh: float,
-        end_time: float,
-        rng: np.random.Generator,
-        chunks: list[dict[str, np.ndarray]],
-    ) -> None:
-        """Drive two axis-aligned legs (x first, then y) emitting samples."""
-        legs = (
-            (dest[0], state.y, "x"),
-            (dest[0], dest[1], "y"),
-        )
-        for leg_x, leg_y, axis in legs:
-            if state.clock >= end_time:
-                return
-            dx_km = (leg_x - state.x) * _KM_PER_DEG_LON
-            dy_km = (leg_y - state.y) * _KM_PER_DEG_LAT
-            dist_km = abs(dx_km) + abs(dy_km)
-            if dist_km < 1e-9:
-                continue
-            leg_seconds = dist_km / speed_kmh * 3600.0
-            t0, t1 = state.clock, min(state.clock + leg_seconds, end_time)
-            times = _sample_times(t0, state.clock + leg_seconds, t1, cfg_interval=self.config.sample_interval)
-            if times.size:
-                cfg = self.config
-                frac = (times - t0) / leg_seconds
-                # GPS fixes wander a couple of metres around the true path.
-                xs = np.clip(
-                    state.x + (leg_x - state.x) * frac
-                    + rng.normal(0.0, 1.5e-5, times.size),
-                    cfg.x_min, cfg.x_max,
-                )
-                ys = np.clip(
-                    state.y + (leg_y - state.y) * frac
-                    + rng.normal(0.0, 1.5e-5, times.size),
-                    cfg.y_min, cfg.y_max,
-                )
-                if axis == "x":
-                    heading = 90.0 if leg_x >= state.x else 270.0
-                else:
-                    heading = 0.0 if leg_y >= state.y else 180.0
-                n = times.size
-                chunks.append({
-                    "oid": np.full(n, oid, dtype=np.int32),
-                    "t": times,
-                    "x": xs,
-                    "y": ys,
-                    "speed": (speed_kmh + rng.normal(0, 1.5, n)).astype(np.float32),
-                    "heading": (heading + rng.normal(0, 4.0, n)).astype(np.float32),
-                    "occupied": np.full(n, state.occupied, dtype=np.uint8),
-                    "trip_id": np.full(n, state.trip_id, dtype=np.int32),
-                    "odometer": (state.odometer + dist_km * frac).astype(np.float32),
-                })
-            state.odometer += dist_km * min(1.0, (t1 - t0) / leg_seconds)
-            state.clock = t1
-            travelled = min(1.0, (t1 - t0) / leg_seconds)
-            state.x += (leg_x - state.x) * travelled
-            state.y += (leg_y - state.y) * travelled
-            if state.clock >= end_time:
-                return
+        segments: list[tuple],
+        counts: list[int],
+        noise: list[np.ndarray],
+    ) -> Dataset:
+        """One taxi's rounded columns from its segment table, in one pass.
 
-    def _dwell(
-        self,
-        oid: int,
-        state: _TaxiState,
-        end_time: float,
-        rng: np.random.Generator,
-        chunks: list[dict[str, np.ndarray]],
-    ) -> None:
-        """Wait at the waypoint (dropoff/pickup), emitting stationary samples."""
+        A dwell is a leg that does not move: its ``dx``/``dy``/distance and
+        its speed and heading terms are zero, which adds exact zeros.
+        """
         cfg = self.config
-        dwell = float(rng.exponential(cfg.mean_dwell_seconds))
-        t0, t1 = state.clock, min(state.clock + dwell, end_time)
-        times = _sample_times(t0, state.clock + dwell, t1, cfg_interval=cfg.sample_interval)
-        if times.size:
-            n = times.size
-            # Stationary GPS fixes still wander by a couple of metres;
-            # perfectly identical coordinates would be unrealistic (and
-            # would create irreducible ties for equal-count partitioners).
-            chunks.append({
-                "oid": np.full(n, oid, dtype=np.int32),
-                "t": times,
-                "x": np.clip(state.x + rng.normal(0.0, 1.5e-5, n),
-                             cfg.x_min, cfg.x_max),
-                "y": np.clip(state.y + rng.normal(0.0, 1.5e-5, n),
-                             cfg.y_min, cfg.y_max),
-                "speed": np.zeros(n, dtype=np.float32),
-                "heading": np.full(n, 0.0, dtype=np.float32),
-                "occupied": np.full(n, state.occupied, dtype=np.uint8),
-                "trip_id": np.full(n, state.trip_id, dtype=np.int32),
-                "odometer": np.full(n, state.odometer, dtype=np.float32),
-            })
-        state.clock = t1
+        (first, delta, start, t0, span, x0, dx, y0, dy, odo0, dist_km,
+         speed, speed_sd, heading, heading_sd, occupied, trip_id,
+         z_at, dz_y, dz_speed, dz_heading) = np.repeat(np.array(segments).T, counts, axis=1)
+        j = np.arange(len(first), dtype=np.float64)
+        # ``np.arange(first, t1, interval)`` fills ``first + i * delta``.
+        t = first + (j - start) * delta
+        frac = (t - t0) / span
+        z = np.concatenate(noise)
+        at = (z_at + j).astype(np.intp)
+        zy, zs, zh = (z[at + dz.astype(np.intp)] for dz in (dz_y, dz_speed, dz_heading))
+        return quantize_like_gps_logger(Dataset({
+            "oid": np.full(len(t), oid, dtype=np.int32),
+            "t": t,
+            "x": np.clip(x0 + dx * frac + 1.5e-5 * z[at], cfg.x_min, cfg.x_max),
+            "y": np.clip(y0 + dy * frac + 1.5e-5 * zy, cfg.y_min, cfg.y_max),
+            "speed": (speed + speed_sd * zs).astype(np.float32),
+            "heading": (heading + heading_sd * zh).astype(np.float32),
+            "occupied": occupied.astype(np.uint8),
+            "trip_id": trip_id.astype(np.int32),
+            "odometer": (odo0 + dist_km * frac).astype(np.float32),
+        }))
 
 
-def _sample_times(t0: float, t_leg_end: float, t1: float, cfg_interval: float) -> np.ndarray:
-    """GPS sample instants in ``[t0, t1)`` on the logger's fixed cadence."""
-    del t_leg_end  # the leg may extend past the window; sampling stops at t1
+def _cadence(t0: float, t1: float, interval: float) -> tuple[float, int]:
+    """The first GPS fix at or after ``t0`` on the logger's fixed cadence,
+    and how many fixes fall in ``[t0, t1)`` (``np.arange``'s length)."""
     if t1 <= t0:
-        return np.empty(0, dtype=np.float64)
-    first = np.ceil(t0 / cfg_interval) * cfg_interval
+        return 0.0, 0
+    first = math.ceil(t0 / interval) * interval
     if first < t0:
-        first += cfg_interval
-    return np.arange(first, t1, cfg_interval, dtype=np.float64)
+        first += interval
+    return first, max(0, math.ceil((t1 - first) / interval))
 
 
 def quantize_like_gps_logger(dataset: Dataset) -> Dataset:
@@ -306,16 +308,6 @@ def quantize_like_gps_logger(dataset: Dataset) -> Dataset:
     cols["heading"] = rounded("heading", 1)
     cols["odometer"] = rounded("odometer", 2)
     return Dataset(cols)
-
-
-def _chunks_to_dataset(chunks: list[dict[str, np.ndarray]]) -> Dataset:
-    from repro.data.record import FIELD_NAMES, empty_columns
-
-    if not chunks:
-        return Dataset(empty_columns())
-    return Dataset({
-        name: np.concatenate([c[name] for c in chunks]) for name in FIELD_NAMES
-    })
 
 
 def synthetic_shanghai_taxis(

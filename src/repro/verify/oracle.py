@@ -53,13 +53,7 @@ def datasets_identical(a: Dataset, b: Dataset) -> bool:
     Comparison happens on the canonical order and on the raw column
     bytes, so it is exact — no float tolerance, no dtype coercion.
     """
-    if len(a) != len(b):
-        return False
-    ca, cb = canonical(a), canonical(b)
-    return all(
-        ca.column(name).tobytes() == cb.column(name).tobytes()
-        for name in FIELD_NAMES
-    )
+    return len(a) == len(b) and canonical(a) == canonical(b)
 
 
 @dataclass(frozen=True)

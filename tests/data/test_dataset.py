@@ -94,6 +94,27 @@ class TestAccessors:
     def test_eq_different_length(self, ds):
         assert ds != ds.head(5)
 
+    def test_eq_is_reflexive_with_nan(self, ds):
+        cols = ds.columns
+        cols["x"] = cols["x"].copy()
+        cols["x"][2] = np.nan
+        with_nan = Dataset(cols)
+        assert with_nan == with_nan
+        assert with_nan == Dataset(with_nan.columns)
+
+    def test_eq_tells_signed_zeros_apart(self, ds):
+        def with_heading(value):
+            cols = ds.columns
+            cols["heading"] = cols["heading"].copy()
+            cols["heading"][0] = value
+            return Dataset(cols)
+
+        assert with_heading(0.0) != with_heading(-0.0)
+        assert with_heading(-0.0) == with_heading(-0.0)
+
+    def test_eq_compares_stored_order(self, ds):
+        assert ds != ds.take(np.arange(len(ds))[::-1])
+
     def test_not_hashable(self, ds):
         with pytest.raises(TypeError):
             hash(ds)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import FleetConfig, TaxiFleetGenerator, synthetic_shanghai_taxis
-from repro.data.generator import SHANGHAI_BBOX
+from repro.data.generator import SHANGHAI_BBOX, Hotspot
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,23 @@ class TestFleetGeneration:
         _, ds = small_fleet
         speed = ds.column("speed")
         assert speed.min() >= -10 and speed.max() < 100
+
+
+class TestHotspotWeights:
+    @pytest.mark.parametrize("hotspots", [
+        (),
+        (Hotspot(121.4, 31.2, 0.1, -1.0), Hotspot(121.5, 31.1, 0.1, 2.0)),
+        (Hotspot(121.4, 31.2, 0.1, 0.0),),
+    ])
+    def test_unusable_weights_rejected(self, hotspots):
+        cfg = FleetConfig(num_taxis=2, duration=3600.0, hotspots=hotspots)
+        with pytest.raises(ValueError):
+            TaxiFleetGenerator(cfg).generate()
+
+    def test_no_hotspots_needed_when_all_background(self):
+        cfg = FleetConfig(num_taxis=2, duration=3600.0, hotspots=(),
+                          background_probability=1.0)
+        assert len(TaxiFleetGenerator(cfg).generate()) > 0
 
 
 class TestSyntheticShanghai:
