@@ -246,12 +246,10 @@ class ClusterPlacement:
         return RecoveryPlan(steps=tuple(steps),
                             unrecoverable=tuple(unrecoverable))
 
-    def execute_recovery(
-        self, plan: RecoveryPlan, target_node: int | None = None
-    ) -> int:
-        """Run the plan; repaired units are re-placed on ``target_node``
-        (default: the least-loaded surviving node).  Returns records
-        restored."""
+    def execute_recovery(self, plan: RecoveryPlan) -> int:
+        """Run the plan; each repaired unit is re-placed on the
+        least-loaded surviving node of its replica's zone.  Returns
+        records restored."""
         survivors = [n for n in range(self.n_nodes) if n not in self._failed]
         if not survivors:
             raise RuntimeError("no surviving nodes to place repaired units on")
@@ -262,15 +260,12 @@ class ClusterPlacement:
             restored += repair_partition(damaged, step.partition_id, source)
             key = damaged.unit_keys[step.partition_id]
             assert key is not None
-            node = target_node
-            if node is None:
-                # Stay inside the replica's node subset (zone isolation
-                # must survive recovery); fall back to any survivor only
-                # when the whole zone is down.
-                zone = [n for n in self._allowed[step.replica_name]
-                        if n not in self._failed]
-                pool = zone or survivors
-                node = min(pool, key=lambda n: int(self._load[n]))
+            # Stay inside the replica's node subset (zone isolation must
+            # survive recovery); fall back to any survivor only when the
+            # whole zone is down.
+            zone = [n for n in self._allowed[step.replica_name]
+                    if n not in self._failed]
+            node = min(zone or survivors, key=lambda n: int(self._load[n]))
             unit = self._units[key]
             self._load[unit.node_id] -= 1
             unit.node_id = node

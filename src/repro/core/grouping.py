@@ -15,12 +15,14 @@ import numpy as np
 
 from repro.workload.query import GroupedQuery, Workload
 
+#: Lloyd iterations before :func:`kmeans` stops short of convergence.
+_KMEANS_MAX_ITER = 100
+
 
 def kmeans(
     points: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iter: int = 100,
     tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's k-means with k-means++ initialization.
@@ -51,7 +53,7 @@ def kmeans(
         )
 
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = dists.argmin(axis=1)
         new_centers = centers.copy()

@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.core.problem import SelectionInstance
 
+#: Replica pairs the pair-set dominance check tries per victim.
+_MAX_PAIRS = 20_000
+
 
 @dataclass(frozen=True)
 class PruningResult:
@@ -93,14 +96,13 @@ def _pair_set_dominated(
 def prune_dominated(
     instance: SelectionInstance,
     use_pair_sets: bool = False,
-    max_pairs: int = 20_000,
 ) -> PruningResult:
     """Drop dominated candidates; the optimal workload cost is preserved
     (pairwise dominance is exact; pair-set dominance is too, it just costs
     more to check)."""
     dominated = _pairwise_dominated(instance)
     if use_pair_sets:
-        dominated |= _pair_set_dominated(instance, ~dominated, max_pairs)
+        dominated |= _pair_set_dominated(instance, ~dominated, _MAX_PAIRS)
     kept = tuple(int(j) for j in np.flatnonzero(~dominated))
     if not kept:
         raise RuntimeError("pruning removed every candidate (bug)")

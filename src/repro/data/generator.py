@@ -333,9 +333,14 @@ def synthetic_shanghai_taxis(
         sample_interval=sample_interval,
         seed=seed,
     )
-    data = TaxiFleetGenerator(cfg).generate()
-    if len(data) < n_records:
+    columns = TaxiFleetGenerator(cfg).generate().columns
+    produced = len(columns["t"])
+    if produced < n_records:
         raise RuntimeError(
-            f"generator undershot: produced {len(data)} < requested {n_records}"
+            f"generator undershot: produced {produced} < requested {n_records}"
         )
-    return data.head(n_records)
+    # Trim one column at a time, dropping each oversized column as its
+    # copy is made, so at most one spare column is alive at once.
+    for name in FIELD_NAMES:
+        columns[name] = columns[name][:n_records].copy()
+    return Dataset(columns)

@@ -1,5 +1,6 @@
-"""The drill scenarios behind ``repro reselect``, ``repro serve`` and
-``repro slo``, as importable functions.
+"""The drill scenarios behind ``repro drill``, ``repro ingest``,
+``repro reselect``, ``repro serve`` and ``repro slo``, as importable
+functions.
 
 The CLI parses arguments, calls one of these and prints; the test suite
 calls the same functions, so the code a CI drill exercises on the
@@ -35,9 +36,140 @@ from repro.serve import (
     fleet_queries,
     run_fleet,
 )
-from repro.storage import BlotStore, hydrate_store
-from repro.verify.oracle import canonical, datasets_identical, oracle_answer
+from repro.storage import (
+    BlotStore,
+    FaultInjector,
+    FaultSpec,
+    WorkloadResult,
+    hydrate_store,
+)
+from repro.storage.ingest import IngestingBlotStore
+from repro.storage.wal import wal_state_exists
+from repro.verify.oracle import (
+    canonical,
+    datasets_identical,
+    oracle_answer,
+    random_boxes,
+)
 from repro.workload import GroupedQuery, Query, Workload
+
+# -- failure drill ------------------------------------------------------------
+
+
+class FailureDrill(NamedTuple):
+    healthy: WorkloadResult
+    #: The degraded pass, or the error it ended in when the schedule
+    #: left some query unservable.
+    degraded: WorkloadResult | DegradedReadError
+    injector: FaultInjector
+    #: The replica taken down when no schedule was given, else None.
+    victim: str | None
+    #: Whether every answer of both passes is bit-equal to the oracle.
+    identical: bool
+
+
+def run_failure_drill(store: BlotStore, workload: Workload,
+                      faults: FaultSpec | None, options=None
+                      ) -> FailureDrill:
+    """Run ``workload`` healthy, impose ``faults`` and run it again.
+    Without a schedule, the replica the healthy routing leaned on
+    hardest goes down — the most informative single-node drill."""
+    healthy = store.execute_workload(workload, options=options)
+    victim = None
+    if faults is None:
+        victim = max(healthy.stats.per_replica_queries.items(),
+                     key=lambda kv: (kv[1], kv[0]))[0]
+        faults = FaultSpec(fail_replicas=(victim,))
+    injector = faults.build()
+    store.set_fault_injector(injector)
+    if store.partition_cache is not None:
+        # A drill measures the degraded read path, not yesterday's cache.
+        store.partition_cache.clear()
+    try:
+        degraded = store.execute_workload(workload, options=options)
+    except DegradedReadError as exc:
+        return FailureDrill(healthy, exc, injector, victim, False)
+    data = store.dataset
+    oracles = [oracle_answer(data, q.box()) for q in workload.queries()]
+    identical = all(datasets_identical(r.records, want)
+                    for result in (healthy, degraded)
+                    for r, want in zip(result.results, oracles))
+    return FailureDrill(healthy, degraded, injector, victim, identical)
+
+
+# -- ingest -------------------------------------------------------------------
+
+#: Seeded sub-boxes the ingest drill checks besides the full range.
+INGEST_SUB_BOXES = 8
+
+
+class IngestDrill(NamedTuple):
+    #: ``(records, buffered)`` as reopened when ``wal_dir`` held state.
+    resumed: tuple[int, int] | None
+    #: The phase whose reads were not bit-equal to the oracle, or None.
+    failed_phase: str | None
+    #: What ``repro ingest --json`` prints (empty after a failed phase).
+    summary: dict
+
+
+def ingest_reads_bit_equal(store: IngestingBlotStore, seed: int) -> bool:
+    """The full range and seeded sub-boxes, through ``query`` and
+    ``count``, against the oracle over the store's logical dataset."""
+    logical = store.dataset()  # decoded from one replica per layer
+    for box in [logical.bounding_box(),
+                *random_boxes(logical, INGEST_SUB_BOXES, seed)]:
+        want = oracle_answer(logical, box)
+        if (not datasets_identical(store.query(box).records, want)
+                or store.count(box)[0] != len(want)):
+            return False
+    return True
+
+
+def run_ingest_drill(data, specs, wal_dir: str, *, batch_size: int,
+                     seed: int, anti_entropy: bool = False,
+                     **settings) -> IngestDrill:
+    """Stream ``data`` into an :class:`IngestingBlotStore` durable under
+    ``wal_dir`` and check every acknowledged record reads back.
+
+    A fresh directory starts from the first half of ``data`` and appends
+    the rest; a directory holding WAL state is reopened (the recovery
+    path) and all of ``data`` is appended.  Reads are checked right
+    after the last append, while the buffer still holds batches, and
+    again once compaction has folded them.  ``settings`` are the store's
+    keyword arguments."""
+    resumed = None
+    if wal_state_exists(wal_dir):
+        store = IngestingBlotStore.open(wal_dir, specs, **settings)
+        resumed, start = (len(store), store.buffered_records), 0
+    else:
+        start = max(1, len(data) // 2)
+        store = IngestingBlotStore(data.take(np.arange(start)), specs,
+                                   wal_dir=wal_dir, **settings)
+    try:
+        for lo in range(start, len(data), batch_size):
+            store.append(data.take(np.arange(lo, min(lo + batch_size,
+                                                     len(data)))))
+        if not ingest_reads_bit_equal(store, seed):
+            return IngestDrill(resumed, "after the last append", {})
+        store.wait_for_compaction()
+        if not ingest_reads_bit_equal(store, seed):
+            return IngestDrill(resumed, "after compaction", {})
+        reports = store.anti_entropy() if anti_entropy else []
+        return IngestDrill(resumed, None, {
+            "records": len(store),
+            "appended": len(data) - start,
+            "buffered": store.buffered_records,
+            "compactions": store.compactions,
+            "compaction_failures": store.compaction_failures,
+            "windows": len(store.windows),
+            "anti_entropy_ok": (all(r.ok for r in reports)
+                                if reports else None),
+            "wal_dir": wal_dir,
+            "wal_segments": len(store.wal.segment_ids()),
+        })
+    finally:
+        store.close()
+
 
 # -- reselection --------------------------------------------------------------
 
@@ -245,13 +377,12 @@ class SloDrill(NamedTuple):
     engine: SLOEngine
 
 
-def run_slo_drill(config, spec: FleetSpec, objectives, *, min_events: int,
+def run_slo_drill(config, spec: FleetSpec, objectives,
                   **server_options) -> SloDrill:
     """Serve the fleet under per-tenant objectives and evaluate the
     burn-rate alerts once the traffic has drained."""
     obs = Observability.create()
-    engine = SLOEngine(objectives, metrics=obs.metrics,
-                       min_events=min_events)
+    engine = SLOEngine(objectives, metrics=obs.metrics)
 
     async def go():
         async with ShardServer(config, observability=obs, slo=engine,

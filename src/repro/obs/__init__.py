@@ -121,19 +121,11 @@ class Observability:
     reselector: object | None = None
 
     @classmethod
-    def create(
-        cls,
-        trace_capacity: int = 8192,
-        drift_window: int = 64,
-        drift_threshold: float = 0.5,
-        drift_min_samples: int = 5,
-    ) -> "Observability":
+    def create(cls, drift_threshold: float = 0.5) -> "Observability":
         return cls(
             metrics=MetricsRegistry(),
-            tracer=TraceRecorder(capacity=trace_capacity),
-            drift=DriftMonitor(window=drift_window,
-                               threshold=drift_threshold,
-                               min_samples=drift_min_samples),
+            tracer=TraceRecorder(),
+            drift=DriftMonitor(threshold=drift_threshold),
         )
 
     def attach_recalibrator(self, cost_model, **guards) -> Recalibrator:

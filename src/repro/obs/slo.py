@@ -25,7 +25,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 
-from repro.obs.audit import AUDIT_CAPACITY, AuditTrail
+from repro.obs.audit import AuditTrail
 
 __all__ = [
     "BurnWindow",
@@ -181,8 +181,7 @@ class SLOEngine:
     def __init__(self, objectives, windows: tuple[BurnWindow, ...]
                  = DEFAULT_WINDOWS, clock=time.monotonic,
                  metrics=None, timeseries=None, min_events: int = 10,
-                 capacity: int = 65536,
-                 audit_capacity: int = AUDIT_CAPACITY):
+                 capacity: int = 65536):
         self.objectives = tuple(objectives)
         if not self.objectives:
             raise ValueError("SLOEngine needs at least one objective")
@@ -193,8 +192,8 @@ class SLOEngine:
         self._events: dict[str, deque[_Event]] = {}
         self._capacity = int(capacity)
         self._firing: set[tuple[str, str]] = set()
-        self._audit = AuditTrail("slo", capacity=audit_capacity,
-                                 timeseries=timeseries, metrics=metrics)
+        self._audit = AuditTrail("slo", timeseries=timeseries,
+                                 metrics=metrics)
         self._last_statuses: tuple[SLOStatus, ...] = ()
         self._lock = threading.Lock()
 

@@ -87,6 +87,22 @@ class StoreVerification:
             lines.append(f"  ... and {len(self.mismatches) - 20} more")
         return "\n".join(lines)
 
+    def to_dict(self) -> dict:
+        """The outcome as JSON-ready data (``repro verify-store --json``)."""
+        return {
+            "ok": self.ok,
+            "checks": self.checks,
+            "queries": self.n_queries,
+            "replicas": [
+                {"name": r.name, "ok": r.ok, "units": r.units,
+                 "damaged_units": list(r.damaged),
+                 "content_ok": r.content_ok,
+                 "read_errors": list(r.read_errors)}
+                for r in self.replicas
+            ],
+            "mismatches": [m.describe() for m in self.mismatches],
+        }
+
 
 def _scan_replica(replica: StoredReplica, box: Box3) -> Dataset:
     """The raw on-disk read path: decode every involved unit, filter."""

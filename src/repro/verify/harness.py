@@ -145,16 +145,13 @@ class DifferentialHarness:
 
     # -- the sweep ----------------------------------------------------------
 
-    def query_boxes(self, n_random: int = 12,
-                    include_edges: bool = True) -> list[Box3]:
+    def query_boxes(self, n_random: int = 12) -> list[Box3]:
         """The default query set: random boxes plus boxes pinned exactly
         to partition boundaries and record coordinates."""
-        boxes = random_boxes(self._dataset, n_random, self._seed)
-        if include_edges:
-            first = self._store.replica(self._names[0])
-            boxes.extend(edge_pinned_boxes(
-                self._dataset, first.partitioning.boxes()))
-        return boxes
+        first = self._store.replica(self._names[0])
+        return [*random_boxes(self._dataset, n_random, self._seed),
+                *edge_pinned_boxes(self._dataset,
+                                   first.partitioning.boxes())]
 
     def run(self, boxes: Sequence[Box3] | None = None,
             paths: Sequence[str] = ALL_PATHS) -> VerificationReport:

@@ -11,7 +11,7 @@ it, and nobody may ever return an infeasible
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.bnb import branch_and_bound_select
 from repro.core.bruteforce import brute_force_select
@@ -103,7 +103,6 @@ def check_instance(instance: SelectionInstance,
 
 def check_budget_sweep(
     instance: SelectionInstance,
-    budgets: Sequence[float] | None = None,
     report: SolverCheckReport | None = None,
     label: str = "",
 ) -> SolverCheckReport:
@@ -112,11 +111,9 @@ def check_budget_sweep(
     and effectively unlimited."""
     if report is None:
         report = SolverCheckReport()
-    if budgets is None:
-        smallest = float(instance.storage.min()) if instance.n_replicas else 0.0
-        total = float(instance.storage.sum())
-        budgets = [0.0, smallest * 0.5, smallest, total * 0.4, total]
-    for budget in budgets:
+    smallest = float(instance.storage.min()) if instance.n_replicas else 0.0
+    total = float(instance.storage.sum())
+    for budget in (0.0, smallest * 0.5, smallest, total * 0.4, total):
         check_instance(instance.with_budget(float(budget)), report,
                        label=f"{label}b={budget:.3g}")
     return report

@@ -135,7 +135,7 @@ def test_live_engine_closed_loop(tmp_path):
     stale = EncodingCostParams(scan_rate=8e6 * STALE_FACTOR, extra_time=0.0)
     model.update_params(ENCODING, stale)
 
-    obs = Observability.create(drift_min_samples=5)
+    obs = Observability.create()
     ts = TimeseriesStore(str(tmp_path / "history.jsonl"), retention=None)
     obs.attach_checkpointer(ts, interval_seconds=0.0)
     obs.attach_recalibrator(model, timeseries=ts)

@@ -87,7 +87,6 @@ class TestKdTree:
         sample = ds.sample(800, rng)
         p = KdTreePartitioner(16).build(sample, universe=ds.bounding_box())
         # Assign the full dataset to the sample-derived boxes.
-        from repro.geometry import boxes_intersect_mask
         counts = []
         for row in p.box_array:
             from repro.geometry import Box3

@@ -402,7 +402,7 @@ class TestFleet:
             config, FleetSpec(n_queries=40, seed=9),
             [SLObjective(tenant="*", kind="latency", target=0.99,
                          latency_seconds=1e-9)],
-            min_events=10, n_shards=2)
+            n_shards=2)
         assert drill.fleet.served == 40
         assert {t for t, _ in drill.engine.firing} == {"fleet-a", "fleet-b"}
         assert drill.report["slo"]["alerts"] == 2

@@ -34,7 +34,7 @@ def test_import_repro_loads_no_scipy():
     assert got == []
 
 
-def test_generating_a_million_records_grows_rss_under_three_dataset_sizes():
+def test_generating_a_million_records_grows_rss_under_two_dataset_sizes():
     got = _run_child(
         "import json, resource\n"
         "import repro\n"
@@ -45,4 +45,6 @@ def test_generating_a_million_records_grows_rss_under_three_dataset_sizes():
         "print(json.dumps({'grew': (after - before) * 1024,\n"
         "                  'size': data.binary_size_bytes()}))\n"
     )
-    assert got["grew"] <= 3 * got["size"], got
+    # The fleet is generated ~15 % oversized and trimmed one column at a
+    # time, so the peak is the generated columns plus one spare column.
+    assert got["grew"] <= 2 * got["size"], got

@@ -3,11 +3,12 @@ writes an f-string without a placeholder.
 
 These are the pyflakes F401 and F541 rules the CI lint job runs
 (``ruff check src tests benchmarks examples``), checked here with the
-standard library's ``ast`` so a Tier-1 run catches them too.  A
-module-level import counts as used when its bound name appears as a
-name anywhere in the module, inside a string annotation, or in
-``__all__``.  Package ``__init__.py`` files are skipped: they import in
-order to re-export.
+standard library's ``ast`` so a Tier-1 run catches them too.  An import
+counts as used when its bound name appears as a name anywhere in its
+scope — the module for a module-level import, the function for one
+inside a function — inside a string annotation there, or in the
+module's ``__all__``.  Package ``__init__.py`` files are skipped: they
+import in order to re-export.
 """
 
 import ast
@@ -20,10 +21,14 @@ MODULES = sorted(p for tree in TREES for p in tree.rglob("*.py")
                  if p.name != "__init__.py")
 
 
-def module_imports(tree: ast.Module):
-    """``(bound name, line)`` of every import at module level, including
-    those under a top-level ``if`` or ``try``."""
-    todo = list(tree.body)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scope_imports(scope: ast.AST):
+    """``(bound name, line)`` of every import a module or function binds
+    in its own scope: under ``if``, ``try``, ``with`` or a loop, but not
+    inside a nested function or class."""
+    todo = list(scope.body)
     while todo:
         node = todo.pop(0)
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -32,7 +37,7 @@ def module_imports(tree: ast.Module):
             for alias in node.names:
                 if alias.name != "*":
                     yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+        elif not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
             todo.extend(ast.iter_child_nodes(node))
 
 
@@ -69,8 +74,14 @@ def exported(tree: ast.Module) -> set[str]:
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     used = used_names(tree) | exported(tree)
-    return [f"line {line}: {name}" for name, line in module_imports(tree)
+    hits = [(line, name) for name, line in scope_imports(tree)
             if name not in used]
+    for function in ast.walk(tree):
+        if isinstance(function, _FUNCTIONS):
+            used = used_names(function)
+            hits += [(line, name) for name, line in scope_imports(function)
+                     if name not in used]
+    return [f"line {line}: {name}" for line, name in sorted(hits)]
 
 
 def placeholder_free_fstrings(source: str) -> list[str]:
@@ -103,6 +114,17 @@ class TestChecker:
     def test_a_docstring_mention_is_not_a_use(self):
         assert unused_imports('import numpy as np\n"""np.ndarray"""\n') == [
             "line 1: np"]
+
+    def test_a_function_import_is_used_only_within_its_function(self):
+        source = ("def f():\n"
+                  "    import json\n"
+                  "    from os import path, sep\n"
+                  "    def g():\n"
+                  "        return path\n"
+                  "    return g\n"
+                  "def h():\n"
+                  "    return json, sep\n")
+        assert unused_imports(source) == ["line 2: json", "line 3: sep"]
 
 
     def test_flags_an_fstring_without_placeholders(self):
