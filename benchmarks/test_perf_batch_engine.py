@@ -2,9 +2,11 @@
 
 Two claims are asserted, not just reported:
 
-1. ``route_batch`` (one vectorized ``Np`` broadcast per replica) routes a
+1. ``route_workload`` — the engine's one ranking pass over a whole
+   batch, one intersect-matrix broadcast per replica — routes a
    1000-query workload over 10 replicas at least 5x faster than the
-   per-query ``route()`` loop, while producing the identical plan.
+   per-query ``route()`` loop (the same pass over a batch of one), while
+   producing the identical plan.
 2. Re-executing an overlapping workload with the decoded-partition cache
    enabled reads strictly fewer bytes than the first pass and reports a
    non-zero cache hit rate.

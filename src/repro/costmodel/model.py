@@ -273,7 +273,8 @@ def monte_carlo_partitions(
 
 @dataclass(frozen=True)
 class RoutingPlan:
-    """The argmin routing of a workload over a replica set.
+    """The routing of a workload over a replica set, as
+    :meth:`repro.storage.BlotStore.route_workload` makes it.
 
     ``replica_names`` is the column order of ``costs``; ``assignments[i]``
     is the column index of the replica chosen for query ``i``.  Ties are
@@ -418,20 +419,6 @@ class CostModel:
         scan = np_q * profile.records_per_partition / params.scan_rate
         return scan + np_q * params.extra_time
 
-    def query_costs(
-        self, queries: list[AnyQuery], profile: ReplicaProfile
-    ) -> np.ndarray:
-        """Vectorized Eq. 7 over many queries on one replica profile —
-        one broadcast ``Np`` evaluation instead of a Python loop; entry
-        ``i`` equals :meth:`query_cost` on ``queries[i]``.  The serving
-        tier records one drift pair per served query, so this sits on
-        the per-batch telemetry path."""
-        params = self.params_for(profile.encoding_name)
-        packed = _pack_queries(list(queries))
-        np_vec = _packed_expected_partitions(profile, packed)
-        return (np_vec * profile.records_per_partition / params.scan_rate
-                + np_vec * params.extra_time)
-
     def query_makespan(
         self, query: AnyQuery, profile: ReplicaProfile, map_slots: int
     ) -> float:
@@ -484,35 +471,6 @@ class CostModel:
                 + np_vec * params.extra_time
             )
         return matrix
-
-    def route_batch(
-        self, workload: Workload, profiles: list[ReplicaProfile]
-    ) -> RoutingPlan:
-        """Route every query of ``workload`` to its cheapest replica in one
-        vectorized pass (the batch form of per-query ``route()``).
-
-        Computes the full queries x replicas Eq. 7 cost matrix with a
-        single ``Np`` broadcast per replica and takes the per-row argmin.
-        Equal-cost ties go to the lexicographically smallest replica name,
-        so the plan is deterministic and agrees with
-        :meth:`repro.storage.BlotStore.route`.
-        """
-        if not profiles:
-            raise ValueError("cannot route over an empty replica set")
-        names = [p.name for p in profiles]
-        if len(set(names)) != len(names):
-            raise ValueError(f"replica profile names must be unique, got {names}")
-        costs = self.cost_matrix(workload, profiles)
-        # argmin takes the first of equal minima, so scanning columns in
-        # name order yields the lexicographic tiebreak.
-        order = np.asarray(sorted(range(len(profiles)), key=lambda j: names[j]),
-                           dtype=np.intp)
-        assignments = order[np.argmin(costs[:, order], axis=1)]
-        return RoutingPlan(
-            replica_names=tuple(names),
-            assignments=assignments,
-            costs=costs,
-        )
 
     def workload_cost(
         self, workload: Workload, profiles: list[ReplicaProfile]

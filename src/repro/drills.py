@@ -132,15 +132,16 @@ def run_ingest_drill(data, specs, wal_dir: str, *, batch_size: int,
     ``wal_dir`` and check every acknowledged record reads back.
 
     A fresh directory starts from the first half of ``data`` and appends
-    the rest; a directory holding WAL state is reopened (the recovery
-    path) and all of ``data`` is appended.  Reads are checked right
+    the rest in order, so a directory holding WAL state holds an
+    acknowledged prefix of ``data``: it is reopened (the recovery path)
+    and the records past that prefix are appended.  Reads are checked right
     after the last append, while the buffer still holds batches, and
     again once compaction has folded them.  ``settings`` are the store's
     keyword arguments."""
     resumed = None
     if wal_state_exists(wal_dir):
         store = IngestingBlotStore.open(wal_dir, specs, **settings)
-        resumed, start = (len(store), store.buffered_records), 0
+        resumed, start = (len(store), store.buffered_records), len(store)
     else:
         start = max(1, len(data) // 2)
         store = IngestingBlotStore(data.take(np.arange(start)), specs,

@@ -282,14 +282,19 @@ def boxes_intersect_matrix(box_array: np.ndarray, query_array: np.ndarray) -> np
         raise ValueError(f"expected an (n, 6) box array, got shape {b.shape}")
     if q.ndim != 2 or q.shape[1] != 6:
         raise ValueError(f"expected an (m, 6) query array, got shape {q.shape}")
-    return (
-        (b[None, :, 0] <= q[:, None, 1])
-        & (b[None, :, 1] >= q[:, None, 0])
-        & (b[None, :, 2] <= q[:, None, 3])
-        & (b[None, :, 3] >= q[:, None, 2])
-        & (b[None, :, 4] <= q[:, None, 5])
-        & (b[None, :, 5] >= q[:, None, 4])
-    )
+    # Each box face (n,) against each query face as a column (m, 1),
+    # folded in place: one (m, n) temporary instead of eleven.  A single
+    # query's faces are Python floats: at m = 1 setting up the broadcast
+    # would cost more than the comparisons.
+    x_min, x_max, y_min, y_max, t_min, t_max = (
+        q[0].tolist() if len(q) == 1 else q.T[:, :, None])
+    out = b[:, 0] <= x_max
+    out &= b[:, 1] >= x_min
+    out &= b[:, 2] <= y_max
+    out &= b[:, 3] >= y_min
+    out &= b[:, 4] <= t_max
+    out &= b[:, 5] >= t_min
+    return out.reshape(len(q), len(b))
 
 
 def centroid_range(universe: Box3, size: tuple[float, float, float]) -> Box3:

@@ -42,9 +42,12 @@ class Partitioning:
     counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.box_array, dtype=np.float64)
+        # Column-major: each face is one contiguous column, which is all
+        # an intersect pass over the boxes reads.
+        arr = np.asfortranarray(self.box_array, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 6:
             raise ValueError(f"box_array must be (n, 6), got {arr.shape}")
+        object.__setattr__(self, "box_array", arr)
         if np.any(self.labels < 0) or (self.labels.size and self.labels.max() >= len(arr)):
             raise ValueError("labels reference partitions outside box_array")
         if self.counts is None:

@@ -46,18 +46,19 @@ un-instrumented path costs one ``None`` check per call
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.costmodel.model import CostModel, RoutingPlan
 from repro.data.dataset import Dataset
 from repro.data.record import FIELDS
 from repro.encoding.base import EagerPartitionReader, EncodingScheme
-from repro.geometry import Box3, boxes_intersect_mask
+from repro.geometry import Box3, boxes_intersect_matrix
 from repro.geometry.box import boxes_within_mask
 from repro.obs import Observability
 from repro.obs.trace import NULL_RECORDER
@@ -71,13 +72,14 @@ from repro.errors import (
 from repro.storage.cache import CacheStats, PartitionCache
 from repro.storage.failover import RankingWalk
 from repro.storage.faults import FaultInjector
-from repro.storage.options import ExecOptions
+from repro.storage.options import DEFAULT_EXEC_OPTIONS, ExecOptions
 from repro.storage.reads import (
     QueryResult,
     QueryStats,
     ReadRequest,
     ReadSurface,
     WorkloadStats,
+    positioned_requests,
 )
 from repro.storage.recovery import RecoveryError, repair_partition_any
 from repro.storage.replica import StoredReplica, build_replica
@@ -139,14 +141,15 @@ class _DecodeTelemetry:
 
 @dataclass(slots=True)
 class _Read:
-    """A request in flight: its slot in the call, its failover walk and
-    the intersect masks its routing priced it with, if it was routed on
-    exactly its own box (see :meth:`BlotStore._ranked`)."""
+    """A request in flight: its slot in the call (its row of every
+    intersect matrix), its failover walk, and the matrices its routing
+    priced the call with, by name — ``(replica object, matrix)``, shared
+    by every read of the call (see :meth:`BlotStore._rank`)."""
 
     index: int
     request: ReadRequest
     walk: RankingWalk
-    routed: dict[str, tuple[StoredReplica, np.ndarray]] | None = None
+    routed: dict[str, tuple[StoredReplica, np.ndarray]]
 
 
 class BlotStore(ReadSurface):
@@ -310,9 +313,9 @@ class BlotStore(ReadSurface):
         and its decoded-partition cache entries are dropped to reclaim
         memory.  Read memos are keyed by the replica object, so a
         replica later registered under the same name never sees this
-        one's.  A read that ranked its replicas before the retire — its
-        own routing a moment ago, or a caller's batch plan — fails over
-        down each query's Eq. 6-7 ranking instead of erroring.  Returns
+        one's.  A read that ranked its replicas a moment before the
+        retire fails over down each query's Eq. 6-7 ranking instead of
+        erroring.  Returns
         the retired replica (the caller owns the underlying storage
         units and decides when to delete them).
         """
@@ -338,14 +341,13 @@ class BlotStore(ReadSurface):
     # -- routing ---------------------------------------------------------------
 
     def route(self, query: Query) -> str:
-        """Pick the replica with the lowest estimated cost for ``query``.
+        """Pick the replica with the lowest estimated cost for ``query``:
+        the head of :meth:`route_ranked`.
 
         Requires a cost model when more than one replica exists; with a
         single replica routing is trivial.  Equal-cost ties break
         deterministically toward the lexicographically smallest replica
-        name (the same rule as
-        :meth:`~repro.costmodel.CostModel.route_batch`), so routing never
-        depends on replica registration order.
+        name, so routing never depends on replica registration order.
         """
         return self.route_ranked(query)[0]
 
@@ -355,150 +357,86 @@ class BlotStore(ReadSurface):
         The head is what :meth:`route` returns; the tail is the failover
         order the engine walks when the assigned replica fails.
         """
-        return self._ranked(query, self._replicas)
+        (read,), _ = self._rank([ReadRequest.of(query)], DEFAULT_EXEC_OPTIONS)
+        return list(read.walk.ranking)
 
-    def _ranked(self, query: Query, replicas: Mapping[str, StoredReplica],
-                masks: dict | None = None) -> list[str]:
-        """:meth:`route_ranked` over one published serving set.  ``Np`` is
-        counted from each replica's intersect mask, which ``masks`` (when
-        given) receives as ``name -> (replica object, mask)`` for
-        :meth:`_plan`."""
-        if not replicas:
-            raise ValueError("no replicas registered")
-        names = sorted(replicas)
-        if len(names) == 1:
-            return names
-        if self._cost_model is None:
-            raise ValueError(
-                "multiple replicas but no cost model configured; "
-                "pass replica= to query() or construct BlotStore with a cost model"
-            )
-        n = self._n_records
-        model = self._cost_model
-        box = query.box()
-        scored = []
-        for name in names:
-            stored = replicas[name]
-            profile = stored.profile(n_records=n)
-            mask = boxes_intersect_mask(profile.box_array, box)
-            scored.append((model.involved_cost(
-                float(np.count_nonzero(mask)), profile), name))
-            if masks is not None:
-                masks[name] = (stored, mask)
-        scored.sort()
-        return [name for _, name in scored]
+    def route_workload(self, workload: Workload) -> RoutingPlan:
+        """Route a workload of positioned queries in one pass: the
+        :class:`~repro.costmodel.RoutingPlan` whose ``ranking_for(i)``
+        is :meth:`route_ranked` of query ``i``."""
+        return self._rank(positioned_requests(workload),
+                          DEFAULT_EXEC_OPTIONS)[1]
 
-    def _candidates(
-        self, query: Query, replica: str | None, options: ExecOptions,
-        replicas: Mapping[str, StoredReplica], masks: dict | None = None,
-    ) -> list[str]:
-        """The replicas of ``replicas`` to try for one query, primary
-        first (``masks`` as in :meth:`_ranked`).
+    def _rank(self, requests: list[ReadRequest], opts: ExecOptions,
+              replica: str | None = None,
+              ) -> tuple[list[_Read], RoutingPlan]:
+        """The plan stage's routing half, and the one place a replica
+        ranking is made: one :class:`_Read` per request, walking its
+        ranking, plus the plan over the replicas considered (columns in
+        name order, each request's Eq. 7 cost on each).
 
-        With an explicit ``replica`` the pin wins the first slot; the
-        rest of the ranking (cost order when a model exists, name order
-        otherwise) follows as failover targets when enabled.
-        """
-        if replica is not None:
-            _named(replicas, replica)  # raise KeyError early on unknown names
-            if not options.failover or len(replicas) == 1:
-                return [replica]
-            if self._cost_model is not None:
-                ranked = self._ranked(query, replicas, masks)
-            else:
-                ranked = sorted(replicas)
-            return [replica] + [n for n in ranked if n != replica]
-        ranked = self._ranked(query, replicas, masks)
-        return ranked if options.failover else ranked[:1]
-
-    def route_workload(
-        self, workload: Workload, options: ExecOptions | None = None
-    ) -> RoutingPlan:
-        """Batch-route a whole workload in one vectorized pass.
-
-        Computes the queries x replicas Eq. 7 cost matrix with one ``Np``
-        broadcast per replica (instead of per-query Python loops) and
-        returns the argmin :class:`~repro.costmodel.RoutingPlan`.  Agrees
-        with per-query :meth:`route` including tie-breaking; the full
-        cost matrix also carries each query's failover ranking
-        (:meth:`~repro.costmodel.RoutingPlan.ranking_for`).  ``options``
-        is accepted for surface uniformity; routing itself is a pure
-        cost computation and uses none of its fields.
-        """
-        del options  # uniform surface; routing has no execution knobs
-        return self._route_batch(workload, self._replicas)
-
-    def _route_batch(self, workload: Workload,
-                     replicas: Mapping[str, StoredReplica]) -> RoutingPlan:
-        """:meth:`route_workload` over one published serving set."""
-        if not replicas:
-            raise ValueError("no replicas registered")
-        if len(replicas) == 1:
-            return _pinned_plan(next(iter(replicas)), len(workload))
-        if self._cost_model is None:
-            raise ValueError(
-                "multiple replicas but no cost model configured; "
-                "cannot route a workload"
-            )
-        n = self._n_records
-        profiles = [stored.profile(n_records=n) for stored in replicas.values()]
-        return self._cost_model.route_batch(workload, profiles)
-
-    def _rank(self, requests: list[ReadRequest], opts: ExecOptions, rec, root,
-              batch: bool, replica: str | None, plan: RoutingPlan | None,
-              ) -> tuple[list[_Read], RoutingPlan | None]:
-        """The plan stage's routing half: one :class:`_Read` per request,
-        walking its replica ranking, plus the batch's routing plan.  A
-        ranking has length one when failover is off — that is all a
-        shard worker is.  A routed scalar read keeps its intersect
-        masks for :meth:`_plan`.  Everything here reads one published
-        serving set; a replica retired after that is :meth:`_run`'s to
-        fail over."""
+        Every considered replica gets one intersect pass over the
+        requests' exact boxes: a mask row's count is the request's
+        ``Np``, and the row is what :meth:`_plan` plans from.  The
+        ranking is a stable argsort of the costs, so equal costs go to
+        the smaller name.  A pin takes the first slot, the rest following
+        in cost order (name order without a cost model).  With failover
+        off a ranking has length one, and a pinned read intersects only
+        the pinned replica.  A cost is NaN where an encoding has no
+        Eq. 6 row and nothing needed ranking.  Everything here reads one
+        published serving set; a replica retired after that is
+        :meth:`_run`'s to fail over."""
         replicas = self._replicas
-        if not batch:
-            request = requests[0]
-            # The masks are of ``query.box()``: a raw box that sits an
-            # ulp off it is planned on its own bounds instead.
-            masks = {} if request.box == request.query.box() else None
-            with rec.start("route", parent=root) as route_span:
-                candidates = self._candidates(request.query, replica,
-                                              opts, replicas, masks)
-                route_span.annotate(candidates=list(candidates))
-            return [_Read(0, request, RankingWalk(candidates),
-                          masks or None)], None
+        if not replicas:
+            raise ValueError("no replicas registered")
+        model = self._cost_model
+        names = sorted(replicas)
         if replica is not None:
-            # Every query pinned, like query(replica=): the cost matrix
-            # (hence the failover order) is only computed when a walk
-            # could use it.
             _named(replicas, replica)  # raise KeyError early on unknown names
-            if opts.failover and len(replicas) > 1:
-                routed = self._route_batch(
-                    Workload.unweighted([r.query for r in requests]),
-                    replicas)
-                plan = replace(routed, assignments=np.full(
-                    len(requests), routed.replica_names.index(replica),
-                    dtype=np.intp))
-            else:
-                plan = _pinned_plan(replica, len(requests))
-        elif plan is None:
-            with rec.start("route", parent=root, batch=True):
-                plan = self._route_batch(
-                    Workload.unweighted([r.query for r in requests]),
-                    replicas)
-        elif plan.n_queries != len(requests):
+            if not opts.failover:
+                names = [replica]
+        elif len(names) > 1 and model is None:
             raise ValueError(
-                f"plan covers {plan.n_queries} queries, "
-                f"workload has {len(requests)}"
-            )
-        assigned = plan.assigned_names()
-        if not opts.failover or len(plan.replica_names) == 1:
-            rankings = [[name] for name in assigned]
+                "multiple replicas but no cost model configured; pass "
+                "replica= or construct BlotStore with a cost model")
+        by_cost = model is not None and len(names) > 1
+        boxes = np.array([r.box.as_tuple() for r in requests],
+                         dtype=np.float64).reshape(-1, 6)
+        costs = np.full((len(requests), len(names)), np.nan)
+        masks: dict[str, tuple[StoredReplica, np.ndarray]] = {}
+        for j, name in enumerate(names):
+            stored = replicas[name]
+            rows = boxes_intersect_matrix(stored.partitioning.box_array, boxes)
+            masks[name] = (stored, rows)
+            if model is None:
+                continue
+            # A batch of one is counted and priced in Python floats: on
+            # one-element arrays numpy's per-call cost is most of routing.
+            found = (float(np.count_nonzero(rows)) if len(rows) == 1
+                     else rows.sum(axis=1))
+            try:
+                costs[:, j] = model.involved_cost(
+                    found, stored.profile(n_records=self._n_records))
+            except KeyError:  # no Eq. 6 row for this encoding
+                if by_cost:
+                    raise
+        if by_cost:
+            order = np.argsort(costs, axis=1, kind="stable")
+            rankings = [[names[j] for j in row] for row in order.tolist()]
+            assigned = order[:, 0]
         else:
-            rankings = [[name] + [n for n in plan.ranking_for(i) if n != name]
-                        for i, name in enumerate(assigned)]
-        return [_Read(i, request, RankingWalk(ranking))
-                for i, (request, ranking)
-                in enumerate(zip(requests, rankings))], plan
+            rankings = [names] * len(requests)
+            assigned = np.zeros(len(requests), np.intp)
+        if replica is not None:
+            assigned = np.full(len(requests), names.index(replica), np.intp)
+            rankings = [[replica] + [n for n in row if n != replica]
+                        for row in rankings]
+        if not opts.failover:
+            rankings = [row[:1] for row in rankings]
+        return ([_Read(i, request, RankingWalk(ranking), masks)
+                 for i, (request, ranking)
+                 in enumerate(zip(requests, rankings))],
+                RoutingPlan(tuple(names), assigned, costs))
 
     # -- the read pipeline: plan -> fetch -> decode -> filter -> fold ----------
 
@@ -533,14 +471,13 @@ class BlotStore(ReadSurface):
 
     def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
                  batch: bool, replica: str | None = None,
-                 plan: RoutingPlan | None = None,
-                 ) -> tuple[list, RoutingPlan | None, WorkloadStats | None]:
+                 ) -> tuple[list, RoutingPlan, WorkloadStats | None]:
         """The single read entry behind ``query`` / ``count`` /
         ``execute_each``: route, run the pipeline, publish telemetry.
 
         Returns one outcome per request — a :class:`QueryResult` or the
-        :class:`DegradedReadError` that request ended in — plus, for a
-        batch, the routing plan and the aggregate stats.  ``batch``
+        :class:`DegradedReadError` that request ended in — plus the
+        routing plan and, for a batch, the aggregate stats.  ``batch``
         only picks the call's *shape*: a ``workload`` root span with a
         ``query[kind=workload]`` child per request and per-request
         ``seconds`` that exclude the shared unit reads, versus one
@@ -562,8 +499,16 @@ class BlotStore(ReadSurface):
                              q_width=q.width, q_height=q.height,
                              q_duration=q.duration, q_x=q.x, q_y=q.y, q_t=q.t)
         with root:
-            reads, plan = self._rank(requests, opts, rec, root, batch,
-                                     replica, plan)
+            if batch and replica is not None:
+                # Every query pinned, like query(replica=): no route span.
+                reads, plan = self._rank(requests, opts, replica)
+            elif batch:
+                with rec.start("route", parent=root, batch=True):
+                    reads, plan = self._rank(requests, opts)
+            else:
+                with rec.start("route", parent=root) as route_span:
+                    reads, plan = self._rank(requests, opts, replica)
+                    route_span.annotate(candidates=list(reads[0].walk.ranking))
             outcomes = self._run(reads, opts, acct, rec, root, batch)
             served = [(i, o.stats) for i, o in enumerate(outcomes)
                       if isinstance(o, QueryResult)]
@@ -689,10 +634,10 @@ class BlotStore(ReadSurface):
         skipped), the ``partitions_involved`` figure, and the records
         answered without reading anything.
 
-        The involved partitions come from ``read.routed`` when routing
-        priced this very replica object (a replica re-registered under
-        the same name is planned on its own boxes), else from one
-        intersection pass.
+        The involved partitions come from the request's row of
+        ``read.routed`` when routing priced this very replica object; a
+        replica re-registered under the same name since is planned on
+        its own boxes, with one intersection pass.
 
         The records fold reads every involved partition.  The counting
         fold short-circuits here: a contained partition contributes its
@@ -701,8 +646,9 @@ class BlotStore(ReadSurface):
         """
         request = read.request
         box = request.box
-        hit = read.routed.get(stored.name) if read.routed else None
-        ids = (np.flatnonzero(hit[1]) if hit is not None and hit[0] is stored
+        hit = read.routed.get(stored.name)
+        ids = (np.flatnonzero(hit[1][read.index])
+               if hit is not None and hit[0] is stored
                else stored.involved_partitions(box))
         keys = stored.unit_keys
         within = boxes_within_mask(stored.partitioning.box_array[ids], box)
@@ -1070,8 +1016,7 @@ class BlotStore(ReadSurface):
 
     def _publish(self, obs: Observability, requests: list[ReadRequest],
                  served: list[tuple[int, QueryStats]], acct: _Accounting,
-                 plan: RoutingPlan | None, batch_seconds: float | None,
-                 ) -> None:
+                 plan: RoutingPlan, batch_seconds: float | None) -> None:
         """Publish one call into the telemetry bundle: the counters, the
         latency sketch of its shape, and one (predicted Eq. 7,
         measured seconds) drift pair per served request, for the replica
@@ -1103,36 +1048,18 @@ class BlotStore(ReadSurface):
         for what in ("retries", "failovers", "repairs"):
             if getattr(acct, what):
                 m.counter(f"repro_{what}_total").inc(getattr(acct, what))
-        stats_of = dict(served)
-        replicas = self._replicas
         for i, _ in served:
             obs.observe_query(requests[i].query)
-        for name, idxs in by_replica.items():
-            if self._cost_model is None:
-                break
-            if plan is not None and len(plan.replica_names) > 1:
-                costs = [plan.cost_for(i, name) for i in idxs]
-            else:
-                # No usable cost matrix (a scalar call, or a single-
-                # replica plan whose matrix is all zeros): evaluate
-                # Eq. 7 directly, one vectorized pass per replica — one
-                # scalar evaluation per query dominates the whole
-                # telemetry path on large batches.
-                stored = replicas.get(name)
-                if stored is None:
-                    continue
-                try:
-                    costs = self._cost_model.query_costs(
-                        [requests[i].query for i in idxs],
-                        stored.profile(n_records=self._n_records))
-                except KeyError:
-                    continue  # no calibrated params for this encoding
-            for i, cost in zip(idxs, costs):
-                obs.drift.record(name, float(cost), stats_of[i].seconds)
+        if self._cost_model is not None:
+            for i, s in served:
+                cost = plan.cost_for(i, s.replica_name)
+                if not math.isnan(cost):  # no Eq. 6 row for its encoding
+                    obs.drift.record(s.replica_name, cost, s.seconds)
         # Closed-loop tail of every served call: offer the attached
         # recalibrator a shot at each serving replica's drift flag (no-ops
         # on a bundle without the optional layers), then let reselection
         # and the checkpointer act if their schedules say so.
+        replicas = self._replicas
         for name in sorted(by_replica):
             stored = replicas.get(name)
             if stored is not None:
@@ -1170,7 +1097,8 @@ class BlotStore(ReadSurface):
             retries=acct.retries,
             failovers=acct.failovers,
             repairs=acct.repairs,
-            degraded_cost_delta=float(delta),
+            # NaN: no cost model priced the replicas, nothing to estimate.
+            degraded_cost_delta=0.0 if math.isnan(delta) else float(delta),
             failed_replicas=tuple(sorted(acct.failed_replicas)),
         )
 
@@ -1181,16 +1109,6 @@ def _named(replicas: Mapping[str, StoredReplica], name: str) -> StoredReplica:
     except KeyError:
         raise KeyError(
             f"no replica named {name!r}; have {list(replicas)}") from None
-
-
-def _pinned_plan(replica_name: str, n_queries: int) -> RoutingPlan:
-    """The degenerate plan assigning every query to one replica (all-zero
-    costs: nothing to choose between)."""
-    return RoutingPlan(
-        replica_names=(replica_name,),
-        assignments=np.zeros(n_queries, dtype=np.intp),
-        costs=np.zeros((n_queries, 1), dtype=np.float64),
-    )
 
 
 def open_store(

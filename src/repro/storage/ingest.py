@@ -842,14 +842,14 @@ class IngestingBlotStore(ReadSurface):
     # -- reads ----------------------------------------------------------------
 
     def _execute(self, requests: list[ReadRequest], opts: ExecOptions, *,
-                 batch: bool, replica: str | None = None, plan=None):
+                 batch: bool, replica: str | None = None):
         """The single read entry (see
         :class:`~repro.storage.reads.ReadSurface`), fanned over the
         layers: each one answers the requests whose range reaches its
-        time span (the base: all of them, even none, so it takes the
-        caller's ``plan`` and returns the routing plan), and the delta
-        buffer — a layer whose decode is the identity — is filtered by
-        its batches' bounds (:meth:`_scan_buffer`).
+        time span (the base: all of them, even none, so its routing plan
+        is the call's), and the delta buffer — a layer whose decode is
+        the identity — is filtered by its batches' bounds
+        (:meth:`_scan_buffer`).
 
         Per request the layers merge in the order sealed windows (oldest
         first), base, buffer, so a raw :class:`Box3` is matched against
@@ -874,7 +874,7 @@ class IngestingBlotStore(ReadSurface):
                     continue
                 outcomes, layer_plan, stats = layer.store._execute(
                     [requests[i] for i in idxs], opts, batch=batch,
-                    replica=replica, plan=plan if layer is base else None)
+                    replica=replica)
                 for i, outcome in zip(idxs, outcomes):
                     if isinstance(outcome, DegradedReadError):
                         errors.setdefault(i, outcome)

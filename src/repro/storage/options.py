@@ -1,9 +1,10 @@
 """Unified execution options for the query engine.
 
-Every execution-facing entry point of :class:`~repro.storage.BlotStore`
-— ``query()``, ``count()``, ``route_workload()`` and
-``execute_workload()`` — accepts one :class:`ExecOptions` value instead
-of a growing pile of ad-hoc keyword arguments.  The deprecated bare
+Every read of :class:`~repro.storage.BlotStore` — ``query()``,
+``count()``, ``execute_workload()`` and ``execute_each()`` — accepts one
+:class:`ExecOptions` value instead of a growing pile of ad-hoc keyword
+arguments; routing alone (``route*``) is a pure cost computation and
+takes none.  The deprecated bare
 ``parallelism=`` keyword shim has been removed; spell it
 ``options=ExecOptions(parallelism=...)``.
 

@@ -158,9 +158,23 @@ class ReadRequest:
         return cls(query, query.box(), count)
 
 
+def positioned_requests(workload: Workload) -> list[ReadRequest]:
+    """One records-fold request per query of ``workload``; a batch reads
+    positioned queries only."""
+    requests = []
+    for i, (q, _) in enumerate(workload):
+        if not isinstance(q, Query):
+            raise ValueError(
+                f"batch reads need positioned queries; entry {i} is a "
+                f"grouped query {q!r} (position it with .at())"
+            )
+        requests.append(ReadRequest(q, q.box()))
+    return requests
+
+
 class ReadSurface:
     """The four public reads over one ``_execute(requests, opts, batch=,
-    replica=, plan=)`` hook (see the module docstring): they only build
+    replica=)`` hook (see the module docstring): they only build
     :class:`ReadRequest` lists and unwrap outcomes."""
 
     def query(
@@ -219,7 +233,6 @@ class ReadSurface:
     def execute_each(
         self,
         workload: Workload,
-        plan: RoutingPlan | None = None,
         options: ExecOptions | None = None,
         replica: str | None = None,
     ) -> WorkloadResult:
@@ -229,11 +242,11 @@ class ReadSurface:
         ended in — one unreadable partition never costs the other
         queries their answers.
 
-        The workload is routed with :meth:`BlotStore.route_workload`
-        (unless a ``plan`` is supplied, or ``replica`` pins every query
-        the way ``query(replica=)`` does), grouped by chosen replica, and
-        each replica's involved-partition *union* is read exactly once —
-        on the persistent thread pool when ``options.parallelism`` > 1 —
+        The workload is routed the way :meth:`BlotStore.route_workload`
+        routes it (unless ``replica`` pins every query the way
+        ``query(replica=)`` does), grouped by chosen replica, and each
+        replica's involved-partition *union* is read exactly once — on
+        the persistent thread pool when ``options.parallelism`` > 1 —
         with every query that touches a partition evaluated against it.
         A query's records therefore match sequential
         ``query(q, replica=...)`` exactly, record order included.
@@ -247,29 +260,20 @@ class ReadSurface:
         replicas, and the estimated cost delta vs. the healthy plan).
         """
         opts = options if options is not None else DEFAULT_EXEC_OPTIONS
-        requests = []
-        for i, (q, _) in enumerate(workload):
-            if not isinstance(q, Query):
-                raise ValueError(
-                    f"execute_workload needs positioned queries; entry {i} is a "
-                    f"grouped query {q!r} (position it with .at())"
-                )
-            requests.append(ReadRequest(q, q.box()))
-        outcomes, plan, stats = self._execute(requests, opts, batch=True,
-                                              replica=replica, plan=plan)
+        outcomes, plan, stats = self._execute(positioned_requests(workload),
+                                              opts, batch=True, replica=replica)
         return WorkloadResult(results=tuple(outcomes), plan=plan, stats=stats)
 
     def execute_workload(
         self,
         workload: Workload,
-        plan: RoutingPlan | None = None,
         options: ExecOptions | None = None,
     ) -> WorkloadResult:
         """:meth:`execute_each`, all-or-nothing: if any query could not
         be served the call raises that query's
         :class:`~repro.storage.faults.DegradedReadError` — never a
         partial result set."""
-        result = self.execute_each(workload, plan=plan, options=options)
+        result = self.execute_each(workload, options=options)
         for outcome in result.results:
             if isinstance(outcome, DegradedReadError):
                 raise outcome

@@ -22,9 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.costmodel.model import CostModel, RoutingPlan
+from repro.costmodel.model import CostModel
 from repro.data.dataset import Dataset
 from repro.encoding.base import EncodingScheme, paper_encoding_schemes
+from repro.errors import DegradedReadError
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
 from repro.partition.composite import small_partitioning_schemes
@@ -198,8 +199,8 @@ class DifferentialHarness:
                             got.records)
 
     def _run_batch(self, report, boxes, oracles) -> None:
-        """``execute_workload`` pinned to each replica via an explicit
-        :class:`RoutingPlan` (and cost-routed when a model exists)."""
+        """``execute_each`` pinned to each replica (and cost-routed
+        ``execute_workload`` when a model exists)."""
         queries = [Query.from_box(box) for box in boxes]
         workload = Workload.unweighted(queries)
         # The batch path scans Range(q) of the positioned query, so its
@@ -207,16 +208,12 @@ class DifferentialHarness:
         # original box by one ulp; both sides must use the same bounds).
         batch_oracles = [oracle_answer(self._dataset, q.box())
                          for q in queries]
-        m = len(queries)
-        for j, name in enumerate(self._names):
-            plan = RoutingPlan(
-                replica_names=tuple(self._names),
-                assignments=np.full(m, j, dtype=np.intp),
-                costs=np.zeros((m, len(self._names)), dtype=np.float64),
-            )
-            result = self._store.execute_workload(workload, plan=plan,
-                                                  options=_NO_FAILOVER)
+        for name in self._names:
+            result = self._store.execute_each(workload, replica=name,
+                                              options=_NO_FAILOVER)
             for i, got in enumerate(result.results):
+                if isinstance(got, DegradedReadError):
+                    raise got
                 self._check(report, "batch", name, i, queries[i].box(),
                             batch_oracles[i], got.records)
         if self._cost_model is not None:

@@ -1,4 +1,5 @@
-"""Tests for the vectorized batch routing path of the cost model."""
+"""Tests for the vectorized batch paths of the cost model, and for the
+batch routing the engine builds on them."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,18 @@ from repro.costmodel import (
     batch_expected_partitions,
     expected_partitions,
 )
+from repro.data import synthetic_shanghai_taxis
+from repro.encoding import encoding_scheme_by_name
+from repro.errors import ReplicaExists
 from repro.geometry import Box3
-from repro.workload import GroupedQuery, Query, Workload
+from repro.partition import CompositeScheme, KdTreePartitioner
+from repro.storage import BlotStore, InMemoryStore
+from repro.workload import (
+    GroupedQuery,
+    Query,
+    Workload,
+    positioned_random_workload,
+)
 
 UNIVERSE = Box3(0.0, 10.0, 0.0, 10.0, 0.0, 100.0)
 
@@ -96,36 +107,74 @@ class TestCostMatrix:
                 assert matrix[i, j] == model.query_cost(q, p)
 
 
+@pytest.fixture(scope="module")
+def taxis():
+    return synthetic_shanghai_taxis(2000, seed=11, num_taxis=8)
+
+
+def make_store(ds, model, specs=((8, 2, "ROW-PLAIN", "r0"),
+                                 (16, 4, "COL-GZIP", "r1"),
+                                 (4, 2, "ROW-PLAIN", "r2"))):
+    store = BlotStore(ds, cost_model=model)
+    for leaves, slices, enc, name in specs:
+        store.add_replica(CompositeScheme(KdTreePartitioner(leaves), slices),
+                          encoding_scheme_by_name(enc), InMemoryStore(),
+                          name=name)
+    return store
+
+
+def taxi_workload(ds, n=25):
+    return positioned_random_workload(ds.bounding_box(), n,
+                                      np.random.default_rng(5),
+                                      max_fraction=0.5)
+
+
 class TestRouteBatch:
-    def test_plan_matches_per_query_argmin(self, rng, model, profiles):
-        workload = mixed_workload(rng)
-        plan = model.route_batch(workload, profiles)
+    """``BlotStore.route_workload`` is the batch form of ``route`` /
+    ``route_ranked``: one pass, the same costs, the same ties."""
+
+    def test_plan_matches_per_query_argmin(self, taxis, model):
+        store = make_store(taxis, model)
+        workload = taxi_workload(taxis)
+        plan = store.route_workload(workload)
+        profiles = [store.replica(n).profile() for n in plan.replica_names]
         for i, q in enumerate(workload.queries()):
             costs = [model.query_cost(q, p) for p in profiles]
             assert plan.costs[i].tolist() == costs
-            best = min(costs)
-            # The chosen replica attains the per-query minimum cost.
-            assert costs[int(plan.assignments[i])] == best
+            assert costs[int(plan.assignments[i])] == min(costs)
+            assert plan.assigned_names()[i] == store.route(q)
+            assert list(plan.ranking_for(i)) == store.route_ranked(q)
 
-    def test_tie_breaks_to_lexicographically_smallest_name(self, rng, model):
-        base = make_profile("zz-late", 30, rng)
-        twin = ReplicaProfile("aa-early", base.partitioning_name,
-                              base.encoding_name, base.box_array, base.universe,
-                              base.n_records, base.storage_bytes)
-        plan = model.route_batch(mixed_workload(rng), [base, twin])
+    def test_tie_breaks_to_lexicographically_smallest_name(self, taxis,
+                                                           model):
+        # Registered late-name first: the tie rule must not depend on it.
+        twins = ((8, 2, "ROW-PLAIN", "zz-late"), (8, 2, "ROW-PLAIN", "aa-early"))
+        store = make_store(taxis, model, twins)
+        workload = taxi_workload(taxis)
+        plan = store.route_workload(workload)
         assert set(plan.assigned_names()) == {"aa-early"}
+        assert {store.route(q) for q in workload.queries()} == {"aa-early"}
+        assert store.route_ranked(workload.queries()[0]) == [
+            "aa-early", "zz-late"]
 
-    def test_empty_profiles_rejected(self, rng, model):
-        with pytest.raises(ValueError, match="empty replica set"):
-            model.route_batch(mixed_workload(rng), [])
+    def test_empty_profiles_rejected(self, taxis, model):
+        with pytest.raises(ValueError, match="no replicas"):
+            BlotStore(taxis, cost_model=model).route_workload(
+                taxi_workload(taxis))
+        with pytest.raises(ValueError, match="no cost model"):
+            make_store(taxis, None).route_workload(taxi_workload(taxis))
+        with pytest.raises(ValueError, match="positioned"):
+            make_store(taxis, model).route_workload(mixed_workload(
+                np.random.default_rng(1)))
 
-    def test_duplicate_names_rejected(self, rng, model, profiles):
-        with pytest.raises(ValueError, match="unique"):
-            model.route_batch(mixed_workload(rng), [profiles[0], profiles[0]])
+    def test_duplicate_names_rejected(self, taxis, model):
+        store = make_store(taxis, model)
+        with pytest.raises(ReplicaExists):
+            store.register_replica(store.replica("r0"))
 
-    def test_plan_accessors(self, rng, model, profiles):
-        workload = mixed_workload(rng)
-        plan = model.route_batch(workload, profiles)
+    def test_plan_accessors(self, taxis, model):
+        workload = taxi_workload(taxis)
+        plan = make_store(taxis, model).route_workload(workload)
         assert plan.n_queries == len(workload)
         counts = plan.query_counts()
         assert sum(counts.values()) == len(workload)
@@ -136,8 +185,10 @@ class TestRouteBatch:
             recovered[idx] = True
         assert recovered.all()
 
-    def test_total_cost_matches_workload_cost(self, rng, model, profiles):
-        workload = mixed_workload(rng)
-        plan = model.route_batch(workload, profiles)
+    def test_total_cost_matches_workload_cost(self, taxis, model):
+        store = make_store(taxis, model)
+        workload = taxi_workload(taxis)
+        plan = store.route_workload(workload)
+        profiles = [store.replica(n).profile() for n in plan.replica_names]
         assert plan.total_cost(workload.weights()) == pytest.approx(
             model.workload_cost(workload, profiles))

@@ -35,7 +35,7 @@ from repro.obs import (
 from repro.obs.timeseries import TimeseriesStore
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage import BlotStore, ExecOptions, InMemoryStore
-from repro.workload import positioned_random_workload
+from repro.workload import Query, Workload, positioned_random_workload
 
 REPLICA = "kd8/ROW-PLAIN"
 ENCODING = "ROW-PLAIN"
@@ -181,18 +181,23 @@ def test_reselection_and_checkpoint_are_offered_once_per_call(tmp_path):
     obs.attach_checkpointer(ts, interval_seconds=0.0)
     reselector = obs.attach_reselector(CountingReselector())
     model = CostModel({ENCODING: EncodingCostParams(scan_rate=8e6,
-                                                    extra_time=0.0)})
+                                                    extra_time=1e-6)})
     store = BlotStore(ds, cost_model=model, observability=obs)
     for leaves, name in ((4, "coarse"), (16, "fine")):
         store.add_replica(CompositeScheme(KdTreePartitioner(leaves), 2),
                           encoding_scheme_by_name(ENCODING),
                           InMemoryStore(), name=name)
-    workload = positioned_random_workload(ds.bounding_box(), 6,
-                                          np.random.default_rng(3))
-    plan = store.route_workload(workload)
-    plan.assignments[:] = [i % 2 for i in range(len(workload))]
-    result = store.execute_workload(workload, plan=plan)
-    assert len(result.stats.per_replica_queries) == 2
+    # The whole range pays fewer partition set-ups on the coarse replica,
+    # a small box scans fewer records on the fine one: one call, two
+    # serving replicas.
+    bb = ds.bounding_box()
+    workload = Workload.unweighted([
+        Query.from_box(bb),
+        Query(bb.width * 1e-3, bb.height * 1e-3, bb.duration * 1e-3,
+              bb.x_min + bb.width / 3, bb.y_min + bb.height / 3,
+              bb.t_min + bb.duration / 3)])
+    result = store.execute_workload(workload)
+    assert result.stats.per_replica_queries == {"coarse": 1, "fine": 1}
     assert reselector.offers == 1
     assert len(ts.entries("snapshot")) == 1
     store.close()

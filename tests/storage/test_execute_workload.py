@@ -7,7 +7,14 @@ from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage import BlotStore, ExecOptions, InMemoryStore
+from repro.storage import (
+    BlotStore,
+    ExecOptions,
+    FaultSpec,
+    InMemoryStore,
+    StoredReplica,
+)
+from repro.verify import datasets_identical, oracle_answer
 from repro.workload import GroupedQuery, Workload, positioned_random_workload
 
 
@@ -148,12 +155,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="positioned"):
             store.execute_workload(workload)
 
-    def test_plan_length_mismatch_rejected(self, ds):
-        store = make_store(ds)
-        plan = store.route_workload(make_workload(ds, 10))
-        with pytest.raises(ValueError, match="plan covers"):
-            store.execute_workload(make_workload(ds, 5), plan=plan)
-
     def test_parallelism_validated(self, ds):
         store = make_store(ds)
         with pytest.raises(ValueError, match="parallelism"):
@@ -202,3 +203,46 @@ class TestSingleReplica:
         for (q, _), r in zip(workload, result.results):
             assert r.stats.records_returned == \
                 store.query(q).stats.records_returned
+
+
+class TestPinnedWithoutCostModel:
+    def test_pinned_batch_is_served_and_fails_over_in_name_order(self, ds):
+        """``replica=`` needs no cost model on a batch, exactly as on
+        ``query``: the pin serves, and a failed pin falls back in name
+        order."""
+        store = BlotStore(ds)
+        for leaves, name in ((8, "a"), (16, "b"), (4, "c")):
+            store.add_replica(CompositeScheme(KdTreePartitioner(leaves), 2),
+                              encoding_scheme_by_name("ROW-PLAIN"),
+                              InMemoryStore(), name=name)
+        workload = make_workload(ds, 6)
+        result = store.execute_each(workload, replica="a")
+        assert result.stats.per_replica_queries == {"a": len(workload)}
+        for q, r in zip(workload.queries(), result.results):
+            single = store.query(q, replica="a")
+            assert datasets_identical(r.records, single.records)
+            assert datasets_identical(r.records, oracle_answer(ds, q.box()))
+        store.set_fault_injector(FaultSpec(fail_replicas=("a",)).build())
+        failed_over = store.execute_each(workload, replica="a")
+        assert failed_over.stats.per_replica_queries == {"b": len(workload)}
+        assert [store.query(q, replica="a").stats.replica_name
+                for q in workload.queries()] == ["b"] * len(workload)
+
+
+class TestBatchIntersectsOnce:
+    def test_routed_batch_plans_from_its_routing_masks(self, ds,
+                                                        monkeypatch):
+        """Routing's intersect pass is the plan's: a routed batch never
+        intersects a replica's boxes a second time."""
+        store = make_store(ds)
+        calls = []
+        involved = StoredReplica.involved_partitions
+
+        def counted(replica, box):
+            calls.append(replica.name)
+            return involved(replica, box)
+
+        monkeypatch.setattr(StoredReplica, "involved_partitions", counted)
+        result = store.execute_workload(make_workload(ds, 20))
+        assert len(result.results) == 20
+        assert calls == []

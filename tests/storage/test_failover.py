@@ -345,14 +345,6 @@ class TestExecOptionsSurface:
         assert after.lookups == before.lookups
         assert after.entries == before.entries
 
-    def test_workload_accepts_options_uniformly(self, ds):
-        store = make_twin_store(ds)
-        workload = make_workload(ds, 5)
-        opts = ExecOptions(parallelism=2)
-        plan = store.route_workload(workload, options=opts)
-        result = store.execute_workload(workload, plan=plan, options=opts)
-        assert result.stats.n_queries == 5
-
 
 class TestOpenStore:
     def test_open_store_builds_and_registers(self, ds):

@@ -159,12 +159,8 @@ def read_in_flight(store, call, q, replica):
         return store.query(q, replica=replica).records
     if call == "count":
         return store.count(q, replica=replica)[0]
-    workload = Workload([(q, 1.0)])
-    plan = store.route_workload(workload)
-    if replica is not None:
-        plan = replace(plan, assignments=np.full(
-            1, plan.replica_names.index(replica), dtype=np.intp))
-    (result,) = store.execute_workload(workload, plan=plan).results
+    (result,) = store.execute_each(Workload([(q, 1.0)]),
+                                   replica=replica).results
     return result.records
 
 
@@ -246,7 +242,7 @@ class TestRetireReplica:
             store.retire_replica("nope")
 
     def test_stale_plan_fails_over_past_a_retired_replica(self, ds, store):
-        """A batch plan computed before a hot retire must not error:
+        """A batch ranking made before a hot retire must not error:
         queries assigned to the retired replica walk down their Eq. 6-7
         ranking and the results stay bit-equal to the oracle."""
         rng = np.random.default_rng(5)
@@ -261,11 +257,17 @@ class TestRetireReplica:
                 rng.uniform(bb.y_min + h / 2, bb.y_max - h / 2),
                 rng.uniform(bb.t_min + t / 2, bb.t_max - t / 2)))
         workload = Workload([(q, 1.0) for q in queries])
-        plan = store.route_workload(workload)
-        victim = plan.assigned_names()[0]
-        store.retire_replica(victim)
+        rank = store._rank
+        retired = []
 
-        result = store.execute_workload(workload, plan=plan)
+        def rank_then_retire(*args, **kwargs):
+            reads, plan = rank(*args, **kwargs)
+            retired.append(store.retire_replica(plan.assigned_names()[0]))
+            return reads, plan
+
+        store._rank = rank_then_retire
+        result = store.execute_workload(workload)
+        (victim,) = [r.name for r in retired]
         assert result.stats.failovers > 0
         for q, qr in zip(queries, result.results):
             assert pairs(qr.records) == pairs(ds.filter_box(q.box()))

@@ -182,3 +182,31 @@ class TestCrashRecovery:
         again = IngestingBlotStore.open(wal_dir, specs())
         assert len(again) == before + len(extra)
         assert again.buffered_records == 0
+
+
+class TestDrillResume:
+    def test_rerun_over_one_directory_appends_only_the_missing_tail(
+            self, tmp_path):
+        """``repro ingest --wal-dir D`` run twice: the second run reopens
+        the acknowledged prefix and appends nothing it already holds."""
+        from repro.drills import run_ingest_drill
+        from repro.verify.oracle import oracle_answer, random_boxes
+
+        data = synthetic_shanghai_taxis(1200, seed=5, num_taxis=6)
+        data = data.sorted_by_time()
+        wal_dir = str(tmp_path / "wal")
+        runs = [run_ingest_drill(data, specs(), wal_dir, batch_size=200,
+                                 seed=3, auto_compact_at=400)
+                for _ in range(2)]
+        assert [run.failed_phase for run in runs] == [None, None]
+        assert runs[1].resumed is not None
+        assert runs[1].summary["records"] == len(data)
+        store = IngestingBlotStore.open(wal_dir, specs())
+        try:
+            assert len(store) == len(data)
+            for box in [data.bounding_box(), *random_boxes(data, 4, 3)]:
+                assert datasets_identical(
+                    canonical(store.query(box).records),
+                    canonical(oracle_answer(data, box)))
+        finally:
+            store.close()
