@@ -28,7 +28,7 @@ from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage import BlotStore, ExecOptions, InMemoryStore
+from repro.storage import BlotStore, InMemoryStore
 from repro.workload import positioned_random_workload
 
 from benchmarks._report import RESULTS_DIR, emit, fmt_row
@@ -117,8 +117,8 @@ def test_cached_reexecution_reads_fewer_bytes(batch_store, workload, capsys):
     """With the decoded-partition cache, a second pass over an overlapping
     workload reads strictly fewer bytes and reports a hit rate > 0."""
     _, store = batch_store
-    first = store.execute_workload(workload, options=ExecOptions(parallelism=4))
-    second = store.execute_workload(workload, options=ExecOptions(parallelism=4))
+    first = store.execute_workload(workload)
+    second = store.execute_workload(workload)
 
     assert second.stats.records_returned == first.stats.records_returned
     assert second.stats.bytes_read < first.stats.bytes_read
@@ -151,7 +151,7 @@ def test_execute_workload_golden_sample(batch_store, workload):
     """Spot-check the batch results against sequential query() on the
     same plan (the full equivalence test lives in tier-1)."""
     _, store = batch_store
-    result = store.execute_workload(workload, options=ExecOptions(parallelism=4))
+    result = store.execute_workload(workload)
     assigned = result.plan.assigned_names()
     rng = np.random.default_rng(3)
     for i in rng.choice(len(assigned), size=25, replace=False):

@@ -69,9 +69,7 @@ _WORKLOAD = (
          help="positioned queries to generate"),
     _arg("--replicas", type=int, default=3,
          help="diverse replicas to build (1..6)"),
-    _arg("--parallelism", type=int, default=4,
-         help="partition-scan threads in the persistent pool"),
-    *_cache_mb(64.0), *_ENVIRONMENT,
+    *_cache_mb(64.0),
 )
 _FAULTS = (
     _arg("--fault-rate", type=float, default=0.0,
@@ -237,12 +235,10 @@ def _cmd_advise(args: argparse.Namespace) -> int:
                help="query extent as a fraction of the universe per axis"),
           _arg("--scheme", default="kd:16/t:8", metavar="SPEC",
                help="partitioning spec like 'kd:16/t:8' or 'grid:8x8'"),
-          _arg("--encoding", default="COL-GZIP", help="the replica's encoding"),
-          _arg("--parallelism", type=int, default=1,
-               help="partition-scan threads"))
+          _arg("--encoding", default="COL-GZIP", help="the replica's encoding"))
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.encoding import encoding_scheme_by_name
-    from repro.storage import BlotStore, ExecOptions, InMemoryStore, parse_scheme_spec
+    from repro.storage import BlotStore, InMemoryStore, parse_scheme_spec
     from repro.workload import Query
 
     data = _load_or_generate(args)
@@ -253,7 +249,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     c = bb.centroid
     q = Query(bb.width * args.frac, bb.height * args.frac,
               bb.duration * args.frac, c.x, c.y, c.t)
-    result = store.query(q, options=ExecOptions(parallelism=args.parallelism))
+    result = store.query(q)
     s = result.stats
     print(f"replica {s.replica_name}: {s.records_returned:,} of "
           f"{s.total_records:,} records returned")
@@ -313,12 +309,14 @@ def _build_workload_store(args: argparse.Namespace, observability=None,
     """The diverse-replica store ``run-workload``, ``stats``, ``report``
     and ``drill`` run: ``args.replicas`` kd-tree/time-slice combinations
     over one dataset, with an optional decoded-partition cache and (when
-    more than one replica exists) a calibrated cost model for routing —
+    more than one replica exists) a cost model whose Eq. 6 rows are
+    timed on the units just written, as ``materialize_store`` does —
     plus the seeded positioned workload they run and, with
     ``--inject-faults``, the fault schedule already applied.
     ``quiet`` suppresses the banner (machine-readable output modes)."""
-    from repro.cluster import cost_model_for, make_cluster
-    from repro.storage import BlotStore, InMemoryStore
+    from repro.costmodel.calibrate import measure_cost_params
+    from repro.storage import InMemoryStore, build_replica, open_store
+    from repro.storage.config import cost_model_from_params
     from repro.workload import positioned_random_workload
 
     if getattr(args, "repeat", 1) < 1:
@@ -327,15 +325,13 @@ def _build_workload_store(args: argparse.Namespace, observability=None,
     if args.queries < 1:
         raise _Usage("--queries must be >= 1")
     data = _load_or_generate(args)
-    model = None
-    if args.replicas > 1:
-        cluster = make_cluster(args.environment, seed=args.seed)
-        model = cost_model_for(cluster, sorted({e.name for _, e, _ in ladder}))
+    replicas = [build_replica(data, scheme, encoding, InMemoryStore())
+                for scheme, encoding, _ in ladder]
+    model = (cost_model_from_params(measure_cost_params(replicas))
+             if len(replicas) > 1 else None)
     cache_bytes = int(args.cache_mb * 1e6) if args.cache_mb > 0 else None
-    store = BlotStore(data, cost_model=model, cache_bytes=cache_bytes,
-                      observability=observability)
-    for scheme, encoding, _ in ladder:
-        store.add_replica(scheme, encoding, InMemoryStore())
+    store = open_store(data, tuple(replicas), cost_model=model,
+                       cache_bytes=cache_bytes, observability=observability)
     if not quiet:
         print(f"{len(data):,} records, {args.replicas} replicas: "
               + ", ".join(store.replica_names()))
@@ -352,8 +348,7 @@ def _build_workload_store(args: argparse.Namespace, observability=None,
 def _exec_options(args: argparse.Namespace, trace: bool):
     from repro.storage import ExecOptions
 
-    return ExecOptions(parallelism=args.parallelism, retries=args.retries,
-                       trace=trace)
+    return ExecOptions(retries=args.retries, trace=trace)
 
 
 @_command("run-workload", "batch-route and execute a whole query workload",
@@ -369,15 +364,12 @@ def _cmd_run_workload(args: argparse.Namespace) -> int:
     obs = Observability.create() if args.trace else None
     store, workload = _build_workload_store(args, observability=obs)
     opts = _exec_options(args, args.trace)
-    try:
-        for pass_no in range(1, args.repeat + 1):
-            result = store.execute_workload(workload, options=opts)
-            print(render_workload_pass(
-                f"pass {pass_no}/{args.repeat}" if args.repeat > 1
-                else "workload",
-                result.stats, store.partition_cache is not None))
-    finally:
-        store.close()
+    for pass_no in range(1, args.repeat + 1):
+        result = store.execute_workload(workload, options=opts)
+        print(render_workload_pass(
+            f"pass {pass_no}/{args.repeat}" if args.repeat > 1
+            else "workload",
+            result.stats, store.partition_cache is not None))
     if obs is not None:
         print(render_telemetry_text(obs))
         if args.trace_out:
@@ -401,11 +393,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     store, workload = _build_workload_store(args, observability=obs,
                                             quiet=args.json or args.prom)
     opts = _exec_options(args, trace=True)
-    try:
-        for _ in range(args.repeat):
-            result = store.execute_workload(workload, options=opts)
-    finally:
-        store.close()
+    for _ in range(args.repeat):
+        result = store.execute_workload(workload, options=opts)
     if args.prom:
         print(obs.metrics.render_prometheus(), end="")
     elif args.json:
@@ -423,8 +412,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
           *_DATA, *_SEED, *_WORKLOAD, *_FAULTS, *_PASSES, *_DRIFT,
           *_TIMESERIES, *_JSON,
           _arg("--stale-factor", type=float, default=1.0,
-               help="scale every ScanRate by this factor before serving "
-                    "(a deliberate mis-calibration)"),
+               help="serve with every Eq. 6 row this many times faster "
+                    "(ScanRate x f, ExtraTime / f): a deliberate "
+                    "mis-calibration"),
           _arg("--recalibrate", action="store_true",
                help="re-time a drifting replica's units and refit Eq. 6"),
           _arg("--dry-run", action="store_true",
@@ -465,11 +455,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         rec = obs.attach_recalibrator(model, dry_run=args.dry_run,
                                       timeseries=ts)
     opts = _exec_options(args, trace=True)
-    try:
-        for _ in range(args.repeat):
-            store.execute_workload(workload, options=opts)
-    finally:
-        store.close()
+    for _ in range(args.repeat):
+        store.execute_workload(workload, options=opts)
     if ts is not None:
         obs.maybe_checkpoint(force=True)  # the "after" point
     report = build_report(obs, timeseries=ts, recalibrator=rec)
@@ -490,12 +477,9 @@ def _cmd_drill(args: argparse.Namespace) -> int:
 
     obs = Observability.create()
     store, workload = _build_workload_store(args, observability=obs)
-    try:
-        drill = run_failure_drill(
-            store, workload, _fault_spec(args, store.replica_names()),
-            _exec_options(args, trace=True))
-    finally:
-        store.close()
+    drill = run_failure_drill(
+        store, workload, _fault_spec(args, store.replica_names()),
+        _exec_options(args, trace=True))
     cache_enabled = store.partition_cache is not None
     print(render_workload_pass("healthy", drill.healthy.stats, cache_enabled))
     if drill.victim is not None:
@@ -596,7 +580,6 @@ def _cmd_reselect(args: argparse.Namespace) -> int:
         report = build_report(scenario.obs, timeseries=ts,
                               reselector=controller)
         print(render_report_text(report))
-    store.close()
     if not verified:
         return 1
     if args.expect_applied and not applied:
@@ -943,13 +926,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.workload import Workload
 
     store = hydrate_store(_materialize_serve_store(args))
-    try:
-        queries = fleet_queries(store.universe, _fleet_spec(args))
-        start = time.perf_counter()
-        result = store.execute_workload(Workload.unweighted(queries))
-        seconds = time.perf_counter() - start
-    finally:
-        store.close()
+    queries = fleet_queries(store.universe, _fleet_spec(args))
+    start = time.perf_counter()
+    result = store.execute_workload(Workload.unweighted(queries))
+    seconds = time.perf_counter() - start
     s = result.stats
     print(f"[baseline] {s.n_queries} queries in {seconds * 1e3:.1f} ms "
           f"({s.n_queries / seconds:,.0f} q/s), "

@@ -395,16 +395,17 @@ class CostModel:
             return old
 
     def scaled_rates(self, factor: float) -> "CostModel":
-        """A model with every encoding's ``scan_rate`` scaled by
-        ``factor`` (``extra_time`` unchanged) — a deliberately
-        mis-calibrated variant for drift-detection tests and what-if
-        analyses (``factor`` < 1 models a slower environment than the
-        one calibrated against)."""
+        """A model whose every Eq. 6 row runs ``factor`` times faster —
+        ``scan_rate`` × ``factor``, ``extra_time`` ÷ ``factor`` — so each
+        Eq. 7 prediction is exactly ``factor`` times lower: a
+        deliberately mis-calibrated variant for drift-detection tests
+        and what-if analyses (``factor`` < 1 models a slower environment
+        than the one calibrated against)."""
         if factor <= 0:
             raise ValueError("factor must be positive")
         return CostModel({
             name: EncodingCostParams(scan_rate=p.scan_rate * factor,
-                                     extra_time=p.extra_time)
+                                     extra_time=p.extra_time / factor)
             for name, p in self._params.items()
         })
 

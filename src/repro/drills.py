@@ -318,12 +318,8 @@ def single_process_answers(config, spec: FleetSpec):
     answers from one single-process engine.  It hydrates fault-free —
     the true result of a query does not depend on the fault schedule."""
     referee = hydrate_store(dataclasses.replace(config, faults=None))
-    try:
-        queries = fleet_queries(referee.universe, spec)
-        return queries, [canonical(referee.query(q).records)
-                         for q in queries]
-    finally:
-        referee.close()
+    queries = fleet_queries(referee.universe, spec)
+    return queries, [canonical(referee.query(q).records) for q in queries]
 
 
 class ServeDrill(NamedTuple):

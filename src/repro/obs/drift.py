@@ -97,8 +97,8 @@ class DriftMonitor:
     ``window`` bounds the samples retained per replica (drift is a
     *current* property — ancient history would mask a recent change);
     ``min_samples`` suppresses alarms from a handful of noisy
-    observations.  Thread-safe: workload execution records from pool
-    threads.
+    observations.  Thread-safe: reads on several caller threads may
+    record into one monitor.
     """
 
     def __init__(self, window: int = 64, threshold: float = 0.5,

@@ -10,8 +10,8 @@ per-call :class:`~repro.storage.QueryStats` / ``WorkloadStats`` values.
 
 Design constraints:
 
-- **Thread-safe**: partition scans run on the engine's thread pool, so
-  every mutation takes the instrument's lock.
+- **Thread-safe**: reads on several caller threads may publish into
+  one registry at once, so every mutation takes the instrument's lock.
 - **One latency instrument**: every measured duration goes into a
   :class:`QuantileSketch` with the fixed resolution :data:`SKETCH_ALPHA`,
   so any two snapshots of this build merge exactly, across threads and

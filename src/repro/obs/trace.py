@@ -13,8 +13,8 @@ store for a recorder once per call and gets either the real
 methods are no-ops.  The disabled path therefore costs one attribute
 check per query — the PR 1 benchmark gate stays green.
 
-All methods are thread-safe: partition scans run on the engine's
-thread pool and finish their spans concurrently.
+All methods are thread-safe: reads on several caller threads may
+finish their spans concurrently.
 """
 
 from __future__ import annotations

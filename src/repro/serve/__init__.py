@@ -20,8 +20,8 @@ an optional per-tenant :class:`~repro.obs.SLOEngine`.
 
 The enabling API is :class:`~repro.storage.StoreConfig`: a picklable
 store recipe every ``spawn``-started worker rehydrates with
-``open_store(config)`` — no mmap view, thread pool or recorder ever
-crosses a process boundary.  See ``docs/serving.md``.
+``open_store(config)`` — no mmap view or recorder ever crosses a
+process boundary.  See ``docs/serving.md``.
 """
 
 from repro.serve.admission import AdmissionController, QuotaConfig, TenantQuotas

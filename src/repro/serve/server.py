@@ -88,7 +88,6 @@ from repro.serve.protocol import (
 from repro.serve.worker import shard_worker_main
 from repro.storage.config import StoreConfig, hydrate_store
 from repro.storage.failover import RankingWalk
-from repro.storage.options import ExecOptions
 from repro.workload.query import Query, Workload
 
 WORKER_MODES = ("process", "thread")
@@ -140,7 +139,6 @@ class ShardServer:
         max_batch: int = 64,
         max_inflight: int = 256,
         quotas: TenantQuotas | None = None,
-        options: ExecOptions | None = None,
         tracing: bool = False,
         observability: Observability | None = None,
         slo=None,
@@ -152,7 +150,6 @@ class ShardServer:
         self._n_shards = int(n_shards)
         self._sharding = sharding
         self._worker_mode = worker_mode
-        self._options = options
         self._tracing = bool(tracing)
         #: The front door's own telemetry bundle — always present, so
         #: admission/quota/request counters land somewhere even when the
@@ -223,7 +220,7 @@ class ShardServer:
             worker = make_worker(
                 target=shard_worker_main, daemon=True,
                 args=(worker_config, self._assignment, shard_id,
-                      worker_requests, worker_responses, self._options))
+                      worker_requests, worker_responses))
             worker.start()
             if self._worker_mode == "process":
                 # The child has its own copies; with ours closed, its

@@ -64,10 +64,8 @@ def _open_shard_store(config: StoreConfig, assignment, shard_id: int):
     )
 
 
-def _worker_options(options: ExecOptions | None) -> ExecOptions:
-    base = options if options is not None else ExecOptions()
-    # Coordinated failover: the server owns replica switching.
-    return replace(base, failover=False, repair=False)
+#: Coordinated failover: the server owns replica switching.
+_WORKER_OPTIONS = ExecOptions(failover=False, repair=False)
 
 
 def _recorder_of(store):
@@ -151,8 +149,7 @@ def _trace_spans(store, clear: bool) -> tuple[dict, ...]:
 
 
 def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
-                      requests, responses,
-                      options: ExecOptions | None = None) -> None:
+                      requests, responses) -> None:
     """The worker loop: ``spawn`` target for process workers, ``Thread``
     target for in-process ones.  ``requests``/``responses`` are this
     worker's ends of its one-way pipe pair.  Sends one
@@ -161,7 +158,6 @@ def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
     end-of-file (the front door is gone).  Its pipe ends are closed on
     the way out however it leaves — that end-of-file is how the front
     door learns a worker died."""
-    opts = _worker_options(options)
     with requests, responses:
         store = _open_shard_store(config, assignment, shard_id)
         try:
@@ -187,6 +183,7 @@ def shard_worker_main(config: StoreConfig, assignment, shard_id: int,
                     ))
                 else:
                     responses.send(
-                        _serve_request(store, message, shard_id, opts))
+                        _serve_request(store, message, shard_id,
+                                       _WORKER_OPTIONS))
         finally:
             store.close()

@@ -11,7 +11,7 @@ workload decodes each hot partition once.
 The cache is shared by :meth:`repro.storage.BlotStore.query`,
 :meth:`~repro.storage.BlotStore.count` and
 :meth:`~repro.storage.BlotStore.execute_workload`, and is thread-safe so
-parallel partition scans can consult it concurrently.
+reads made on several caller threads at once can share it.
 
 Accounting invariant: every entry that ever entered the cache left it
 through exactly one of eviction (budget pressure), invalidation

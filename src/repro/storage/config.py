@@ -1,8 +1,8 @@
 """Process-safe store configuration: the picklable twin of ``BlotStore``.
 
 A :class:`BlotStore` entangles live handles — mmap views over storage
-units, a persistent scan thread pool, telemetry recorders — none of
-which can cross a process boundary.  The serving tier
+units, telemetry recorders — neither of which can cross a process
+boundary.  The serving tier
 (:mod:`repro.serve`) needs every ``spawn``-started shard worker to open
 *the same* store the parent routes against, so this module splits the
 store into the two halves the paper's architecture implies:

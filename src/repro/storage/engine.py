@@ -17,9 +17,9 @@ answer is a plan-stage short-circuit), and ``execute_each`` /
 ``execute_workload`` hand it a whole workload, so a partition shared by
 overlapping queries is fetched and decoded once.
 
-The pipeline shares a persistent scan thread pool, an optional
-byte-budgeted :class:`~repro.storage.cache.PartitionCache` of decoded
-partitions, and one **failure path**: a partition read that stays
+Every unit is read on the calling thread.  The pipeline shares an
+optional byte-budgeted :class:`~repro.storage.cache.PartitionCache` of
+decoded partitions and one **failure path**: a partition read that stays
 failed after the configured retries (an injected fault, a missing unit,
 corrupt bytes) sends every request that needed it one step down its
 Eq. 6–7 cost ranking (:class:`~repro.storage.failover.RankingWalk` —
@@ -29,8 +29,7 @@ ranking is exhausted the engine attempts
 diverse replica, and only then answers that request with a structured
 :class:`~repro.storage.faults.DegradedReadError` — degraded
 configurations are a first-class state, not an exception trace.
-Execution behavior (parallelism, cache policy, retry/failover policy)
-is controlled uniformly by :class:`~repro.storage.options.ExecOptions`.
+Execution behavior (cache policy, retry/failover policy) is controlled uniformly by :class:`~repro.storage.options.ExecOptions`.
 
 The whole read path is instrumented: with an
 :class:`~repro.obs.Observability` bundle attached the engine publishes
@@ -50,7 +49,6 @@ import math
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -95,9 +93,8 @@ _N_OTHER_COLUMNS = len(FIELDS) - 3
 
 @dataclass(slots=True)
 class _Accounting:
-    """One execution call's running totals.  All of it is kept on the
-    calling thread: pool threads hand their numbers back in the unit
-    outcomes instead of incrementing shared state."""
+    """One execution call's running totals, added to as each unit is
+    read."""
 
     retries: int = 0
     failovers: int = 0
@@ -113,7 +110,7 @@ class _DecodeTelemetry:
     """Per-column-block decode hook the engine hands to
     :meth:`EncodingScheme.open`: one counter bump and one sketch
     observation per column block actually decoded (metric objects are
-    internally locked, so pool threads may call this concurrently)."""
+    internally locked, so concurrent reads may share it)."""
 
     __slots__ = ("_metrics", "_by_kind")
 
@@ -207,13 +204,11 @@ class BlotStore(ReadSurface):
                             if metrics is not None else None)
         # Hot-path counter handles by name (see _bump).
         self._counter_memo: dict[str, object] = {}
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_workers = 0
 
     def __reduce__(self):
         raise TypeError(
-            "BlotStore holds live handles (mmap views, a scan thread pool, "
-            "telemetry recorders) and cannot be pickled.  Ship a "
+            "BlotStore holds live handles (mmap views, telemetry "
+            "recorders) and cannot be pickled.  Ship a "
             "repro.storage.StoreConfig across the process boundary and "
             "rehydrate with open_store(config) in the worker instead."
         )
@@ -441,25 +436,9 @@ class BlotStore(ReadSurface):
     # -- the read pipeline: plan -> fetch -> decode -> filter -> fold ----------
 
     def close(self) -> None:
-        """Shut down the persistent scan pool (idempotent).  The store
-        remains usable; the pool is recreated on the next parallel scan."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_workers = 0
-
-    def _executor(self, parallelism: int) -> ThreadPoolExecutor:
-        """The lazily-created persistent scan pool, grown (never shrunk)
-        to ``parallelism`` workers.  Reusing one pool avoids paying thread
-        startup on every query, the seed behavior."""
-        if self._pool is None or self._pool_workers < parallelism:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-            self._pool = ThreadPoolExecutor(
-                max_workers=parallelism, thread_name_prefix="blot-scan"
-            )
-            self._pool_workers = parallelism
-        return self._pool
+        """Kept for callers that close a store when done with it.  Reads
+        run on the caller's thread and hold nothing between calls, so
+        this releases nothing and the store stays usable."""
 
     def _recorder(self, opts: ExecOptions):
         """The trace recorder for one call: the store's real recorder
@@ -677,15 +656,17 @@ class BlotStore(ReadSurface):
                       batch: bool) -> list:
         """One round of the paper's three-step mechanism on one replica,
         for every request currently pointed at it: plan each request,
-        read every involved unit **once** (:meth:`_scan_unit`, on the
-        persistent pool when ``opts.parallelism`` > 1), fold per request.
+        then read every involved unit **once**, in partition-id order
+        (:meth:`_scan_unit`), folding it into each request that needed
+        it as soon as it is read.
 
         Returns, per request, a :class:`QueryResult` or the
-        :class:`PartitionReadError` of a unit it needed.  Records match
-        a sequential scan exactly, order included: units are read in
-        partition-id order, which is the order the index reports them.
-        Each store fetch is charged (``bytes_read``) to the first served
-        request that needed the unit.
+        :class:`PartitionReadError` of the first (lowest-id) unit it
+        needed that stayed failed.  Records match a sequential scan
+        exactly, order included: partition-id order is the order the
+        index reports them.  Each store fetch is charged
+        (``bytes_read``) to the first served request that needed the
+        unit.
         """
         start = time.perf_counter()
         name = stored.name
@@ -706,61 +687,50 @@ class BlotStore(ReadSurface):
             for pid, whole in zip(pids, inside):
                 wanted.setdefault(pid, []).append((k, whole))
 
-        def scan_one(pid: int):
+        # Per request: records scanned, own filter seconds and the
+        # matched parts, accumulated in partition-id order.
+        scanned_of, own = [0] * n, [0.0] * n
+        matches: list[list] = [[] for _ in reads]
+        fetches: list[tuple[int, list]] = []  # (bytes, takers) per fetch
+        for pid in sorted(wanted):
             takers = wanted[pid]
             if failed and all(k in failed for k, _ in takers):
-                return None  # nobody left to answer: skip the read
+                continue  # nobody left to answer: skip the read
             with rec.start("scan", parent=root, replica=name,
                            partition=pid) as scan_span:
                 try:
-                    outcome = self._scan_unit(
+                    scanned_unit = self._scan_unit(
                         stored, pid, [reads[k].request for k, _ in takers],
-                        [whole for _, whole in takers], opts, rec, scan_span)
+                        [whole for _, whole in takers], opts, acct, rec,
+                        scan_span)
                 except PartitionReadError as err:
                     scan_span.annotate(error=f"{type(err).__name__}: {err}")
-                    # First failing unit wins (under parallelism:
-                    # whichever finished first — any one of them sends
-                    # the request down its ranking just the same).
+                    self._note_read_failure(stored, err, acct)
                     for k, _ in takers:
                         failed.setdefault(k, err)
-                    return err
-                if outcome is not None and rec.enabled:
-                    scan_span.annotate(bytes=outcome[0], records=max(
-                        scanned for scanned, _, _ in outcome[2]))
-                return outcome
-
-        order = sorted(wanted)
-        if opts.parallelism == 1 or len(order) <= 1:
-            scanned_units = [scan_one(pid) for pid in order]
-        else:
-            scanned_units = list(
-                self._executor(opts.parallelism).map(scan_one, order))
-
-        # Per request: bytes charged, records scanned, own filter seconds
-        # and the matched parts, accumulated in partition-id order.
-        charged, scanned_of, own = [0] * n, [0] * n, [0.0] * n
-        matches: list[list] = [[] for _ in reads]
-        for pid, outcome in zip(order, scanned_units):
-            if outcome is None:
-                continue
-            if isinstance(outcome, PartitionReadError):
-                acct.retries += outcome.attempts - 1
-                self._note_read_failure(stored, outcome, acct)
-                continue
-            nbytes, retries, answers = outcome
-            acct.bytes_read += nbytes
-            acct.units_decoded += nbytes > 0
-            acct.retries += retries
-            for (k, _), (scanned, matched, seconds) in zip(wanted[pid],
-                                                           answers):
+                    continue
+                if scanned_unit is None:
+                    continue
+                nbytes, answers = scanned_unit
+                if rec.enabled:
+                    scan_span.annotate(bytes=nbytes, records=max(
+                        scanned for scanned, _, _ in answers))
+            if nbytes:
+                fetches.append((nbytes, takers))
+            for (k, _), (scanned, matched, seconds) in zip(takers, answers):
                 if k in failed:
                     continue
-                charged[k] += nbytes
-                nbytes = 0  # charged once, to the first served request
                 scanned_of[k] += scanned
                 own[k] += seconds
                 if matched is not None:  # None: no match, nothing to fold
                     matches[k].append(matched)
+        # A fetch is charged once, to the first of its requests that is
+        # served: one that fails on a later unit is not.
+        charged = [0] * n
+        for nbytes, takers in fetches:
+            k = next((k for k, _ in takers if k not in failed), None)
+            if k is not None:
+                charged[k] += nbytes
 
         results: list = []
         total_records = self._n_records
@@ -830,14 +800,15 @@ class BlotStore(ReadSurface):
 
     def _scan_unit(self, stored: StoredReplica, pid: int,
                    asks: list[ReadRequest], contained: list[bool],
-                   opts: ExecOptions, rec, scan_span):
+                   opts: ExecOptions, acct: _Accounting, rec, scan_span):
         """Read one storage unit once and answer every request that
         touches it (``contained[j]``: ``asks[j]``'s box contains the whole
-        partition); returns ``(bytes_read, retries, answers)`` —
-        ``answers[j]`` is ``(records_scanned, matched, seconds)`` for
-        ``asks[j]`` — or None for an empty partition (no storage unit, or
-        one another shard owns).  Raises :class:`PartitionReadError` when
-        the read stays failed after retries.
+        partition); returns ``(bytes_read, answers)`` — ``answers[j]``
+        is ``(records_scanned, matched, seconds)`` for ``asks[j]`` — or
+        None for an empty partition (no storage unit, or one another
+        shard owns).  The fetch and its retries are added to ``acct``.
+        Raises :class:`PartitionReadError` when the read stays failed
+        after retries.
 
         With a cache, memoized zone bounds that rule out every request
         answer without a lookup — the memo extends the cache's "repeat
@@ -861,14 +832,14 @@ class BlotStore(ReadSurface):
             if all(pruned):
                 self._bump("repro_partitions_pruned_total", len(asks))
                 rec.event("prune", parent=scan_span, source="zone-memo")
-                return 0, 0, [(0, 0 if ask.count else None, 0.0)
-                              for ask in asks]
+                return 0, [(0, 0 if ask.count else None, 0.0)
+                           for ask in asks]
             hit = self._cache.get(slot)
             rec.event("cache", parent=scan_span,
                       outcome="hit" if hit is not None else "miss")
             if hit is not None:
                 reader = EagerPartitionReader(lambda: hit)
-                return 0, 0, self._evaluate(reader, asks, contained, pruned)[0]
+                return 0, self._evaluate(reader, asks, contained, pruned)[0]
 
         def work(decode_span):
             blob = stored.store.get_view(key)
@@ -888,11 +859,13 @@ class BlotStore(ReadSurface):
                 records=reader.n_records if consulted != "nothing" else 0)
             return full, len(blob), answers
 
-        retries, (full, nbytes, answers) = self._read_unit(
-            stored, pid, opts, rec, scan_span, work)
+        full, nbytes, answers = self._read_unit(
+            stored, pid, opts, acct, rec, scan_span, work)
+        acct.bytes_read += nbytes
+        acct.units_decoded += nbytes > 0
         if full is not None:
             self._cache.put(slot, full)
-        return nbytes, retries, answers
+        return nbytes, answers
 
     @staticmethod
     def _pruned(zones, asks: list[ReadRequest],
@@ -968,13 +941,14 @@ class BlotStore(ReadSurface):
         return answers, consulted
 
     def _read_unit(self, stored: StoredReplica, pid: int,
-                   options: ExecOptions, rec, parent, work):
+                   opts: ExecOptions, acct: _Accounting, rec, parent, work):
         """Run ``work(decode_span)`` — one unit's fetch+decode — under the
-        engine's fault contract: injected faults fire first, transient
-        failures are retried per ``options`` (sleeping through
-        ``options.sleep``), and a read that stays failed raises
+        engine's fault contract: injected faults fire first, a transient
+        failure is retried at once, up to ``opts.retries`` times (each
+        retry counted in ``acct`` and traced as a ``retry`` span), and a
+        read that stays failed raises
         :class:`~repro.storage.faults.PartitionReadError`.  Replica-scope
-        faults are never retried.  Returns ``(retries, work's result)``.
+        faults are never retried.  Returns ``work``'s result.
         """
         faults = self._faults
         failures = 0
@@ -983,24 +957,21 @@ class BlotStore(ReadSurface):
                 with rec.start("decode", parent=parent) as decode_span:
                     if faults is not None:
                         faults.on_read(stored.name, pid)
-                    return failures, work(decode_span)
+                    return work(decode_span)
             except Exception as exc:
                 if isinstance(exc, InjectedFault) and exc.scope == "replica":
                     raise PartitionReadError(
                         stored.name, pid, exc, failures + 1) from exc
                 failures += 1
-                if failures > options.retries:
+                if failures > opts.retries:
                     raise PartitionReadError(
                         stored.name, pid, exc, failures) from exc
-                with rec.start("retry", parent=parent, attempt=failures,
-                               cause=type(exc).__name__):
-                    if options.backoff_seconds > 0:
-                        sleep = options.sleep or time.sleep
-                        sleep(options.backoff_seconds * 2 ** (failures - 1))
+                acct.retries += 1
+                rec.event("retry", parent=parent, attempt=failures,
+                          cause=type(exc).__name__)
 
     def _bump(self, name: str, amount: int = 1) -> None:
-        """Increment a fast-path counter (no-op without telemetry;
-        metric objects are internally locked, safe from pool threads).
+        """Increment a fast-path counter (no-op without telemetry).
         Handles are memoized per name — pruning checks fire per
         partition per query, and the registry lookup dominates the
         increment (a racing first-miss resolves to the same registry

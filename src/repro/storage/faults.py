@@ -60,8 +60,8 @@ class FaultInjector:
 
     The engine calls :meth:`on_read` before fetching a unit; the
     injector raises :class:`InjectedFault` (or sleeps, for slowdowns)
-    according to the schedule.  All mutators are thread-safe — partition
-    scans run on the engine's thread pool.
+    according to the schedule.  All mutators are thread-safe — reads
+    may run on several caller threads at once.
 
     ``partition_fail_rate`` fails a pseudo-random fraction of all
     ``(replica, partition)`` units, keyed by ``seed``: the same seed

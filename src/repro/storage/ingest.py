@@ -610,14 +610,12 @@ class IngestingBlotStore(ReadSurface):
 
     def close(self) -> None:
         """Wait out any in-flight background compaction, release the
-        WAL handle and the layer stores, and collect what the committed
-        state no longer names."""
+        WAL handle, and collect what the committed state no longer
+        names."""
         self.wait_for_compaction()
         with self._compact_lock:
             if self._wal is not None:
                 self._wal.close()
-            for layer in self._state.layers:
-                layer.store.close()
             self._collect_orphans()
 
     # -- writes ----------------------------------------------------------------

@@ -189,9 +189,8 @@ class ReadSurface:
         ``query`` may be a positioned :class:`Query` or a raw box (then
         scanned against its exact bounds; the derived :class:`Query` is
         used only for routing).  When ``replica`` is None the engine
-        routes by estimated cost.  Execution behavior — scan
-        parallelism, cache policy, retries, failover, repair — comes
-        from ``options`` (:class:`~repro.storage.options.ExecOptions`).
+        routes by estimated cost.  Execution behavior — cache policy,
+        retries, failover, repair — comes from ``options`` (:class:`~repro.storage.options.ExecOptions`).
         When the serving replica fails mid-read the query transparently
         fails over down the cost ranking; on exhaustion the engine tries
         a diverse-replica repair, then raises
@@ -245,9 +244,9 @@ class ReadSurface:
         The workload is routed the way :meth:`BlotStore.route_workload`
         routes it (unless ``replica`` pins every query the way
         ``query(replica=)`` does), grouped by chosen replica, and each
-        replica's involved-partition *union* is read exactly once — on
-        the persistent thread pool when ``options.parallelism`` > 1 —
-        with every query that touches a partition evaluated against it.
+        replica's involved-partition *union* is read exactly once, on the
+        calling thread, with every query that touches a partition
+        evaluated against it.
         A query's records therefore match sequential
         ``query(q, replica=...)`` exactly, record order included.
 

@@ -49,7 +49,6 @@ from repro.workload.query import Query, Workload
 ALL_PATHS: tuple[str, ...] = ("scalar", "batch", "cached", "faulty", "ingest")
 
 _NO_FAILOVER = ExecOptions(failover=False, repair=False, use_cache=False)
-_COLD = ExecOptions(use_cache=True)
 
 
 def default_grid(

@@ -1,7 +1,7 @@
 """Bounded soak test: a larger-than-usual end-to-end run.
 
 60k records, two diverse replicas, mixed query sizes, fast counts,
-parallel scans, a repair — all in one flow, with loose wall-clock sanity
+a repair — all in one flow, with loose wall-clock sanity
 bounds so regressions in the hot paths surface here before they surface
 in the benchmark suite.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage import BlotStore, ExecOptions, InMemoryStore, repair_partition
+from repro.storage import BlotStore, InMemoryStore, repair_partition
 from repro.workload import Query
 
 
@@ -68,13 +68,6 @@ class TestScaleSoak:
         for q in random_queries(ds, 12, rng):
             count, _ = store.count(q, replica="fine")
             assert count == ds.count_in_box(q.box())
-
-    def test_parallel_matches_serial_at_scale(self, big_store):
-        ds, store, _ = big_store
-        q = random_queries(ds, 1, np.random.default_rng(2))[0]
-        serial = store.query(q, replica="fine")
-        parallel = store.query(q, replica="fine", options=ExecOptions(parallelism=4))
-        assert serial.stats.records_returned == parallel.stats.records_returned
 
     def test_repair_at_scale(self, big_store):
         ds, store, _ = big_store

@@ -9,7 +9,7 @@ from repro.data import synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.geometry import Box3
 from repro.partition import CompositeScheme, GridPartitioner, KdTreePartitioner
-from repro.storage import BlotStore, ExecOptions, InMemoryStore
+from repro.storage import BlotStore, InMemoryStore
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +70,3 @@ class TestCountQueryConsistency:
         for replica in store.replica_names():
             count, _ = store.count(ds.bounding_box(), replica=replica)
             assert count == len(ds)
-
-    def test_count_parallelism_equivalent(self, setup):
-        ds, store = setup
-        rng = np.random.default_rng(5)
-        for frac in (0.2, 0.7):
-            box = random_box(ds, rng, frac)
-            serial, _ = store.count(box, replica="kd",
-                                    options=ExecOptions(parallelism=1))
-            parallel, _ = store.count(box, replica="kd",
-                                      options=ExecOptions(parallelism=4))
-            assert serial == parallel == ds.count_in_box(box)

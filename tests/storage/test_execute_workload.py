@@ -9,7 +9,6 @@ from repro.encoding import encoding_scheme_by_name
 from repro.partition import CompositeScheme, KdTreePartitioner
 from repro.storage import (
     BlotStore,
-    ExecOptions,
     FaultSpec,
     InMemoryStore,
     StoredReplica,
@@ -48,7 +47,7 @@ class TestGoldenEquivalence:
     def test_results_identical_to_sequential_query(self, ds):
         store = make_store(ds)
         workload = make_workload(ds, 30)
-        result = store.execute_workload(workload, options=ExecOptions(parallelism=4))
+        result = store.execute_workload(workload)
         assigned = result.plan.assigned_names()
         for i, (q, _) in enumerate(workload):
             seq = store.query(q, replica=assigned[i])
@@ -67,15 +66,6 @@ class TestGoldenEquivalence:
         workload = make_workload(ds, 30, seed=5)
         plan = store.route_workload(workload)
         assert plan.assigned_names() == [store.route(q) for q in workload.queries()]
-
-    def test_parallelism_does_not_change_results(self, ds):
-        store = make_store(ds)
-        workload = make_workload(ds, 20, seed=7)
-        serial = store.execute_workload(workload, options=ExecOptions(parallelism=1))
-        parallel = store.execute_workload(workload, options=ExecOptions(parallelism=6))
-        for a, b in zip(serial.results, parallel.results):
-            assert np.array_equal(a.records.column("t"), b.records.column("t"))
-        assert serial.stats.records_returned == parallel.stats.records_returned
 
 
 class TestWorkloadStats:
@@ -118,8 +108,8 @@ class TestCachedExecution:
     def test_second_pass_reads_strictly_fewer_bytes(self, ds):
         store = make_store(ds, cache_bytes=128 << 20)
         workload = make_workload(ds, 25)
-        first = store.execute_workload(workload, options=ExecOptions(parallelism=4))
-        second = store.execute_workload(workload, options=ExecOptions(parallelism=4))
+        first = store.execute_workload(workload)
+        second = store.execute_workload(workload)
         assert second.stats.bytes_read < first.stats.bytes_read
         assert second.stats.cache_hit_rate > 0
         assert second.stats.records_returned == first.stats.records_returned
@@ -154,41 +144,6 @@ class TestValidation:
         workload = Workload([(GroupedQuery(0.1, 0.1, 10.0), 1.0)])
         with pytest.raises(ValueError, match="positioned"):
             store.execute_workload(workload)
-
-    def test_parallelism_validated(self, ds):
-        store = make_store(ds)
-        with pytest.raises(ValueError, match="parallelism"):
-            store.execute_workload(make_workload(ds, 3),
-                                   options=ExecOptions(parallelism=0))
-        with pytest.raises(ValueError, match="parallelism"):
-            store.count(make_workload(ds, 1).queries()[0],
-                        options=ExecOptions(parallelism=0))
-
-
-class TestPersistentPool:
-    def test_pool_reused_across_queries(self, ds):
-        store = make_store(ds)
-        workload = make_workload(ds, 6)
-        for q in workload.queries():
-            store.query(q, options=ExecOptions(parallelism=4))
-        pool = store._executor(4)
-        assert store._executor(4) is pool  # not rebuilt per query
-        assert store._executor(2) is pool  # never shrunk
-        grown = store._executor(8)
-        assert grown is not pool
-        assert store._executor(8) is grown
-        store.close()
-        assert store._pool is None
-
-    def test_close_is_idempotent_and_recoverable(self, ds):
-        store = make_store(ds)
-        q = make_workload(ds, 1).queries()[0]
-        store.query(q, options=ExecOptions(parallelism=2))
-        store.close()
-        store.close()
-        # The pool comes back lazily on the next parallel scan.
-        res = store.query(q, options=ExecOptions(parallelism=2))
-        assert res.stats.records_returned >= 0
 
 
 class TestSingleReplica:

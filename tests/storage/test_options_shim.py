@@ -11,7 +11,6 @@ boundary.
 import pickle
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.data import synthetic_shanghai_taxis
@@ -56,41 +55,30 @@ class TestShimRemoved:
     def test_options_spelling_emits_no_warnings(self, store):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            store.query(store.universe, options=ExecOptions(parallelism=2))
+            store.query(store.universe, options=ExecOptions(retries=1))
 
 
 class TestExecOptionsSurface:
     def test_defaults(self):
         assert DEFAULT_EXEC_OPTIONS == ExecOptions()
-        assert DEFAULT_EXEC_OPTIONS.parallelism == 1
         assert DEFAULT_EXEC_OPTIONS.failover is True
         assert DEFAULT_EXEC_OPTIONS.repair is True
 
     def test_validation_at_construction(self):
-        with pytest.raises(ValueError, match="parallelism"):
-            ExecOptions(parallelism=0)
         with pytest.raises(ValueError, match="retries"):
             ExecOptions(retries=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            ExecOptions(backoff_seconds=-0.1)
 
     def test_pickle_round_trip(self):
-        opts = ExecOptions(parallelism=3, retries=1, failover=False,
+        opts = ExecOptions(use_cache=False, retries=1, failover=False,
                            repair=False, trace=True)
         clone = pickle.loads(pickle.dumps(opts))
         assert clone == opts
 
     def test_default_options_hold_only_plain_data(self):
-        # `sleep` stays None unless a test injects a recorder, so the
-        # default instance crosses a spawn boundary as-is.
-        assert DEFAULT_EXEC_OPTIONS.sleep is None
+        # Every field is a plain value, so the default instance crosses
+        # a spawn boundary as-is.
+        assert [f for f in ExecOptions.__dataclass_fields__] == [
+            "use_cache", "retries", "failover", "repair", "trace",
+            "trace_context"]
         assert pickle.loads(pickle.dumps(DEFAULT_EXEC_OPTIONS)) \
             == DEFAULT_EXEC_OPTIONS
-
-    def test_options_control_execution(self, store):
-        q = store.universe
-        serial = store.query(q, options=ExecOptions(parallelism=1))
-        parallel = store.query(q, options=ExecOptions(parallelism=4))
-        a = np.sort(serial.records.column("oid"))
-        b = np.sort(parallel.records.column("oid"))
-        assert np.array_equal(a, b)

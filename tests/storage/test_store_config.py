@@ -69,7 +69,7 @@ class TestPicklability:
 
         box = Box3(0.0, 1.0, 0.0, 2.0, 0.0, 3.0)
         query = Query.from_box(box)
-        for obj in (box, query, ExecOptions(parallelism=2),
+        for obj in (box, query, ExecOptions(retries=1),
                     FaultSpec(seed=4, fail_replicas=("grid",))):
             assert pickle.loads(pickle.dumps(obj)) == obj
 
