@@ -9,15 +9,18 @@ for the entire rebuild inline — a tail-latency cliff three-plus orders
 of magnitude above the median.
 
 This gate streams the identical batch sequence into both shapes at
-``auto_compact_at`` scale and asserts the p99 append latency with
-background compaction is at least 10x lower than the synchronous
-baseline.  Results land in ``benchmarks/results/BENCH_ingest.json``.
+``auto_compact_at`` scale, each store under its own temporary
+``wal_dir`` (WAL unsynced, layers written and flushed there), and
+asserts the p99 append latency with background compaction is at least
+10x lower than the synchronous baseline.  Results land in
+``benchmarks/results/BENCH_ingest.json``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -42,26 +45,28 @@ def _specs():
 def _stream_appends(initial, batches, *, background):
     """Append every batch, timing each `append()` call; returns the
     per-append latency array (seconds)."""
-    store = IngestingBlotStore(
-        initial, _specs(),
-        auto_compact_at=AUTO_COMPACT_AT,
-        background_compaction=background,
-    )
-    try:
-        latencies = np.empty(len(batches))
-        for i, batch in enumerate(batches):
-            t0 = time.perf_counter()
-            store.append(batch)
-            latencies[i] = time.perf_counter() - t0
-        if background:
-            store.wait_for_compaction(timeout=120)
-            assert store.compaction_failures == 0, store.last_compaction_error
-        assert store.compactions >= 2, (
-            "benchmark scale never triggered auto-compaction: "
-            f"{store.compactions} compactions")
-        assert len(store) == len(initial) + sum(len(b) for b in batches)
-    finally:
-        store.close()
+    with tempfile.TemporaryDirectory() as wal_dir:
+        store = IngestingBlotStore(
+            initial, _specs(),
+            wal_dir=wal_dir,
+            auto_compact_at=AUTO_COMPACT_AT,
+            background_compaction=background,
+        )
+        try:
+            latencies = np.empty(len(batches))
+            for i, batch in enumerate(batches):
+                t0 = time.perf_counter()
+                store.append(batch)
+                latencies[i] = time.perf_counter() - t0
+            if background:
+                store.wait_for_compaction(timeout=120)
+                assert store.compaction_failures == 0, store.last_compaction_error
+            assert store.compactions >= 2, (
+                "benchmark scale never triggered auto-compaction: "
+                f"{store.compactions} compactions")
+            assert len(store) == len(initial) + sum(len(b) for b in batches)
+        finally:
+            store.close()
     return latencies
 
 

@@ -3,15 +3,19 @@
 
 End-to-end operational pipeline combining the library's moving parts:
 
-1. bootstrap replicas from the initial data load;
+1. bootstrap replicas from the initial data load, durable under a
+   write-ahead-log directory;
 2. ingest live GPS batches into the delta buffer (queries stay correct
-   throughout, auto-compaction folds the buffer into fresh replicas);
+   throughout, auto-compaction folds the buffer into fresh replicas
+   and routes with scan costs the store measures on its own units);
 3. log the served queries, detect workload drift and retune the replica
    set with the advisor;
 4. report storage, selectivity estimates and final query statistics.
 
     python examples/ingest_pipeline.py
 """
+
+import tempfile
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from repro.partition import CompositeScheme, KdTreePartitioner, small_partitioni
 from repro.storage import IngestingBlotStore, ReplicaSpec
 
 
-def main() -> None:
+def main(wal_dir: str) -> None:
     rng = np.random.default_rng(13)
 
     # --- day 0: bootstrap -------------------------------------------------
@@ -42,8 +46,6 @@ def main() -> None:
                                    12_000 + (i + 1) * 3_000))
                for i in range(6)]
 
-    cluster = make_cluster("amazon-s3-emr", seed=2)
-    model = cost_model_for(cluster, [s.name for s in paper_encoding_schemes()])
     store = IngestingBlotStore(
         initial,
         [
@@ -52,7 +54,7 @@ def main() -> None:
             ReplicaSpec(CompositeScheme(KdTreePartitioner(4), 4),
                         encoding_scheme_by_name("COL-LZMA2"), name="coarse"),
         ],
-        cost_model=model,
+        wal_dir=wal_dir,
         auto_compact_at=8_000,
     )
     print(f"bootstrapped with {len(initial):,} records, "
@@ -86,7 +88,10 @@ def main() -> None:
               f"{predicted:,.0f})")
 
     # --- retune from the log ------------------------------------------------
+    # The advisor prices replica sets for the paper's EMR deployment.
     print("\nworkload drift check:")
+    cluster = make_cluster("amazon-s3-emr", seed=2)
+    model = cost_model_for(cluster, [s.name for s in paper_encoding_schemes()])
     advisor = ReplicaAdvisor(
         store.dataset().sample(10_000, rng),
         small_partitioning_schemes((4, 16, 64), (4, 16)),
@@ -128,7 +133,9 @@ def main() -> None:
           f"{len(store.base.replica_names())} replicas, "
           f"{store.base.total_storage_bytes() / 1e6:.1f} MB on disk, "
           f"{store.compactions} compactions")
+    store.close()
 
 
 if __name__ == "__main__":
-    main()
+    with tempfile.TemporaryDirectory() as wal_dir:
+        main(wal_dir)

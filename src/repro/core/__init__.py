@@ -36,8 +36,6 @@ from repro.core.reselect import (
     QueryLogger,
     ReselectionConfig,
     ReselectionController,
-    baseline_from_history,
-    queries_from_traces,
     replica_builder,
     warm_reselect,
     workload_divergence,
@@ -60,7 +58,6 @@ __all__ = [
     "SelectionInstance",
     "SelectionReport",
     "WorkloadReduction",
-    "baseline_from_history",
     "branch_and_bound_select",
     "brute_force_select",
     "build_mip",
@@ -70,7 +67,6 @@ __all__ = [
     "local_search_select",
     "partial_selection_instance",
     "prune_dominated",
-    "queries_from_traces",
     "record_fraction_in_box",
     "reduce_workload",
     "replica_builder",

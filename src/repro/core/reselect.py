@@ -8,12 +8,7 @@ incumbent ``R*`` silently degrades while every individual query still
 succeeds.  This module closes that loop:
 
 1. **Mine** the live query distribution: the engine feeds every served
-   query into a bounded, thread-safe :class:`QueryLogger`;
-   :func:`queries_from_traces` additionally reconstructs history from
-   the :class:`~repro.obs.TraceRecorder`'s finished ``query`` spans
-   (for controllers attached after the fact), and
-   :func:`baseline_from_history` re-anchors a restarted controller from
-   the persisted ``"reselection"`` timeseries entries.
+   query into a bounded, thread-safe :class:`QueryLogger`.
 2. **Detect drift**: :func:`workload_divergence` measures the
    Jensen-Shannon divergence between the baseline workload (the one the
    incumbent was selected for) and the observed one, over the shared
@@ -59,8 +54,6 @@ __all__ = [
     "QueryLogger",
     "ReselectionConfig",
     "ReselectionController",
-    "baseline_from_history",
-    "queries_from_traces",
     "replica_builder",
     "warm_reselect",
     "workload_divergence",
@@ -248,46 +241,6 @@ def warm_reselect(
     )
 
 
-# -- mining history -----------------------------------------------------------
-
-
-def queries_from_traces(tracer) -> list[Query]:
-    """Reconstruct positioned queries from the tracer's finished root
-    ``query`` spans (the engine annotates each with its extent and
-    centroid).  Lets a controller attached mid-flight seed its log from
-    history instead of starting blind."""
-    out: list[Query] = []
-    for span in tracer.spans():
-        if span.name != "query" or span.end is None:
-            continue
-        attrs = span.attrs
-        if "q_width" not in attrs:
-            continue
-        out.append(Query(
-            float(attrs["q_width"]), float(attrs["q_height"]),
-            float(attrs["q_duration"]), float(attrs["q_x"]),
-            float(attrs["q_y"]), float(attrs["q_t"]),
-        ))
-    return out
-
-
-def baseline_from_history(timeseries) -> Workload | None:
-    """The baseline workload implied by the newest *applied*
-    ``"reselection"`` entry in a timeseries store, or None when no
-    reselection was ever applied.  A restarted controller re-anchors
-    from this instead of re-flagging drift the old baseline already
-    absorbed."""
-    for entry in reversed(timeseries.entries("reselection")):
-        data = entry["data"]
-        rows = data.get("observed") or []
-        if data.get("action") == "applied" and rows:
-            return Workload([
-                (GroupedQuery(float(w), float(h), float(t)), float(weight))
-                for w, h, t, weight in rows
-            ])
-    return None
-
-
 # -- physical builds ----------------------------------------------------------
 
 
@@ -431,19 +384,6 @@ class ReselectionController:
     def observe(self, query: Query) -> None:
         """One served query, straight off the engine's serving path."""
         self.logger.record(query)
-
-    def seed_from_traces(self, tracer=None) -> int:
-        """Backfill the query log from finished trace spans (the
-        controller may be attached long after the engine started
-        serving).  Returns the number of queries recovered."""
-        if tracer is None and self.obs is not None:
-            tracer = self.obs.tracer
-        if tracer is None:
-            return 0
-        queries = queries_from_traces(tracer)
-        for q in queries:
-            self.logger.record(q)
-        return len(queries)
 
     # -- the loop ----------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Per-query trace spans with parent/child structure.
 
 A *span* covers one timed step of query execution — ``route``, a
-per-partition ``scan``, the ``decode`` inside it, a ``cache`` probe, a
-``retry`` backoff, a ``failover`` hop, a ``repair`` — and carries its
-parent's id, so a query's spans reassemble into a tree ("where did this
-query spend its time?").  Completed spans land in a bounded ring buffer
-(:class:`TraceRecorder`), dumpable as JSON lines for offline analysis.
+per-partition ``scan``, the ``decode`` inside it, a ``repair`` — and
+carries its parent's id, so a query's spans reassemble into a tree
+("where did this query spend its time?").  Decisions that take no time
+are zero-duration *events* under the same parent: a ``cache`` probe, a
+``failover`` hop, and a ``retry``, which re-reads the unit at once.
+Completed spans land in a bounded ring buffer (:class:`TraceRecorder`),
+dumpable as JSON lines for offline analysis.
 
 The engine never checks "is tracing on?" at each step: it asks the
 store for a recorder once per call and gets either the real

@@ -472,11 +472,8 @@ class BlotStore(ReadSurface):
             root = rec.start("workload", context=opts.trace_context,
                              n_queries=len(requests))
         else:
-            q = requests[0].query
             root = rec.start("query", context=opts.trace_context,
-                             kind="count" if requests[0].count else "query",
-                             q_width=q.width, q_height=q.height,
-                             q_duration=q.duration, q_x=q.x, q_y=q.y, q_t=q.t)
+                             kind="count" if requests[0].count else "query")
         with root:
             if batch and replica is not None:
                 # Every query pinned, like query(replica=): no route span.

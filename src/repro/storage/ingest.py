@@ -12,12 +12,11 @@ inserts the same way), :class:`IngestingBlotStore` keeps
 - an in-memory **delta buffer** of everything appended since the last
   compaction, made durable by a :class:`~repro.storage.wal.WriteAheadLog`.
 
-With a ``wal_dir`` every layer has one shape on disk — units and
-manifests (:func:`~repro.storage.config.write_replica_set`), no raw copy
-of the records — and ``snapshot.json`` names the live ones, so
-:meth:`open` after a crash is manifests + a replay of the log tail:
-nothing is partitioned, encoded or lost.  Without one the store is the
-same stack with a single in-memory base.
+Every layer has one shape on disk under the store's ``wal_dir`` —
+units and manifests (:func:`~repro.storage.config.write_replica_set`),
+no raw copy of the records — and ``snapshot.json`` names the live ones,
+so :meth:`open` after a crash is manifests + a replay of the log tail:
+nothing is partitioned, encoded or lost.
 
 Queries merge the layers' scans and a filter of the buffer.  The buffer
 keeps every batch's exact (x, y, t) bounds, computed once when the batch
@@ -63,7 +62,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.costmodel.calibrate import measure_cost_params
-from repro.costmodel.model import CostModel
 from repro.data.dataset import Dataset, box_mask
 from repro.data.record import FIELDS
 from repro.encoding.base import EncodingScheme
@@ -71,7 +69,6 @@ from repro.errors import DegradedReadError
 from repro.geometry import Box3
 from repro.partition.base import PartitioningScheme
 from repro.storage.config import (
-    StoreConfig,
     cost_model_from_params,
     replica_set_config,
     write_replica_set,
@@ -86,8 +83,8 @@ from repro.storage.reads import (
     WorkloadStats,
 )
 from repro.obs import NULL_RECORDER
-from repro.storage.replica import StoredReplica, build_replica
-from repro.storage.unit import DirectoryStore, InMemoryStore
+from repro.storage.replica import StoredReplica
+from repro.storage.unit import DirectoryStore
 from repro.storage.wal import WriteAheadLog, fsync_tree, wal_state_exists
 
 #: Replica-set directories under the WAL directory are named
@@ -117,15 +114,14 @@ class SealedWindow:
     Late-arriving records for an already-sealed span produce an
     *additional* window over the same span (windows are append-only,
     never rewritten), so spans may repeat — queries merge every
-    intersecting window.  ``root`` (the layer's directory) and ``config``
-    (its replica-only config) are ``None`` for an in-memory base.
+    intersecting window.  ``root`` is the layer's replica-set directory
+    (:func:`~repro.storage.config.replica_set_config` describes it).
     """
 
     t_lo: float
     t_hi: float
-    root: str | None
+    root: str
     records: int
-    config: StoreConfig | None
     store: BlotStore
 
     def intersects(self, box: Box3) -> bool:
@@ -270,14 +266,12 @@ class _Serving:
 class IngestingBlotStore(ReadSurface):
     """A BLOT store that accepts appends between compactions.
 
-    The default configuration matches the original synchronous store:
-    in-memory only, ``compact()`` inline on the appending thread.  The
-    always-on upgrades are opt-in keywords:
+    The store lives under ``wal_dir``: every appended batch is CRC-framed
+    in its write-ahead log before it is visible, every layer is a replica
+    set written and flushed beside it, and :meth:`IngestingBlotStore.open`
+    recovers the exact acknowledged state after a crash.  By default
+    ``compact()`` runs inline on the appending thread; opt-in keywords:
 
-    - ``wal_dir``: write-ahead logging — every appended batch is
-      CRC-framed on disk before it is visible, and
-      :meth:`IngestingBlotStore.open` recovers the exact acknowledged
-      state after a crash;
     - ``background_compaction``: fold the buffer on a worker thread and
       swap the serving replicas atomically, so appends/queries never
       stall on a rebuild;
@@ -292,44 +286,36 @@ class IngestingBlotStore(ReadSurface):
         self,
         initial: Dataset,
         replica_specs: list[ReplicaSpec],
-        cost_model: CostModel | None = None,
-        auto_compact_at: int | None = None,
         *,
-        wal_dir: str | None = None,
+        wal_dir: str,
+        auto_compact_at: int | None = None,
         fsync_wal: bool = False,
         background_compaction: bool = False,
         window_seconds: float | None = None,
         observability=None,
     ):
         """``auto_compact_at`` triggers :meth:`compact` automatically once
-        the live buffer holds that many records (None disables).  Without
-        a ``cost_model`` the store routes with Eq. 6 rows it measures
-        from the units it writes (see :meth:`_calibrate`)."""
-        if window_seconds is not None and wal_dir is None:
+        the live buffer holds that many records (None disables).  The
+        store routes with Eq. 6 rows it measures from the units it writes
+        (see :meth:`_calibrate`)."""
+        if wal_state_exists(wal_dir):
             raise ValueError(
-                "window_seconds needs wal_dir (sealed windows are "
-                "materialized on disk under it)")
-        self._configure(replica_specs, cost_model, auto_compact_at,
+                f"{wal_dir!r} already holds WAL state; resume it with "
+                "IngestingBlotStore.open() instead of constructing over it"
+            )
+        self._configure(wal_dir, fsync_wal, replica_specs, auto_compact_at,
                         background_compaction, window_seconds, observability)
-        if wal_dir is not None:
-            if wal_state_exists(wal_dir):
-                raise ValueError(
-                    f"{wal_dir!r} already holds WAL state; resume it with "
-                    "IngestingBlotStore.open() instead of constructing over it"
-                )
-            self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
-                                      metrics=self._metrics)
         layers = (self._write_layer(initial, _BASE_PREFIX),)
         # Make the initial load durable immediately: open() after a
         # crash must never need the caller to re-supply it.
         self._commit(0, layers)
         self._install(_Serving(layers))
 
-    def _configure(self, replica_specs, cost_model, auto_compact_at,
+    def _configure(self, wal_dir, fsync_wal, replica_specs, auto_compact_at,
                    background_compaction, window_seconds,
                    observability) -> None:
-        """The settings and empty state ``__init__`` and :meth:`open`
-        share."""
+        """The settings, write-ahead log and empty state ``__init__`` and
+        :meth:`open` share."""
         if not replica_specs:
             raise ValueError("need at least one replica spec")
         if auto_compact_at is not None and auto_compact_at < 1:
@@ -337,12 +323,10 @@ class IngestingBlotStore(ReadSurface):
         if window_seconds is not None and window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
         self._specs = list(replica_specs)
-        self._cost_model = cost_model
         # The measured ``(encoding, scan_rate, extra_time)`` rows behind
-        # ``_cost_model``, committed with every snapshot; None when the
-        # caller's model wins and nothing is measured.
-        self._cost_params: tuple[tuple[str, float, float], ...] | None = (
-            () if cost_model is None else None)
+        # ``_cost_model``, committed with every snapshot.
+        self._cost_params: tuple[tuple[str, float, float], ...] = ()
+        self._cost_model = None
         self._auto_compact_at = auto_compact_at
         self._background = bool(background_compaction)
         self._window_seconds = window_seconds
@@ -363,7 +347,8 @@ class IngestingBlotStore(ReadSurface):
         self._compaction_failures = 0
         self._last_compaction_error: str | None = None
         self._seal_seq = 0
-        self._wal: WriteAheadLog | None = None
+        self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
+                                  metrics=self._metrics)
 
     # -- crash recovery ----------------------------------------------------
 
@@ -372,9 +357,8 @@ class IngestingBlotStore(ReadSurface):
         cls,
         wal_dir: str,
         replica_specs: list[ReplicaSpec],
-        cost_model: CostModel | None = None,
-        auto_compact_at: int | None = None,
         *,
+        auto_compact_at: int | None = None,
         fsync_wal: bool = False,
         background_compaction: bool = False,
         window_seconds: float | None = None,
@@ -391,21 +375,18 @@ class IngestingBlotStore(ReadSurface):
         ``replica_specs`` take effect at the next compaction.
         """
         self = cls.__new__(cls)
-        self._configure(replica_specs, cost_model, auto_compact_at,
+        self._configure(wal_dir, fsync_wal, replica_specs, auto_compact_at,
                         background_compaction, window_seconds, observability)
-        self._wal = WriteAheadLog(wal_dir, fsync=fsync_wal,
-                                  metrics=self._metrics)
         _, committed = self._wal.snapshot_meta()
         if "base" not in committed:
             raise ValueError(
                 f"no committed snapshot under {wal_dir!r}; create the store "
                 "with IngestingBlotStore(initial, ..., wal_dir=...) first"
             )
-        if self._cost_params is not None:
-            self._cost_params = tuple(
-                (str(name), float(rate), float(extra))
-                for name, rate, extra in committed.get("cost_params", ()))
-            self._cost_model = cost_model_from_params(self._cost_params)
+        self._cost_params = tuple(
+            (str(name), float(rate), float(extra))
+            for name, rate, extra in committed.get("cost_params", ()))
+        self._cost_model = cost_model_from_params(self._cost_params)
         # The base first: a snapshot committed without rows is measured
         # from it, once (see _calibrate).
         base = self._open_layer(committed["base"])
@@ -425,23 +406,14 @@ class IngestingBlotStore(ReadSurface):
                      t_lo: float = -math.inf,
                      t_hi: float = math.inf) -> SealedWindow:
         """Build the replica set of one layer over ``dataset`` with the
-        current specs — flushed under the WAL directory, or in memory
-        when there is none — and open it for serving."""
-        specs = [(s.scheme, s.encoding, s.name) for s in self._specs]
-        if self._wal is None:
-            universe = dataset.bounding_box()
-            replicas = [build_replica(dataset, scheme, encoding,
-                                      InMemoryStore(), name=name,
-                                      universe=universe)
-                        for scheme, encoding, name in specs]
-            self._calibrate(replicas)
-            store = open_store(dataset, replicas, cost_model=self._cost_model,
-                               observability=self._obs)
-            return SealedWindow(t_lo, t_hi, None, len(dataset), None, store)
+        current specs under the WAL directory, flush it, and open it for
+        serving."""
         self._seal_seq += 1
         rel = f"{prefix}{self._seal_seq:06d}"
         root = os.path.join(self._wal.dir, rel)
-        names = write_replica_set(dataset, specs, root)
+        names = write_replica_set(
+            dataset, [(s.scheme, s.encoding, s.name) for s in self._specs],
+            root)
         # The commit that names this layer GCs the WAL segments holding
         # the same records: it must be on stable storage first.
         fsync_tree(root)
@@ -463,8 +435,7 @@ class IngestingBlotStore(ReadSurface):
         return SealedWindow(
             t_lo=float(descriptor.get("t_lo", -math.inf)),
             t_hi=float(descriptor.get("t_hi", math.inf)),
-            root=root, records=int(descriptor["records"]),
-            config=config, store=store)
+            root=root, records=int(descriptor["records"]), store=store)
 
     def _calibrate(self, replicas: list[StoredReplica]) -> None:
         """Give every encoding of a layer's replica set an Eq. 6 row.
@@ -475,12 +446,11 @@ class IngestingBlotStore(ReadSurface):
         (:func:`~repro.costmodel.calibrate.measure_cost_params`) and the
         store's model is rebuilt with the new rows — layers opened
         earlier keep the model they were opened with, which prices every
-        replica they hold.  A store given an explicit ``cost_model``
-        measures nothing.  The rows are committed with every snapshot, so
+        replica they hold.  The rows are committed with every snapshot, so
         :meth:`open` reads them back and times nothing — unless the
         snapshot predates them, when the base is measured once.
         """
-        if self._cost_params is None or len(replicas) < 2:
+        if len(replicas) < 2:
             return
         have = {name for name, _, _ in self._cost_params}
         missing = [r for r in replicas if r.encoding.name not in have]
@@ -495,8 +465,6 @@ class IngestingBlotStore(ReadSurface):
         ones, and WAL segments <= ``through_segment`` folded, in one
         atomic ``snapshot.json`` replace.  Paths are stored relative to
         the WAL directory, so the directory can be moved."""
-        if self._wal is None:
-            return
         *windows, base = layers
 
         def describe(layer: SealedWindow, **span) -> dict:
@@ -504,12 +472,11 @@ class IngestingBlotStore(ReadSurface):
                     "records": layer.records,
                     "replicas": layer.store.replica_names(), **span}
 
-        extra = {"base": describe(base),
-                 "windows": [describe(w, t_lo=w.t_lo, t_hi=w.t_hi)
-                             for w in windows]}
-        if self._cost_params is not None:
-            extra["cost_params"] = [list(row) for row in self._cost_params]
-        self._wal.snapshot(through_segment, extra=extra)
+        self._wal.snapshot(through_segment, extra={
+            "base": describe(base),
+            "windows": [describe(w, t_lo=w.t_lo, t_hi=w.t_hi)
+                        for w in windows],
+            "cost_params": [list(row) for row in self._cost_params]})
 
     def _collect_orphans(self) -> None:
         """Delete every replica-set directory that ``snapshot.json`` does
@@ -517,8 +484,6 @@ class IngestingBlotStore(ReadSurface):
         what a crashed or failed compaction wrote but never committed,
         and superseded bases once their last reader is done.
         Callers hold ``_compact_lock`` (or own the store alone)."""
-        if self._wal is None:
-            return
         committed = self._wal.snapshot_meta()[1]
         keep = {os.path.join(self._wal.dir, d["dir"])
                 for d in [committed["base"], *committed["windows"]]}
@@ -571,7 +536,7 @@ class IngestingBlotStore(ReadSurface):
         return self._state.layers[:-1]
 
     @property
-    def wal(self) -> WriteAheadLog | None:
+    def wal(self) -> WriteAheadLog:
         return self._wal
 
     @property
@@ -614,8 +579,7 @@ class IngestingBlotStore(ReadSurface):
         names."""
         self.wait_for_compaction()
         with self._compact_lock:
-            if self._wal is not None:
-                self._wal.close()
+            self._wal.close()
             self._collect_orphans()
 
     # -- writes ----------------------------------------------------------------
@@ -623,18 +587,17 @@ class IngestingBlotStore(ReadSurface):
     def append(self, records: Dataset) -> None:
         """Ingest a batch of new records.
 
-        The batch is WAL-logged (when a WAL is attached) before becoming
-        visible to queries, so an acknowledged append survives a crash;
-        it may trigger a compaction — inline here, or on the background
-        worker when ``background_compaction`` is on."""
+        The batch is WAL-logged before becoming visible to queries, so
+        an acknowledged append survives a crash; it may trigger a
+        compaction — inline here, or on the background worker when
+        ``background_compaction`` is on."""
         if not len(records):
             return
         t0 = time.perf_counter()
         # Outside the writers' mutex, so no writer waits on it.
         bounds = _bounds(records)
         with self._write:
-            if self._wal is not None:
-                self._wal.append(records)
+            self._wal.append(records)
             state = self._state
             state = replace(state, delta=state.delta.appended(records, bounds))
             self._install(state)
@@ -704,25 +667,28 @@ class IngestingBlotStore(ReadSurface):
     def _compact_once(self, mode: str) -> bool:
         """One rotate → fold → snapshot → swap cycle.  Caller holds
         ``_compact_lock`` (compactions are single-flight)."""
-        # The base the previous swap superseded (and anything a failed
-        # attempt left) can go now, unless a read still holds it.
-        self._collect_orphans()
         with self._write:
             state = self._state
-            if not state.delta:
-                return False
-            # Seal the WAL segment *in the same critical section* that
-            # freezes the buffer: the sealed segments then hold exactly
-            # the frozen batches, which is what makes the snapshot's
-            # through_segment GC safe.
-            sealed_segment = self._wal.rotate() if self._wal else None
-            state = replace(state, frozen=len(state.delta))
-            self._install(state)
+            if state.delta:
+                # Seal the WAL segment *in the same critical section* that
+                # freezes the buffer: the sealed segments then hold
+                # exactly the frozen batches, which is what makes the
+                # snapshot's through_segment GC safe.
+                sealed_segment = self._wal.rotate()
+                state = replace(state, frozen=len(state.delta))
+                self._install(state)
         # Layers only change here, under ``_compact_lock``: ``state`` stays
         # the truth about them (and the frozen batches) for the whole fold.
         *windows, base = state.layers
         t0 = time.perf_counter()
         try:
+            # The base the previous swap superseded (and anything a failed
+            # attempt left) can go now, unless a read still holds it —
+            # after the freeze, so where the fold cuts the buffer never
+            # waits on directory deletes.
+            self._collect_orphans()
+            if not state.frozen:
+                return False
             with self._tracer.start("compact", kind="compact",
                                     mode=mode) as root:
                 merged = Dataset.concat(
@@ -801,8 +767,8 @@ class IngestingBlotStore(ReadSurface):
     # -- anti-entropy -----------------------------------------------------------
 
     def anti_entropy(self, n_queries: int = 4, seed: int = 7) -> list:
-        """CRC + majority-vote sweep over every on-disk layer — the
-        sealed windows and the base (an in-memory store has none).
+        """CRC + majority-vote sweep over every layer — the sealed
+        windows and the base.
 
         Each layer's units are verified with
         :func:`repro.verify.verify_store`: per-unit CRCs against the
@@ -814,15 +780,16 @@ class IngestingBlotStore(ReadSurface):
         """
         from repro.verify.diskcheck import verify_store
 
-        layers = [layer for layer in self._state.layers
-                  if layer.config is not None]
+        layers = self._state.layers
         reports = []
         with self._tracer.start("anti-entropy", kind="anti-entropy",
                                 windows=len(layers)):
             for layer in layers:
+                config = replica_set_config(layer.root,
+                                            layer.store.replica_names())
                 verification = verify_store(
-                    DirectoryStore(layer.config.replicas[0].store_root),
-                    [ref.manifest_path for ref in layer.config.replicas],
+                    DirectoryStore(config.replicas[0].store_root),
+                    [ref.manifest_path for ref in config.replicas],
                     n_queries=n_queries, seed=seed)
                 reports.append(verification)
                 if self._metrics is not None:

@@ -5,9 +5,9 @@ replicas (every partitioning x encoding combination) over one dataset
 and drives the same query boxes through every execution path the engine
 has — scalar ``query()``, batch ``execute_workload``, cold and warm
 ``PartitionCache`` reads, fault-injected reads with failover, and
-``IngestingBlotStore`` merged layer+buffer reads, in memory and through
-a durable close/reopen — asserting every answer is bit-identical to the
-brute-force oracle.
+``IngestingBlotStore`` merged layer+buffer reads, before and after a
+compaction and through a windowed close/reopen — asserting every answer
+is bit-identical to the brute-force oracle.
 
 The sweep doubles as the engine's conformance suite (tests) and as the
 work-horse behind ``repro verify-store`` (on-disk stores; see
@@ -16,6 +16,7 @@ work-horse behind ``repro verify-store`` (on-disk stores; see
 
 from __future__ import annotations
 
+import os
 import tempfile
 from dataclasses import replace
 from typing import Sequence
@@ -269,8 +270,8 @@ class DifferentialHarness:
     def _run_ingest(self, report, boxes, oracles) -> None:
         """Merged layer+buffer reads: split the dataset, append the tail
         in chunks (one out of time order), verify before and after
-        compaction — then again through a durable windowed store that is
-        closed and reopened.  Before compaction both folds also answer
+        compaction — then again through a windowed store that is closed
+        and reopened.  Before compaction both folds also answer
         boxes whose faces sit exactly on a chunk's bounds, where the
         buffer decides to skip, take whole or filter a batch."""
         n = len(self._dataset)
@@ -316,21 +317,24 @@ class DifferentialHarness:
                                           f"{spec.name}[{phase}]", i, box,
                                           len(want), n)
 
-        store = IngestingBlotStore(base, specs)
-        for chunk in [*chunks[1:], chunks[0]]:
-            store.append(chunk)
-        check(store, "buffered", count=True)
-        check(store, "buffered-edges", edges, edge_oracles, count=True)
-        store.compact()
-        check(store, "compacted")
+        with tempfile.TemporaryDirectory() as root:
+            store = IngestingBlotStore(base, specs,
+                                       wal_dir=os.path.join(root, "flat"))
+            for chunk in [*chunks[1:], chunks[0]]:
+                store.append(chunk)
+            check(store, "buffered", count=True)
+            check(store, "buffered-edges", edges, edge_oracles, count=True)
+            store.compact()
+            check(store, "compacted")
+            store.close()
 
-        # The durable shape: a quarter-span window puts the rollover
-        # inside the appended tail, so the compaction seals windows and
-        # rewrites the base on disk; the reopened store serves those
-        # layers plus a replayed-then-extended buffer.
-        t = ordered.column("t")
-        window = float(t[-1] - t[0]) / 4 or 1.0
-        with tempfile.TemporaryDirectory() as wal_dir:
+            # A quarter-span window puts the rollover inside the appended
+            # tail, so the compaction seals windows and rewrites the base;
+            # the reopened store serves those layers plus a
+            # replayed-then-extended buffer.
+            t = ordered.column("t")
+            window = float(t[-1] - t[0]) / 4 or 1.0
+            wal_dir = os.path.join(root, "windowed")
             store = IngestingBlotStore(base, specs, wal_dir=wal_dir,
                                        window_seconds=window)
             for chunk in chunks[:-1]:

@@ -4,8 +4,7 @@ The acceptance loop (live engine, physical builds, bit-equal reads
 across the swap) lives in ``tests/storage/test_reselect_loop.py``; this
 file pins the pieces in isolation: the Jensen-Shannon drift signal, the
 warm-started incremental re-solve, and every decision branch of the
-controller (gates, cooldown, dry-run, builder failures, history
-re-anchoring).
+controller (gates, cooldown, dry-run, builder failures).
 """
 
 import threading
@@ -19,8 +18,6 @@ from repro.core import (
     ReplicaAdvisor,
     ReselectionConfig,
     ReselectionController,
-    baseline_from_history,
-    queries_from_traces,
     replica_builder,
     warm_reselect,
     workload_divergence,
@@ -30,9 +27,9 @@ from repro.costmodel import CostModel, EncodingCostParams
 from repro.data import synthetic_shanghai_taxis
 from repro.drills import hotspot_query, positioned_query
 from repro.encoding import encoding_scheme_by_name
-from repro.obs import Observability, TimeseriesStore, TraceRecorder
+from repro.obs import Observability
 from repro.partition import small_partitioning_schemes
-from repro.workload import GroupedQuery, Query, Workload
+from repro.workload import GroupedQuery, Workload
 
 
 # -- shared fixtures ----------------------------------------------------------
@@ -102,7 +99,7 @@ def fake_build(name):
 
 
 def make_controller(ds, advisor, *, copies=3, build=fake_build,
-                    config=None, obs=None, timeseries=None):
+                    config=None, obs=None):
     bb = ds.bounding_box()
     baseline = wide_workload(bb)
     budget = advisor.single_replica_budget(baseline, copies=copies)
@@ -111,7 +108,7 @@ def make_controller(ds, advisor, *, copies=3, build=fake_build,
     controller = ReselectionController(
         store, advisor, budget, baseline, build=build,
         config=config or ReselectionConfig(min_queries=8),
-        obs=obs, timeseries=timeseries, rng=np.random.default_rng(0))
+        obs=obs, rng=np.random.default_rng(0))
     return controller, store, bb
 
 
@@ -223,54 +220,6 @@ class TestWarmReselect:
         instance = hand_instance()
         result = warm_reselect(instance, incumbent=[-3, 99, 1])
         assert result.selected == (1, 2)
-
-
-# -- history mining -----------------------------------------------------------
-
-
-class TestHistoryMining:
-    def test_queries_from_traces_roundtrip(self):
-        rec = TraceRecorder()
-        q = Query(1.0, 2.0, 3.0, 10.0, 20.0, 30.0)
-        handle = rec.start("query", q_width=q.width, q_height=q.height,
-                           q_duration=q.duration, q_x=q.x, q_y=q.y,
-                           q_t=q.t)
-        rec.finish(handle)
-        # Unfinished, unrelated, and unannotated spans are all skipped.
-        rec.start("query", q_width=9.0, q_height=9.0, q_duration=9.0,
-                  q_x=0.0, q_y=0.0, q_t=0.0)
-        rec.finish(rec.start("scan", pid=3))
-        rec.finish(rec.start("query", kind="count"))
-        assert queries_from_traces(rec) == [q]
-
-    def test_seed_from_traces_uses_attached_obs(self, ds, advisor):
-        obs = Observability.create()
-        q = Query(1.0, 1.0, 1.0, 5.0, 5.0, 5.0)
-        obs.tracer.finish(obs.tracer.start(
-            "query", q_width=q.width, q_height=q.height,
-            q_duration=q.duration, q_x=q.x, q_y=q.y, q_t=q.t))
-        controller, _, _ = make_controller(ds, advisor, obs=obs)
-        assert controller.seed_from_traces() == 1
-        assert controller.logger.queries() == [q]
-
-    def test_baseline_from_history(self, tmp_path, ds, advisor):
-        ts = TimeseriesStore(tmp_path / "history")
-        obs = Observability.create()
-        controller, store, bb = make_controller(
-            ds, advisor, copies=1, obs=obs, timeseries=ts)
-        rng = np.random.default_rng(4)
-        for _ in range(16):
-            controller.observe(hotspot_query(bb, rng))
-        update = controller.evaluate(force=True)
-        assert update.action == "applied"
-        anchored = baseline_from_history(ts)
-        assert anchored is not None
-        assert {g.size for g, _ in anchored} == \
-            {g.size for g, _ in controller.baseline}
-
-    def test_baseline_from_history_empty(self, tmp_path):
-        ts = TimeseriesStore(tmp_path / "empty")
-        assert baseline_from_history(ts) is None
 
 
 # -- the controller -----------------------------------------------------------

@@ -152,7 +152,7 @@ class TestSpanVocabulary:
         assert [s.attrs["kind"] for s in per_query] == ["workload"] * 2
         assert sorted(s.attrs["query"] for s in per_query) == [0, 1]
 
-    def test_ingest_buffer_scan_is_its_own_root(self, ds):
+    def test_ingest_buffer_scan_is_its_own_root(self, tmp_path, ds):
         from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
 
         obs = Observability.create()
@@ -162,7 +162,7 @@ class TestSpanVocabulary:
         store = IngestingBlotStore(head, [ReplicaSpec(
             CompositeScheme(KdTreePartitioner(8), 4),
             encoding_scheme_by_name("COL-GZIP"), name="r")],
-            observability=obs)
+            wal_dir=str(tmp_path), observability=obs)
         store.append(tail)
         store.query(ds.bounding_box(), options=TRACED)
         assert self.edges(obs.tracer.spans()) == {

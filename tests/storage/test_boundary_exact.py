@@ -89,7 +89,7 @@ class TestExactQueryBounds:
         n, _ = store.count(box, options=_PINNED)
         assert n == 3
 
-    def test_ingest_store_uses_exact_bounds_too(self):
+    def test_ingest_store_uses_exact_bounds_too(self, tmp_path):
         box = find_drifting_box()
         inside_y = (box.y_min + box.y_max) / 2
         inside_t = (box.t_min + box.t_max) / 2
@@ -98,7 +98,7 @@ class TestExactQueryBounds:
         tail = make_dataset([box.x_max], [inside_y], [box.t_max])
         spec = ReplicaSpec(CompositeScheme(KdTreePartitioner(2), 1),
                            encoding_scheme_by_name("ROW-PLAIN"), name="ing")
-        store = IngestingBlotStore(base, [spec])
+        store = IngestingBlotStore(base, [spec], wal_dir=str(tmp_path))
         store.append(tail)
         full = Dataset.concat([base, tail])
         result = store.query(box, replica="ing")
@@ -143,7 +143,7 @@ class TestPartitionEdges:
 
 
 class TestIngestBoundary:
-    def test_duplicate_timestamps_at_compaction_cut(self):
+    def test_duplicate_timestamps_at_compaction_cut(self, tmp_path):
         """Records sharing the exact cut timestamp live in both base and
         buffer; merged reads must return each exactly once, before and
         after compaction."""
@@ -154,7 +154,7 @@ class TestIngestBoundary:
                             t=[cut_t, cut_t])
         spec = ReplicaSpec(CompositeScheme(KdTreePartitioner(2), 1),
                            encoding_scheme_by_name("COL-SNAPPY"), name="ing")
-        store = IngestingBlotStore(base, [spec])
+        store = IngestingBlotStore(base, [spec], wal_dir=str(tmp_path))
         store.append(tail)
         full = Dataset.concat([base, tail])
         pin = Box3(-10.0, 10.0, -10.0, 10.0, cut_t, cut_t)
@@ -165,7 +165,7 @@ class TestIngestBoundary:
             if phase == "buffered":
                 store.compact()
 
-    def test_compact_failure_loses_no_records(self):
+    def test_compact_failure_loses_no_records(self, tmp_path):
         """Regression: compact() used to clear the buffer *before*
         rebuilding the base, so a failing replica build dropped every
         buffered record.  Now the store keeps serving base + buffer."""
@@ -189,7 +189,7 @@ class TestIngestBoundary:
         tail = make_dataset(x=[2.0], y=[2.0], t=[2.0])
         spec = ReplicaSpec(ExplodingScheme(),
                           encoding_scheme_by_name("ROW-PLAIN"), name="ing")
-        store = IngestingBlotStore(base, [spec])
+        store = IngestingBlotStore(base, [spec], wal_dir=str(tmp_path))
         store.append(tail)
         with pytest.raises(RuntimeError, match="simulated build failure"):
             store.compact()

@@ -13,12 +13,10 @@ from repro.data import Dataset, synthetic_shanghai_taxis
 from repro.encoding import encoding_scheme_by_name
 from repro.geometry import Box3
 from repro.partition import CompositeScheme, KdTreePartitioner
-from repro.storage.config import cost_model_from_params
 from repro.storage.ingest import IngestingBlotStore, ReplicaSpec
 from repro.storage.wal import WriteAheadLog
 from repro.verify.oracle import canonical, datasets_identical
 from repro.workload.query import Query, Workload
-from tests.conftest import FIXED_COST_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +29,11 @@ def stream():
     return full, initial, batches
 
 
-def make_store(initial):
+def make_store(initial, tmp_path):
     return IngestingBlotStore(initial, [
         ReplicaSpec(CompositeScheme(KdTreePartitioner(8), 4),
                     encoding_scheme_by_name("COL-GZIP"), name="main"),
-    ])
+    ], wal_dir=str(tmp_path / "wal"))
 
 
 def result_key(records):
@@ -64,14 +62,26 @@ def random_box(universe, rng, frac=0.4):
 
 
 class TestIngest:
-    def test_requires_specs(self, stream):
+    def test_requires_specs(self, tmp_path, stream):
         _, initial, _ = stream
         with pytest.raises(ValueError):
-            IngestingBlotStore(initial, [])
+            IngestingBlotStore(initial, [], wal_dir=str(tmp_path / "wal"))
 
-    def test_appends_visible_immediately(self, stream):
+    def test_durable_and_self_priced_by_construction(self, tmp_path, stream):
+        """No in-memory mode and no caller-supplied cost model."""
+        _, initial, _ = stream
+        with pytest.raises(TypeError):
+            IngestingBlotStore(initial, wal_specs())
+        with pytest.raises(TypeError):
+            IngestingBlotStore(initial, wal_specs(), cost_model=None,
+                               wal_dir=str(tmp_path / "wal"))
+        with pytest.raises(TypeError):
+            IngestingBlotStore.open(str(tmp_path / "wal"), wal_specs(),
+                                    cost_model=None)
+
+    def test_appends_visible_immediately(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         current = initial
         rng = np.random.default_rng(0)
         for batch in batches:
@@ -81,23 +91,23 @@ class TestIngest:
             got = store.query(box)
             assert result_key(got.records) == result_key(current.filter_box(box))
 
-    def test_len_tracks_appends(self, stream):
+    def test_len_tracks_appends(self, tmp_path, stream):
         _, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         assert len(store) == len(initial)
         store.append(batches[0])
         assert len(store) == len(initial) + len(batches[0])
         assert store.buffered_records == len(batches[0])
 
-    def test_empty_append_ignored(self, stream):
+    def test_empty_append_ignored(self, tmp_path, stream):
         _, initial, _ = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         store.append(Dataset.empty())
         assert store.buffered_records == 0
 
-    def test_compaction_preserves_queries(self, stream):
+    def test_compaction_preserves_queries(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         for batch in batches:
             store.append(batch)
         before_universe = store.base.universe
@@ -114,16 +124,16 @@ class TestIngest:
             got = store.query(box)
             assert result_key(got.records) == result_key(current.filter_box(box))
 
-    def test_compact_noop_when_empty(self, stream):
+    def test_compact_noop_when_empty(self, tmp_path, stream):
         _, initial, _ = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         base_before = store.base
         store.compact()
         assert store.base is base_before
 
-    def test_buffer_scan_accounted(self, stream):
+    def test_buffer_scan_accounted(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         store.append(batches[0])
         box = random_box(full.bounding_box(), np.random.default_rng(2))
         base_scanned = store.base.query(box).stats.records_scanned
@@ -132,12 +142,12 @@ class TestIngest:
             map(len, scanned_batches(batches[:1], box)))
         assert stats.total_records == len(store)
 
-    def test_auto_compaction_triggers(self, stream):
+    def test_auto_compaction_triggers(self, tmp_path, stream):
         _, initial, batches = stream
         store = IngestingBlotStore(initial, [
             ReplicaSpec(CompositeScheme(KdTreePartitioner(4), 2),
                         encoding_scheme_by_name("ROW-PLAIN")),
-        ], auto_compact_at=1000)
+        ], wal_dir=str(tmp_path / "wal"), auto_compact_at=1000)
         store.append(batches[0])  # 750 buffered, below threshold
         assert store.compactions == 0
         store.append(batches[1])  # 1500 >= threshold -> compact
@@ -145,20 +155,20 @@ class TestIngest:
         assert store.buffered_records == 0
         assert len(store.base.dataset) == len(initial) + 1500
 
-    def test_auto_compaction_invalid_threshold(self, stream):
+    def test_auto_compaction_invalid_threshold(self, tmp_path, stream):
         _, initial, _ = stream
         with pytest.raises(ValueError):
             IngestingBlotStore(initial, [
                 ReplicaSpec(CompositeScheme(KdTreePartitioner(4), 2),
                             encoding_scheme_by_name("ROW-PLAIN")),
-            ], auto_compact_at=0)
+            ], wal_dir=str(tmp_path / "wal"), auto_compact_at=0)
 
-    def test_buffer_time_accounted_separately(self, stream):
+    def test_buffer_time_accounted_separately(self, tmp_path, stream):
         """Satellite regression: the brute-force buffer filter must not
         pollute ``seconds``/``bytes_read`` (Eq. 7 calibration inputs) —
         it is accounted in the dedicated buffer fields instead."""
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         box = random_box(full.bounding_box(), np.random.default_rng(3))
         clean = store.query(box).stats
         assert clean.buffer_seconds == 0.0
@@ -171,11 +181,11 @@ class TestIngest:
         # bytes_read counts replica unit fetches only, never buffer bytes.
         assert stats.bytes_read <= clean.bytes_read
 
-    def test_out_of_universe_records_found_before_compaction(self, stream):
+    def test_out_of_universe_records_found_before_compaction(self, tmp_path, stream):
         """Records beyond the base universe live in the buffer and are
         still queryable; after compaction they are indexed."""
         _, initial, _ = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         u = store.base.universe
         # A record one day after the base window.
         late = synthetic_shanghai_taxis(50, seed=5, num_taxis=4)
@@ -208,9 +218,9 @@ class TestBufferAwareReads:
         rng = np.random.default_rng(17)
         return [random_box(full.bounding_box(), rng) for _ in range(n)]
 
-    def test_count_matches_oracle_mid_buffer(self, stream):
+    def test_count_matches_oracle_mid_buffer(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         current = initial
         for batch in batches[:2]:
             store.append(batch)
@@ -226,9 +236,9 @@ class TestBufferAwareReads:
             assert stats.buffer_bytes_scanned == sum(
                 b.binary_size_bytes() for b in scanned)
 
-    def test_execute_workload_matches_query_mid_buffer(self, stream):
+    def test_execute_workload_matches_query_mid_buffer(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         current = initial
         for batch in batches[:2]:
             store.append(batch)
@@ -244,9 +254,9 @@ class TestBufferAwareReads:
             single = store.query(q)
             assert datasets_identical(canonical(single.records), want)
 
-    def test_workload_stats_buffer_separate(self, stream):
+    def test_workload_stats_buffer_separate(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         workload = [(Query.from_box(box), 1.0)
                     for box in self.probe_boxes(full, 3)]
         clean = store.execute_workload(workload).stats
@@ -260,9 +270,9 @@ class TestBufferAwareReads:
         assert dirty.records_scanned == clean.records_scanned + sum(
             map(len, scanned))
 
-    def test_empty_workload_gets_the_base_empty_result(self, stream):
+    def test_empty_workload_gets_the_base_empty_result(self, tmp_path, stream):
         _, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         store.append(batches[0])
         empty = Workload.unweighted([])
         want = store.base.execute_each(empty)
@@ -280,9 +290,9 @@ class TestBufferBounds:
     skips it, takes it whole or filters it — with closed faces, and a
     NaN bound deciding nothing."""
 
-    def test_time_range_missing_every_batch_scans_no_buffer(self, stream):
+    def test_time_range_missing_every_batch_scans_no_buffer(self, tmp_path, stream):
         full, initial, batches = stream
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         for batch in batches[:2]:
             store.append(batch)
         current = Dataset.concat([initial, *batches[:2]])
@@ -303,14 +313,14 @@ class TestBufferBounds:
         assert stats.records_scanned == \
             store.base.count(box)[1].records_scanned
 
-    def test_nan_coordinate_batch_reads_like_the_oracle(self, stream):
+    def test_nan_coordinate_batch_reads_like_the_oracle(self, tmp_path, stream):
         full, initial, batches = stream
         cols = batches[0].columns
         x = cols["x"].copy()
         x[::97] = np.nan
         cols["x"] = x
         batch = Dataset(cols)
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         store.append(batch)
         store.append(batches[1])
         current = Dataset.concat([initial, batch, batches[1]])
@@ -325,7 +335,7 @@ class TestBufferBounds:
                                       want)
             assert store.count(box)[0] == len(want)
 
-    def test_signed_zero_batch_reads_like_the_oracle(self, stream):
+    def test_signed_zero_batch_reads_like_the_oracle(self, tmp_path, stream):
         """Faces on ``0.0`` and ``-0.0`` hold both zeros (they compare
         equal), and the records come back bit-equal in arrival order."""
         _, initial, batches = stream
@@ -334,7 +344,7 @@ class TestBufferBounds:
         cols["x"] = np.where(i % 2 == 0, -0.0, 0.0)
         cols["y"] = np.where(i % 3 == 0, 0.0, -0.0)
         batch = Dataset(cols)
-        store = make_store(initial)
+        store = make_store(initial, tmp_path)
         store.append(batch)
         t = batch.column("t")
         t_lo, t_hi = float(t.min()), float(t.max())
@@ -451,9 +461,9 @@ def model_rows(model):
 
 
 class TestMeasuredCostRows:
-    """Without a ``cost_model`` a multi-replica store routes with Eq. 6
-    rows timed from the units it writes and commits them with its
-    snapshot; ``open()`` reads them back instead of timing anything."""
+    """A multi-replica store routes with Eq. 6 rows timed from the units
+    it writes and commits them with its snapshot; ``open()`` reads them
+    back instead of timing anything."""
 
     def test_open_routes_with_the_committed_rows(self, tmp_path, stream,
                                                  monkeypatch):
@@ -511,19 +521,6 @@ class TestMeasuredCostRows:
         finally:
             reopened.close()
 
-    def test_explicit_cost_model_wins(self, tmp_path, stream, monkeypatch):
-        _, initial, _ = stream
-        monkeypatch.setattr("repro.storage.ingest.measure_cost_params",
-                            lambda replicas: pytest.fail("timed units"))
-        model = cost_model_from_params(FIXED_COST_PARAMS)
-        store = IngestingBlotStore(initial, wal_specs(), model,
-                                   wal_dir=str(tmp_path / "wal"))
-        try:
-            assert store.base.cost_model is model
-            assert "cost_params" not in store.wal.snapshot_meta()[1]
-        finally:
-            store.close()
-
 
 class TestBackgroundCompaction:
     def test_threshold_triggers_worker(self, tmp_path, stream):
@@ -567,8 +564,8 @@ class TestBackgroundCompaction:
         spec = ReplicaSpec(ExplodingScheme(),
                            encoding_scheme_by_name("ROW-PLAIN"), name="x")
         store = IngestingBlotStore(
-            initial, [spec], auto_compact_at=500,
-            background_compaction=True)
+            initial, [spec], wal_dir=str(tmp_path / "wal"),
+            auto_compact_at=500, background_compaction=True)
         base_before = store.base
         store.append(batches[0])  # crosses the threshold
         store.wait_for_compaction()
@@ -579,11 +576,12 @@ class TestBackgroundCompaction:
         assert store.base is base_before
         assert store.buffered_records == len(batches[0])
 
-    def test_reads_during_background_compaction(self, stream):
+    def test_reads_during_background_compaction(self, tmp_path, stream):
         """Queries issued while the worker rebuilds must answer
         consistently from either the old or the new serving set."""
         full, initial, batches = stream
         store = IngestingBlotStore(initial, wal_specs(),
+                                   wal_dir=str(tmp_path / "wal"),
                                    auto_compact_at=750,
                                    background_compaction=True)
         current = initial
@@ -734,9 +732,9 @@ class TestPublishedState:
         assert violations == []
         store.close()
 
-    def test_racing_appends_and_folds_lose_nothing(self, stream):
+    def test_racing_appends_and_folds_lose_nothing(self, tmp_path, stream):
         """Stress: more writers than cores, a short switch interval, and
-        no WAL, so no file I/O paces them.  A lost update on the
+        an unsynced WAL, so no fsync paces them.  A lost update on the
         published state — append x append, or append x freeze/swap —
         drops or doubles records (it does, in most runs, with the
         writers' mutex taken out)."""
@@ -744,7 +742,9 @@ class TestPublishedState:
         rest = full.take(np.arange(len(initial), len(full)))
         batches = [rest.take(np.arange(i * 10, (i + 1) * 10))
                    for i in range(len(rest) // 10)]
-        store = IngestingBlotStore(initial, wal_specs(), auto_compact_at=400,
+        store = IngestingBlotStore(initial, wal_specs(),
+                                   wal_dir=str(tmp_path / "wal"),
+                                   auto_compact_at=400,
                                    background_compaction=True)
         n_writers = 8
 
@@ -777,11 +777,6 @@ class TestWindowedRollover:
         return IngestingBlotStore(initial, wal_specs(),
                                   wal_dir=str(tmp_path / "wal"),
                                   window_seconds=window)
-
-    def test_window_seconds_requires_wal_dir(self, stream):
-        _, initial, _ = stream
-        with pytest.raises(ValueError, match="wal_dir"):
-            IngestingBlotStore(initial, wal_specs(), window_seconds=60.0)
 
     def test_compaction_seals_old_windows(self, tmp_path, stream):
         full, initial, batches = stream
@@ -1057,10 +1052,6 @@ class TestAntiEntropy:
         reports = store.anti_entropy()
         assert len(reports) == len(store.windows) + 1  # ... and the base
         assert all(r.ok for r in reports)
-
-    def test_in_memory_store_sweeps_nothing(self, stream):
-        _, initial, _ = stream
-        assert make_store(initial).anti_entropy() == []
 
     def corrupt_a_unit(self, layer_root):
         unit_files = glob.glob(os.path.join(layer_root, "units", "**", "*"),

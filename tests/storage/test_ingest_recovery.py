@@ -123,7 +123,8 @@ class TestCrashRecovery:
         assert recovered % _BATCH == 0
         assert store.buffered_records == recovered
 
-    def test_recovered_queries_bit_equal_reference(self, crashed_wal):
+    def test_recovered_queries_bit_equal_reference(self, tmp_path,
+                                                    crashed_wal):
         """The reopened store answers exactly like a store that ingested
         the same prefix and never crashed."""
         wal_dir, _ = crashed_wal
@@ -132,7 +133,8 @@ class TestCrashRecovery:
 
         full = synthetic_shanghai_taxis(_N_RECORDS, seed=_SEED, num_taxis=12)
         initial = full.take(np.arange(0, _N_INITIAL))
-        reference = IngestingBlotStore(initial, specs())
+        reference = IngestingBlotStore(initial, specs(),
+                                       wal_dir=str(tmp_path / "ref"))
         for i in range(k):
             lo = _N_INITIAL + i * _BATCH
             reference.append(full.take(np.arange(lo, lo + _BATCH)))

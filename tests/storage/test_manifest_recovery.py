@@ -159,7 +159,6 @@ class TestRepairPartition:
         a, b = replicas
         damage_unit(a, 0, "lose")
         repair_partition(a, 0, source=b)
-        bb = ds.bounding_box()
         total = sum(len(a.read_partition(p)) for p in range(a.n_partitions)
                     if a.unit_keys[p] is not None)
         assert total == len(ds)

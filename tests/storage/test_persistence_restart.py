@@ -22,6 +22,7 @@ from repro.storage import (
     save_manifest,
     verify_replica,
 )
+from repro.verify import diff_results, oracle_answer
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +73,14 @@ class TestRestart:
         store.register_replica(reopen(paths, "fine"))
         store.register_replica(reopen(paths, "coarse"))
         bb = ds.bounding_box()
-        res = store.query(Box3.from_center_size(
+        box = Box3.from_center_size(
             bb.centroid.as_tuple(), bb.width * 0.2, bb.height * 0.2,
-            bb.duration * 0.2))
-        expected = ds.count_in_box(res.records.bounding_box()) if len(res.records) else 0
+            bb.duration * 0.2)
+        res = store.query(box)
+        want = oracle_answer(ds, box)
+        assert len(want) > 0
+        diff = diff_results(want, res.records)
+        assert diff is None, diff.describe()
         assert res.stats.records_returned == len(res.records)
 
     def test_verify_after_restart(self, disk_layout):
